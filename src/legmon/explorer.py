@@ -419,6 +419,8 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
     """
     if max_syllables < 1:
         raise ValueError("max_syllables must be >= 1")
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
     field = _resolve_field(field)
     cache = _ProbeCache(_sample_points(T36, field, n_points, seed))
     entries = []

@@ -1,10 +1,12 @@
 """Exact linear algebra in small dimension.
 
-Matrices and subspaces over a single exact field, with the four
-operations everything else is built from: determinants, kernels,
-subspace intersection, and the wedge-normalized solve that pins each
-replacement vector u to the scalar multiple of an intersection line
-satisfying v1 ∧ v2 = v2 ∧ u in Λ²V.
+Matrices and subspaces over a single exact field: determinants, which
+the loop maps compute their replacement vectors from (a ratio of two
+k×k determinants), and the subspace operations `kernel_basis`,
+`intersect` and `wedge_normalize`.  The last three compute the same
+replacement vector the long way, as the intersection line of two spans
+scaled so that v1 ∧ v2 = v2 ∧ u in Λ²V; they are the reference oracle
+the tests check the determinant formula against.
 
 Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their
@@ -26,7 +28,7 @@ class DegeneracyError(Exception):
 
 
 class DegenerateNormalization(DegeneracyError):
-    """No scalar multiple of the direction satisfies the wedge identity."""
+    """No admissible u satisfies the wedge identity v1 ∧ v2 = v2 ∧ u."""
 
 
 @dataclass(frozen=True)
@@ -69,30 +71,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> tuple[Vector, ...]:
-        return tuple(zip(*self.entries)) if self.entries else ()
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        ocols = other.columns()
-        rows = tuple(
-            tuple(_dot(row, col) for col in ocols) for row in self.entries
-        )
-        return Matrix(rows, self.field)
-
-
-def _dot(u, v) -> FieldScalar:
-    it = iter(zip(u, v))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
 
 
 def determinant(m: Matrix) -> FieldScalar:
@@ -202,9 +180,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def basis_matrix(self) -> Matrix:
-        return Matrix.from_columns(self.basis, self.field)
 
     def contains(self, v: Vector) -> bool:
         w = list(v)

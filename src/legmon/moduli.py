@@ -8,8 +8,8 @@ Two families are supported:
 * ``T44``: k = 4, N = 8, base braid word (σ1σ2σ3)^8 on 4 strands.
 
 Genericity ("validity") asks that every cyclically consecutive k×k
-minor is nonzero and, for sampled points, that the family's loop
-actions are defined.  `flags_from_point` rebuilds the chain of complete
+minor is nonzero; on a valid point every loop action of the family is
+defined.  `flags_from_point` rebuilds the chain of complete
 flags along the base braid word and `validate_bott_samelson` checks the
 cyclic adjacency conditions that characterize the open cell.
 """
@@ -27,7 +27,7 @@ from .fields import (
     field_to_json,
     format_scalar,
 )
-from .linalg import DegeneracyError, Matrix, Subspace, determinant
+from .linalg import Matrix, Subspace, determinant
 
 
 class InvalidPoint(ValueError):
@@ -97,9 +97,6 @@ class ModuliPoint:
     def col(self, i: int) -> tuple[FieldScalar, ...]:
         """Column v_i, 1-based and cyclic in i."""
         return self.columns[(i - 1) % self.family.n_columns]
-
-    def matrix(self) -> Matrix:
-        return Matrix.from_columns(self.columns, self.field)
 
 
 @dataclass(frozen=True)
@@ -175,6 +172,10 @@ def point_from_json(data: dict) -> ModuliPoint:
     raw = data["columns"]
     if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
         raise ValueError("columns must be a list of lists of scalar strings")
+    for j, c in enumerate(raw, start=1):
+        for t, x in enumerate(c, start=1):
+            if not isinstance(x, str):
+                raise ValueError(f"column {j} entry {t}: scalar must be a string, got {x!r}")
     columns = tuple(tuple(field.parse(x) for x in c) for c in raw)
     return ModuliPoint(family, field, columns)
 
@@ -194,9 +195,13 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     """A uniformly sampled valid point, deterministic in the seed.
 
     Entries are drawn uniformly (small integers over the rationals) and
-    the draw is rejected until the point is valid and every loop action
-    of the family is defined, so downstream actions never degenerate at
-    depth one.
+    the draw is rejected until the point is valid.  Validity alone makes
+    every loop action of the family defined, so downstream actions never
+    degenerate at depth one: in each window of sigma1 (on the point and
+    on its shift by one) and of xi1..xi3, {v_b} ∪ T is a cyclically
+    consecutive k-window, so the denominator det(v_b, T) of the
+    replacement vector is a nonzero cyclic minor, and v_a, v_b are
+    adjacent columns, so u = λ·v_b − v_a is nonzero.
 
     Raises:
         SamplingExhausted: after 10,000 rejected draws.
@@ -208,26 +213,9 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
             tuple(field.random_scalar(rng) for _ in range(k)) for _ in range(n)
         )
         p = ModuliPoint(family, field, columns)
-        if not validate_point(p).is_valid:
-            continue
-        if _loop_actions_defined(p):
+        if validate_point(p).is_valid:
             return p
     raise SamplingExhausted(family, seed, RETRY_BOUND)
-
-
-def _loop_actions_defined(p: ModuliPoint) -> bool:
-    from . import monodromy
-
-    try:
-        if p.family is T36:
-            monodromy.act_sigma1(p)
-            monodromy.act_sigma1(monodromy.act_shift(p, 1))
-        else:
-            for i in (1, 2, 3):
-                monodromy.act_xi(p, i)
-    except DegeneracyError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

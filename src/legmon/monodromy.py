@@ -2,8 +2,16 @@
 
 Each verified loop acts on framed moduli points.  The cyclic shift
 rotates the column tuple; the sigma1 loop on T36 and the xi loops on
-T44 replace one column per window by a vector u cut out by a subspace
-intersection and pinned by the wedge normalization v_a ∧ v_b = v_b ∧ u.
+T44 replace one column per window by the vector u that lies in ⟨T⟩,
+where T is the window's k−1 "other" columns, and satisfies the wedge
+normalization v_a ∧ v_b = v_b ∧ u.  The normalization forces
+u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by Cramer's rule:
+
+    u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
+
+`linalg.intersect` (built on `kernel_basis`) and `linalg.wedge_normalize`
+compute the same u from the subspaces; they are its reference oracle in
+the tests, and here only measure the meet of a degenerate window.
 
 Composition is by group words.  On T36 the generators are A (column
 shift by one), A2 (shift by two), and B = sigma1 after a shift, so that
@@ -19,15 +27,18 @@ import re
 from .linalg import (
     DegeneracyError,
     DegenerateNormalization,
+    Matrix,
     Subspace,
+    determinant,
     intersect,
-    wedge_normalize,
 )
 from .moduli import Family, ModuliPoint, T36, T44
 
 
 class DegenerateIntersection(DegeneracyError):
-    """A required intersection line has the wrong dimension."""
+    """A window's replacement vector is not determined: both determinants
+    of the ratio vanish, or v_a and v_b are parallel.  `dim` is the
+    dimension of span(pair) ∩ span(other)."""
 
     def __init__(self, message: str, *, label: str | None = None,
                  pair: tuple[int, ...] = (), other: tuple[int, ...] = (),
@@ -48,20 +59,33 @@ def act_shift(p: ModuliPoint, j: int) -> ModuliPoint:
 
 def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
                         other: tuple[int, ...]):
-    k = p.family.k
+    """u = λ·v_b − v_a with λ = det(v_a, T) / det(v_b, T), T = other columns.
+
+    Raises:
+        DegenerateIntersection: if both determinants vanish or u = 0; the
+            reported `dim` is that of span(pair) ∩ span(other).
+        DegenerateNormalization: if only det(v_b, T) vanishes, so that v_b
+            lies in ⟨T⟩ and no u ∈ ⟨T⟩ satisfies v_a ∧ v_b = v_b ∧ u.
+    """
     a, b = p.col(pair[0]), p.col(pair[1])
-    plane = Subspace.span([a, b], k, p.field)
-    target = Subspace.span([p.col(i) for i in other], k, p.field)
-    line = intersect(plane, target)
-    if line.dim != 1:
-        raise DegenerateIntersection(
-            f"{label}: span{pair} meets span{other} in dimension {line.dim}, not 1",
-            label=label, pair=pair, other=other, dim=line.dim,
-        )
-    try:
-        return wedge_normalize(a, b, line.basis[0])
-    except DegenerateNormalization as exc:
-        raise DegenerateNormalization(f"{label}: {exc}") from None
+    t = [p.col(i) for i in other]
+    da = determinant(Matrix.from_columns([a, *t], p.field))
+    db = determinant(Matrix.from_columns([b, *t], p.field))
+    if db:
+        lam = da / db
+        u = tuple(lam * y - x for x, y in zip(a, b))
+        if any(u):
+            return u
+    elif da:
+        raise DegenerateNormalization(f"{label}: v{pair[1]} lies in span{other}")
+    why = (f"v{pair[0]} and v{pair[1]} are parallel" if db else
+           f"det(v{pair[0]}, T) = det(v{pair[1]}, T) = 0 for T = columns {other}")
+    k = p.family.k
+    dim = intersect(Subspace.span([a, b], k, p.field), Subspace.span(t, k, p.field)).dim
+    raise DegenerateIntersection(
+        f"{label}: {why}; span{pair} meets span{other} in dimension {dim}",
+        label=label, pair=pair, other=other, dim=dim,
+    )
 
 
 # (label, pair spanning the 2-plane, tuple spanning the other subspace)
@@ -74,7 +98,7 @@ _SIGMA1_WINDOWS = (
 
 def act_sigma1(p: ModuliPoint) -> ModuliPoint:
     """The sigma1 loop on T36: (v1..v9) -> (v2,u1,v3, v5,u2,v6, v8,u3,v9)
-    with u_t the wedge-normalized line <v_a,v_b> ∩ <v_c,v_d> per window."""
+    with u_t the wedge-normalized vector of <v_a,v_b> ∩ <v_c,v_d> per window."""
     if p.family is not T36:
         raise ValueError(f"act_sigma1 needs family T36, got {p.family.name}")
     u = {
@@ -108,7 +132,7 @@ _XI_TABLE = {
 
 def act_xi(p: ModuliPoint, i: int) -> ModuliPoint:
     """The xi_i loop on T44 (i in {1,2,3}); each window replaces one
-    column by the wedge-normalized line <v_a,v_b> ∩ <v_c,v_d,v_e>."""
+    column by the wedge-normalized vector of <v_a,v_b> ∩ <v_c,v_d,v_e>."""
     if p.family is not T44:
         raise ValueError(f"act_xi needs family T44, got {p.family.name}")
     if i not in _XI_TABLE:

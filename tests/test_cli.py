@@ -164,6 +164,13 @@ def test_act_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "act", "--point", str(tmp_path / "missing.json"),
                        "--word", "A")
     assert code == 2 and "cannot read point file" in err
+    int_file = tmp_path / "int.json"
+    data = json.loads(p_file.read_text())
+    data["columns"][0] = [1, 2, 3]
+    int_file.write_text(json.dumps(data))
+    for cmd in (("act", "--word", "A"), ("flags",)):
+        code, _, err = run(capsys, cmd[0], "--point", str(int_file), *cmd[1:])
+        assert code == 2 and "column 1 entry 1" in err
 
 
 def test_act_degeneracy_exit_code(tmp_path, capsys):
@@ -234,6 +241,14 @@ def test_faithful_small_sweep(capsys):
     assert data["fraction_separated"] == "7/7"
     assert data["all_separated"] is True
     assert all(w["q_reverify"]["ok"] for w in data["witnesses"])
+
+
+@pytest.mark.parametrize("cmd", ["relations", "faithful", "xi-report"])
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_point_count_must_be_positive(capsys, cmd, points):
+    code, out, err = run(capsys, cmd, "--points", points)
+    assert code == 2 and out == ""
+    assert "n_points must be >= 1" in err
 
 
 def test_xi_report_cli(capsys):

@@ -1,5 +1,6 @@
 """Moduli points: validity, Plücker minors, serialization, flags."""
 
+import json
 from fractions import Fraction
 from random import Random
 
@@ -188,6 +189,10 @@ def test_json_parse_errors():
         point_loads(good.replace('"T36"', '"T99"'))
     with pytest.raises(ValueError):
         point_loads(good.replace("1/1", "1.5"))
+    data = json.loads(good)
+    data["columns"][1][2] = 7
+    with pytest.raises(ValueError, match="column 2 entry 3"):
+        point_loads(json.dumps(data))
 
 
 def test_flags_structure_on_sample_point():

@@ -5,10 +5,19 @@ from fractions import Fraction
 import pytest
 
 from legmon.fields import DEFAULT_PRIME, QQ, PrimeField
-from legmon.linalg import DegenerateNormalization, Subspace, wedge
+from legmon.linalg import (
+    DegenerateNormalization,
+    Subspace,
+    intersect,
+    wedge,
+    wedge_normalize,
+)
 from legmon.moduli import ModuliPoint, T36, T44, pluecker, random_point
 from legmon.monodromy import (
+    _SIGMA1_WINDOWS,
+    _XI_TABLE,
     DegenerateIntersection,
+    _replacement_vector,
     act_shift,
     act_sigma1,
     act_word,
@@ -85,6 +94,53 @@ def test_sigma1_postconditions():
             target = Subspace.span([p.col(i) for i in other], 3, FP)
             assert plane.contains(u) and target.contains(u)
             assert wedge(va, vb) == wedge(vb, u)
+
+
+def family_windows(family):
+    """Every (label, pair, other) window a loop action of the family reads,
+    in the columns of the point it is applied to (B reads sigma1's
+    windows shifted by one)."""
+    if family is T36:
+        def shifted(idx, shift):
+            return tuple((i - 1 + shift) % family.n_columns + 1 for i in idx)
+
+        return [
+            (label, shifted(pair, shift), shifted(other, shift))
+            for shift in (0, 1)
+            for label, pair, other in _SIGMA1_WINDOWS
+        ]
+    return [spec for specs, _ in _XI_TABLE.values() for spec in specs]
+
+
+def oracle_replacement(p, pair, other):
+    k = p.family.k
+    va, vb = p.col(pair[0]), p.col(pair[1])
+    plane = Subspace.span([va, vb], k, p.field)
+    target = Subspace.span([p.col(i) for i in other], k, p.field)
+    return wedge_normalize(va, vb, intersect(plane, target).basis[0])
+
+
+@pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
+def test_replacement_vector_matches_subspace_oracle(family):
+    points = fp_points(family, 50) + [random_point(family, QQ, seed) for seed in range(5)]
+    for p in points:
+        for label, pair, other in family_windows(family):
+            assert _replacement_vector(p, label, pair, other) == oracle_replacement(p, pair, other)
+
+
+@pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
+def test_windows_are_cyclically_consecutive(family):
+    # Validity (all cyclic consecutive minors nonzero) implies every loop
+    # action is defined: det(v_b, T) is such a minor and v_a, v_b are
+    # adjacent, hence independent.
+    k, n = family.k, family.n_columns
+    consecutive = {
+        frozenset((s + t) % n + 1 for t in range(k)) for s in range(n)
+    }
+    for _, (a, b), other in family_windows(family):
+        assert frozenset((b, *other)) in consecutive
+        assert len(other) == k - 1
+        assert b == a % n + 1
 
 
 def test_sigma1_family_check():
