@@ -7,9 +7,9 @@ relation/faithfulness/xi reports as JSON.
 
 Exit codes: 0 when every performed check passes, 1 for a verification
 failure, 2 for a usage error, 3 for a degeneracy (including exhausted
-sampling).  All output is deterministic given the flags; reports carry
-no timestamps.  The environment variable LEGMON_PRIME overrides the
-default prime modulus.
+sampling and a point given to `act` that fails validity).  All output
+is deterministic given the flags; reports carry no timestamps.  The
+environment variable LEGMON_PRIME overrides the default prime modulus.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .braids import (
 from .fields import Field, PrimeField, QQ, default_prime, format_scalar
 from .linalg import DegeneracyError
 from .moduli import (
+    InvalidPoint,
     SamplingExhausted,
     flags_from_point,
     get_family,
@@ -38,6 +39,7 @@ from .moduli import (
     point_dumps,
     point_loads,
     random_point,
+    require_valid,
     validate_bott_samelson,
     validate_point,
 )
@@ -78,7 +80,7 @@ def _write_text(path: str | None, text: str):
 def _read_point(path: str | None):
     try:
         return point_loads(_read_text(path))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise UsageError(f"cannot read point file: {exc}") from exc
 
 
@@ -113,9 +115,9 @@ def _cmd_verify_loop(args) -> int:
 
 def _cmd_act(args) -> int:
     point = _read_point(args.point)
+    require_valid(point)
     try:
-        word = parse_group_word(args.word)
-        image = act_word(point, word)
+        image = act_word(point, parse_group_word(args.word))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _write_text(args.out, point_dumps(image))
@@ -289,6 +291,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERACY
     except DegeneracyError as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)
+        return EXIT_DEGENERACY
+    except InvalidPoint as exc:
+        print(f"invalid point: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

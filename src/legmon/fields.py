@@ -8,6 +8,12 @@ modulus.  A `RationalField` or `PrimeField` object bundles construction,
 parsing, formatting and sampling for one field, so matrices and points
 can stay field-agnostic.
 
+`ModP` is the public prime-field scalar: points, subspace bases, JSON
+and every function result carry it.  The prime-field kernels in `linalg`
+compute on the residues' int values instead of `ModP` operators and wrap
+their results in `ModP` as they return; rational arithmetic always uses
+the `Fraction` operators.
+
 Serialization: rationals render as ``"a/b"`` with an explicit
 denominator, residues as ``"v mod p"``.
 """

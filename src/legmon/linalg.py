@@ -11,6 +11,14 @@ the tests check the determinant formula against.
 Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their
 column), so subspace equality is plain tuple comparison.
+
+Over a prime field, `determinant` (n ≤ 4), `Subspace.span`,
+`Subspace.contains` and `wedge` read each entry's int value once,
+compute on ints reduced mod p, and wrap their results in `ModP` as they
+return.  Over ℚ they use the `Fraction` operators.  `kernel_basis` and
+`intersect` run their own elimination with the scalars' operators in
+both fields and reach the int path only when `Subspace.span`
+canonicalizes their result.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fields import Field, FieldScalar, field_inverse
+from .fields import Field, FieldScalar, ModP, PrimeField, field_inverse
 
 Vector = tuple[FieldScalar, ...]
 
@@ -78,9 +86,18 @@ def determinant(m: Matrix) -> FieldScalar:
     n = m.nrows
     if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    e = m.entries
     if n == 0:
         return m.field.one()
+    if n > 4:
+        return _det_eliminate(m)
+    p = _modulus(m.field)
+    if p is None:
+        return _det_closed(m.entries)
+    return ModP(_det_closed([[x.value for x in row] for row in m.entries]), p)
+
+
+def _det_closed(e):
+    n = len(e)
     if n == 1:
         return e[0][0]
     if n == 2:
@@ -88,12 +105,6 @@ def determinant(m: Matrix) -> FieldScalar:
     if n == 3:
         (a, b, c), (d, f, g), (h, i, j) = e
         return a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)
-    if n == 4:
-        return _det4(e)
-    return _det_eliminate(m)
-
-
-def _det4(e) -> FieldScalar:
     # Expansion by 2x2 complementary minors (first two rows vs last two).
     (a, b, c, d), (f, g, h, i), (j, k, l, p), (q, r, s, t) = e
     return (
@@ -126,8 +137,18 @@ def _det_eliminate(m: Matrix) -> FieldScalar:
     return det
 
 
-def _rref(rows: list[list[FieldScalar]]) -> tuple[list[list[FieldScalar]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _modulus(field: Field) -> int | None:
+    """The prime of a prime field, None for ℚ."""
+    return field.p if isinstance(field, PrimeField) else None
+
+
+def _rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot columns).
+
+    With a modulus `p` the rows hold ints and every row operation is
+    reduced mod p; without one they hold field scalars (`Fraction` or
+    `ModP`) and use their operators.
+    """
     pivots: list[int] = []
     ncols = len(rows[0]) if rows else 0
     r = 0
@@ -136,17 +157,21 @@ def _rref(rows: list[list[FieldScalar]]) -> tuple[list[list[FieldScalar]], list[
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field_inverse(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
+        inv = field_inverse(rows[r][c]) if p is None else pow(rows[r][c], -1, p)
+        rows[r] = _reduced([x * inv for x in rows[r]], p)
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = _reduced([x - f * y for x, y in zip(rows[i], rows[r])], p)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return rows, pivots
+
+
+def _reduced(row: list, p: int | None) -> list:
+    return row if p is None else [x % p for x in row]
 
 
 @dataclass(frozen=True)
@@ -167,11 +192,17 @@ class Subspace:
         vectors = [tuple(v) for v in vectors]
         if any(len(v) != ambient for v in vectors):
             raise ValueError("spanning vector length differs from ambient dimension")
+        p = _modulus(field)
+        if p is not None:
+            vectors = [[x.value for x in v] for v in vectors]
         rows = [list(v) for v in vectors if any(v)]
         if not rows:
             return cls(ambient, (), field)
-        rows, pivots = _rref(rows)
-        return cls(ambient, tuple(tuple(r) for r in rows[: len(pivots)]), field)
+        rows, pivots = _rref(rows, p)
+        rows = rows[: len(pivots)]
+        if p is not None:
+            rows = [[ModP(x, p) for x in r] for r in rows]
+        return cls(ambient, tuple(tuple(r) for r in rows), field)
 
     @classmethod
     def zero(cls, ambient: int, field: Field) -> "Subspace":
@@ -182,12 +213,16 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Vector) -> bool:
-        w = list(v)
-        for b in self.basis:
+        p = _modulus(self.field)
+        w, basis = list(v), self.basis
+        if p is not None:
+            w = [x.value for x in w]
+            basis = [[x.value for x in b] for b in basis]
+        for b in basis:
             piv = next(i for i, x in enumerate(b) if x)
             if w[piv]:
                 f = w[piv]
-                w = [x - f * y for x, y in zip(w, b)]
+                w = _reduced([x - f * y for x, y in zip(w, b)], p)
         return not any(w)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -238,7 +273,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def wedge(v: Vector, w: Vector) -> Vector:
     """Coordinates of v ∧ w in Λ²F^n, index pairs in lexicographic order."""
-    return tuple(v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2))
+    p = v[0].modulus if v and isinstance(v[0], ModP) else None
+    if p is not None:
+        v, w = [x.value for x in v], [x.value for x in w]
+    coords = (v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2))
+    return tuple(coords) if p is None else tuple(ModP(x, p) for x in coords)
 
 
 def wedge_normalize(v1: Vector, v2: Vector, direction: Vector) -> Vector:

@@ -137,6 +137,14 @@ def validate_point(p: ModuliPoint) -> ValidityReport:
     return ValidityReport(tuple(checks), all(c.nonzero for c in checks))
 
 
+def require_valid(p: ModuliPoint) -> None:
+    """Raise `InvalidPoint` naming the vanishing cyclic minors, if any."""
+    report = validate_point(p)
+    if not report.is_valid:
+        bad = [m.indices for m in report.minors if not m.nonzero]
+        raise InvalidPoint(f"vanishing cyclic minors at {bad}")
+
+
 def pluecker(p: ModuliPoint, idx) -> FieldScalar:
     """The Plücker coordinate P_idx: the minor at the chosen columns.
 
@@ -167,6 +175,8 @@ def point_from_json(data: dict) -> ModuliPoint:
     missing = {"family", "field", "columns"} - set(data)
     if missing:
         raise ValueError(f"point file missing keys: {sorted(missing)}")
+    if not isinstance(data["family"], str):
+        raise ValueError(f"family must be a string, got {data['family']!r}")
     family = get_family(data["family"])
     field = field_from_json(data["field"])
     raw = data["columns"]
@@ -241,10 +251,7 @@ def flags_from_point(p: ModuliPoint) -> FlagTuple:
     Raises:
         InvalidPoint: if some cyclic consecutive minor vanishes.
     """
-    report = validate_point(p)
-    if not report.is_valid:
-        bad = [m.indices for m in report.minors if not m.nonzero]
-        raise InvalidPoint(f"vanishing cyclic minors at {bad}")
+    require_valid(p)
     fam = p.family
     k, n = fam.k, fam.n_columns
     length = (k - 1) * n

@@ -1,15 +1,27 @@
-"""End-to-end CLI behavior: exit codes, piping, determinism."""
+"""End-to-end CLI behavior: exit codes, piping, determinism, and
+fuzzing of the point loader."""
 
+import contextlib
+import copy
 import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from legmon.cli import main
-from legmon.fields import QQ
-from legmon.moduli import ModuliPoint, T36, point_dumps, point_loads, random_point
+from legmon.fields import DEFAULT_PRIME, PrimeField, QQ
+from legmon.moduli import (
+    ModuliPoint,
+    T36,
+    T44,
+    point_dumps,
+    point_loads,
+    point_to_json,
+    random_point,
+)
 from legmon.monodromy import act_shift
 
 
@@ -171,6 +183,17 @@ def test_act_usage_errors(tmp_path, capsys):
     for cmd in (("act", "--word", "A"), ("flags",)):
         code, _, err = run(capsys, cmd[0], "--point", str(int_file), *cmd[1:])
         assert code == 2 and "column 1 entry 1" in err
+    list_family = tmp_path / "list_family.json"
+    data = json.loads(p_file.read_text())
+    data["family"] = ["T36"]
+    list_family.write_text(json.dumps(data))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for bad, message in ((list_family, "family must be a string"),
+                         (deep, "cannot read point file")):
+        for cmd in (("act", "--word", "A"), ("flags",), ("pluecker", "--idx", "1,4,7")):
+            code, _, err = run(capsys, cmd[0], "--point", str(bad), *cmd[1:])
+            assert code == 2 and message in err
 
 
 def test_act_degeneracy_exit_code(tmp_path, capsys):
@@ -178,7 +201,16 @@ def test_act_degeneracy_exit_code(tmp_path, capsys):
     p_file.write_text(point_dumps(degenerate_point()))
     code, _, err = run(capsys, "act", "--point", str(p_file), "--word", "S1")
     assert code == 3
-    assert "degeneracy" in err and "u1" in err
+    assert "vanishing cyclic minors" in err and "(1, 2, 3)" in err
+
+
+@pytest.mark.parametrize("word", ["A", "S1", "SH(9)", ""])
+def test_act_rejects_invalid_point(tmp_path, capsys, word):
+    p_file = tmp_path / "invalid.json"
+    p_file.write_text(point_dumps(invalid_point()))
+    code, out, err = run(capsys, "act", "--point", str(p_file), "--word", word)
+    assert code == 3 and out == ""
+    assert "vanishing cyclic minors at [(1, 2, 3), (9, 1, 2)]" in err
 
 
 def test_pluecker_bad_index(tmp_path, capsys):
@@ -277,3 +309,62 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+VALID_POINTS = [
+    point_to_json(random_point(family, field, 1))
+    for family in (T36, T44)
+    for field in (QQ, PrimeField(11), PrimeField(DEFAULT_PRIME))
+]
+SCALARS = st.sampled_from(["0", "1/0", "-3/4", "5 mod 11", "5 mod 7", "2 mod",
+                           "1e3", " 7 ", "9" * 40]) | st.text(max_size=6)
+
+
+@st.composite
+def mutated_points(draw):
+    """A valid point dict with its family, field or columns perturbed."""
+    data = copy.deepcopy(draw(st.sampled_from(VALID_POINTS)))
+    target = draw(st.sampled_from(["family", "field", "p", "columns", "column",
+                                   "entry", "drop"]))
+    if target == "family":
+        data["family"] = draw(st.sampled_from(["T36", "T44", "t36"]) | JSON_VALUES)
+    elif target == "field":
+        data["field"] = draw(JSON_VALUES)
+    elif target == "p":
+        data["field"] = {"kind": "fp", "p": draw(st.integers(-3, 10**6) | JSON_VALUES)}
+    elif target == "columns":
+        data["columns"] = draw(JSON_VALUES)
+    elif target == "column":
+        cols = data["columns"]
+        j = draw(st.integers(0, len(cols)))
+        cols[j:j + 1] = draw(st.lists(st.lists(SCALARS, max_size=5) | JSON_VALUES,
+                                      max_size=2))
+    elif target == "entry":
+        col = data["columns"][draw(st.integers(0, len(data["columns"]) - 1))]
+        col[draw(st.integers(0, len(col) - 1))] = draw(SCALARS | JSON_VALUES)
+    else:
+        del data[draw(st.sampled_from(sorted(data)))]
+    return data
+
+
+@pytest.mark.parametrize("argv", [("act", "--word", "A"), ("flags",)])
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(value=JSON_VALUES | mutated_points())
+def test_point_loader_fuzz(argv, value):
+    # Any JSON value on stdin ends in a documented exit code, never a
+    # traceback out of main.
+    stdin = io.StringIO(json.dumps(value))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        saved, sys.stdin = sys.stdin, stdin
+        try:
+            code = main(list(argv))
+        finally:
+            sys.stdin = saved
+    assert code in (0, 1, 2, 3)

@@ -1,9 +1,12 @@
 """Matrices, subspaces, determinants, intersections, wedge normalization.
 
-Randomized determinant checks use sympy as an independent oracle.
+Randomized determinant checks use sympy as an independent oracle.  The
+prime-field kernels, which compute on int residues, are also checked
+against the same formulas and eliminations run with `ModP` operators.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -14,6 +17,8 @@ from legmon.linalg import (
     DegenerateNormalization,
     Matrix,
     Subspace,
+    _det_eliminate,
+    _rref,
     determinant,
     intersect,
     kernel_basis,
@@ -191,3 +196,117 @@ def test_wedge_normalize_exactness_property():
                 continue
             assert wedge(v1, v2) == wedge(v2, u)
             assert Subspace.span([direction], n, field).contains(u)
+
+
+# Differential tests of the int kernels: each prime gets at least 200
+# random cases per kernel, and every third case is forced singular,
+# rank-deficient or otherwise degenerate.
+PRIMES = [7, 11, DEFAULT_PRIME]
+
+
+def _vector(rng, field, n):
+    return tuple(field.random_scalar(rng) for _ in range(n))
+
+
+def _degenerate_vectors(rng, field, vectors):
+    """Replace one vector by zero, a repeat, or a combination of the others."""
+    vectors = list(vectors)
+    t = rng.randrange(len(vectors))
+    others = vectors[:t] + vectors[t + 1:]
+    kind = rng.randrange(3) if others else 0
+    extra = (field.zero(),) * len(vectors[t])
+    if kind == 1:
+        extra = rng.choice(others)
+    elif kind == 2:
+        for v in others:
+            c = field.random_scalar(rng)
+            extra = tuple(x + c * y for x, y in zip(extra, v))
+    vectors[t] = extra
+    return vectors
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_determinant_int_kernel_differential(prime):
+    field = PrimeField(prime)
+    rng = Random(prime)
+    for case in range(240):
+        n = case % 4 + 1
+        cols = [_vector(rng, field, n) for _ in range(n)]
+        if case % 3 == 0:
+            cols = _degenerate_vectors(rng, field, cols)
+        m = Matrix.from_columns(cols, field)
+        det = determinant(m)
+        ints = [[x.value for x in row] for row in m.entries]
+        assert det == field.from_int(int(sympy.Matrix(ints).det()))
+        assert det == _det_eliminate(m)
+        if case % 3 == 0:
+            assert not det
+
+
+def _operator_span(vectors, n, field):
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
+        return Subspace.zero(n, field)
+    rows, pivots = _rref(rows)
+    return Subspace(n, tuple(tuple(r) for r in rows[: len(pivots)]), field)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_span_int_kernel_differential(prime):
+    field = PrimeField(prime)
+    rng = Random(prime + 1)
+    for case in range(240):
+        n = rng.randint(1, 5)
+        vectors = [_vector(rng, field, n) for _ in range(rng.randint(1, n + 1))]
+        if case % 3 == 0:
+            vectors = _degenerate_vectors(rng, field, vectors)
+        span = Subspace.span(vectors, n, field)
+        assert span == _operator_span(vectors, n, field)
+        assert all(isinstance(x, ModP) for b in span.basis for x in b)
+    for n in (1, 3, 4):
+        assert Subspace.span([(field.zero(),) * n] * 2, n, field).dim == 0
+
+
+def _operator_rank(vectors):
+    rows = [list(v) for v in vectors if any(v)]
+    return len(_rref(rows)[1]) if rows else 0
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_contains_int_kernel_differential(prime):
+    field = PrimeField(prime)
+    rng = Random(prime + 2)
+    inside = 0
+    for case in range(240):
+        n = rng.randint(1, 5)
+        vectors = [_vector(rng, field, n) for _ in range(rng.randint(0, n))]
+        v = _vector(rng, field, n)
+        if case % 3 == 0:
+            v = (field.zero(),) * n
+            for u in vectors:
+                c = field.random_scalar(rng)
+                v = tuple(x + c * y for x, y in zip(v, u))
+        span = Subspace.span(vectors, n, field)
+        expected = _operator_rank(vectors + [v]) == _operator_rank(vectors)
+        assert span.contains(v) == expected
+        inside += expected
+    assert inside >= 60
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_wedge_int_kernel_differential(prime):
+    field = PrimeField(prime)
+    rng = Random(prime + 3)
+    for case in range(240):
+        n = rng.randint(2, 5)
+        v = _vector(rng, field, n)
+        w = _vector(rng, field, n)
+        if case % 3 == 0:
+            c = field.random_scalar(rng)
+            w = tuple(c * x for x in v)
+        expected = tuple(
+            v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(n), 2)
+        )
+        assert wedge(v, w) == expected
+        if case % 3 == 0:
+            assert not any(wedge(v, w))

@@ -193,6 +193,11 @@ def test_json_parse_errors():
     data["columns"][1][2] = 7
     with pytest.raises(ValueError, match="column 2 entry 3"):
         point_loads(json.dumps(data))
+    for family in (["T36"], {"name": "T36"}, None):
+        data = json.loads(good)
+        data["family"] = family
+        with pytest.raises(ValueError, match="family must be a string"):
+            point_loads(json.dumps(data))
 
 
 def test_flags_structure_on_sample_point():

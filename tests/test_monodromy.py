@@ -12,7 +12,9 @@ from legmon.linalg import (
     wedge,
     wedge_normalize,
 )
-from legmon.moduli import ModuliPoint, T36, T44, pluecker, random_point
+from legmon.moduli import (
+    ModuliPoint, T36, T44, pluecker, random_point, validate_point,
+)
 from legmon.monodromy import (
     _SIGMA1_WINDOWS,
     _XI_TABLE,
@@ -141,6 +143,19 @@ def test_windows_are_cyclically_consecutive(family):
         assert frozenset((b, *other)) in consecutive
         assert len(other) == k - 1
         assert b == a % n + 1
+
+
+@pytest.mark.parametrize("prime", [3, 5, DEFAULT_PRIME])
+def test_loop_maps_keep_points_valid(prime):
+    # The CLI rejects invalid points before acting; this is why that
+    # check loses no point a loop map can reach from a valid one.
+    field = PrimeField(prime)
+    for seed in range(100):
+        images = [act_sigma1(random_point(T36, field, seed))]
+        q = random_point(T44, field, seed)
+        images += [act_xi(q, i) for i in (1, 2, 3)]
+        for image in images:
+            assert validate_point(image).is_valid
 
 
 def test_sigma1_family_check():
