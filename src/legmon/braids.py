@@ -185,9 +185,9 @@ def parse_script(text: str, base: BraidWord, name: str | None = None) -> MoveScr
     """Parse the move-script DSL against a given base word.
 
     Grammar: one move per line, ``move := "shift" | "comm" INT | "r3a"
-    INT | "r3d" INT`` with 1-based INT, ``#`` starting a comment, blank
-    lines ignored.  Legality against the base is not checked here; that
-    is verify_loop's job.
+    INT | "r3d" INT`` with INT a 1-based position in ASCII digits, ``#``
+    starting a comment, blank lines ignored.  Legality against the base
+    is not checked here; that is verify_loop's job.
     """
     moves: list[Move] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -213,7 +213,7 @@ def parse_script(text: str, base: BraidWord, name: str | None = None) -> MoveScr
         argcol = code.index(arg, col + len(keyword)) + 1 if arg else col + len(keyword)
         if arg is None:
             raise ScriptSyntaxError(lineno, argcol, f"{keyword} needs a position")
-        if not arg.isdigit():
+        if not (arg.isascii() and arg.isdigit()):
             raise ScriptSyntaxError(lineno, argcol, f"position {arg!r} is not a decimal integer")
         pos = int(arg)
         if pos < 1:

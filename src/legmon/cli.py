@@ -6,10 +6,12 @@ sample valid points, rebuild and validate flag chains, and run the
 relation/faithfulness/xi reports as JSON.
 
 Exit codes: 0 when every performed check passes, 1 for a verification
-failure, 2 for a usage error, 3 for a degeneracy (including exhausted
-sampling and a point given to `act` that fails validity).  All output
-is deterministic given the flags; reports carry no timestamps.  The
-environment variable LEGMON_PRIME overrides the default prime modulus.
+failure, 2 for a usage error (including a file that cannot be read or
+written), 3 for a degeneracy (including exhausted sampling, a point
+given to `act` that fails validity, and a degeneracy inside a report).
+All output is deterministic given the flags; reports carry no
+timestamps.  The environment variable LEGMON_PRIME overrides the
+default prime modulus.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .moduli import (
     random_point,
     require_valid,
     validate_bott_samelson,
-    validate_point,
 )
 from .monodromy import act_word, parse_group_word
 
@@ -65,22 +66,28 @@ def _resolve_field(args) -> Field:
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _write_text(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _read_point(path: str | None):
     try:
         return point_loads(_read_text(path))
-    except (OSError, RecursionError, ValueError) as exc:
+    except (RecursionError, ValueError) as exc:
         raise UsageError(f"cannot read point file: {exc}") from exc
 
 
@@ -148,11 +155,11 @@ def _cmd_random_point(args) -> int:
 
 def _cmd_flags(args) -> int:
     point = _read_point(args.point)
-    validity = validate_point(point)
-    if not validity.is_valid:
+    try:
+        flags = flags_from_point(point)
+    except InvalidPoint:
         print(json.dumps({"valid_point": False, "bott_samelson": False}, indent=2))
         return EXIT_VERIFICATION
-    flags = flags_from_point(point)
     ok = validate_bott_samelson(flags, point.family.base_word())
     print(
         json.dumps(

@@ -12,6 +12,11 @@ an exact certificate, and every witness re-verifies over the rationals
 by lifting the point entries to integers, so no Schwartz-Zippel caveat
 remains.
 
+Every sigma1 and xi image of a valid point is valid again, so every word
+is defined on every sampled point.  Sampling-time validity is the one
+degeneracy gate: the reports neither skip nor resample, and a
+`DegeneracyError` inside one is a bug that reaches the caller.
+
 All reports are deterministic functions of their parameters and
 serialize to JSON with a fixed key order.
 """
@@ -33,7 +38,6 @@ from .fields import (
     field_to_json,
     format_scalar,
 )
-from .linalg import DegeneracyError
 from .moduli import ModuliPoint, T36, T44, point_to_json, pluecker, random_point
 from .monodromy import act_shift, act_word, act_xi
 from . import monodromy
@@ -98,21 +102,16 @@ def _resolve_field(field: Field | None) -> Field:
 
 
 class _ProbeCache:
-    """Lazy Δ(u(p)) values per (point, probe); degenerate entries are None."""
+    """Lazy Δ(u(p)) values per (point, probe)."""
 
     def __init__(self, points: tuple[ModuliPoint, ...]):
         self.points = points
-        self._values: dict[tuple[int, Syllables], FieldScalar | None] = {}
-        self.degenerate_evals = 0
+        self._values: dict[tuple[int, Syllables], FieldScalar] = {}
 
-    def value(self, idx: int, probe: Syllables):
+    def value(self, idx: int, probe: Syllables) -> FieldScalar:
         key = (idx, probe)
         if key not in self._values:
-            try:
-                self._values[key] = delta(apply_syllables(self.points[idx], probe))
-            except DegeneracyError:
-                self._values[key] = None
-                self.degenerate_evals += 1
+            self._values[key] = delta(apply_syllables(self.points[idx], probe))
         return self._values[key]
 
 
@@ -199,31 +198,20 @@ def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
         raise ValueError("the empty word cannot be separated from the identity")
     if not is_reduced(word):
         raise ValueError(f"word {word!r} is not reduced")
+    if probe_budget < 0:
+        raise ValueError("probe_budget must be >= 0")
     field = _resolve_field(field)
     cache = _cache if _cache is not None else _ProbeCache(
         _sample_points(T36, field, n_points, seed)
     )
     probes = reduced_words(probe_budget)
-    images: dict[int, ModuliPoint | None] = {}
+    images: dict[int, ModuliPoint] = {}
     for probe in probes:
         for idx in range(len(cache.points)):
             if idx not in images:
-                try:
-                    images[idx] = apply_syllables(cache.points[idx], word)
-                except DegeneracyError:
-                    images[idx] = None
-                    cache.degenerate_evals += 1
-            moved = images[idx]
-            if moved is None:
-                continue
+                images[idx] = apply_syllables(cache.points[idx], word)
             rhs = cache.value(idx, probe)
-            if rhs is None:
-                continue
-            try:
-                lhs = delta(apply_syllables(moved, probe))
-            except DegeneracyError:
-                cache.degenerate_evals += 1
-                continue
+            lhs = delta(apply_syllables(images[idx], probe))
             if lhs != rhs:
                 return SeparationWitness(word, probe, cache.points[idx], lhs, rhs)
     return None
@@ -247,8 +235,9 @@ class RelationReport:
     seed: object
     probe_budget: int
     field: Field
-    resamples: int
     checks: tuple[RelationCheck, ...]
+    # Valid points stay valid under every word, so no draw is resampled.
+    resamples = 0
 
     @property
     def all_pass(self) -> bool:
@@ -296,30 +285,24 @@ def verify_relations(n_points: int = 32, seed=7, field: Field | None = None,
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
+    if probe_budget < 0:
+        raise ValueError("probe_budget must be >= 0")
     field = _resolve_field(field)
     probes = reduced_words(probe_budget)
     rng = Random(seed)
     results: dict[tuple[str, Syllables], list[int]] = {
         (rel, u): [0, 0] for rel in ("a3", "b2") for u in probes
     }
-    resamples = 0
-    collected = 0
-    while collected < n_points:
+    for _ in range(n_points):
         p = random_point(T36, field, rng.randrange(2**62))
-        try:
-            rows = _relation_rows(p, probes)
-        except DegeneracyError:
-            resamples += 1
-            continue
-        collected += 1
-        for key, passed in rows:
+        for key, passed in _relation_rows(p, probes):
             results[key][0 if passed else 1] += 1
     checks = tuple(
         RelationCheck(rel, u, results[(rel, u)][0], results[(rel, u)][1])
         for rel in ("a3", "b2")
         for u in probes
     )
-    return RelationReport(n_points, seed, probe_budget, field, resamples, checks)
+    return RelationReport(n_points, seed, probe_budget, field, checks)
 
 
 def _relation_rows(p: ModuliPoint, probes) -> list[tuple[tuple[str, Syllables], bool]]:
@@ -349,7 +332,8 @@ class SweepReport:
     seed: object
     field: Field
     entries: tuple[SweepEntry, ...]
-    degenerate_evals: int
+    # Valid points stay valid under every word, so nothing degenerates.
+    degenerate_evals = 0
 
     @property
     def total_words(self) -> int:
@@ -433,8 +417,7 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
             q_report = reverify_witness_q(witness)
         entries.append(SweepEntry(word, witness, q_report))
     return SweepReport(
-        max_syllables, probe_budget, n_points, seed, field,
-        tuple(entries), cache.degenerate_evals,
+        max_syllables, probe_budget, n_points, seed, field, tuple(entries)
     )
 
 
@@ -486,11 +469,12 @@ class XiReport:
     n_points: int
     seed: object
     field: Field
-    resamples: int
     structural_all_ok: bool
     invariance: dict  # word label -> {P label -> bool}
     matches: dict  # word label -> {P label -> list of matching P labels}
     braid_comparison: dict  # P label -> {"equal": bool, "agree": int, "n": int}
+    # Valid points stay valid under every word, so no draw is resampled.
+    resamples = 0
 
     def to_json(self) -> dict:
         return {
@@ -525,23 +509,18 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
         raise ValueError("n_points must be >= 1")
     field = _resolve_field(field)
     rng = Random(seed)
-    resamples = 0
     samples = []  # per point: (base values, {word: values}, structural_ok)
-    while len(samples) < n_points:
+    for _ in range(n_points):
         p = random_point(T44, field, rng.randrange(2**62))
-        try:
-            per_word = {}
-            structural = True
-            for word in XI_REPORT_WORDS:
-                q = p
-                for i in word:
-                    nxt = act_xi(q, i)
-                    structural = structural and xi_structural_ok(q, i, nxt)
-                    q = nxt
-                per_word[word] = tuple(pluecker(q, ix) for ix in PLUECKER_SET)
-        except DegeneracyError:
-            resamples += 1
-            continue
+        per_word = {}
+        structural = True
+        for word in XI_REPORT_WORDS:
+            q = p
+            for i in word:
+                nxt = act_xi(q, i)
+                structural = structural and xi_structural_ok(q, i, nxt)
+                q = nxt
+            per_word[word] = tuple(pluecker(q, ix) for ix in PLUECKER_SET)
         base = tuple(pluecker(p, ix) for ix in PLUECKER_SET)
         samples.append((base, per_word, structural))
 
@@ -579,7 +558,7 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
         }
 
     return XiReport(
-        n_points, seed, field, resamples,
+        n_points, seed, field,
         all(s for _, _, s in samples),
         invariance, matches, braid,
     )

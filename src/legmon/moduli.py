@@ -207,11 +207,12 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     Entries are drawn uniformly (small integers over the rationals) and
     the draw is rejected until the point is valid.  Validity alone makes
     every loop action of the family defined, so downstream actions never
-    degenerate at depth one: in each window of sigma1 (on the point and
+    degenerate at any depth: in each window of sigma1 (on the point and
     on its shift by one) and of xi1..xi3, {v_b} ∪ T is a cyclically
     consecutive k-window, so the denominator det(v_b, T) of the
     replacement vector is a nonzero cyclic minor, and v_a, v_b are
-    adjacent columns, so u = λ·v_b − v_a is nonzero.
+    adjacent columns, so u = λ·v_b − v_a is nonzero; and the image of a
+    valid point is valid again, so the same holds after any word.
 
     Raises:
         SamplingExhausted: after 10,000 rejected draws.

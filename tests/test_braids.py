@@ -119,6 +119,8 @@ def test_parse_script_examples():
         ("comm", "needs a position"),
         ("r3a two", "not a decimal integer"),
         ("comm -1", "not a decimal integer"),
+        ("r3a 𝟙", "not a decimal integer"),
+        ("comm ²", "not a decimal integer"),
     ],
 )
 def test_parse_script_errors(text, fragment):

@@ -1,5 +1,5 @@
 """End-to-end CLI behavior: exit codes, piping, determinism, and
-fuzzing of the point loader."""
+fuzzing of the point loader and the move-script DSL."""
 
 import contextlib
 import copy
@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from legmon import cli, explorer, moduli
 from legmon.cli import main
 from legmon.fields import DEFAULT_PRIME, PrimeField, QQ
 from legmon.moduli import (
@@ -22,7 +23,7 @@ from legmon.moduli import (
     point_to_json,
     random_point,
 )
-from legmon.monodromy import act_shift
+from legmon.monodromy import DegenerateIntersection, act_shift
 
 
 def run(capsys, *argv):
@@ -111,12 +112,34 @@ def test_verify_loop_syntax_error(tmp_path, capsys):
         ("verify-loop", "--script", "nope.moves"),
         ("verify-loop", "--builtin", "sigma1", "--s", "0"),
         ("verify-loop", "--builtin", "sigma1", "--k", "3"),
+        ("verify-loop", "--script", "{tmp}/missing.moves", "--base", "1,2",
+         "--strands", "3"),
+        ("verify-loop", "--script", "{tmp}", "--base", "1,2", "--strands", "3"),
     ],
 )
-def test_verify_loop_usage_errors(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
+def test_verify_loop_usage_errors(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2 and out == ""
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("random-point", "--family", "T36", "--seed", "1"),
+        ("act", "--point", "{tmp}/p.json", "--word", "A"),
+        ("relations", "--points", "1"),
+        ("faithful", "--max-syllables", "1", "--points", "1"),
+        ("xi-report", "--points", "1"),
+    ],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "p.json").write_text(point_dumps(random_point(T36, QQ, 5)))
+    out_path = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv),
+                         "--out", out_path)
+    assert code == 2 and out == ""
+    assert out_path in err
 
 
 def test_random_point_deterministic(tmp_path, capsys):
@@ -222,6 +245,18 @@ def test_pluecker_bad_index(tmp_path, capsys):
     assert code == 2 and "bad index list" in err
 
 
+def test_flags_validates_once(tmp_path, monkeypatch, capsys):
+    p_file = tmp_path / "p.json"
+    p_file.write_text(point_dumps(random_point(T36, QQ, 6)))
+    calls = []
+    validate = moduli.validate_point
+    for module in (moduli, cli):
+        monkeypatch.setattr(module, "validate_point",
+                            lambda p: calls.append(p) or validate(p), raising=False)
+    code, _, _ = run(capsys, "flags", "--point", str(p_file))
+    assert code == 0 and len(calls) == 1
+
+
 def test_flags_valid_and_invalid(tmp_path, capsys):
     p_file = tmp_path / "p.json"
     run(capsys, "random-point", "--family", "T36", "--seed", "6", "--out", str(p_file))
@@ -281,6 +316,42 @@ def test_point_count_must_be_positive(capsys, cmd, points):
     code, out, err = run(capsys, cmd, "--points", points)
     assert code == 2 and out == ""
     assert "n_points must be >= 1" in err
+
+
+@pytest.mark.parametrize("cmd", ["relations", "faithful"])
+def test_probe_budget_must_be_nonnegative(capsys, cmd):
+    code, out, err = run(capsys, cmd, "--points", "2", "--probe-budget", "-1")
+    assert code == 2 and out == ""
+    assert "probe_budget must be >= 0" in err
+
+
+def _fail_first_call(fn):
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise DegenerateIntersection("injected", label="u1")
+        return fn(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("act_word", ("faithful", "--max-syllables", "1", "--points", "2")),
+        ("act_word", ("relations", "--points", "2")),
+        ("act_xi", ("xi-report", "--points", "2")),
+    ],
+)
+def test_report_degeneracy_exits_three(monkeypatch, capsys, target, argv):
+    # A degeneracy inside a report is a bug in a loop map: it must reach
+    # the caller, not be skipped or resampled away.
+    monkeypatch.setattr(explorer, target, _fail_first_call(getattr(explorer, target)))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("degeneracy: injected")
 
 
 def test_xi_report_cli(capsys):
@@ -368,3 +439,23 @@ def test_point_loader_fuzz(argv, value):
         finally:
             sys.stdin = saved
     assert code in (0, 1, 2, 3)
+
+
+SCRIPT_LINES = st.sampled_from(
+    ["shift", "comm 3", "r3a 1", "r3d 2", "# note", "", "comm", "r3a 0",
+     "shift 2", "comm -1", "r3a 𝟙", "comm ²", "r3d 99", "r3x 2", "comm 1 2"]
+) | st.text(max_size=12)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(lines=st.lists(SCRIPT_LINES, max_size=8))
+def test_script_dsl_fuzz(tmp_path_factory, lines):
+    # Any script text ends in 0, 1 or 2; a usage error says why on stderr.
+    script = tmp_path_factory.mktemp("dsl") / "fuzz.moves"
+    script.write_text("\n".join(lines), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify-loop", "--script", str(script),
+                     "--base", "1,2,1,2,1,2", "--strands", "3"])
+    assert code in (0, 1, 2)
+    assert code != 2 or err.getvalue()

@@ -145,12 +145,14 @@ def test_windows_are_cyclically_consecutive(family):
         assert b == a % n + 1
 
 
-@pytest.mark.parametrize("prime", [3, 5, DEFAULT_PRIME])
+@pytest.mark.parametrize("prime", [2, 3, 5, DEFAULT_PRIME])
 def test_loop_maps_keep_points_valid(prime):
-    # The CLI rejects invalid points before acting; this is why that
-    # check loses no point a loop map can reach from a valid one.
+    # The CLI rejects invalid points before acting, and the reports
+    # neither skip nor resample; both rest on this invariant, which makes
+    # every word defined on a valid point.  Over F_2 about one draw in
+    # 450 is valid, so it gets fewer seeds to keep sampling cheap.
     field = PrimeField(prime)
-    for seed in range(100):
+    for seed in range(25 if prime == 2 else 100):
         images = [act_sigma1(random_point(T36, field, seed))]
         q = random_point(T44, field, seed)
         images += [act_xi(q, i) for i in (1, 2, 3)]
