@@ -215,7 +215,12 @@ def parse_script(text: str, base: BraidWord, name: str | None = None) -> MoveScr
             raise ScriptSyntaxError(lineno, argcol, f"{keyword} needs a position")
         if not (arg.isascii() and arg.isdigit()):
             raise ScriptSyntaxError(lineno, argcol, f"position {arg!r} is not a decimal integer")
-        pos = int(arg)
+        try:
+            pos = int(arg)
+        except ValueError:  # more digits than Python converts to an int
+            raise ScriptSyntaxError(
+                lineno, argcol, f"position of {len(arg)} digits is too long"
+            ) from None
         if pos < 1:
             raise ScriptSyntaxError(lineno, argcol, "positions are 1-based (>= 1)")
         moves.append(Move(keyword, pos))

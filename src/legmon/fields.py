@@ -8,11 +8,12 @@ modulus.  A `RationalField` or `PrimeField` object bundles construction,
 parsing, formatting and sampling for one field, so matrices and points
 can stay field-agnostic.
 
-`ModP` is the public prime-field scalar: points, subspace bases, JSON
-and every function result carry it.  The prime-field kernels in `linalg`
-compute on the residues' int values instead of `ModP` operators and wrap
-their results in `ModP` as they return; rational arithmetic always uses
-the `Fraction` operators.
+`ModP` and `Fraction` are the public scalars: points, subspace bases,
+JSON and every function result carry them.  The kernels in `linalg` and
+`monodromy` compute on ints instead (residue values over F_p, numerators
+cleared of their denominators over ℚ) and wrap one `ModP` or `Fraction`
+per entry as they return.  `PrimeField` refuses a modulus at or above
+the bound below which its Miller-Rabin test is deterministic.
 
 Serialization: rationals render as ``"a/b"`` with an explicit
 denominator, residues as ``"v mod p"``.
@@ -157,11 +158,16 @@ def field_inverse(x: FieldScalar | int) -> FieldScalar:
     raise TypeError(f"not a field scalar: {x!r}")
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The least strong pseudoprime to every base in `_SMALL_PRIMES`
+#: (1287836182261 × 2575672364521); `_is_prime` is exact below it.
+#: Without the base 41 the bound would be 318665857834031151167461.
+_PRIMALITY_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin; the witness set covers all n < 3.3e24.
+    # Miller-Rabin with the bases 2..41: deterministic for n < _PRIMALITY_BOUND.
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -235,6 +241,11 @@ class PrimeField:
     kind = "fp"
 
     def __post_init__(self):
+        if self.p >= _PRIMALITY_BOUND:
+            raise ValueError(
+                f"modulus {self.p} is too large: primality is certified "
+                f"only below {_PRIMALITY_BOUND}"
+            )
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -306,6 +317,16 @@ def field_from_json(data: dict) -> Field:
 
 
 def default_prime() -> int:
-    """Default modulus, overridable via the LEGMON_PRIME environment variable."""
+    """Default modulus, overridable via the LEGMON_PRIME environment variable.
+
+    Raises:
+        ValueError: naming the variable, if its value is not an admissible
+            prime modulus.
+    """
     raw = os.environ.get("LEGMON_PRIME")
-    return int(raw) if raw else DEFAULT_PRIME
+    if not raw:
+        return DEFAULT_PRIME
+    try:
+        return PrimeField(int(raw)).p
+    except ValueError as exc:
+        raise ValueError(f"LEGMON_PRIME={raw!r}: {exc}") from None

@@ -12,19 +12,23 @@ Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their
 column), so subspace equality is plain tuple comparison.
 
-Over a prime field, `determinant` (n ≤ 4), `Subspace.span`,
-`Subspace.contains` and `wedge` read each entry's int value once,
-compute on ints reduced mod p, and wrap their results in `ModP` as they
-return.  Over ℚ they use the `Fraction` operators.  `kernel_basis` and
-`intersect` run their own elimination with the scalars' operators in
-both fields and reach the int path only when `Subspace.span`
-canonicalizes their result.
+`determinant` (n ≤ 4) runs its closed form on ints in both fields:
+`_cleared` turns each row into ints over its own denominator, and one
+`ModP`, or one `Fraction` over the product of the row denominators, is
+returned.  Over a prime field `Subspace.span`, `Subspace.contains` and
+`wedge` likewise compute on residue values reduced mod p and wrap
+`ModP` as they return; over ℚ they use the `Fraction` operators.
+`kernel_basis` and `intersect` run their own elimination with the
+scalars' operators in both fields and reach the int path only when
+`Subspace.span` canonicalizes their result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 from .fields import Field, FieldScalar, ModP, PrimeField, field_inverse
 
@@ -91,9 +95,20 @@ def determinant(m: Matrix) -> FieldScalar:
     if n > 4:
         return _det_eliminate(m)
     p = _modulus(m.field)
-    if p is None:
-        return _det_closed(m.entries)
-    return ModP(_det_closed([[x.value for x in row] for row in m.entries]), p)
+    rows, dens = _cleared(m.entries, p)
+    det = _det_closed(rows)
+    return Fraction(det, prod(dens)) if p is None else ModP(det, p)
+
+
+def _cleared(vectors, p: int | None) -> tuple[list[list[int]], list[int]]:
+    """Each vector v as ints over one denominator d, v = ints / d: over F_p
+    the residues' int values and d = 1, over ℚ the numerators scaled to
+    d = lcm of v's denominators.  Returns (int vectors, denominators)."""
+    if p is not None:
+        return [[x.value for x in v] for v in vectors], [1] * len(vectors)
+    dens = [lcm(*(x.denominator for x in v)) for v in vectors]
+    return [[x.numerator * (d // x.denominator) for x in v]
+            for v, d in zip(vectors, dens)], dens
 
 
 def _det_closed(e):

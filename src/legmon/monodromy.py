@@ -9,27 +9,33 @@ u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by Cramer's rule:
 
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
-`linalg.intersect` (built on `kernel_basis`) and `linalg.wedge_normalize`
-compute the same u from the subspaces; they are its reference oracle in
-the tests, and here only measure the meet of a degenerate window.
+Both determinants are taken on ints and u is wrapped in `Fraction` or
+`ModP` only as it is returned.  `linalg.intersect` (built on
+`kernel_basis`) and `linalg.wedge_normalize` compute the same u from the
+subspaces; they are its reference oracle in the tests, and here only
+measure the meet of a degenerate window.
 
 Composition is by group words.  On T36 the generators are A (column
 shift by one), A2 (shift by two), and B = sigma1 after a shift, so that
 pullbacks compose contravariantly.  On T44 the generators are X1, X2,
-X3.  Degeneracies name the failing vector and subspace pair so callers
-can resample.
+X3.  Degeneracies name the window label and the failing vector and
+subspace pair.  They cannot occur on a valid point, and every image of
+a valid point is valid, so callers validate once and never resample.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
+from .fields import ModP
 from .linalg import (
     DegeneracyError,
     DegenerateNormalization,
-    Matrix,
     Subspace,
-    determinant,
+    _cleared,
+    _det_closed,
+    _modulus,
     intersect,
 )
 from .moduli import Family, ModuliPoint, T36, T44
@@ -61,6 +67,11 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
                         other: tuple[int, ...]):
     """u = λ·v_b − v_a with λ = det(v_a, T) / det(v_b, T), T = other columns.
 
+    With v_a = A/α, v_b = B/β and T cleared to integer columns T′, the
+    ratio is λ = dA·β / (dB·α) for dA = det(A, T′), dB = det(B, T′), so
+    u = (dA·B − dB·A) / (dB·α): two integer determinants and one
+    denominator, wrapped in `Fraction` or `ModP` only as u is returned.
+
     Raises:
         DegenerateIntersection: if both determinants vanish or u = 0; the
             reported `dim` is that of span(pair) ∩ span(other).
@@ -69,11 +80,18 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
     """
     a, b = p.col(pair[0]), p.col(pair[1])
     t = [p.col(i) for i in other]
-    da = determinant(Matrix.from_columns([a, *t], p.field))
-    db = determinant(Matrix.from_columns([b, *t], p.field))
+    mod = _modulus(p.field)
+    (ai, bi, *ti), (alpha, *_) = _cleared([a, b, *t], mod)
+    da, db = _det_closed([ai, *ti]), _det_closed([bi, *ti])
+    if mod is not None:
+        da, db = da % mod, db % mod
     if db:
-        lam = da / db
-        u = tuple(lam * y - x for x, y in zip(a, b))
+        n = [da * y - db * x for x, y in zip(ai, bi)]
+        if mod is None:
+            u = tuple(Fraction(x, db * alpha) for x in n)
+        else:
+            inv = pow(db, -1, mod)
+            u = tuple(ModP(x * inv, mod) for x in n)
         if any(u):
             return u
     elif da:

@@ -121,6 +121,9 @@ def test_parse_script_examples():
         ("comm -1", "not a decimal integer"),
         ("r3a 𝟙", "not a decimal integer"),
         ("comm ²", "not a decimal integer"),
+        # More digits than Python's int() converts by default (4300).
+        pytest.param("comm " + "1" * 5000, "5000 digits is too long",
+                     id="comm 5000 digits-too long"),
     ],
 )
 def test_parse_script_errors(text, fragment):

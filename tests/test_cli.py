@@ -142,6 +142,46 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert out_path in err
 
 
+PSEUDOPRIME = "3317044064679887385961981"  # composite, passes Miller-Rabin to 2..41
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("random-point", "--family", "T36", "--seed", "1", "--prime", PSEUDOPRIME),
+        ("faithful", "--max-syllables", "1", "--points", "1", "--prime", PSEUDOPRIME),
+    ],
+)
+def test_modulus_above_primality_bound_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert PSEUDOPRIME in err and "too large" in err
+
+
+def test_point_file_modulus_above_primality_bound(tmp_path, capsys):
+    data = point_to_json(random_point(T36, PrimeField(7), 1))
+    data["field"]["p"] = int(PSEUDOPRIME)
+    data["columns"] = [[s.replace("mod 7", "mod " + PSEUDOPRIME) for s in col]
+                       for col in data["columns"]]
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(data))
+    for cmd in (("act", "--word", "A"), ("flags",), ("pluecker", "--idx", "1,2,3")):
+        code, out, err = run(capsys, cmd[0], "--point", str(p_file), *cmd[1:])
+        assert code == 2 and out == ""
+        assert PSEUDOPRIME in err
+
+
+@pytest.mark.parametrize(
+    "raw,fragment",
+    [("abc", "invalid literal"), ("91", "not prime"), (PSEUDOPRIME, "too large")],
+)
+def test_bad_legmon_prime_is_usage_error(monkeypatch, capsys, raw, fragment):
+    monkeypatch.setenv("LEGMON_PRIME", raw)
+    code, out, err = run(capsys, "random-point", "--family", "T36", "--seed", "1")
+    assert code == 2 and out == ""
+    assert f"LEGMON_PRIME='{raw}'" in err and fragment in err
+
+
 def test_random_point_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     code1, _, _ = run(capsys, "random-point", "--family", "T36", "--seed", "1",

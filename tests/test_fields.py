@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+import sympy
 
 from legmon.fields import (
     DEFAULT_PRIME,
@@ -18,9 +19,14 @@ from legmon.fields import (
     field_inverse,
     field_to_json,
     format_scalar,
+    _is_prime,
 )
 
 ALT_PRIME = 998244353
+# The least composite that passes Miller-Rabin to the bases 2..41, and
+# the least that passes to the bases 2..37.
+PSEUDOPRIME_41 = 3317044064679887385961981
+PSEUDOPRIME_37 = 318665857834031151167461
 
 
 def test_inverse_examples():
@@ -57,6 +63,23 @@ def test_modulus_must_be_prime():
         PrimeField(91)  # 7 * 13
     PrimeField(DEFAULT_PRIME)
     PrimeField(ALT_PRIME)
+    # At and above the bound of the Miller-Rabin test, even a prime.
+    for p in (PSEUDOPRIME_41, PSEUDOPRIME_41 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(PSEUDOPRIME_41)):
+            PrimeField(p)
+
+
+def test_is_prime_matches_sympy():
+    assert all(_is_prime(n) == sympy.isprime(n) for n in range(-2, 10**4))
+    large_primes = [2**61 - 1, sympy.prevprime(PSEUDOPRIME_41),
+                    sympy.nextprime(PSEUDOPRIME_37)]
+    for p in large_primes:
+        assert _is_prime(p)
+        assert PrimeField(p).p == p
+    # Strong pseudoprimes to ever longer prefixes of the bases 2, 3, 5, ...
+    for n in (3215031751, 341550071728321, 3825123056546413051, PSEUDOPRIME_37):
+        assert not sympy.isprime(n)
+        assert not _is_prime(n)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME), PrimeField(ALT_PRIME)])

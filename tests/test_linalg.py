@@ -1,8 +1,9 @@
 """Matrices, subspaces, determinants, intersections, wedge normalization.
 
 Randomized determinant checks use sympy as an independent oracle.  The
-prime-field kernels, which compute on int residues, are also checked
-against the same formulas and eliminations run with `ModP` operators.
+int kernels (prime-field residues, and rationals cleared of their
+denominators) are also checked against eliminations run with the
+`ModP` and `Fraction` operators.
 """
 
 from fractions import Fraction
@@ -238,6 +239,30 @@ def test_determinant_int_kernel_differential(prime):
         det = determinant(m)
         ints = [[x.value for x in row] for row in m.entries]
         assert det == field.from_int(int(sympy.Matrix(ints).det()))
+        assert det == _det_eliminate(m)
+        if case % 3 == 0:
+            assert not det
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 7, 9, 12, 25)))
+
+
+def test_determinant_rational_kernel_differential():
+    # The ℚ path clears each row's denominators and divides once; entries
+    # with mixed signs and denominators, every third matrix singular.
+    rng = Random(2024)
+    for case in range(400):
+        n = case % 4 + 1
+        cols = [tuple(_fraction(rng) for _ in range(n)) for _ in range(n)]
+        if case % 3 == 0:
+            cols = _degenerate_vectors(rng, QQ, cols)
+        m = Matrix.from_columns(cols, QQ)
+        det = determinant(m)
+        rationals = [[sympy.Rational(x.numerator, x.denominator) for x in row]
+                     for row in m.entries]
+        expected = sympy.Matrix(rationals).det()
+        assert det == Fraction(int(expected.p), int(expected.q))
         assert det == _det_eliminate(m)
         if case % 3 == 0:
             assert not det

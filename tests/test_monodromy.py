@@ -130,6 +130,25 @@ def test_replacement_vector_matches_subspace_oracle(family):
             assert _replacement_vector(p, label, pair, other) == oracle_replacement(p, pair, other)
 
 
+_Q_IMAGE_WORDS = {T36: ("B", "B B", "S1 A B"), T44: ("X1", "X1 X2", "X3 X2 X1")}
+
+
+@pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
+def test_replacement_vector_on_rational_points(family):
+    # Sampled ℚ points have integer entries; their images carry
+    # denominators, which the int kernel clears and restores.
+    images = [act_word(random_point(family, QQ, seed), word)
+              for seed in range(4) for word in _Q_IMAGE_WORDS[family]]
+    fractional = set()
+    for q in images:
+        for label, pair, other in family_windows(family):
+            for role, idx in (("a", pair[:1]), ("b", pair[1:]), ("T", other)):
+                if any(x.denominator != 1 for i in idx for x in q.col(i)):
+                    fractional.add(role)
+            assert _replacement_vector(q, label, pair, other) == oracle_replacement(q, pair, other)
+    assert fractional == {"a", "b", "T"}
+
+
 @pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
 def test_windows_are_cyclically_consecutive(family):
     # Validity (all cyclic consecutive minors nonzero) implies every loop
