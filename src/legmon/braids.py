@@ -43,9 +43,26 @@ class ScriptSyntaxError(ValueError):
         self.column = column
 
 
+class _LetterText(dict):
+    """Decimal text of each int letter, computed on first use."""
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = str(x)
+        return text
+
+
+_LETTER_TEXT = _LetterText()
+
+
 @dataclass(frozen=True)
 class BraidWord:
-    """A positive braid word: k strands, letters in 1..k-1."""
+    """A positive braid word: k strands, int letters in 1..k-1.
+
+    Every move builds a new word, so the checks below run at C speed:
+    the letter types, then the range of the distinct letters (at most
+    k-1 of them on a valid word).  The first offending letter is looked
+    up only on the error path.
+    """
 
     strands: int
     letters: tuple[int, ...]
@@ -53,17 +70,21 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 2:
             raise ValueError(f"need at least 2 strands, got {self.strands}")
-        for x in self.letters:
-            if not 1 <= x <= self.strands - 1:
-                raise ValueError(
-                    f"letter {x} out of range 1..{self.strands - 1}"
-                )
+        letters, top = self.letters, self.strands - 1
+        # By type, not by value: True and 1.0 hash and compare equal to 1.
+        if not set(map(type, letters)) <= {int}:
+            bad = next(x for x in letters if type(x) is not int)
+            raise ValueError(f"letter {bad!r} is not an int")
+        distinct = set(letters)
+        if distinct and (min(distinct) < 1 or max(distinct) > top):
+            bad = next(x for x in letters if not 1 <= x <= top)
+            raise ValueError(f"letter {bad} out of range 1..{top}")
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return " ".join(str(x) for x in self.letters)
+        return " ".join(map(_LETTER_TEXT.__getitem__, self.letters))
 
 
 @dataclass(frozen=True)

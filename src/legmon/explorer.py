@@ -278,10 +278,12 @@ def verify_relations(n_points: int = 32, seed=7, field: Field | None = None,
     For each sampled point p and probe u: compares Δ(u(a³(p))) with
     Δ(u(p)) and Δ(u(b²(p))) with Δ(u(p)).  a³ is the shift by three
     columns and commutes with every generator window, so its checks pass
-    at every probe.  b² fixes the unreplaced columns but rescales
-    columns 2, 5, 8 by ratios of consecutive minors, so only probes
-    whose Δ-pullback avoids the rescaled columns (the empty probe, pure
-    b-powers) pass; the report records each probe's outcome.
+    at every probe.  b² fixes no column of p: it equals a³ on columns
+    1, 3, 4, 6, 7, 9 and is a nonzero multiple of a³ on columns 2, 5, 8,
+    rescaled by ratios of consecutive minors.  Δ = P147 is invariant
+    under a³, so only probes whose Δ-pullback avoids the rescaled
+    columns (the empty probe, pure b-powers) pass; the report records
+    each probe's outcome.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")

@@ -125,16 +125,19 @@ class ValidityReport:
         }
 
 
+def _cyclic_minors(p: ModuliPoint):
+    """Yield (window, minor) for the N cyclic consecutive k-windows in
+    order, lazily, so a caller can stop at the first vanishing minor."""
+    k, n = p.family.k, p.family.n_columns
+    for start in range(n):
+        idx = tuple((start + t) % n + 1 for t in range(k))
+        yield idx, determinant(Matrix.from_columns([p.col(i) for i in idx], p.field))
+
+
 def validate_point(p: ModuliPoint) -> ValidityReport:
     """Evaluate all N cyclic consecutive k×k minors; valid iff none vanish."""
-    fam = p.family
-    checks = []
-    for start in range(1, fam.n_columns + 1):
-        idx = tuple((start - 1 + t) % fam.n_columns + 1 for t in range(fam.k))
-        m = Matrix.from_columns([p.col(i) for i in idx], p.field)
-        value = determinant(m)
-        checks.append(MinorCheck(idx, value, bool(value)))
-    return ValidityReport(tuple(checks), all(c.nonzero for c in checks))
+    checks = tuple(MinorCheck(idx, value, bool(value)) for idx, value in _cyclic_minors(p))
+    return ValidityReport(checks, all(c.nonzero for c in checks))
 
 
 def require_valid(p: ModuliPoint) -> None:
@@ -204,8 +207,9 @@ RETRY_BOUND = 10_000
 def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     """A uniformly sampled valid point, deterministic in the seed.
 
-    Entries are drawn uniformly (small integers over the rationals) and
-    the draw is rejected until the point is valid.  Validity alone makes
+    Entries are drawn uniformly (small integers over the rationals), all
+    k·N of them per draw, and the draw is rejected at its first vanishing
+    cyclic minor until the point is valid.  Validity alone makes
     every loop action of the family defined, so downstream actions never
     degenerate at any depth: in each window of sigma1 (on the point and
     on its shift by one) and of xi1..xi3, {v_b} ∪ T is a cyclically
@@ -224,7 +228,7 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
             tuple(field.random_scalar(rng) for _ in range(k)) for _ in range(n)
         )
         p = ModuliPoint(family, field, columns)
-        if validate_point(p).is_valid:
+        if all(value for _, value in _cyclic_minors(p)):
             return p
     raise SamplingExhausted(family, seed, RETRY_BOUND)
 
@@ -249,22 +253,23 @@ def flags_from_point(p: ModuliPoint) -> FlagTuple:
     = <v_j>, V(2)_{2j} = V(2)_{2j+1} = <v_j, v_{j+1}>; level d changes
     exactly at the crossings of σ_d in the base word.
 
+    Each level has N distinct spans, one per j mod N; each is computed
+    once and the flags share the `Subspace` objects.
+
     Raises:
         InvalidPoint: if some cyclic consecutive minor vanishes.
     """
     require_valid(p)
     fam = p.family
     k, n = fam.k, fam.n_columns
-    length = (k - 1) * n
-    flags = []
-    for m in range(1, length + 1):
-        levels = []
-        for d in range(1, k):
-            j = (m - d) // (k - 1) + 1
-            vectors = [p.col(j + t) for t in range(d)]
-            levels.append(Subspace.span(vectors, k, p.field))
-        flags.append(tuple(levels))
-    return FlagTuple(k, tuple(flags))
+    spans = [
+        [Subspace.span([p.col(j + t) for t in range(d)], k, p.field) for j in range(1, n + 1)]
+        for d in range(1, k)
+    ]
+    return FlagTuple(k, tuple(
+        tuple(spans[d - 1][(m - d) // (k - 1) % n] for d in range(1, k))
+        for m in range(1, (k - 1) * n + 1)
+    ))
 
 
 def validate_bott_samelson(f: FlagTuple, w) -> bool:

@@ -1,5 +1,6 @@
 """Braid words, moves, script parsing, loop verification, builtins."""
 
+import re
 from collections import Counter
 from random import Random
 
@@ -32,6 +33,25 @@ def test_word_validation():
     with pytest.raises(ValueError):
         BraidWord(3, (3,))
     assert len(w(3, 1, 2, 1)) == 3
+
+
+@pytest.mark.parametrize("letter", [1.5, True, "1"])
+def test_word_rejects_non_int_letters(letter):
+    # True and 1.0 equal 1, so only a check by type refuses them next to 1.
+    for letters in ((letter,), (1, letter, 2)):
+        with pytest.raises(ValueError, match=rf"^letter {re.escape(repr(letter))} is not an int$"):
+            BraidWord(3, letters)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 3])
+def test_word_names_first_out_of_range_letter(bad):
+    with pytest.raises(ValueError, match=rf"^letter {bad} out of range 1\.\.2$"):
+        BraidWord(3, (1, 2, bad, 2, 9, 1))
+
+
+def test_word_text_multi_digit_letters():
+    assert str(w(13, 12, 1, 10, 11, 2, 12)) == "12 1 10 11 2 12"
+    assert str(w(3)) == ""
 
 
 def test_apply_move_examples():

@@ -12,6 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legmon import cli, explorer, moduli
+from legmon.braids import (
+    BUILTIN_NAMES,
+    BraidWord,
+    IllegalMove,
+    apply_move,
+    builtin_script,
+    parse_script,
+)
 from legmon.cli import main
 from legmon.fields import DEFAULT_PRIME, PrimeField, QQ
 from legmon.moduli import (
@@ -93,6 +101,53 @@ def test_verify_loop_illegal_move_prints_trace(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "1 2 1 2"  # trace starts at the base word
     assert lines[-1].startswith("illegal move")
+
+
+def naive_verify_loop_stdout(script):
+    """verify-loop's stdout, replayed move by move and rendered letter by
+    letter with str(): the reference for the cached letter texts."""
+
+    def text(word):
+        return " ".join(str(x) for x in word.letters)
+
+    words = [script.base]
+    for step, move in enumerate(script.moves, start=1):
+        try:
+            words.append(apply_move(words[-1], move))
+        except IllegalMove as exc:
+            return "".join(text(word) + "\n" for word in words) + f"illegal move: step {step}: {exc}\n"
+    lines = ["base: " + text(words[0])]
+    lines += [f"{move!s:10s} -> {text(word)}" for move, word in zip(script.moves, words[1:])]
+    lines.append(f"loop: {'true' if words[-1] == script.base else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_verify_loop_stdout_matches_naive_renderer(capsys, name, s):
+    code, out, _ = run(capsys, "verify-loop", "--builtin", name, "--s", str(s))
+    assert code == 0
+    assert out == naive_verify_loop_stdout(builtin_script(name, s))
+
+
+@pytest.mark.parametrize(
+    "moves,expected_code",
+    [
+        ("r3a 1\ncomm 4\nr3d 1\ncomm 4\nshift\n", 1),  # an open path
+        ("r3a 1\nr3d 1\n", 0),  # a loop
+        ("r3a 1\ncomm 2\n", 1),  # IllegalMove: (11, 10) do not commute
+    ],
+)
+def test_verify_loop_script_stdout_matches_naive_renderer(tmp_path, capsys, moves, expected_code):
+    # Twelve strands, so the letters run to two digits.
+    base = "10,11,10,1,11,3"
+    path = tmp_path / "twelve.moves"
+    path.write_text(moves)
+    code, out, _ = run(capsys, "verify-loop", "--script", str(path),
+                       "--base", base, "--strands", "12")
+    assert code == expected_code
+    script = parse_script(moves, BraidWord(12, tuple(int(x) for x in base.split(","))))
+    assert out == naive_verify_loop_stdout(script)
 
 
 def test_verify_loop_syntax_error(tmp_path, capsys):

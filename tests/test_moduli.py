@@ -131,6 +131,29 @@ def test_random_point_deterministic():
     assert random_point(T44, FP, 2).family is T44
 
 
+def reference_random_point(family, field, seed):
+    """`random_point` as a full `validate_point` of every draw."""
+    rng = Random(seed)
+    for _ in range(RETRY_BOUND):
+        columns = tuple(
+            tuple(field.random_scalar(rng) for _ in range(family.k))
+            for _ in range(family.n_columns)
+        )
+        p = ModuliPoint(family, field, columns)
+        if validate_point(p).is_valid:
+            return p
+    raise SamplingExhausted(family, seed, RETRY_BOUND)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), FP, QQ], ids=str)
+def test_random_point_matches_full_validation_sampler(field):
+    # Rejecting at the first vanishing minor draws the same scalars and
+    # accepts the same draw as validating every minor.
+    for family in (T36, T44):
+        for seed in range(20):
+            assert random_point(family, field, seed) == reference_random_point(family, field, seed)
+
+
 def test_small_field_sampling_is_bounded():
     # Over F2 the contract is only boundedness: a valid point or a
     # SamplingExhausted carrying the retry bound.
@@ -218,6 +241,41 @@ def test_flags_round_trip_random():
         for field in (FP, QQ):
             p = random_point(family, field, 6)
             assert validate_bott_samelson(flags_from_point(p), family.base_word())
+
+
+def fresh_span_flags(p):
+    """The flag chain with one fresh `Subspace.span` per flag and level."""
+    k, n = p.family.k, p.family.n_columns
+    return tuple(
+        tuple(
+            Subspace.span([p.col((m - d) // (k - 1) + 1 + t) for t in range(d)], k, p.field)
+            for d in range(1, k)
+        )
+        for m in range(1, (k - 1) * n + 1)
+    )
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), FP], ids=str)
+@pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
+def test_flags_match_fresh_span_chain(family, field):
+    for seed in range(50):
+        p = random_point(family, field, seed)
+        flags = flags_from_point(p)
+        assert flags.ambient == family.k
+        assert flags.flags == fresh_span_flags(p)
+        # One shared Subspace per level and j mod N.
+        assert len({id(s) for flag in flags.flags for s in flag}) == (family.k - 1) * family.n_columns
+
+
+@pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
+def test_bott_samelson_rejects_swapped_adjacent_flags(family):
+    for seed in range(3):
+        chain = flags_from_point(random_point(family, FP, seed)).flags
+        for m in range(len(chain)):
+            swapped = list(chain)
+            nxt = (m + 1) % len(chain)
+            swapped[m], swapped[nxt] = chain[nxt], chain[m]
+            assert not validate_bott_samelson(FlagTuple(family.k, tuple(swapped)), family.base_word())
 
 
 def test_flags_invalid_point():

@@ -329,9 +329,11 @@ def test_sigma1_homogeneity():
 
 
 def test_b_squared_structure():
-    # B^2 fixes six columns outright and rescales the other three by
-    # ratios of consecutive-window minors, so it is not the identity
-    # point map even though P_147 pulls back to itself.
+    # B^2 fixes no column of p: it equals A^3, the shift by three, on
+    # columns 1, 3, 4, 6, 7, 9 and is a nonzero multiple of A^3 on
+    # columns 2, 5, 8, rescaled by ratios of consecutive-window minors.
+    # So it is not the identity point map even though P_147 pulls back
+    # to itself.
     for p in fp_points(T36, 6):
         out = act_word(p, "B B")
         for dst, src in ((1, 4), (3, 6), (4, 7), (6, 9), (7, 1), (9, 3)):
