@@ -38,6 +38,7 @@ from .fields import (
     field_to_json,
     format_scalar,
 )
+from .linalg import _cleared, _det_closed, _modulus, wedge
 from .moduli import ModuliPoint, T36, T44, point_to_json, pluecker, random_point
 from .monodromy import act_shift, act_word, act_xi
 from . import monodromy
@@ -444,20 +445,23 @@ _XI_UPOS = {1: (2, 6), 2: (3, 7), 3: (4, 8)}
 
 
 def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
-    """Post-hoc check of one xi step: each replaced column lies in both
-    prescribed subspaces and satisfies its wedge normalization."""
-    from .linalg import Subspace, wedge
+    """Post-hoc check of one xi step, on ints cleared once per window.
 
+    With v_a, v_b, u and T cleared to A/α, B/β, C/γ and T′, a window passes
+    iff det(B, T′) ≠ 0, det(C, T′) = 0 (u ∈ ⟨T⟩) and γ·(A∧B) = α·(B∧C)
+    (v_a∧v_b = v_b∧u), each mod p over F_p.  Then v_b ≠ 0 and
+    v_b∧(u + v_a) = 0, so u ∈ ⟨v_a, v_b⟩.  `act_xi` returns only where
+    det(v_b, T) ≠ 0, so on its images this is the full subspace check; a
+    `before` with det(v_b, T) = 0, which `act_xi` refuses, is rejected."""
     specs, _ = monodromy._XI_TABLE[i]
-    k = before.family.k
-    for (label, pair, other), upos in zip(specs, _XI_UPOS[i]):
-        u = after.columns[upos - 1]
-        va, vb = before.col(pair[0]), before.col(pair[1])
-        plane = Subspace.span([va, vb], k, before.field)
-        target = Subspace.span([before.col(t) for t in other], k, before.field)
-        if not (plane.contains(u) and target.contains(u)):
-            return False
-        if wedge(va, vb) != wedge(vb, u):
+    mod = _modulus(before.field)
+    for (_, pair, other), upos in zip(specs, _XI_UPOS[i]):
+        vecs = [before.col(j) for j in (*pair, *other)] + [after.columns[upos - 1]]
+        (a, b, *t, c), (alpha, *_, gamma) = _cleared(vecs, mod)
+        tests = [_det_closed([b, *t]), _det_closed([c, *t])] + [
+            gamma * x - alpha * y for x, y in zip(wedge(a, b), wedge(b, c))]
+        db, dc, *gap = tests if mod is None else [x % mod for x in tests]
+        if not db or dc or any(gap):
             return False
     return True
 
@@ -506,6 +510,8 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
     with which other members of the set, and the per-coordinate
     comparison of X1 X2 X1 against X2 X1 X2.  Purely observational; the
     asserted part is the structural postcondition of every applied step.
+    Per point each distinct word prefix is replayed and checked once:
+    the 7 words hold 14 xi steps but only 9 distinct prefixes.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -514,15 +520,16 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
     samples = []  # per point: (base values, {word: values}, structural_ok)
     for _ in range(n_points):
         p = random_point(T44, field, rng.randrange(2**62))
-        per_word = {}
+        images = {(): p}  # word prefix -> image
         structural = True
         for word in XI_REPORT_WORDS:
-            q = p
-            for i in word:
-                nxt = act_xi(q, i)
-                structural = structural and xi_structural_ok(q, i, nxt)
-                q = nxt
-            per_word[word] = tuple(pluecker(q, ix) for ix in PLUECKER_SET)
+            for n, i in enumerate(word):
+                if word[:n + 1] not in images:
+                    q = images[word[:n]]
+                    images[word[:n + 1]] = nxt = act_xi(q, i)
+                    structural = structural and xi_structural_ok(q, i, nxt)
+        per_word = {w: tuple(pluecker(images[w], ix) for ix in PLUECKER_SET)
+                    for w in XI_REPORT_WORDS}
         base = tuple(pluecker(p, ix) for ix in PLUECKER_SET)
         samples.append((base, per_word, structural))
 

@@ -131,7 +131,7 @@ def _cyclic_minors(p: ModuliPoint):
     k, n = p.family.k, p.family.n_columns
     for start in range(n):
         idx = tuple((start + t) % n + 1 for t in range(k))
-        yield idx, determinant(Matrix.from_columns([p.col(i) for i in idx], p.field))
+        yield idx, determinant(Matrix(tuple(p.col(i) for i in idx), p.field))
 
 
 def validate_point(p: ModuliPoint) -> ValidityReport:
@@ -151,17 +151,18 @@ def require_valid(p: ModuliPoint) -> None:
 def pluecker(p: ModuliPoint, idx) -> FieldScalar:
     """The Plücker coordinate P_idx: the minor at the chosen columns.
 
-    `idx` must be strictly increasing 1-based indices, k of them.
+    `idx` must be strictly increasing 1-based indices, k of them.  The
+    columns go to `determinant` as rows, since det Mᵀ = det M.
     """
     idx = tuple(idx)
     fam = p.family
     if len(idx) != fam.k:
         raise ValueError(f"need {fam.k} indices for {fam.name}, got {len(idx)}")
-    if any(not isinstance(i, int) or not 1 <= i <= fam.n_columns for i in idx):
+    if any(type(i) is not int or not 1 <= i <= fam.n_columns for i in idx):
         raise ValueError(f"indices out of range 1..{fam.n_columns}: {idx}")
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing: {idx}")
-    return determinant(Matrix.from_columns([p.columns[i - 1] for i in idx], p.field))
+    return determinant(Matrix(tuple(p.columns[i - 1] for i in idx), p.field))
 
 
 def point_to_json(p: ModuliPoint) -> dict:

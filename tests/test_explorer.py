@@ -3,14 +3,17 @@
 import itertools
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from legmon import explorer, monodromy
 from legmon.explorer import (
     DELTA_INDEX,
     PLUECKER_SET,
     XI_REPORT_WORDS,
     SweepReport,
+    XiReport,
     apply_syllables,
     delta,
     faithfulness_sweep,
@@ -26,7 +29,8 @@ from legmon.explorer import (
     xi_structural_ok,
 )
 from legmon.fields import DEFAULT_PRIME, QQ, PrimeField
-from legmon.moduli import T36, T44, pluecker, random_point
+from legmon.linalg import Subspace, wedge
+from legmon.moduli import ModuliPoint, T36, T44, pluecker, random_point
 from legmon.monodromy import act_word, act_xi
 
 ALT_PRIME = 998244353
@@ -243,6 +247,150 @@ def test_xi_structural_ok_direct():
         assert xi_structural_ok(p, i, after)
         # swapping in the wrong point breaks the postcondition
         assert not xi_structural_ok(p, i, p)
+
+
+def oracle_xi_structural_ok(before, i, after):
+    """The subspace-route check: each replaced column lies in both
+    prescribed subspaces and satisfies its wedge normalization."""
+    specs, _ = monodromy._XI_TABLE[i]
+    k = before.family.k
+    for (label, pair, other), upos in zip(specs, explorer._XI_UPOS[i]):
+        u = after.columns[upos - 1]
+        va, vb = before.col(pair[0]), before.col(pair[1])
+        plane = Subspace.span([va, vb], k, before.field)
+        target = Subspace.span([before.col(t) for t in other], k, before.field)
+        if not (plane.contains(u) and target.contains(u)):
+            return False
+        if wedge(va, vb) != wedge(vb, u):
+            return False
+    return True
+
+
+def _xi_after_candidates(before, i):
+    """The true xi_i image, then mutations of it: each replaced column
+    doubled, negated, shifted by (1,…,1) and by v_b (which keeps the
+    wedge identity and plane but leaves ⟨T⟩); two pairs of swapped
+    columns; and `before` itself."""
+    after = act_xi(before, i)
+    one = before.field.one()
+    specs, _ = monodromy._XI_TABLE[i]
+    out = [after]
+    for (_, pair, _), upos in zip(specs, explorer._XI_UPOS[i]):
+        u, vb = after.columns[upos - 1], before.col(pair[1])
+        for mutated in (
+            tuple(x + x for x in u),
+            tuple(-x for x in u),
+            tuple(x + one for x in u),
+            tuple(x + y for x, y in zip(u, vb)),
+        ):
+            cols = list(after.columns)
+            cols[upos - 1] = mutated
+            out.append(ModuliPoint(T44, before.field, tuple(cols)))
+    u1, u2 = explorer._XI_UPOS[i]
+    for a, b in ((u1, u2), (u1, u1 - 1)):
+        cols = list(after.columns)
+        cols[a - 1], cols[b - 1] = cols[b - 1], cols[a - 1]
+        out.append(ModuliPoint(T44, before.field, tuple(cols)))
+    out.append(before)
+    return out
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(3), PrimeField(5), PrimeField(DEFAULT_PRIME), QQ],
+    ids=["F3", "F5", "Fp", "Q"],
+)
+def test_xi_structural_ok_matches_subspace_oracle(field):
+    verdicts = set()
+    for seed in range(30):
+        p = random_point(T44, field, seed)
+        # a sampled point and an xi image, whose ℚ entries carry mixed denominators
+        for before in (p, act_xi(p, 1 + seed % 3)):
+            for i in (1, 2, 3):
+                for n, after in enumerate(_xi_after_candidates(before, i)):
+                    new = xi_structural_ok(before, i, after)
+                    assert new == oracle_xi_structural_ok(before, i, after), (seed, i, n)
+                    assert new or n > 0, (seed, i)  # the true image passes
+                    verdicts.add(new)
+    assert verdicts == {True, False}
+
+
+def test_xi_structural_ok_needs_v_b_off_t():
+    """The documented precondition: with det(v_b, T) = 0 for window u1
+    of xi1 (v1, v2 ∈ ⟨v3, v4, v5⟩), `act_xi` refuses the point, and the
+    check rejects an `after` that the subspace route accepts."""
+    q = lambda *xs: tuple(Fraction(x) for x in xs)  # noqa: E731
+    v = [q(1, 1, 0, 0), q(1, 0, 1, 0), q(1, 0, 0, 0), q(0, 1, 0, 0),
+         q(0, 0, 1, 0), q(0, 0, 0, 1), q(1, 2, 3, 4), q(2, -1, 5, 7)]
+    before = ModuliPoint(T44, QQ, tuple(v))
+    with pytest.raises(monodromy.DegeneracyError):
+        act_xi(before, 1)
+    u1 = tuple(b - a for a, b in zip(v[0], v[1]))  # v2 − v1 ∈ ⟨v3, v4, v5⟩
+    u2 = monodromy._replacement_vector(before, "u2", (5, 6), (7, 8, 1))
+    after = ModuliPoint(T44, QQ, (v[1], u1, v[2], v[3], v[5], u2, v[6], v[7]))
+    assert oracle_xi_structural_ok(before, 1, after)
+    assert not xi_structural_ok(before, 1, after)
+
+
+def naive_xi_report(n_points, seed, field):
+    """xi_pluecker_report replayed word by word from each point, letter
+    by letter, checking every step."""
+    rng = Random(seed)
+    samples = []
+    for _ in range(n_points):
+        p = random_point(T44, field, rng.randrange(2**62))
+        ok, per_word = True, {}
+        for word in XI_REPORT_WORDS:
+            q = p
+            for i in word:
+                nxt = act_xi(q, i)
+                ok = xi_structural_ok(q, i, nxt) and ok
+                q = nxt
+            per_word[word] = [pluecker(q, ix) for ix in PLUECKER_SET]
+        samples.append(([pluecker(p, ix) for ix in PLUECKER_SET], per_word, ok))
+    plabel = lambda ix: "P" + "".join(map(str, ix))  # noqa: E731
+    wlabel = lambda w: " ".join(f"X{i}" for i in w)  # noqa: E731
+    cols = list(enumerate(PLUECKER_SET))
+    invariance = {
+        wlabel(w): {plabel(ix): all(pw[w][c] == b[c] for b, pw, _ in samples)
+                    for c, ix in cols}
+        for w in XI_REPORT_WORDS
+    }
+    matches = {
+        wlabel(w): {
+            plabel(ix): [plabel(o) for d, o in cols
+                         if all(pw[w][c] == b[d] for b, pw, _ in samples)]
+            for c, ix in cols
+        }
+        for w in XI_REPORT_WORDS
+    }
+    braid = {}
+    for c, ix in cols:
+        agree = sum(pw[(1, 2, 1)][c] == pw[(2, 1, 2)][c] for _, pw, _ in samples)
+        braid[plabel(ix)] = {"equal": agree == n_points, "agree": agree, "n": n_points}
+    structural = all(ok for _, _, ok in samples)
+    return XiReport(n_points, seed, field, structural, invariance, matches, braid)
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(DEFAULT_PRIME), QQ],
+                         ids=["F3", "Fp", "Q"])
+def test_xi_report_prefix_sharing_matches_naive_replay(field, monkeypatch):
+    expected = report_dumps(naive_xi_report(6, 11, field))
+    calls = {"act_xi": 0, "check": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(explorer, "act_xi", counted("act_xi", act_xi))
+    monkeypatch.setattr(explorer, "xi_structural_ok",
+                        counted("check", xi_structural_ok))
+    report = xi_pluecker_report(n_points=6, seed=11, field=field)
+    assert report_dumps(report) == expected
+    assert report.structural_all_ok
+    # 9 distinct prefixes among the 14 steps of the 7 words, per point
+    assert calls == {"act_xi": 6 * 9, "check": 6 * 9}
 
 
 def test_xi_report_frozen_observations():

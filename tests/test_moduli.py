@@ -183,6 +183,28 @@ def test_pluecker_index_errors(idx):
         pluecker(sample_point(), idx)
 
 
+def test_pluecker_rejects_bool_indices_and_matches_column_determinant():
+    from itertools import combinations
+
+    from legmon.linalg import Matrix, determinant
+
+    p = random_point(T36, PrimeField(7), 5)
+    for idx in ((True, 4, 7), (1, 4, False), (1, True, 7)):
+        with pytest.raises(ValueError, match="out of range"):
+            pluecker(p, idx)
+    rng = Random(17)
+    for family in (T36, T44):
+        columns = tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(family.k))
+            for _ in range(family.n_columns)
+        )
+        q = ModuliPoint(family, QQ, columns)
+        assert len({x.denominator for c in columns for x in c}) > 1
+        for idx in combinations(range(1, family.n_columns + 1), family.k):
+            by_columns = Matrix.from_columns([columns[i - 1] for i in idx], QQ)
+            assert pluecker(q, idx) == determinant(by_columns)
+
+
 def test_pluecker_alternating_on_determinant_substrate():
     from legmon.linalg import Matrix, determinant
 
