@@ -46,10 +46,7 @@ from .linalg import (
     Matrix,
     Subspace,
     determinant,
-    intersect,
-    kernel_basis,
     wedge,
-    wedge_normalize,
 )
 from .moduli import (
     FAMILIES,

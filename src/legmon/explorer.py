@@ -292,12 +292,10 @@ def verify_relations(n_points: int = 32, seed=7, field: Field | None = None,
         raise ValueError("probe_budget must be >= 0")
     field = _resolve_field(field)
     probes = reduced_words(probe_budget)
-    rng = Random(seed)
     results: dict[tuple[str, Syllables], list[int]] = {
         (rel, u): [0, 0] for rel in ("a3", "b2") for u in probes
     }
-    for _ in range(n_points):
-        p = random_point(T36, field, rng.randrange(2**62))
+    for p in _sample_points(T36, field, n_points, seed):
         for key, passed in _relation_rows(p, probes):
             results[key][0 if passed else 1] += 1
     checks = tuple(
@@ -395,8 +393,7 @@ class SweepReport:
 
 def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
                        n_points: int = 32, seed=11,
-                       field: Field | None = None,
-                       reverify_q: bool = True) -> SweepReport:
+                       field: Field | None = None) -> SweepReport:
     """Run separate() on every nontrivial reduced word up to the budget.
 
     All words share one deterministic point sample and probe table, so
@@ -416,7 +413,7 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
             continue
         witness = separate(word, probe_budget, n_points, seed, field, _cache=cache)
         q_report = None
-        if witness is not None and reverify_q and isinstance(field, PrimeField):
+        if witness is not None and isinstance(field, PrimeField):
             q_report = reverify_witness_q(witness)
         entries.append(SweepEntry(word, witness, q_report))
     return SweepReport(
@@ -440,9 +437,6 @@ XI_REPORT_WORDS = (
     (1,), (2,), (3,), (1, 2, 1), (2, 1, 2), (3, 2), (3, 2, 1),
 )
 
-# Output slots of the replaced columns u1, u2 per generator (1-based).
-_XI_UPOS = {1: (2, 6), 2: (3, 7), 3: (4, 8)}
-
 
 def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     """Post-hoc check of one xi step, on ints cleared once per window.
@@ -452,11 +446,13 @@ def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     (v_a∧v_b = v_b∧u), each mod p over F_p.  Then v_b ≠ 0 and
     v_b∧(u + v_a) = 0, so u ∈ ⟨v_a, v_b⟩.  `act_xi` returns only where
     det(v_b, T) ≠ 0, so on its images this is the full subspace check; a
-    `before` with det(v_b, T) = 0, which `act_xi` refuses, is rejected."""
-    specs, _ = monodromy._XI_TABLE[i]
+    `before` with det(v_b, T) = 0, which `act_xi` refuses, is rejected.
+    Points off T44 and i not in {1, 2, 3} are refused as `act_xi` refuses
+    them, with a `ValueError`."""
+    specs, layout = monodromy._xi_table(i, before, after)
     mod = _modulus(before.field)
-    for (_, pair, other), upos in zip(specs, _XI_UPOS[i]):
-        vecs = [before.col(j) for j in (*pair, *other)] + [after.columns[upos - 1]]
+    for label, pair, other in specs:
+        vecs = [before.col(j) for j in (*pair, *other)] + [after.columns[layout.index(label)]]
         (a, b, *t, c), (alpha, *_, gamma) = _cleared(vecs, mod)
         tests = [_det_closed([b, *t]), _det_closed([c, *t])] + [
             gamma * x - alpha * y for x, y in zip(wedge(a, b), wedge(b, c))]
@@ -516,10 +512,8 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     field = _resolve_field(field)
-    rng = Random(seed)
     samples = []  # per point: (base values, {word: values}, structural_ok)
-    for _ in range(n_points):
-        p = random_point(T44, field, rng.randrange(2**62))
+    for p in _sample_points(T44, field, n_points, seed):
         images = {(): p}  # word prefix -> image
         structural = True
         for word in XI_REPORT_WORDS:

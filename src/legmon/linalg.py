@@ -1,26 +1,25 @@
 """Exact linear algebra in small dimension.
 
-Matrices and subspaces over a single exact field: determinants, which
-the loop maps compute their replacement vectors from (a ratio of two
-k×k determinants), and the subspace operations `kernel_basis`,
-`intersect` and `wedge_normalize`.  The last three compute the same
+Matrices and subspaces over a single exact field: determinants up to
+4×4, which the loop maps compute their replacement vectors from (a
+ratio of two k×k determinants, k ≤ 4), and the subspace operations
+`Subspace.span`/`contains`, `wedge`, `intersect` and `wedge_normalize`.
+`flags_from_point` and `validate_bott_samelson` build and check their
+flags from spans.  `intersect` and `wedge_normalize` compute the
 replacement vector the long way, as the intersection line of two spans
-scaled so that v1 ∧ v2 = v2 ∧ u in Λ²V; they are the reference oracle
-the tests check the determinant formula against.
+scaled so that v1 ∧ v2 = v2 ∧ u in Λ²V; no `src/` path calls them, and
+the tests use them as the reference oracle for the determinant formula.
 
 Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their
 column), so subspace equality is plain tuple comparison.
 
-`determinant` (n ≤ 4) runs its closed form on ints in both fields:
-`_cleared` turns each row into ints over its own denominator, and one
-`ModP`, or one `Fraction` over the product of the row denominators, is
-returned.  Over a prime field `Subspace.span`, `Subspace.contains` and
-`wedge` likewise compute on residue values reduced mod p and wrap
+`determinant` runs its closed form on ints in both fields: `_cleared`
+turns each row into ints over its own denominator, and one `ModP`, or
+one `Fraction` over the product of the row denominators, is returned.
+Over a prime field `Subspace.span`, `Subspace.contains`, `intersect`
+and `wedge` likewise compute on residue values reduced mod p and wrap
 `ModP` as they return; over ℚ they use the `Fraction` operators.
-`kernel_basis` and `intersect` run their own elimination with the
-scalars' operators in both fields and reach the int path only when
-`Subspace.span` canonicalizes their result.
 """
 
 from __future__ import annotations
@@ -66,16 +65,6 @@ class Matrix:
             return cls((), field)
         return cls(tuple(zip(*cols, strict=True)), field)
 
-    @classmethod
-    def identity(cls, n: int, field: Field) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls(
-            tuple(
-                tuple(one if i == j else zero for j in range(n)) for i in range(n)
-            ),
-            field,
-        )
-
     @property
     def nrows(self) -> int:
         return len(self.entries)
@@ -86,14 +75,14 @@ class Matrix:
 
 
 def determinant(m: Matrix) -> FieldScalar:
-    """Exact determinant; closed forms for n ≤ 4, elimination beyond."""
+    """Exact determinant of an n×n matrix, n ≤ 4, by its closed form."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
+    if n > 4:
+        raise ValueError(f"determinant of a {n}×{n} matrix: only n ≤ 4 is supported")
     if n == 0:
         return m.field.one()
-    if n > 4:
-        return _det_eliminate(m)
     p = _modulus(m.field)
     rows, dens = _cleared(m.entries, p)
     det = _det_closed(rows)
@@ -130,26 +119,6 @@ def _det_closed(e):
         - (b * i - d * g) * (j * s - l * q)
         + (c * i - d * h) * (j * r - k * q)
     )
-
-
-def _det_eliminate(m: Matrix) -> FieldScalar:
-    n = m.nrows
-    a = [list(row) for row in m.entries]
-    det = m.field.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return m.field.zero()
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = field_inverse(a[col][col])
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def _modulus(field: Field) -> int | None:
@@ -219,10 +188,6 @@ class Subspace:
             rows = [[ModP(x, p) for x in r] for r in rows]
         return cls(ambient, tuple(tuple(r) for r in rows), field)
 
-    @classmethod
-    def zero(cls, ambient: int, field: Field) -> "Subspace":
-        return cls(ambient, (), field)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -244,46 +209,27 @@ class Subspace:
         return all(self.contains(b) for b in other.basis)
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of {x : m·x = 0}."""
-    n = m.ncols
-    if m.nrows == 0 or n == 0:
-        return Subspace(n, tuple(), m.field) if n == 0 else Subspace.span(
-            Matrix.identity(n, m.field).entries, n, m.field
-        )
-    rows, pivots = _rref([list(r) for r in m.entries])
-    free = [c for c in range(n) if c not in pivots]
-    zero, one = m.field.zero(), m.field.one()
-    vecs = []
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        vecs.append(v)
-    return Subspace.span(vecs, n, m.field)
-
-
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
+    """Intersection of two subspaces of the same ambient space.
+
+    One Zassenhaus elimination: reduce the rows (x | x) for x in a and
+    (y | 0) for y in b.  A row whose pivot lies in the right half has a
+    zero left half, so its right half lies in a ∩ b, and those right
+    halves are the canonical basis of a ∩ b.
+    """
     if a.ambient != b.ambient:
         raise ValueError("ambient mismatch")
     if a.field != b.field:
         raise ValueError("field mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient, a.field)
-    stacked = Matrix.from_columns(a.basis + b.basis, a.field)
-    ker = kernel_basis(stacked)
-    da = a.dim
-    zero = a.field.zero()
-    vecs = []
-    for coeffs in ker.basis:
-        v = [zero] * a.ambient
-        for i in range(da):
-            if coeffs[i]:
-                v = [x + coeffs[i] * y for x, y in zip(v, a.basis[i])]
-        vecs.append(v)
-    return Subspace.span(vecs, a.ambient, a.field)
+    n, p = a.ambient, _modulus(a.field)
+    rows = [[*x, *x] for x in a.basis] + [[*y, *(a.field.zero(),) * n] for y in b.basis]
+    if p is not None:
+        rows = [[x.value for x in r] for r in rows]
+    rows, pivots = _rref(rows, p)
+    meet = [r[n:] for r, c in zip(rows, pivots) if c >= n]
+    if p is not None:
+        meet = [[ModP(x, p) for x in r] for r in meet]
+    return Subspace(n, tuple(map(tuple, meet)), a.field)
 
 
 def wedge(v: Vector, w: Vector) -> Vector:

@@ -10,10 +10,9 @@ u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by Cramer's rule:
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
 Both determinants are taken on ints and u is wrapped in `Fraction` or
-`ModP` only as it is returned.  `linalg.intersect` (built on
-`kernel_basis`) and `linalg.wedge_normalize` compute the same u from the
-subspaces; they are its reference oracle in the tests, and here only
-measure the meet of a degenerate window.
+`ModP` only as it is returned.  `linalg.intersect` and
+`linalg.wedge_normalize` compute the same u from the subspaces; they are
+its reference oracle in the tests, and no path here calls them.
 
 Composition is by group words.  On T36 the generators are A (column
 shift by one), A2 (shift by two), and B = sigma1 after a shift, so that
@@ -32,28 +31,24 @@ from .fields import ModP
 from .linalg import (
     DegeneracyError,
     DegenerateNormalization,
-    Subspace,
     _cleared,
     _det_closed,
     _modulus,
-    intersect,
 )
 from .moduli import Family, ModuliPoint, T36, T44
 
 
 class DegenerateIntersection(DegeneracyError):
     """A window's replacement vector is not determined: both determinants
-    of the ratio vanish, or v_a and v_b are parallel.  `dim` is the
-    dimension of span(pair) ∩ span(other)."""
+    of the ratio vanish, or v_a and v_b are parallel.  `label`, `pair` and
+    `other` name the window; the message also gives the cause."""
 
     def __init__(self, message: str, *, label: str | None = None,
-                 pair: tuple[int, ...] = (), other: tuple[int, ...] = (),
-                 dim: int | None = None):
+                 pair: tuple[int, ...] = (), other: tuple[int, ...] = ()):
         super().__init__(message)
         self.label = label
         self.pair = pair
         self.other = other
-        self.dim = dim
 
 
 def act_shift(p: ModuliPoint, j: int) -> ModuliPoint:
@@ -73,15 +68,12 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
     denominator, wrapped in `Fraction` or `ModP` only as u is returned.
 
     Raises:
-        DegenerateIntersection: if both determinants vanish or u = 0; the
-            reported `dim` is that of span(pair) ∩ span(other).
+        DegenerateIntersection: if both determinants vanish or u = 0.
         DegenerateNormalization: if only det(v_b, T) vanishes, so that v_b
             lies in ⟨T⟩ and no u ∈ ⟨T⟩ satisfies v_a ∧ v_b = v_b ∧ u.
     """
-    a, b = p.col(pair[0]), p.col(pair[1])
-    t = [p.col(i) for i in other]
     mod = _modulus(p.field)
-    (ai, bi, *ti), (alpha, *_) = _cleared([a, b, *t], mod)
+    (ai, bi, *ti), (alpha, *_) = _cleared([p.col(j) for j in (*pair, *other)], mod)
     da, db = _det_closed([ai, *ti]), _det_closed([bi, *ti])
     if mod is not None:
         da, db = da % mod, db % mod
@@ -97,12 +89,10 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
     elif da:
         raise DegenerateNormalization(f"{label}: v{pair[1]} lies in span{other}")
     why = (f"v{pair[0]} and v{pair[1]} are parallel" if db else
-           f"det(v{pair[0]}, T) = det(v{pair[1]}, T) = 0 for T = columns {other}")
-    k = p.family.k
-    dim = intersect(Subspace.span([a, b], k, p.field), Subspace.span(t, k, p.field)).dim
+           f"det(v{pair[0]}, T) = det(v{pair[1]}, T) = 0")
     raise DegenerateIntersection(
-        f"{label}: {why}; span{pair} meets span{other} in dimension {dim}",
-        label=label, pair=pair, other=other, dim=dim,
+        f"{label} (pair {pair}, T = columns {other}): {why}",
+        label=label, pair=pair, other=other,
     )
 
 
@@ -148,14 +138,20 @@ _XI_TABLE = {
 }
 
 
+def _xi_table(i: int, *points: ModuliPoint):
+    """`_XI_TABLE[i]`, refusing points off T44 and i not in {1, 2, 3}."""
+    for p in points:
+        if p.family is not T44:
+            raise ValueError(f"act_xi needs family T44, got {p.family.name}")
+    if i not in _XI_TABLE:
+        raise ValueError(f"xi index must be 1, 2 or 3, got {i}")
+    return _XI_TABLE[i]
+
+
 def act_xi(p: ModuliPoint, i: int) -> ModuliPoint:
     """The xi_i loop on T44 (i in {1,2,3}); each window replaces one
     column by the wedge-normalized vector of <v_a,v_b> ∩ <v_c,v_d,v_e>."""
-    if p.family is not T44:
-        raise ValueError(f"act_xi needs family T44, got {p.family.name}")
-    if i not in _XI_TABLE:
-        raise ValueError(f"xi index must be 1, 2 or 3, got {i}")
-    specs, layout = _XI_TABLE[i]
+    specs, layout = _xi_table(i, p)
     u = {
         label: _replacement_vector(p, label, pair, other)
         for label, pair, other in specs

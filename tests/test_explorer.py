@@ -249,12 +249,37 @@ def test_xi_structural_ok_direct():
         assert not xi_structural_ok(p, i, p)
 
 
+def _xi_upos(i):
+    """Output slots (1-based) of the replaced columns u1, u2 of xi_i."""
+    specs, layout = monodromy._XI_TABLE[i]
+    return tuple(layout.index(label) + 1 for label, _, _ in specs)
+
+
+def test_xi_upos_slots():
+    assert [_xi_upos(i) for i in (1, 2, 3)] == [(2, 6), (3, 7), (4, 8)]
+
+
+def test_xi_structural_ok_refuses_bad_index():
+    p = random_point(T44, PrimeField(DEFAULT_PRIME), 9)
+    with pytest.raises(ValueError, match="xi index must be 1, 2 or 3, got 4"):
+        xi_structural_ok(p, 4, p)
+
+
+def test_xi_structural_ok_refuses_non_t44_points():
+    p = random_point(T44, PrimeField(DEFAULT_PRIME), 9)
+    t36 = random_point(T36, PrimeField(DEFAULT_PRIME), 9)
+    with pytest.raises(ValueError, match="act_xi needs family T44, got T36"):
+        xi_structural_ok(t36, 1, t36)
+    with pytest.raises(ValueError, match="act_xi needs family T44, got T36"):
+        xi_structural_ok(p, 1, t36)
+
+
 def oracle_xi_structural_ok(before, i, after):
     """The subspace-route check: each replaced column lies in both
     prescribed subspaces and satisfies its wedge normalization."""
     specs, _ = monodromy._XI_TABLE[i]
     k = before.family.k
-    for (label, pair, other), upos in zip(specs, explorer._XI_UPOS[i]):
+    for (label, pair, other), upos in zip(specs, _xi_upos(i)):
         u = after.columns[upos - 1]
         va, vb = before.col(pair[0]), before.col(pair[1])
         plane = Subspace.span([va, vb], k, before.field)
@@ -275,7 +300,7 @@ def _xi_after_candidates(before, i):
     one = before.field.one()
     specs, _ = monodromy._XI_TABLE[i]
     out = [after]
-    for (_, pair, _), upos in zip(specs, explorer._XI_UPOS[i]):
+    for (_, pair, _), upos in zip(specs, _xi_upos(i)):
         u, vb = after.columns[upos - 1], before.col(pair[1])
         for mutated in (
             tuple(x + x for x in u),
@@ -286,7 +311,7 @@ def _xi_after_candidates(before, i):
             cols = list(after.columns)
             cols[upos - 1] = mutated
             out.append(ModuliPoint(T44, before.field, tuple(cols)))
-    u1, u2 = explorer._XI_UPOS[i]
+    u1, u2 = _xi_upos(i)
     for a, b in ((u1, u2), (u1, u1 - 1)):
         cols = list(after.columns)
         cols[a - 1], cols[b - 1] = cols[b - 1], cols[a - 1]

@@ -3,7 +3,8 @@
 Randomized determinant checks use sympy as an independent oracle.  The
 int kernels (prime-field residues, and rationals cleared of their
 denominators) are also checked against eliminations run with the
-`ModP` and `Fraction` operators.
+`ModP` and `Fraction` operators, and `intersect` against the
+kernel-basis route; those slow routes live in `oracles`.
 """
 
 from fractions import Fraction
@@ -18,14 +19,13 @@ from legmon.linalg import (
     DegenerateNormalization,
     Matrix,
     Subspace,
-    _det_eliminate,
     _rref,
     determinant,
     intersect,
-    kernel_basis,
     wedge,
     wedge_normalize,
 )
+from oracles import det_eliminate, identity, kernel_basis, kernel_intersect, zero_subspace
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -39,7 +39,7 @@ def e(i, n=3):
 
 
 def test_determinant_examples():
-    assert determinant(Matrix.identity(3, QQ)) == Fraction(1)
+    assert determinant(identity(3, QQ)) == Fraction(1)
     m = Matrix.from_columns([e(0), e(0), e(2)], QQ)
     assert determinant(m) == Fraction(0)
     m = Matrix.from_columns([e(0), e(1), (Fraction(1), Fraction(1), Fraction(1))], QQ)
@@ -48,7 +48,7 @@ def test_determinant_examples():
         determinant(frac([[1, 2, 3], [4, 5, 6]]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_determinant_against_sympy(n):
     rng = Random(n)
     for _ in range(25):
@@ -60,6 +60,27 @@ def test_determinant_against_sympy(n):
             [[FP.from_int(x) for x in row] for row in ints], FP
         )
         assert determinant(m_p) == FP.from_int(expected)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_determinant_refuses_n_above_4(n):
+    for field in (QQ, FP):
+        m = Matrix.from_rows([[field.from_int(i + j) for j in range(n)] for i in range(n)], field)
+        with pytest.raises(ValueError, match="only n ≤ 4"):
+            determinant(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_eliminate_against_sympy(n):
+    rng = Random(n)
+    for _ in range(25):
+        ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        expected = int(sympy.Matrix(ints).det())
+        assert det_eliminate(frac(ints)) == Fraction(expected)
+        m_p = Matrix.from_rows(
+            [[FP.from_int(x) for x in row] for row in ints], FP
+        )
+        assert det_eliminate(m_p) == FP.from_int(expected)
 
 
 def test_determinant_multilinear_and_alternating():
@@ -91,7 +112,7 @@ def test_determinant_multilinear_and_alternating():
 
 
 def test_kernel_examples():
-    assert kernel_basis(Matrix.identity(3, QQ)).dim == 0
+    assert kernel_basis(identity(3, QQ)).dim == 0
     zero = frac([[0, 0, 0], [0, 0, 0]])
     assert kernel_basis(zero).dim == 3
     line = kernel_basis(frac([[1, 1, 1]]))
@@ -151,6 +172,43 @@ def test_intersect_properties():
             if a.dim and b.dim:
                 stacked = Matrix.from_columns(a.basis + b.basis, field)
                 assert kernel_basis(stacked).dim == meet.dim
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(3), PrimeField(7), FP, QQ], ids=["F3", "F7", "Fp", "Q"],
+)
+def test_intersect_matches_kernel_route(field):
+    rng = Random(17)
+    for case in range(300):
+        n = rng.randint(1, 5)
+        # dimensions 0 to n + 1 spanning vectors, some repeated or zero
+        vectors = [_vector(rng, field, n) for _ in range(rng.randint(0, n + 1))]
+        if vectors and case % 3 == 0:
+            vectors = _degenerate_vectors(rng, field, vectors)
+        a = Subspace.span(vectors, n, field)
+        kind = case % 4
+        if kind == 0:  # equal, from another spanning set
+            b = Subspace.span(vectors[::-1] + vectors[:1], n, field)
+        elif kind == 1:  # nested: b inside a
+            b = Subspace.span(vectors[: len(vectors) // 2], n, field)
+        else:
+            b = _random_subspace(rng, field, n)
+        for x, y in ((a, b), (b, a)):
+            meet = intersect(x, y)
+            assert meet == kernel_intersect(x, y)
+            assert all(isinstance(c, type(field.zero())) for v in meet.basis for c in v)
+        if kind == 0:
+            assert intersect(a, b) == a
+        if kind == 1:
+            assert intersect(a, b) == b
+    zero = zero_subspace(3, field)
+    line = Subspace.span([(field.one(), field.zero(), field.one())], 3, field)
+    assert intersect(zero, line) == intersect(line, zero) == zero
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        intersect(line, zero_subspace(4, field))
+    other = QQ if field != QQ else FP
+    with pytest.raises(ValueError, match="field mismatch"):
+        intersect(line, zero_subspace(3, other))
 
 
 def test_subspace_canonical_equality():
@@ -239,7 +297,7 @@ def test_determinant_int_kernel_differential(prime):
         det = determinant(m)
         ints = [[x.value for x in row] for row in m.entries]
         assert det == field.from_int(int(sympy.Matrix(ints).det()))
-        assert det == _det_eliminate(m)
+        assert det == det_eliminate(m)
         if case % 3 == 0:
             assert not det
 
@@ -263,7 +321,7 @@ def test_determinant_rational_kernel_differential():
                      for row in m.entries]
         expected = sympy.Matrix(rationals).det()
         assert det == Fraction(int(expected.p), int(expected.q))
-        assert det == _det_eliminate(m)
+        assert det == det_eliminate(m)
         if case % 3 == 0:
             assert not det
 
@@ -271,7 +329,7 @@ def test_determinant_rational_kernel_differential():
 def _operator_span(vectors, n, field):
     rows = [list(v) for v in vectors if any(v)]
     if not rows:
-        return Subspace.zero(n, field)
+        return zero_subspace(n, field)
     rows, pivots = _rref(rows)
     return Subspace(n, tuple(tuple(r) for r in rows[: len(pivots)]), field)
 

@@ -202,8 +202,9 @@ def test_sigma1_degenerate_intersection():
         act_sigma1(p)
     assert err.value.label == "u1"
     assert err.value.pair == (1, 2) and err.value.other == (3, 4)
-    assert err.value.dim == 2
-    assert "u1" in str(err.value)
+    assert str(err.value) == (
+        "u1 (pair (1, 2), T = columns (3, 4)): det(v1, T) = det(v2, T) = 0"
+    )
 
 
 def test_sigma1_degenerate_normalization():
@@ -274,7 +275,8 @@ def test_xi_degenerate_containment():
     p = ModuliPoint(T44, QQ, cols)
     with pytest.raises(DegenerateIntersection) as err:
         act_xi(p, 1)
-    assert err.value.label == "u1" and err.value.dim == 2
+    assert err.value.label == "u1"
+    assert err.value.pair == (1, 2) and err.value.other == (3, 4, 5)
 
 
 def test_act_word_parsing_and_composition():
