@@ -58,10 +58,10 @@ _LETTER_TEXT = _LetterText()
 class BraidWord:
     """A positive braid word: k strands, int letters in 1..k-1.
 
-    Every move builds a new word, so the checks below run at C speed:
-    the letter types, then the range of the distinct letters (at most
-    k-1 of them on a valid word).  The first offending letter is looked
-    up only on the error path.
+    Direct construction checks at C speed the letter types, then the
+    range of the distinct letters (at most k-1 of them on a valid word);
+    the first offending letter is looked up only on the error path.
+    Moves do not re-check: `apply_move` builds its words unchecked.
     """
 
     strands: int
@@ -136,14 +136,25 @@ class LoopReport:
         return lines
 
 
+def _moved(word: BraidWord, letters: tuple[int, ...]) -> BraidWord:
+    """`word` with new letters, skipping `BraidWord.__post_init__`."""
+    moved = object.__new__(BraidWord)
+    object.__setattr__(moved, "strands", word.strands)
+    object.__setattr__(moved, "letters", letters)
+    return moved
+
+
 def apply_move(word: BraidWord, move: Move) -> BraidWord:
-    """Apply one move, checking the legality pattern at its position."""
+    """Apply one move, checking the legality pattern at its position.
+
+    The result is valid exactly when `word` is (shift and comm permute
+    letters, r3a/r3d swap i and i+1), so it is built unchecked."""
     letters = word.letters
     n = len(letters)
     if move.kind == "shift":
         if n == 0:
             return word
-        return BraidWord(word.strands, letters[1:] + letters[:1])
+        return _moved(word, letters[1:] + letters[:1])
     p = move.pos
     if move.kind == "comm":
         if p + 1 > n:
@@ -155,9 +166,7 @@ def apply_move(word: BraidWord, move: Move) -> BraidWord:
             raise IllegalMove(
                 f"comm {p}: letters ({a}, {b}) do not commute", move=move
             )
-        return BraidWord(
-            word.strands, letters[: p - 1] + (b, a) + letters[p + 1 :]
-        )
+        return _moved(word, letters[: p - 1] + (b, a) + letters[p + 1 :])
     if p + 2 > n:
         raise IllegalMove(
             f"{move.kind} {p} does not fit in a word of length {n}", move=move
@@ -168,14 +177,11 @@ def apply_move(word: BraidWord, move: Move) -> BraidWord:
             raise IllegalMove(
                 f"r3a {p}: pattern ({a}, {b}, {c}) is not (i, i+1, i)", move=move
             )
-        new = (b, a, b)
-    else:  # r3d
-        if not (a == c and b == a - 1):
-            raise IllegalMove(
-                f"r3d {p}: pattern ({a}, {b}, {c}) is not (i+1, i, i+1)", move=move
-            )
-        new = (b, a, b)
-    return BraidWord(word.strands, letters[: p - 1] + new + letters[p + 2 :])
+    elif not (a == c and b == a - 1):  # r3d
+        raise IllegalMove(
+            f"r3d {p}: pattern ({a}, {b}, {c}) is not (i+1, i, i+1)", move=move
+        )
+    return _moved(word, letters[: p - 1] + (b, a, b) + letters[p + 2 :])
 
 
 def verify_loop(script: MoveScript) -> LoopReport:

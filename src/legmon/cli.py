@@ -11,7 +11,8 @@ written), 3 for a degeneracy (including exhausted sampling, a point
 given to `act` that fails validity, and a degeneracy inside a report).
 All output is deterministic given the flags; reports carry no
 timestamps.  The environment variable LEGMON_PRIME overrides the
-default prime modulus.
+default prime modulus.  Each call builds the parser of the invoked
+subcommand only; help and errors without one build all of them.
 """
 
 from __future__ import annotations
@@ -161,17 +162,9 @@ def _cmd_flags(args) -> int:
         print(json.dumps({"valid_point": False, "bott_samelson": False}, indent=2))
         return EXIT_VERIFICATION
     ok = validate_bott_samelson(flags, point.family.base_word())
-    print(
-        json.dumps(
-            {
-                "valid_point": True,
-                "family": point.family.name,
-                "flags": len(flags),
-                "bott_samelson": ok,
-            },
-            indent=2,
-        )
-    )
+    report = {"valid_point": True, "family": point.family.name,
+              "flags": len(flags), "bott_samelson": ok}
+    print(json.dumps(report, indent=2))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -215,15 +208,7 @@ def _add_field_flags(sub, include_q: bool = True):
                      help="prime modulus (default: LEGMON_PRIME or 2147483647)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="legmon",
-        description="Braid-move loop certification and Legendrian-loop "
-        "monodromy over exact fields",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("verify-loop", help="replay a move script and check closure")
+def _verify_loop_args(sub):
     sub.add_argument("--script", help="move-script file (DSL)")
     sub.add_argument("--base", help="base word letters for --script, e.g. '1,2,1,2'")
     sub.add_argument("--strands", type=int, help="strand count for --script")
@@ -232,30 +217,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, default=None, help="k for delta_power")
     sub.set_defaults(func=_cmd_verify_loop)
 
-    sub = subs.add_parser("act", help="apply a generator word to a point")
+
+def _act_args(sub):
     sub.add_argument("--point", default=None, help="point JSON file ('-' or omit for stdin)")
     sub.add_argument("--word", required=True,
                      help="tokens A, A2, B, S1, SH(j), X1, X2, X3")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.set_defaults(func=_cmd_act)
 
-    sub = subs.add_parser("pluecker", help="evaluate one Plücker coordinate")
+
+def _pluecker_args(sub):
     sub.add_argument("--point", default=None, help="point JSON file ('-' or omit for stdin)")
     sub.add_argument("--idx", required=True, help="comma-separated indices, e.g. 1,4,7")
     sub.set_defaults(func=_cmd_pluecker)
 
-    sub = subs.add_parser("random-point", help="sample a valid point")
+
+def _random_point_args(sub):
     sub.add_argument("--family", required=True, choices=("T36", "T44"))
     sub.add_argument("--seed", type=int, required=True)
     _add_field_flags(sub)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_random_point)
 
-    sub = subs.add_parser("flags", help="rebuild and validate the flag chain")
+
+def _flags_args(sub):
     sub.add_argument("--point", default=None, help="point JSON file ('-' or omit for stdin)")
     sub.set_defaults(func=_cmd_flags)
 
-    sub = subs.add_parser("relations", help="report the a^3 and b^2 relation checks")
+
+def _relations_args(sub):
     sub.add_argument("--points", type=int, default=32)
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--probe-budget", type=int, default=2)
@@ -263,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_relations)
 
-    sub = subs.add_parser("faithful", help="separation sweep over reduced words")
+
+def _faithful_args(sub):
     sub.add_argument("--max-syllables", type=int, default=6)
     sub.add_argument("--probe-budget", type=int, default=4)
     sub.add_argument("--points", type=int, default=32)
@@ -272,24 +263,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_faithful)
 
-    sub = subs.add_parser("xi-report", help="Plücker tables for the xi words")
+
+def _xi_report_args(sub):
     sub.add_argument("--points", type=int, default=32)
     sub.add_argument("--seed", type=int, default=11)
     _add_field_flags(sub, include_q=False)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_xi_report)
 
+
+# Subcommand name -> (help line, adder of its arguments and handler).
+_COMMANDS = {
+    "verify-loop": ("replay a move script and check closure", _verify_loop_args),
+    "act": ("apply a generator word to a point", _act_args),
+    "pluecker": ("evaluate one Plücker coordinate", _pluecker_args),
+    "random-point": ("sample a valid point", _random_point_args),
+    "flags": ("rebuild and validate the flag chain", _flags_args),
+    "relations": ("report the a^3 and b^2 relation checks", _relations_args),
+    "faithful": ("separation sweep over reduced words", _faithful_args),
+    "xi-report": ("Plücker tables for the xi words", _xi_report_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `legmon` parser; for a known `command`, with only its subparser."""
+    parser = argparse.ArgumentParser(
+        prog="legmon",
+        description="Braid-move loop certification and Legendrian-loop "
+        "monodromy over exact fields",
+    )
+    known = command in _COMMANDS
+    # One subparser built: the metavar keeps the usage line naming every command.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if known else None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in (command,) if known else _COMMANDS:
+        summary, add_args = _COMMANDS[name]
+        add_args(subs.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ScriptSyntaxError as exc:
         print(f"script syntax error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -302,7 +319,7 @@ def main(argv=None) -> int:
     except InvalidPoint as exc:
         print(f"invalid point: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -55,10 +55,6 @@ class Matrix:
             raise ValueError("ragged rows")
 
     @classmethod
-    def from_rows(cls, rows, field: Field) -> "Matrix":
-        return cls(tuple(tuple(row) for row in rows), field)
-
-    @classmethod
     def from_columns(cls, columns, field: Field) -> "Matrix":
         cols = [tuple(c) for c in columns]
         if not cols:

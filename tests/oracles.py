@@ -3,11 +3,16 @@
 `identity`, `zero_subspace`, `kernel_basis` and `det_eliminate` are the
 subspace route's eliminations run with the scalars' own operators, and
 `kernel_intersect` is the intersection computed through the kernel of
-the stacked bases.  None of them is on a `legmon` code path.
+the stacked bases.  None of them is on a `legmon` code path, nor is the
+`from_rows` constructor the tests build matrices with.
 """
 
 from legmon.fields import Field, field_inverse
 from legmon.linalg import Matrix, Subspace, _rref
+
+
+def from_rows(rows, field: Field) -> Matrix:
+    return Matrix(tuple(tuple(row) for row in rows), field)
 
 
 def identity(n: int, field: Field) -> Matrix:

@@ -111,6 +111,62 @@ def test_move_inverses_property():
                 assert len(once) == n
 
 
+def legal_moves(letters):
+    """Every move legal on `letters`, found by scanning them directly."""
+    moves = [Move("shift")] if letters else []
+    for p in range(1, len(letters)):
+        if abs(letters[p - 1] - letters[p]) >= 2:
+            moves.append(Move("comm", p))
+    for p in range(1, len(letters) - 1):
+        a, b, c = letters[p - 1 : p + 2]
+        if a == c and b == a + 1:
+            moves.append(Move("r3a", p))
+        if a == c and b == a - 1:
+            moves.append(Move("r3d", p))
+    return moves
+
+
+def moved_letters(letters, move):
+    """The letters after a legal move, rebuilt by list surgery."""
+    out = list(letters)
+    if move.kind == "shift":
+        return tuple(out[1:] + out[:1])
+    p = move.pos - 1
+    if move.kind == "comm":
+        out[p], out[p + 1] = out[p + 1], out[p]
+    else:
+        a, b = out[p], out[p + 1]
+        out[p : p + 3] = [b, a, b]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("strands", (3, 4, 12))
+@pytest.mark.parametrize("seed", range(8))
+def test_moves_match_checked_construction(strands, seed):
+    # apply_move skips BraidWord's checks; each word it returns must be
+    # one the checked constructor accepts and builds equal.
+    rng = Random(seed)
+    letters = []
+    while len(letters) < 40:
+        i = rng.randint(1, strands - 1)
+        braid = i < strands - 1 and rng.random() < 0.4
+        letters += [i, i + 1, i] if braid else [i]
+    word = BraidWord(strands, tuple(letters))
+    kinds = Counter()
+    for _ in range(300):
+        move = rng.choice(legal_moves(word.letters))
+        moved = apply_move(word, move)
+        checked = BraidWord(moved.strands, moved.letters)
+        assert moved == checked and hash(moved) == hash(checked)
+        assert moved.strands == strands
+        assert moved.letters == moved_letters(word.letters, move)
+        assert str(moved) == " ".join(map(str, moved.letters))
+        kinds[move.kind] += 1
+        word = moved
+    # Three strands have no commuting letters.
+    assert set(kinds) == {"shift", "r3a", "r3d"} | ({"comm"} if strands > 3 else set())
+
+
 def test_letter_multiset_changes():
     word = w(3, 1, 2, 1, 2)
     assert Counter(apply_move(word, Move("shift")).letters) == Counter(word.letters)

@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: exit codes, piping, determinism, and
 fuzzing of the point loader and the move-script DSL."""
 
+import argparse
 import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -475,6 +479,52 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+COMMANDS = ["verify-loop", "act", "pluecker", "random-point", "flags",
+            "relations", "faithful", "xi-report"]
+
+
+def count_subparsers(monkeypatch):
+    """Record the name of every subparser built from now on."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return built
+
+
+def test_call_builds_only_its_subparser(monkeypatch, capsys):
+    built = count_subparsers(monkeypatch)
+    assert main(["random-point", "--family", "T44", "--seed", "3"]) == 0
+    assert built == ["random-point"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    monkeypatch.setattr("sys.argv", ["legmon", "flags"])
+    assert main() == 0  # argv=None reads the command from sys.argv
+    assert built == ["random-point", "flags"]
+    assert '"bott_samelson": true' in capsys.readouterr().out
+
+
+def test_top_level_help_lists_every_command(monkeypatch, capsys):
+    built = count_subparsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and built == COMMANDS
+    out = capsys.readouterr().out
+    assert all(name in out for name in COMMANDS)
+
+
+def test_module_entry_point_subcommand_help():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "legmon.cli", "flags", "-h"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: legmon flags [-h] [--point POINT]")
 
 
 JSON_VALUES = st.recursive(

@@ -1,14 +1,21 @@
 """Byte-identity guard: the SHA-256 of CLI stdout and the exit code of the
-report subcommands, pinned so that any drift in their output fails here.
+report subcommands, and of stdout and stderr for help and usage errors,
+pinned so that any drift in their output fails here.
 
 A change that means to alter a report's output must update its digest
 here and say why."""
 
 import hashlib
+import io
 
 import pytest
 
 from legmon.cli import main
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 GOLDEN = {
     ("xi-report",): (
@@ -31,4 +38,80 @@ def test_cli_stdout_digest(argv, capsys, monkeypatch):
     monkeypatch.delenv("LEGMON_PRIME", raising=False)
     code = main(list(argv))
     out = capsys.readouterr().out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+    assert (code, _digest(out)) == GOLDEN[argv]
+
+
+# Help, usage errors and one full report, as (exit or SystemExit code,
+# stdout digest, stderr digest) with help wrapped to 80 columns.
+EMPTY = _digest("")
+USAGE_GOLDEN = {
+    ("--help",): (
+        0, "d328f84e2f5dddd3283ac2dbe1ac6ebfdd7f5eb7b35ae36632aa5f55088d6397",
+        EMPTY),
+    (): (
+        2, EMPTY,
+        "7a59ece2d6d38e5e4918646206237083d78aac738a05b8b9c92d036ea2435b1a"),
+    ("bogus",): (
+        2, EMPTY,
+        "af492e380a4f3671af874cda8132b5eb06518d2d08644959eaae408cd3b50cde"),
+    ("--",): (
+        2, EMPTY,
+        "7a59ece2d6d38e5e4918646206237083d78aac738a05b8b9c92d036ea2435b1a"),
+    ("verify-loop", "-h"): (
+        0, "42b58adf011f8d632f0a60f1d5efa4fc7e1ad3979f75e9550a803c92bd0a009d",
+        EMPTY),
+    ("act", "-h"): (
+        0, "6ef2bf17249bd79a1c25aa01c8f7e7878764e4e290da66ce7d52bc6a143efb04",
+        EMPTY),
+    ("pluecker", "-h"): (
+        0, "44c209cf72bab0384611b70d67cabda4c5bfb58cc034d66ec6a516fa08336cd4",
+        EMPTY),
+    ("random-point", "-h"): (
+        0, "c7a6c29a5dc16d9e5f65522151e026120234617e4678d5c82238d7b86c884685",
+        EMPTY),
+    ("flags", "-h"): (
+        0, "2942b11a0fb25ed98f5e8410cacca78a43a6065850c99dc6e032155efa643db7",
+        EMPTY),
+    ("relations", "-h"): (
+        0, "d6291fe174538e59b17989a327137bd4a702dc526f554954c53f892ab66e2526",
+        EMPTY),
+    ("faithful", "-h"): (
+        0, "bd7c2c62112c8e86a730115ef4ee1b3d0f3424192fe292813d2410959fd5d76a",
+        EMPTY),
+    ("xi-report", "-h"): (
+        0, "097799cf294f5d2af93def1983985257899ed3a158c66143f956a7fd770ef591",
+        EMPTY),
+    ("flags", "--bogus"): (
+        2, EMPTY,
+        "40741c28cdf2873b01a4973aec1185ca464a3807198eca41f143daa9302072bc"),
+    ("flags", "extra"): (
+        2, EMPTY,
+        "51878f4375b72098f2846f41f215021af05d946b8fbf3a62bc030c3cfb2fbb6e"),
+    ("random-point",): (
+        2, EMPTY,
+        "a507f4d7c3d3868becbedb27d6e5d2583d4044a49e41de4202a42795633d73c5"),
+    ("random-point", "--family", "T99"): (
+        2, EMPTY,
+        "85064f26fac389c6da618050318b9011ef4645030ed007a44694d58f8eb971de"),
+    ("verify-loop", "--builtin", "xi3", "--s", "80"): (
+        0, "6eb9cbc4ffe93987950b1f2fadeabd7a72355f477fcba687ccce3b5cc21262fa",
+        EMPTY),
+}
+
+
+def usage_outcome(argv, capsys, monkeypatch):
+    monkeypatch.delenv("LEGMON_PRIME", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, _digest(captured.out), _digest(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv", list(USAGE_GOLDEN), ids=lambda argv: " ".join(argv) or "(none)")
+def test_cli_usage_digest(argv, capsys, monkeypatch):
+    assert usage_outcome(argv, capsys, monkeypatch) == USAGE_GOLDEN[argv]

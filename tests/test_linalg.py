@@ -25,13 +25,15 @@ from legmon.linalg import (
     wedge,
     wedge_normalize,
 )
-from oracles import det_eliminate, identity, kernel_basis, kernel_intersect, zero_subspace
+from oracles import (
+    det_eliminate, from_rows, identity, kernel_basis, kernel_intersect, zero_subspace,
+)
 
 FP = PrimeField(DEFAULT_PRIME)
 
 
 def frac(rows):
-    return Matrix.from_rows([[Fraction(x) for x in r] for r in rows], QQ)
+    return from_rows([[Fraction(x) for x in r] for r in rows], QQ)
 
 
 def e(i, n=3):
@@ -56,7 +58,7 @@ def test_determinant_against_sympy(n):
         expected = int(sympy.Matrix(ints).det())
         m_q = frac(ints)
         assert determinant(m_q) == Fraction(expected)
-        m_p = Matrix.from_rows(
+        m_p = from_rows(
             [[FP.from_int(x) for x in row] for row in ints], FP
         )
         assert determinant(m_p) == FP.from_int(expected)
@@ -65,7 +67,7 @@ def test_determinant_against_sympy(n):
 @pytest.mark.parametrize("n", [5, 6])
 def test_determinant_refuses_n_above_4(n):
     for field in (QQ, FP):
-        m = Matrix.from_rows([[field.from_int(i + j) for j in range(n)] for i in range(n)], field)
+        m = from_rows([[field.from_int(i + j) for j in range(n)] for i in range(n)], field)
         with pytest.raises(ValueError, match="only n ≤ 4"):
             determinant(m)
 
@@ -77,7 +79,7 @@ def test_det_eliminate_against_sympy(n):
         ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         expected = int(sympy.Matrix(ints).det())
         assert det_eliminate(frac(ints)) == Fraction(expected)
-        m_p = Matrix.from_rows(
+        m_p = from_rows(
             [[FP.from_int(x) for x in row] for row in ints], FP
         )
         assert det_eliminate(m_p) == FP.from_int(expected)
@@ -126,7 +128,7 @@ def test_kernel_annihilates():
     for field in (QQ, FP):
         for _ in range(40):
             r, c = rng.randint(1, 4), rng.randint(1, 5)
-            m = Matrix.from_rows(
+            m = from_rows(
                 [[field.random_scalar(rng) for _ in range(c)] for _ in range(r)],
                 field,
             )
