@@ -20,6 +20,7 @@ the cyclic shift, one move per rewrite, window by window.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -129,11 +130,51 @@ class LoopReport:
     is_loop: bool
 
     def to_lines(self) -> list[str]:
-        lines = [f"base: {self.trace[0]}"]
-        for move, word in zip(self.script.moves, self.trace[1:]):
-            lines.append(f"{str(move):10s} -> {word}")
+        """The base, one `move -> word` line per move, and the verdict.
+
+        Each word's text is spliced from the one before by `trace_texts`,
+        whose cursor keeps `off`, the character offset of letter `at`,
+        valid from one text to the next; a line costs about its length."""
+        texts = trace_texts(self.script.moves, self.trace)
+        lines = [f"base: {next(texts)}"]
+        lines += [f"{move!s:10s} -> {text}" for move, text in zip(self.script.moves, texts)]
         lines.append(f"loop: {'true' if self.is_loop else 'false'}")
         return lines
+
+
+def trace_texts(moves: tuple[Move, ...], trace: tuple[BraidWord, ...]) -> Iterator[str]:
+    """Yield `str(word)` for each word of `trace`, where trace[j] is
+    trace[j-1] after moves[j-1].
+
+    Only the base is joined; each later text is the one before with the
+    move's 2 or 3 letter texts replaced, or for a shift its first letter
+    text moved to the end.  Invariant: `off` is the offset of letter
+    `at` in the text, the sum of len(text) + 1 over letters[:at].  The
+    cursor moves forward to each window and restarts at 0 after a shift
+    or a window left of it; a move leaves the letters left of its
+    window alone, so the cursor stays valid for the next text."""
+    text_of = _LETTER_TEXT.__getitem__
+    text = " ".join(map(text_of, trace[0].letters))
+    yield text
+    at = off = 0
+    for move, old, new in zip(moves, trace, trace[1:]):
+        old, new = old.letters, new.letters
+        if move.kind == "shift":
+            if len(old) > 1:
+                head = text_of(old[0])
+                text = f"{text[len(head) + 1 :]} {head}"
+            at = off = 0
+        else:
+            p = move.pos - 1
+            if p < at:
+                at = off = 0
+            off += sum(map(len, map(text_of, old[at:p]))) + p - at
+            at = p
+            end = p + (2 if move.kind == "comm" else 3)
+            width = len(" ".join(map(text_of, old[p:end])))
+            window = " ".join(map(text_of, new[p:end]))
+            text = f"{text[:off]}{window}{text[off + width :]}"
+        yield text
 
 
 def _moved(word: BraidWord, letters: tuple[int, ...]) -> BraidWord:

@@ -29,6 +29,7 @@ from .braids import (
     ScriptSyntaxError,
     builtin_script,
     parse_script,
+    trace_texts,
     verify_loop,
 )
 from .fields import Field, PrimeField, QQ, default_prime, format_scalar
@@ -106,15 +107,18 @@ def _cmd_verify_loop(args) -> int:
     if args.script is not None:
         if args.base is None or args.strands is None:
             raise UsageError("--script needs --base and --strands")
+        if args.k is not None:
+            raise UsageError("--k applies only to --builtin delta_power")
         base = _parse_base(args.base, args.strands)
         script = parse_script(_read_text(args.script), base, name=args.script)
     else:
+        if args.base is not None or args.strands is not None:
+            raise UsageError("--base and --strands apply only to --script")
         script = builtin_script(args.builtin, s=args.s, k_for_delta=args.k)
     try:
         report = verify_loop(script)
     except IllegalMove as exc:
-        for word in exc.trace:
-            print(word)
+        print("\n".join(trace_texts(script.moves, exc.trace)))
         print(f"illegal move: {exc}")
         return EXIT_VERIFICATION
     print("\n".join(report.to_lines()))

@@ -140,21 +140,28 @@ def moved_letters(letters, move):
     return tuple(out)
 
 
-@pytest.mark.parametrize("strands", (3, 4, 12))
+@pytest.mark.parametrize("strands", (3, 4, 12, 102))
 @pytest.mark.parametrize("seed", range(8))
 def test_moves_match_checked_construction(strands, seed):
     # apply_move skips BraidWord's checks; each word it returns must be
-    # one the checked constructor accepts and builds equal.
+    # one the checked constructor accepts and builds equal.  The walk,
+    # replayed as a script, must render as a letter-by-letter join.
     rng = Random(seed)
     letters = []
     while len(letters) < 40:
         i = rng.randint(1, strands - 1)
         braid = i < strands - 1 and rng.random() < 0.4
         letters += [i, i + 1, i] if braid else [i]
-    word = BraidWord(strands, tuple(letters))
+    word = base = BraidWord(strands, tuple(letters))
+    words, moves = [base], []
     kinds = Counter()
     for _ in range(300):
-        move = rng.choice(legal_moves(word.letters))
+        # Kind first, then position, so that on many strands the rare
+        # r3d windows are not drowned out by commuting pairs.
+        by_kind = {}
+        for m in legal_moves(word.letters):
+            by_kind.setdefault(m.kind, []).append(m)
+        move = rng.choice(by_kind[rng.choice(sorted(by_kind))])
         moved = apply_move(word, move)
         checked = BraidWord(moved.strands, moved.letters)
         assert moved == checked and hash(moved) == hash(checked)
@@ -163,8 +170,17 @@ def test_moves_match_checked_construction(strands, seed):
         assert str(moved) == " ".join(map(str, moved.letters))
         kinds[move.kind] += 1
         word = moved
+        words.append(word)
+        moves.append(move)
     # Three strands have no commuting letters.
     assert set(kinds) == {"shift", "r3a", "r3d"} | ({"comm"} if strands > 3 else set())
+    report = verify_loop(MoveScript(base, tuple(moves)))
+    texts = [" ".join(map(str, w.letters)) for w in words]
+    assert report.to_lines() == (
+        [f"base: {texts[0]}"]
+        + [f"{str(m):10s} -> {t}" for m, t in zip(moves, texts[1:])]
+        + [f"loop: {'true' if word == base else 'false'}"]
+    )
 
 
 def test_letter_multiset_changes():

@@ -135,22 +135,36 @@ def test_verify_loop_stdout_matches_naive_renderer(capsys, name, s):
 
 
 @pytest.mark.parametrize(
-    "moves,expected_code",
+    "base,moves,expected_code",
     [
-        ("r3a 1\ncomm 4\nr3d 1\ncomm 4\nshift\n", 1),  # an open path
-        ("r3a 1\nr3d 1\n", 0),  # a loop
-        ("r3a 1\ncomm 2\n", 1),  # IllegalMove: (11, 10) do not commute
+        pytest.param("10,11,10,1,11,3", moves, code, id=f"{moves}-{code}")
+        for moves, code in [
+            ("r3a 1\ncomm 4\nr3d 1\ncomm 4\nshift\n", 1),  # an open path
+            ("r3a 1\nr3d 1\n", 0),  # a loop
+            ("r3a 1\ncomm 2\n", 1),  # IllegalMove: (11, 10) do not commute
+        ]
+    ]
+    + [
+        # (9, 10, 9) <-> (10, 9, 10) widens and narrows the window text;
+        # the comm windows after it lie right of it, then left of it.
+        pytest.param("1,9,10,9,3,11", "r3a 2\ncomm 5\nr3d 2\ncomm 1\ncomm 1\ncomm 5\n",
+                     0, id="window-width-changes"),
+        pytest.param("11,3,10,1", "shift\ncomm 3\nshift\nr3a 1\n", 1,
+                     id="shift-two-digit-head"),
+        pytest.param("", "shift\n", 0, id="shift-empty-base"),
+        pytest.param("10", "shift\nshift\n", 0, id="shift-one-letter-base"),
     ],
 )
-def test_verify_loop_script_stdout_matches_naive_renderer(tmp_path, capsys, moves, expected_code):
+def test_verify_loop_script_stdout_matches_naive_renderer(
+        tmp_path, capsys, base, moves, expected_code):
     # Twelve strands, so the letters run to two digits.
-    base = "10,11,10,1,11,3"
     path = tmp_path / "twelve.moves"
     path.write_text(moves)
     code, out, _ = run(capsys, "verify-loop", "--script", str(path),
                        "--base", base, "--strands", "12")
     assert code == expected_code
-    script = parse_script(moves, BraidWord(12, tuple(int(x) for x in base.split(","))))
+    letters = tuple(int(x) for x in base.replace(",", " ").split())
+    script = parse_script(moves, BraidWord(12, letters))
     assert out == naive_verify_loop_stdout(script)
 
 
@@ -174,9 +188,15 @@ def test_verify_loop_syntax_error(tmp_path, capsys):
         ("verify-loop", "--script", "{tmp}/missing.moves", "--base", "1,2",
          "--strands", "3"),
         ("verify-loop", "--script", "{tmp}", "--base", "1,2", "--strands", "3"),
+        # Flags that do not apply to the chosen source.
+        ("verify-loop", "--builtin", "sigma1", "--base", "1,2", "--strands", "3"),
+        ("verify-loop", "--builtin", "sigma1", "--strands", "3"),
+        ("verify-loop", "--script", "{tmp}/f.moves", "--base", "1", "--strands", "3",
+         "--k", "7"),
     ],
 )
 def test_verify_loop_usage_errors(tmp_path, capsys, argv):
+    (tmp_path / "f.moves").write_text("shift\n")
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2 and out == ""
     assert err

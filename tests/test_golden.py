@@ -96,6 +96,18 @@ USAGE_GOLDEN = {
     ("verify-loop", "--builtin", "xi3", "--s", "80"): (
         0, "6eb9cbc4ffe93987950b1f2fadeabd7a72355f477fcba687ccce3b5cc21262fa",
         EMPTY),
+    ("verify-loop", "--builtin", "sigma1", "--s", "80"): (
+        0, "8f538c303fbe3d2c7ce1dca9d887f0ff4bbea118d126616d91f0c7ef8bed924b",
+        EMPTY),
+    ("verify-loop", "--builtin", "xi1", "--s", "80"): (
+        0, "ac0c104afc5df7156dfabb826006469fc5b5024a2e453fc58711fdcd570eccde",
+        EMPTY),
+    ("verify-loop", "--builtin", "xi2", "--s", "80"): (
+        0, "3ea138d02b0bbcc8a86278855524cbfbf085c734b993690e3a3de11242a6d155",
+        EMPTY),
+    ("verify-loop", "--builtin", "delta_power", "--s", "80"): (
+        0, "2e97680bc2744957d709ce2561c2399894c4d094858b99e5750b809d0cd4d9e3",
+        EMPTY),
 }
 
 
