@@ -295,14 +295,6 @@ def parse_script(text: str, base: BraidWord, name: str | None = None) -> MoveScr
     return MoveScript(base, tuple(moves), name)
 
 
-def append_generator(word: BraidWord, i: int) -> BraidWord:
-    """Append the generator with index i (the braid-word shadow of a
-    cobordism that adds one crossing)."""
-    if not 1 <= i <= word.strands - 1:
-        raise ValueError(f"generator index {i} out of range 1..{word.strands - 1}")
-    return BraidWord(word.strands, word.letters + (i,))
-
-
 BUILTIN_NAMES = ("sigma1", "xi1", "xi2", "xi3", "delta_power")
 
 # Per-window move sequences, positions relative to a 12-letter window of

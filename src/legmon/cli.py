@@ -12,7 +12,8 @@ given to `act` that fails validity, and a degeneracy inside a report).
 All output is deterministic given the flags; reports carry no
 timestamps.  The environment variable LEGMON_PRIME overrides the
 default prime modulus.  Each call builds the parser of the invoked
-subcommand only; help and errors without one build all of them.
+subcommand only; help and errors without one build all of them.  Only
+the reports `relations`, `faithful` and `xi-report` import `explorer`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import json
 import sys
 
-from . import explorer
 from .braids import (
     BraidWord,
     IllegalMove,
@@ -59,9 +59,11 @@ class UsageError(ValueError):
 
 
 def _resolve_field(args) -> Field:
-    if getattr(args, "field", "fp") == "q":
-        return QQ
     prime = getattr(args, "prime", None)
+    if getattr(args, "field", "fp") == "q":
+        if prime is not None:
+            raise UsageError("--prime applies only to --field fp")
+        return QQ
     return PrimeField(prime if prime is not None else default_prime())
 
 
@@ -109,12 +111,15 @@ def _cmd_verify_loop(args) -> int:
             raise UsageError("--script needs --base and --strands")
         if args.k is not None:
             raise UsageError("--k applies only to --builtin delta_power")
+        if args.s is not None:
+            raise UsageError("--s applies only to --builtin")
         base = _parse_base(args.base, args.strands)
         script = parse_script(_read_text(args.script), base, name=args.script)
     else:
         if args.base is not None or args.strands is not None:
             raise UsageError("--base and --strands apply only to --script")
-        script = builtin_script(args.builtin, s=args.s, k_for_delta=args.k)
+        script = builtin_script(args.builtin, s=1 if args.s is None else args.s,
+                               k_for_delta=args.k)
     try:
         report = verify_loop(script)
     except IllegalMove as exc:
@@ -173,6 +178,7 @@ def _cmd_flags(args) -> int:
 
 
 def _cmd_relations(args) -> int:
+    from . import explorer
     report = explorer.verify_relations(
         n_points=args.points,
         seed=args.seed,
@@ -184,6 +190,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_faithful(args) -> int:
+    from . import explorer
     report = explorer.faithfulness_sweep(
         max_syllables=args.max_syllables,
         probe_budget=args.probe_budget,
@@ -197,6 +204,7 @@ def _cmd_faithful(args) -> int:
 
 
 def _cmd_xi_report(args) -> int:
+    from . import explorer
     report = explorer.xi_pluecker_report(
         n_points=args.points, seed=args.seed, field=_resolve_field(args)
     )
@@ -217,7 +225,7 @@ def _verify_loop_args(sub):
     sub.add_argument("--base", help="base word letters for --script, e.g. '1,2,1,2'")
     sub.add_argument("--strands", type=int, help="strand count for --script")
     sub.add_argument("--builtin", choices=("sigma1", "xi1", "xi2", "xi3", "delta_power"))
-    sub.add_argument("--s", type=int, default=1, help="window parameter (default 1)")
+    sub.add_argument("--s", type=int, default=None, help="window parameter (default 1)")
     sub.add_argument("--k", type=int, default=None, help="k for delta_power")
     sub.set_defaults(func=_cmd_verify_loop)
 

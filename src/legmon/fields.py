@@ -199,7 +199,6 @@ class RationalField:
     """The field of rational numbers."""
 
     kind = "q"
-    characteristic = 0
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -248,10 +247,6 @@ class PrimeField:
             )
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
 
     def zero(self) -> ModP:
         return ModP(0, self.p)

@@ -35,7 +35,7 @@ from .linalg import (
     _det_closed,
     _modulus,
 )
-from .moduli import Family, ModuliPoint, T36, T44
+from .moduli import ModuliPoint, T36, T44
 
 
 class DegenerateIntersection(DegeneracyError):
@@ -160,9 +160,17 @@ def act_xi(p: ModuliPoint, i: int) -> ModuliPoint:
     return ModuliPoint(p.family, p.field, cols)
 
 
-_TOKEN_FAMILY = {
-    "A": T36, "A2": T36, "B": T36, "S1": T36,
-    "X1": T44, "X2": T44, "X3": T44,
+# Generator token -> (family it applies to, its point map).  The maps call
+# act_shift/act_sigma1/act_xi through module globals, so patching one reaches
+# them.  SH(j), for either family, is matched by `_SHIFT_RE` on a miss.
+_TOKENS = {
+    "A": (T36, lambda p: act_shift(p, 1)),
+    "A2": (T36, lambda p: act_shift(p, 2)),
+    "B": (T36, lambda p: act_sigma1(act_shift(p, 1))),
+    "S1": (T36, lambda p: act_sigma1(p)),
+    "X1": (T44, lambda p: act_xi(p, 1)),
+    "X2": (T44, lambda p: act_xi(p, 2)),
+    "X3": (T44, lambda p: act_xi(p, 3)),
 }
 _SHIFT_RE = re.compile(r"^SH\((-?\d+)\)$")
 
@@ -170,19 +178,23 @@ _SHIFT_RE = re.compile(r"^SH\((-?\d+)\)$")
 GroupWord = tuple[str, ...]
 
 
+def _token(tok: str):
+    """(family, map) of a token; the family is None for SH(j)."""
+    if tok in _TOKENS:
+        return _TOKENS[tok]
+    m = _SHIFT_RE.match(tok)
+    if m is None:
+        raise ValueError(f"unknown generator token {tok!r}")
+    j = int(m.group(1))
+    return None, lambda p: act_shift(p, j)
+
+
 def parse_group_word(text: str) -> GroupWord:
-    """Parse whitespace-separated tokens A, A2, B, S1, SH(j), X1, X2, X3."""
+    """Parse whitespace-separated tokens: the keys of `_TOKENS` or SH(j)."""
     tokens = tuple(text.split())
     for tok in tokens:
-        if tok not in _TOKEN_FAMILY and not _SHIFT_RE.match(tok):
-            raise ValueError(f"unknown generator token {tok!r}")
+        _token(tok)
     return tokens
-
-
-def _check_token_family(tok: str, family: Family):
-    wanted = _TOKEN_FAMILY.get(tok)
-    if wanted is not None and family is not wanted:
-        raise ValueError(f"token {tok} applies to {wanted.name}, point is {family.name}")
 
 
 def act_word(p: ModuliPoint, word) -> ModuliPoint:
@@ -193,31 +205,12 @@ def act_word(p: ModuliPoint, word) -> ModuliPoint:
     if isinstance(word, str):
         word = parse_group_word(word)
     for pos, tok in enumerate(word, start=1):
-        _check_token_family(tok, p.family)
+        family, act = _token(tok)
+        if family is not None and p.family is not family:
+            raise ValueError(f"token {tok} applies to {family.name}, point is {p.family.name}")
         try:
-            p = _apply_token(p, tok)
+            p = act(p)
         except DegeneracyError as exc:
             exc.args = (f"token {pos} ({tok}): {exc}",)
             raise
     return p
-
-
-def _apply_token(p: ModuliPoint, tok: str) -> ModuliPoint:
-    if tok == "A":
-        return act_shift(p, 1)
-    if tok == "A2":
-        return act_shift(p, 2)
-    if tok == "B":
-        return act_sigma1(act_shift(p, 1))
-    if tok == "S1":
-        return act_sigma1(p)
-    if tok == "X1":
-        return act_xi(p, 1)
-    if tok == "X2":
-        return act_xi(p, 2)
-    if tok == "X3":
-        return act_xi(p, 3)
-    m = _SHIFT_RE.match(tok)
-    if m:
-        return act_shift(p, int(m.group(1)))
-    raise ValueError(f"unknown generator token {tok!r}")

@@ -13,7 +13,6 @@ from legmon.braids import (
     Move,
     MoveScript,
     ScriptSyntaxError,
-    append_generator,
     apply_move,
     builtin_script,
     parse_script,
@@ -290,12 +289,3 @@ def test_builtin_validation():
     with pytest.raises(ValueError):
         builtin_script("xi1", s=1, k_for_delta=4)
     assert set(BUILTIN_NAMES) == {"sigma1", "xi1", "xi2", "xi3", "delta_power"}
-
-
-def test_append_generator():
-    base = w(3, *(1, 2) * 9)
-    assert append_generator(base, 1).letters == base.letters + (1,)
-    grown = append_generator(append_generator(base, 1), 2)
-    assert grown == w(3, *(1, 2) * 10)
-    with pytest.raises(ValueError):
-        append_generator(w(3, 1), 3)

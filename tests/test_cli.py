@@ -193,6 +193,8 @@ def test_verify_loop_syntax_error(tmp_path, capsys):
         ("verify-loop", "--builtin", "sigma1", "--strands", "3"),
         ("verify-loop", "--script", "{tmp}/f.moves", "--base", "1", "--strands", "3",
          "--k", "7"),
+        ("verify-loop", "--script", "{tmp}/f.moves", "--base", "1", "--strands", "3",
+         "--s", "5"),
     ],
 )
 def test_verify_loop_usage_errors(tmp_path, capsys, argv):
@@ -259,6 +261,20 @@ def test_bad_legmon_prime_is_usage_error(monkeypatch, capsys, raw, fragment):
     code, out, err = run(capsys, "random-point", "--family", "T36", "--seed", "1")
     assert code == 2 and out == ""
     assert f"LEGMON_PRIME='{raw}'" in err and fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("random-point", "--family", "T36", "--seed", "1", "--field", "q",
+         "--prime", "7"),
+        ("relations", "--points", "1", "--field", "q", "--prime", "7"),
+    ],
+)
+def test_prime_with_rational_field_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--prime" in err
 
 
 def test_random_point_deterministic(tmp_path, capsys):
@@ -545,6 +561,22 @@ def test_module_entry_point_subcommand_help():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.startswith("usage: legmon flags [-h] [--point POINT]")
+
+
+def test_imports_load_only_what_they_need():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys\n"
+        "import legmon\n"
+        "print(sorted(m for m in sys.modules if m.startswith('legmon.')))\n"
+        "import legmon.cli\n"
+        "print('legmon.explorer' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "[]\nFalse\n"
 
 
 JSON_VALUES = st.recursive(

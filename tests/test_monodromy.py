@@ -289,6 +289,9 @@ def test_act_word_parsing_and_composition():
     with pytest.raises(ValueError):
         parse_group_word("SH(x)")
     p = random_point(T36, FP, 3)
+    # A tuple word skips parse_group_word; the token table refuses C itself.
+    with pytest.raises(ValueError, match="unknown generator token 'C'"):
+        act_word(p, ("A", "C"))
     assert act_word(p, "") == p
     assert act_word(p, "A A") == act_word(p, ("A2",))
     assert act_word(p, "SH(9)") == p
