@@ -117,9 +117,6 @@ class MoveScript:
     moves: tuple[Move, ...]
     name: str | None = None
 
-    def to_text(self) -> str:
-        return "".join(f"{m}\n" for m in self.moves)
-
 
 @dataclass(frozen=True)
 class LoopReport:

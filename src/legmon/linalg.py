@@ -4,11 +4,12 @@ Matrices and subspaces over a single exact field: determinants up to
 4×4, which the loop maps compute their replacement vectors from (a
 ratio of two k×k determinants, k ≤ 4), and the subspace operations
 `Subspace.span`/`contains`, `wedge`, `intersect` and `wedge_normalize`.
-`flags_from_point` and `validate_bott_samelson` build and check their
-flags from spans.  `intersect` and `wedge_normalize` compute the
-replacement vector the long way, as the intersection line of two spans
-scaled so that v1 ∧ v2 = v2 ∧ u in Λ²V; no `src/` path calls them, and
-the tests use them as the reference oracle for the determinant formula.
+`wedge` has one `src/` caller, `explorer.xi_structural_ok`, which passes
+it cleared ints.  No `src/` path calls `Subspace`, `intersect` or
+`wedge_normalize`: the tests use them as the reference oracles for the
+replacement-vector formula, the xi structural check and the flag
+chain's column windows, and they stay here only because the
+benchmark's `bench/layers.py` `TRACED` table names them.
 
 Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their

@@ -9,9 +9,9 @@ Two families are supported:
 
 Genericity ("validity") asks that every cyclically consecutive k×k
 minor is nonzero; on a valid point every loop action of the family is
-defined.  `flags_from_point` rebuilds the chain of complete
-flags along the base braid word and `validate_bott_samelson` checks the
-cyclic adjacency conditions that characterize the open cell.
+defined.  `flags_from_point` rebuilds the chain of complete flags along
+the base braid word as column windows, and `validate_bott_samelson`
+checks the cyclic adjacency conditions of the open cell on their starts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .fields import (
     field_to_json,
     format_scalar,
 )
-from .linalg import Matrix, Subspace, determinant
+from .linalg import Matrix, determinant
 
 
 class InvalidPoint(ValueError):
@@ -236,10 +236,13 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
 
 @dataclass(frozen=True)
 class FlagTuple:
-    """l(β) complete flags; flag m holds the subspaces of dims 1..k-1."""
+    """l(β) complete flags of F^k as column windows: flag m holds, for
+    each level d = 1..k-1, the start j (0-based, mod N = `n_columns`) of
+    the window v_{j+1}..v_{j+d} that spans its d-dimensional subspace."""
 
     ambient: int
-    flags: tuple[tuple[Subspace, ...], ...]
+    n_columns: int
+    flags: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.flags)
@@ -248,27 +251,20 @@ class FlagTuple:
 def flags_from_point(p: ModuliPoint) -> FlagTuple:
     """Rebuild the flag chain along the family's base braid word.
 
-    Flag m (1-based, m = 1..(k-1)N) has level-d subspace spanned by the
-    d consecutive columns starting at v_j with j = floor((m-d)/(k-1))+1,
-    indices cyclic.  For k = 3 this is the scheme V(1)_{2j-1} = V(1)_{2j}
-    = <v_j>, V(2)_{2j} = V(2)_{2j+1} = <v_j, v_{j+1}>; level d changes
-    exactly at the crossings of σ_d in the base word.
-
-    Each level has N distinct spans, one per j mod N; each is computed
-    once and the flags share the `Subspace` objects.
+    Flag m (1-based, m = 1..(k-1)N) has its level-d subspace spanned by
+    the d consecutive columns starting at v_{j+1} with window start
+    j = (m-d) // (k-1) mod N.  For k = 3 this is the scheme
+    V(1)_{2i-1} = V(1)_{2i} = <v_i>, V(2)_{2i} = V(2)_{2i+1} = <v_i, v_{i+1}>;
+    level d moves one column on exactly at the crossings of σ_d in the
+    base word.
 
     Raises:
         InvalidPoint: if some cyclic consecutive minor vanishes.
     """
     require_valid(p)
-    fam = p.family
-    k, n = fam.k, fam.n_columns
-    spans = [
-        [Subspace.span([p.col(j + t) for t in range(d)], k, p.field) for j in range(1, n + 1)]
-        for d in range(1, k)
-    ]
-    return FlagTuple(k, tuple(
-        tuple(spans[d - 1][(m - d) // (k - 1) % n] for d in range(1, k))
+    k, n = p.family.k, p.family.n_columns
+    return FlagTuple(k, n, tuple(
+        tuple((m - d) // (k - 1) % n for d in range(1, k))
         for m in range(1, (k - 1) * n + 1)
     ))
 
@@ -276,14 +272,20 @@ def flags_from_point(p: ModuliPoint) -> FlagTuple:
 def validate_bott_samelson(f: FlagTuple, w) -> bool:
     """Check the open-cell conditions of the flag chain against a word.
 
-    True iff every flag is a full chain of nested subspaces of dims
-    1..k-1, and each cyclically adjacent pair (m, m+1) differs in its
-    i_{m+1}-dimensional subspace and only there (pair (l, 1) reads the
-    first letter).  Differing at the prescribed level keeps adjacent
-    flags off the fat diagonal.
+    True iff every flag has k-1 levels, each window inside the next
+    level's (start of level d minus start of level d+1 is 0 or 1 mod N),
+    and each cyclically adjacent pair (m, m+1) moves level i_{m+1} by one
+    column, either way, and keeps every other level (pair (l, 1) reads
+    the first letter), which keeps adjacent flags off the fat diagonal.
+    Deciding on the starts is exact for the chain of a valid point: each
+    union of windows compared is at most k cyclically consecutive
+    columns, independent by the nonzero cyclic k-minor containing them,
+    so windows span spaces of their own size and equal starts mean equal
+    spans.  Any other level change, which only a hand-built `FlagTuple`
+    can have, is rejected.
 
     Raises:
-        ValueError: if len(f) != len(w).
+        ValueError: if len(f) != len(w) or w.strands != f.ambient.
     """
     letters = w.letters
     length = len(letters)
@@ -291,21 +293,19 @@ def validate_bott_samelson(f: FlagTuple, w) -> bool:
         raise ValueError(
             f"length mismatch: {len(f.flags)} flags vs word of length {length}"
         )
-    k = f.ambient
+    k, n = f.ambient, f.n_columns
+    if w.strands != k:
+        raise ValueError(f"strand mismatch: flags in F^{k} vs word on {w.strands} strands")
     for flag in f.flags:
         if len(flag) != k - 1:
             return False
-        if any(flag[d].dim != d + 1 for d in range(k - 1)):
-            return False
-        if any(not flag[d + 1].contains_subspace(flag[d]) for d in range(k - 2)):
+        if any((flag[d] - flag[d + 1]) % n > 1 for d in range(k - 2)):
             return False
     for m in range(length):
         here, there = f.flags[m], f.flags[(m + 1) % length]
         level = letters[(m + 1) % length]  # i_{m+1}, cyclically
         for d in range(1, k):
-            if d == level:
-                if here[d - 1] == there[d - 1]:
-                    return False
-            elif here[d - 1] != there[d - 1]:
+            moved = (there[d - 1] - here[d - 1]) % n
+            if moved not in ((1, n - 1) if d == level else (0,)):
                 return False
     return True

@@ -120,11 +120,12 @@ def test_criterion_5_single_shift_nontrivial():
 
 def test_criterion_6_bott_samelson_round_trip():
     t0 = time.monotonic()
-    word = T36.base_word()
-    for seed in range(1000):
-        p = random_point(T36, FP, seed)
-        assert validate_bott_samelson(flags_from_point(p), word)
-    _report(6, "flag round-trip on 1000 seeds", t0, 10.0)
+    for family in (T36, T44):
+        word = family.base_word()
+        for seed in range(1000):
+            p = random_point(family, FP, seed)
+            assert validate_bott_samelson(flags_from_point(p), word)
+    _report(6, "flag round-trip on 1000 seeds per family (T36, T44)", t0, 10.0)
 
 
 def _random_vector(field, rng, k):

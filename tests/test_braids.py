@@ -18,6 +18,7 @@ from legmon.braids import (
     parse_script,
     verify_loop,
 )
+from oracles import script_text
 
 
 def w(strands, *letters):
@@ -228,7 +229,7 @@ def test_parse_script_errors(text, fragment):
 
 def test_script_text_round_trip():
     script = builtin_script("xi2", s=2)
-    again = parse_script(script.to_text(), script.base)
+    again = parse_script(script_text(script), script.base)
     assert again.moves == script.moves
 
 

@@ -26,6 +26,7 @@ from legmon.braids import (
 )
 from legmon.cli import main
 from legmon.fields import DEFAULT_PRIME, PrimeField, QQ
+from legmon.linalg import Subspace
 from legmon.moduli import (
     ModuliPoint,
     T36,
@@ -390,6 +391,23 @@ def test_flags_validates_once(tmp_path, monkeypatch, capsys):
                             lambda p: calls.append(p) or validate(p), raising=False)
     code, _, _ = run(capsys, "flags", "--point", str(p_file))
     assert code == 0 and len(calls) == 1
+
+
+def test_flags_forms_no_subspace(tmp_path, monkeypatch, capsys):
+    calls = []
+    span, contains = Subspace.span.__func__, Subspace.contains
+    monkeypatch.setattr(Subspace, "span", classmethod(
+        lambda cls, *a: calls.append("span") or span(cls, *a)))
+    monkeypatch.setattr(Subspace, "contains",
+                        lambda self, v: calls.append("contains") or contains(self, v))
+    for family in (T36, T44):
+        p_file = tmp_path / f"{family.name}.json"
+        p_file.write_text(point_dumps(random_point(family, QQ, 6)))
+        code, _, _ = run(capsys, "flags", "--point", str(p_file))
+        assert code == 0 and calls == []
+    # The counters see a direct call, so the empty list above is no accident.
+    assert Subspace.span([(QQ.one(),)], 1, QQ).contains((QQ.one(),))
+    assert calls == ["span", "contains"]
 
 
 def test_flags_valid_and_invalid(tmp_path, capsys):

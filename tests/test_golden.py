@@ -41,6 +41,25 @@ def test_cli_stdout_digest(argv, capsys, monkeypatch):
     assert (code, _digest(out)) == GOLDEN[argv]
 
 
+# `flags` on a sampled point of each family, as (exit code, stdout digest).
+FLAGS_GOLDEN = {
+    ("T36", "1"): (
+        0, "c029f5d95f8add7fdd8f8e8f191b2e051747e116f60c4e9194dbe692497365ec"),
+    ("T44", "2"): (
+        0, "8cc9116be437afd837a75dd9cd64dd035f89a508518774480caa8448e94c091b"),
+}
+
+
+@pytest.mark.parametrize("family, seed", list(FLAGS_GOLDEN), ids="-".join)
+def test_flags_stdout_digest(family, seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LEGMON_PRIME", raising=False)
+    point = tmp_path / "p.json"
+    assert main(["random-point", "--family", family, "--seed", seed, "--out", str(point)]) == 0
+    capsys.readouterr()
+    code = main(["flags", "--point", str(point)])
+    assert (code, _digest(capsys.readouterr().out)) == FLAGS_GOLDEN[family, seed]
+
+
 # Help, usage errors and one full report, as (exit or SystemExit code,
 # stdout digest, stderr digest) with help wrapped to 80 columns.
 EMPTY = _digest("")

@@ -1,12 +1,14 @@
 """Moduli points: validity, Plücker minors, serialization, flags."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
 import sympy
 
+from legmon.braids import BraidWord
 from legmon.fields import DEFAULT_PRIME, QQ, PrimeField, format_scalar
 from legmon.linalg import Subspace
 from legmon.moduli import (
@@ -27,6 +29,7 @@ from legmon.moduli import (
     validate_bott_samelson,
     validate_point,
 )
+from oracles import SpanFlagTuple, span_flags_from_point, span_validate_bott_samelson
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -245,16 +248,27 @@ def test_json_parse_errors():
             point_loads(json.dumps(data))
 
 
+def window_spans(flags, p):
+    """Each flag of a window chain as the `Subspace` spans of its windows."""
+    k = flags.ambient
+    return tuple(
+        tuple(Subspace.span([p.col(j + 1 + t) for t in range(d)], k, p.field)
+              for d, j in enumerate(flag, start=1))
+        for flag in flags.flags
+    )
+
+
 def test_flags_structure_on_sample_point():
-    flags = flags_from_point(sample_point())
+    p = sample_point()
+    flags = flags_from_point(p)
     assert isinstance(flags, FlagTuple)
-    assert len(flags) == 18 and flags.ambient == 3
-    line, plane = flags.flags[1]  # flag 2: first full window at v1
-    assert line == Subspace.span([E1], 3, QQ)
-    assert plane == Subspace.span([E1, E2], 3, QQ)
-    # flag 1 wraps cyclically: its 2-plane is <v9, v1>
-    assert flags.flags[0][0] == Subspace.span([E1], 3, QQ)
-    assert flags.flags[0][1] == Subspace.span([qvec(1, 0, 1), E1], 3, QQ)
+    assert len(flags) == 18 and flags.ambient == 3 and flags.n_columns == 9
+    assert flags.flags[1] == (0, 0)  # flag 2: first full window at v1
+    assert flags.flags[0] == (0, 8)  # flag 1 wraps cyclically: its 2-plane is <v9, v1>
+    spans = window_spans(flags, p)
+    assert spans == span_flags_from_point(p).flags
+    assert spans[1] == (Subspace.span([E1], 3, QQ), Subspace.span([E1, E2], 3, QQ))
+    assert spans[0] == (Subspace.span([E1], 3, QQ), Subspace.span([qvec(1, 0, 1), E1], 3, QQ))
     assert validate_bott_samelson(flags, T36.base_word())
 
 
@@ -265,39 +279,89 @@ def test_flags_round_trip_random():
             assert validate_bott_samelson(flags_from_point(p), family.base_word())
 
 
-def fresh_span_flags(p):
-    """The flag chain with one fresh `Subspace.span` per flag and level."""
-    k, n = p.family.k, p.family.n_columns
-    return tuple(
-        tuple(
-            Subspace.span([p.col((m - d) // (k - 1) + 1 + t) for t in range(d)], k, p.field)
-            for d in range(1, k)
-        )
-        for m in range(1, (k - 1) * n + 1)
-    )
-
-
 @pytest.mark.parametrize("field", [PrimeField(3), FP], ids=str)
 @pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
 def test_flags_match_fresh_span_chain(family, field):
     for seed in range(50):
         p = random_point(family, field, seed)
         flags = flags_from_point(p)
-        assert flags.ambient == family.k
-        assert flags.flags == fresh_span_flags(p)
-        # One shared Subspace per level and j mod N.
-        assert len({id(s) for flag in flags.flags for s in flag}) == (family.k - 1) * family.n_columns
+        assert (flags.ambient, flags.n_columns) == (family.k, family.n_columns)
+        assert window_spans(flags, p) == span_flags_from_point(p).flags
+
+
+def chain_variants(chain):
+    """The chain, its reversal, and for every m the swap of flags m and
+    m+1, flag m replaced by a copy of flag m-1, and the rotation by m
+    (indices cyclic)."""
+    yield chain
+    yield chain[::-1]
+    for m in range(len(chain)):
+        swapped = list(chain)
+        nxt = (m + 1) % len(chain)
+        swapped[m], swapped[nxt] = chain[nxt], chain[m]
+        yield tuple(swapped)
+        yield chain[:m] + (chain[m - 1],) + chain[m + 1:]
+        yield chain[m:] + chain[:m]
+
+
+def nudged_chains(flags):
+    """Window chains with one level moved by one column, in one flag or
+    in every flag (which keeps each adjacent step and breaks nesting)."""
+    n = flags.n_columns
+
+    def nudge(flag, d, step):
+        return flag[:d] + ((flag[d] + step) % n,) + flag[d + 1:]
+
+    for d in range(flags.ambient - 1):
+        for step in (1, -1):
+            yield replace(flags, flags=tuple(nudge(flag, d, step) for flag in flags.flags))
+            for m, flag in enumerate(flags.flags):
+                moved = flags.flags[:m] + (nudge(flag, d, step),) + flags.flags[m + 1:]
+                yield replace(flags, flags=moved)
+
+
+@pytest.mark.parametrize("field", [FP, PrimeField(3), PrimeField(5), QQ], ids=str)
+@pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
+def test_window_validator_matches_span_oracle(family, field):
+    """The window validator and the `Subspace` validator agree on valid
+    chains, every adjacent swap, every duplicated flag, every rotation
+    and the reversal, against each rotation of the base word, and on
+    every one-column level nudge, in one flag or in all, against the
+    base word."""
+    k, letters = family.k, family.base_letters
+    words = [BraidWord(k, letters[r:] + letters[:r]) for r in range(k - 1)]
+    verdicts = set()
+
+    def check(f, oracle, word):
+        verdict = validate_bott_samelson(f, word)
+        assert verdict == span_validate_bott_samelson(oracle, word)
+        verdicts.add(verdict)
+
+    for seed in range(2):
+        p = random_point(family, field, seed)
+        flags, spans = flags_from_point(p), span_flags_from_point(p)
+        for chain, span_chain in zip(chain_variants(flags.flags), chain_variants(spans.flags)):
+            for word in words:
+                check(replace(flags, flags=chain), SpanFlagTuple(k, span_chain), word)
+        span_of = {(d, j): span for flag, span_flag in zip(flags.flags, spans.flags)
+                   for d, (j, span) in enumerate(zip(flag, span_flag), start=1)}
+        for f in nudged_chains(flags):
+            oracle = tuple(tuple(span_of[d, j] for d, j in enumerate(flag, start=1))
+                           for flag in f.flags)
+            check(f, SpanFlagTuple(k, oracle), words[0])
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
 def test_bott_samelson_rejects_swapped_adjacent_flags(family):
     for seed in range(3):
-        chain = flags_from_point(random_point(family, FP, seed)).flags
+        flags = flags_from_point(random_point(family, FP, seed))
+        chain = flags.flags
         for m in range(len(chain)):
             swapped = list(chain)
             nxt = (m + 1) % len(chain)
             swapped[m], swapped[nxt] = chain[nxt], chain[m]
-            assert not validate_bott_samelson(FlagTuple(family.k, tuple(swapped)), family.base_word())
+            assert not validate_bott_samelson(replace(flags, flags=tuple(swapped)), family.base_word())
 
 
 def test_flags_invalid_point():
@@ -309,7 +373,7 @@ def test_flags_invalid_point():
 
 def test_bott_samelson_rejects_fat_diagonal():
     flags = flags_from_point(sample_point())
-    doctored = FlagTuple(3, (flags.flags[0],) + (flags.flags[0],) + flags.flags[2:])
+    doctored = replace(flags, flags=(flags.flags[0],) * 2 + flags.flags[2:])
     assert not validate_bott_samelson(doctored, T36.base_word())
 
 
@@ -317,14 +381,36 @@ def test_bott_samelson_rejects_wrong_level():
     # Rotating the chain misaligns every step with the base word, so a
     # sigma1-step appears to change the 2-plane instead of the line.
     flags = flags_from_point(sample_point())
-    rotated = FlagTuple(3, flags.flags[1:] + flags.flags[:1])
+    rotated = replace(flags, flags=flags.flags[1:] + flags.flags[:1])
     assert not validate_bott_samelson(rotated, T36.base_word())
+
+
+def test_bott_samelson_rejects_wide_level_change():
+    # From flag 2 to flag 3 the word moves the line, and here it moves
+    # two columns on instead of one.
+    flags = flags_from_point(sample_point())
+    assert flags.flags[1:3] == ((0, 0), (1, 0))
+    doctored = replace(flags, flags=flags.flags[:2] + ((2, 0),) + flags.flags[3:])
+    assert not validate_bott_samelson(doctored, T36.base_word())
+    # With one level there is no nesting to catch it: lines two columns
+    # apart are rejected, one column apart (either way) accepted.
+    word = BraidWord(2, (1,) * 5)
+    assert not validate_bott_samelson(FlagTuple(2, 5, ((0,), (2,), (4,), (1,), (3,))), word)
+    assert validate_bott_samelson(FlagTuple(2, 5, ((0,), (1,), (2,), (3,), (4,))), word)
+    assert validate_bott_samelson(FlagTuple(2, 5, ((4,), (3,), (2,), (1,), (0,))), word)
 
 
 def test_bott_samelson_length_mismatch():
     flags = flags_from_point(sample_point())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length mismatch"):
         validate_bott_samelson(flags, T44.base_word())
+
+
+def test_bott_samelson_strand_mismatch():
+    # 18 letters on 4 strands against the 18 flags of F^3.
+    flags = flags_from_point(sample_point())
+    with pytest.raises(ValueError, match="strand mismatch"):
+        validate_bott_samelson(flags, BraidWord(4, (1, 2, 3) * 6))
 
 
 def rescale_column(p, i, c):
