@@ -12,15 +12,17 @@ of moves rewrite words:
 Positions are 1-based and moves never wrap around the end of the word;
 cyclic behaviour is reached only through explicit shifts.  A
 `MoveScript` replayed by `verify_loop` that returns to its base word
-letter-for-letter certifies a loop.  The built-in scripts transcribe the
-rewriting chains for the loops sigma1, xi1, xi2, xi3 and the power of
-the cyclic shift, one move per rewrite, window by window.
+letter-for-letter certifies a loop.  The replay rewrites one list of
+letters in place, together with an aligned list of their texts, and
+keeps only each word's text.  The built-in scripts, one row each of
+`_LOOPS`, transcribe the rewriting chains for the loops sigma1, xi1,
+xi2, xi3 and the power of the cyclic shift, one move per rewrite,
+window by window.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -28,11 +30,11 @@ class IllegalMove(Exception):
     """A move whose pattern does not match the word at its position."""
 
     def __init__(self, message: str, *, move: "Move | None" = None,
-                 step: int | None = None, trace: tuple = ()):
+                 step: int | None = None, trace: tuple[str, ...] = ()):
         super().__init__(message)
         self.move = move
         self.step = step
-        self.trace = trace
+        self.trace = trace  # the texts of the words before the step
 
 
 class ScriptSyntaxError(ValueError):
@@ -44,25 +46,14 @@ class ScriptSyntaxError(ValueError):
         self.column = column
 
 
-class _LetterText(dict):
-    """Decimal text of each int letter, computed on first use."""
-
-    def __missing__(self, x: int) -> str:
-        text = self[x] = str(x)
-        return text
-
-
-_LETTER_TEXT = _LetterText()
-
-
 @dataclass(frozen=True)
 class BraidWord:
     """A positive braid word: k strands, int letters in 1..k-1.
 
-    Direct construction checks at C speed the letter types, then the
-    range of the distinct letters (at most k-1 of them on a valid word);
-    the first offending letter is looked up only on the error path.
-    Moves do not re-check: `apply_move` builds its words unchecked.
+    Construction checks at C speed the letter types, then the range of
+    the distinct letters (at most k-1 of them on a valid word); the
+    first offending letter is looked up only on the error path.  Moves
+    act on a list of the letters, not on the word (see `apply_move`).
     """
 
     strands: int
@@ -85,7 +76,7 @@ class BraidWord:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return " ".join(map(_LETTER_TEXT.__getitem__, self.letters))
+        return " ".join(map(str, self.letters))
 
 
 @dataclass(frozen=True)
@@ -115,84 +106,35 @@ class MoveScript:
 
     base: BraidWord
     moves: tuple[Move, ...]
-    name: str | None = None
 
 
 @dataclass(frozen=True)
 class LoopReport:
-    """Replay result: the base, every intermediate word, and the verdict."""
+    """Replay result: the text of every word, and the verdict."""
 
     script: MoveScript
-    trace: tuple[BraidWord, ...]  # trace[0] is the base; one entry per move after
+    texts: tuple[str, ...]  # texts[0] is the base's; one entry per move after
     is_loop: bool
 
     def to_lines(self) -> list[str]:
-        """The base, one `move -> word` line per move, and the verdict.
-
-        Each word's text is spliced from the one before by `trace_texts`,
-        whose cursor keeps `off`, the character offset of letter `at`,
-        valid from one text to the next; a line costs about its length."""
-        texts = trace_texts(self.script.moves, self.trace)
-        lines = [f"base: {next(texts)}"]
-        lines += [f"{move!s:10s} -> {text}" for move, text in zip(self.script.moves, texts)]
+        """The base, one `move -> word` line per move, and the verdict."""
+        lines = [f"base: {self.texts[0]}"]
+        lines += [f"{move!s:10s} -> {text}" for move, text in zip(self.script.moves, self.texts[1:])]
         lines.append(f"loop: {'true' if self.is_loop else 'false'}")
         return lines
 
 
-def trace_texts(moves: tuple[Move, ...], trace: tuple[BraidWord, ...]) -> Iterator[str]:
-    """Yield `str(word)` for each word of `trace`, where trace[j] is
-    trace[j-1] after moves[j-1].
+def apply_move(letters: list[int], move: Move, *aligned: list) -> None:
+    """Apply one move to the list `letters` in place, checking its
+    pattern there, and rearrange each `aligned` list the same way.
 
-    Only the base is joined; each later text is the one before with the
-    move's 2 or 3 letter texts replaced, or for a shift its first letter
-    text moved to the end.  Invariant: `off` is the offset of letter
-    `at` in the text, the sum of len(text) + 1 over letters[:at].  The
-    cursor moves forward to each window and restarts at 0 after a shift
-    or a window left of it; a move leaves the letters left of its
-    window alone, so the cursor stays valid for the next text."""
-    text_of = _LETTER_TEXT.__getitem__
-    text = " ".join(map(text_of, trace[0].letters))
-    yield text
-    at = off = 0
-    for move, old, new in zip(moves, trace, trace[1:]):
-        old, new = old.letters, new.letters
-        if move.kind == "shift":
-            if len(old) > 1:
-                head = text_of(old[0])
-                text = f"{text[len(head) + 1 :]} {head}"
-            at = off = 0
-        else:
-            p = move.pos - 1
-            if p < at:
-                at = off = 0
-            off += sum(map(len, map(text_of, old[at:p]))) + p - at
-            at = p
-            end = p + (2 if move.kind == "comm" else 3)
-            width = len(" ".join(map(text_of, old[p:end])))
-            window = " ".join(map(text_of, new[p:end]))
-            text = f"{text[:off]}{window}{text[off + width :]}"
-        yield text
-
-
-def _moved(word: BraidWord, letters: tuple[int, ...]) -> BraidWord:
-    """`word` with new letters, skipping `BraidWord.__post_init__`."""
-    moved = object.__new__(BraidWord)
-    object.__setattr__(moved, "strands", word.strands)
-    object.__setattr__(moved, "letters", letters)
-    return moved
-
-
-def apply_move(word: BraidWord, move: Move) -> BraidWord:
-    """Apply one move, checking the legality pattern at its position.
-
-    The result is valid exactly when `word` is (shift and comm permute
-    letters, r3a/r3d swap i and i+1), so it is built unchecked."""
-    letters = word.letters
+    Entry j of a list after the move is the entry at the position that
+    letter j came from, so an aligned list of the letters' texts stays
+    their texts.  An illegal move raises `IllegalMove` and changes
+    nothing.  The letters stay a valid word on the same strands (shift
+    and comm permute them, r3a/r3d swap i and i+1), so nothing re-checks
+    them."""
     n = len(letters)
-    if move.kind == "shift":
-        if n == 0:
-            return word
-        return _moved(word, letters[1:] + letters[:1])
     p = move.pos
     if move.kind == "comm":
         if p + 1 > n:
@@ -204,49 +146,61 @@ def apply_move(word: BraidWord, move: Move) -> BraidWord:
             raise IllegalMove(
                 f"comm {p}: letters ({a}, {b}) do not commute", move=move
             )
-        return _moved(word, letters[: p - 1] + (b, a) + letters[p + 1 :])
-    if p + 2 > n:
-        raise IllegalMove(
-            f"{move.kind} {p} does not fit in a word of length {n}", move=move
-        )
-    a, b, c = letters[p - 1 : p + 2]
-    if move.kind == "r3a":
-        if not (a == c and b == a + 1):
+    elif move.kind != "shift":
+        if p + 2 > n:
             raise IllegalMove(
-                f"r3a {p}: pattern ({a}, {b}, {c}) is not (i, i+1, i)", move=move
+                f"{move.kind} {p} does not fit in a word of length {n}", move=move
             )
-    elif not (a == c and b == a - 1):  # r3d
-        raise IllegalMove(
-            f"r3d {p}: pattern ({a}, {b}, {c}) is not (i+1, i, i+1)", move=move
-        )
-    return _moved(word, letters[: p - 1] + (b, a, b) + letters[p + 2 :])
+        a, b, c = letters[p - 1 : p + 2]
+        if move.kind == "r3a":
+            if not (a == c and b == a + 1):
+                raise IllegalMove(
+                    f"r3a {p}: pattern ({a}, {b}, {c}) is not (i, i+1, i)", move=move
+                )
+        elif not (a == c and b == a - 1):  # r3d
+            raise IllegalMove(
+                f"r3d {p}: pattern ({a}, {b}, {c}) is not (i+1, i, i+1)", move=move
+            )
+    for seq in (letters, *aligned):
+        if move.kind == "shift":
+            seq.extend(seq[:1])
+            del seq[:1]
+        elif move.kind == "comm":
+            seq[p - 1], seq[p] = seq[p], seq[p - 1]
+        else:  # (x, y, x) becomes (y, x, y)
+            seq[p - 1 : p + 2] = seq[p], seq[p - 1], seq[p]
 
 
 def verify_loop(script: MoveScript) -> LoopReport:
-    """Replay all moves from the base; report closure and the full trace.
+    """Replay all moves in place from the base; report closure and the
+    text of every word.
+
+    The letters and their texts are two aligned lists, so each word's
+    text is one join.
 
     Raises:
         IllegalMove: at the first illegal step, carrying the step index
-            and the trace accumulated so far.
+            and the texts of the words so far.
     """
-    word = script.base
-    trace = [word]
+    letters = list(script.base.letters)
+    texts = list(map(str, letters))
+    words = [" ".join(texts)]
     for j, move in enumerate(script.moves, start=1):
         try:
-            word = apply_move(word, move)
+            apply_move(letters, move, texts)
         except IllegalMove as exc:
             raise IllegalMove(
-                f"step {j}: {exc}", move=move, step=j, trace=tuple(trace)
+                f"step {j}: {exc}", move=move, step=j, trace=tuple(words)
             ) from None
-        trace.append(word)
-    return LoopReport(script, tuple(trace), word == script.base)
+        words.append(" ".join(texts))
+    return LoopReport(script, tuple(words), tuple(letters) == script.base.letters)
 
 
 _LINE_RE = re.compile(r"^(shift|comm|r3a|r3d)(?:\s+(\S+))?$")
 _KEYWORDS = ("shift", "comm", "r3a", "r3d")
 
 
-def parse_script(text: str, base: BraidWord, name: str | None = None) -> MoveScript:
+def parse_script(text: str, base: BraidWord) -> MoveScript:
     """Parse the move-script DSL against a given base word.
 
     Grammar: one move per line, ``move := "shift" | "comm" INT | "r3a"
@@ -289,74 +243,55 @@ def parse_script(text: str, base: BraidWord, name: str | None = None) -> MoveScr
         if pos < 1:
             raise ScriptSyntaxError(lineno, argcol, "positions are 1-based (>= 1)")
         moves.append(Move(keyword, pos))
-    return MoveScript(base, tuple(moves), name)
+    return MoveScript(base, tuple(moves))
 
 
-BUILTIN_NAMES = ("sigma1", "xi1", "xi2", "xi3", "delta_power")
-
-# Per-window move sequences, positions relative to a 12-letter window of
-# the 4-strand base.  Each entry transcribes one rewrite of the loop's
-# rewriting chain; entries are applied step by step, each step expanded
-# window by window, left to right.
-_XI1_STEPS = (
-    ("comm", 2), ("r3d", 3), ("r3d", 1), ("comm", 3),
-    ("comm", 11), ("r3a", 9), ("r3a", 7), ("comm", 6),
-)
-_XI2_PRE_SHIFT_STEPS = (("comm", 3), ("r3a", 1))
-_XI2_POST_SHIFT_STEPS = (
-    ("comm", 5), ("r3d", 6), ("r3d", 4), ("r3a", 10), ("comm", 6), ("comm", 9),
-)
-_XI3_STEPS = (
-    ("comm", 3), ("r3a", 1), ("r3a", 3), ("comm", 2),
-    ("comm", 6), ("comm", 5), ("r3a", 3), ("r3a", 1),
-    ("comm", 3), ("r3d", 4), ("r3d", 2), ("comm", 4),
-    ("comm", 9), ("r3d", 10), ("r3d", 8), ("comm", 10),
-)
-
-
-def _windowed(steps, s: int, width: int) -> list[Move]:
-    return [
-        Move(kind, pos + width * j) for kind, pos in steps for j in range(s + 1)
-    ]
+# Each built-in loop as (strands k, steps before its one shift, steps
+# after it).  A step is a move kind and a position in the first window
+# of k(k-1) letters of the base (1..k-1)^{k(s+1)}; each step is expanded
+# over the s+1 windows, left to right, before the next.  delta_power's
+# k is only the default: k_for_delta sets it, and it makes k-1 shifts.
+_LOOPS = {
+    "sigma1": (3, (), (("r3d", 1), ("r3a", 4))),
+    "xi1": (4, (), (
+        ("comm", 2), ("r3d", 3), ("r3d", 1), ("comm", 3),
+        ("comm", 11), ("r3a", 9), ("r3a", 7), ("comm", 6),
+    )),
+    "xi2": (4, (("comm", 3), ("r3a", 1)), (
+        ("comm", 5), ("r3d", 6), ("r3d", 4), ("r3a", 10), ("comm", 6), ("comm", 9),
+    )),
+    "xi3": (4, (
+        ("comm", 3), ("r3a", 1), ("r3a", 3), ("comm", 2),
+        ("comm", 6), ("comm", 5), ("r3a", 3), ("r3a", 1),
+        ("comm", 3), ("r3d", 4), ("r3d", 2), ("comm", 4),
+        ("comm", 9), ("r3d", 10), ("r3d", 8), ("comm", 10),
+    ), ()),
+    "delta_power": (3, (), ()),
+}
+BUILTIN_NAMES = tuple(_LOOPS)
 
 
 def builtin_script(name: str, s: int = 1, k_for_delta: int | None = None) -> MoveScript:
-    """The built-in loop scripts.
+    """The built-in loop script `name` with window parameter s.
 
-    sigma1 is based on (σ1σ2)^{3(s+1)} on 3 strands; xi1/xi2/xi3 on
-    (σ1σ2σ3)^{4(s+1)} on 4 strands; delta_power performs k-1 shifts on
-    (σ1…σ_{k-1})^{k(s+1)} with k = k_for_delta (default 3).
+    sigma1 runs on 3 strands, xi1/xi2/xi3 on 4, and delta_power on
+    k = k_for_delta (default 3); see `_LOOPS` for the bases and moves.
     """
-    if name not in BUILTIN_NAMES:
+    if name not in _LOOPS:
         raise ValueError(f"unsupported builtin {name!r}; choose from {BUILTIN_NAMES}")
     if s < 1:
         raise ValueError(f"window parameter s must be >= 1, got {s}")
     if k_for_delta is not None and name != "delta_power":
         raise ValueError("k_for_delta applies only to delta_power")
-
+    k, before, after = _LOOPS[name]
+    shifts = 1
     if name == "delta_power":
-        k = 3 if k_for_delta is None else k_for_delta
+        k = k if k_for_delta is None else k_for_delta
         if k < 2:
             raise ValueError(f"delta_power needs k >= 2, got {k}")
-        base = BraidWord(k, tuple(range(1, k)) * (k * (s + 1)))
-        return MoveScript(base, (Move("shift"),) * (k - 1), name=f"delta_power(k={k})")
-
-    if name == "sigma1":
-        base = BraidWord(3, (1, 2) * (3 * (s + 1)))
-        moves = [Move("shift")]
-        moves += [Move("r3d", 1 + 6 * j) for j in range(s + 1)]
-        moves += [Move("r3a", 4 + 6 * j) for j in range(s + 1)]
-        return MoveScript(base, tuple(moves), name=f"sigma1(s={s})")
-
-    base = BraidWord(4, (1, 2, 3) * (4 * (s + 1)))
-    if name == "xi1":
-        moves = [Move("shift")] + _windowed(_XI1_STEPS, s, 12)
-    elif name == "xi2":
-        moves = (
-            _windowed(_XI2_PRE_SHIFT_STEPS, s, 12)
-            + [Move("shift")]
-            + _windowed(_XI2_POST_SHIFT_STEPS, s, 12)
-        )
-    else:  # xi3
-        moves = _windowed(_XI3_STEPS, s, 12) + [Move("shift")]
-    return MoveScript(base, tuple(moves), name=f"{name}(s={s})")
+        shifts = k - 1
+    width = k * (k - 1)
+    moves = [Move(kind, pos + width * j) for kind, pos in before for j in range(s + 1)]
+    moves += [Move("shift")] * shifts
+    moves += [Move(kind, pos + width * j) for kind, pos in after for j in range(s + 1)]
+    return MoveScript(BraidWord(k, tuple(range(1, k)) * (k * (s + 1))), tuple(moves))

@@ -29,7 +29,6 @@ from .braids import (
     ScriptSyntaxError,
     builtin_script,
     parse_script,
-    trace_texts,
     verify_loop,
 )
 from .fields import Field, PrimeField, QQ, default_prime, format_scalar
@@ -114,7 +113,7 @@ def _cmd_verify_loop(args) -> int:
         if args.s is not None:
             raise UsageError("--s applies only to --builtin")
         base = _parse_base(args.base, args.strands)
-        script = parse_script(_read_text(args.script), base, name=args.script)
+        script = parse_script(_read_text(args.script), base)
     else:
         if args.base is not None or args.strands is not None:
             raise UsageError("--base and --strands apply only to --script")
@@ -123,7 +122,7 @@ def _cmd_verify_loop(args) -> int:
     try:
         report = verify_loop(script)
     except IllegalMove as exc:
-        print("\n".join(trace_texts(script.moves, exc.trace)))
+        print("\n".join(exc.trace))
         print(f"illegal move: {exc}")
         return EXIT_VERIFICATION
     print("\n".join(report.to_lines()))

@@ -35,7 +35,6 @@ from .fields import (
     ModP,
     PrimeField,
     QQ,
-    field_to_json,
     format_scalar,
 )
 from .linalg import _cleared, _det_closed, _modulus, wedge
@@ -256,7 +255,7 @@ class RelationReport:
             "n_points": self.n_points,
             "seed": self.seed,
             "probe_budget": self.probe_budget,
-            "field": field_to_json(self.field),
+            "field": self.field.to_json(),
             "resamples": self.resamples,
             "all_pass": self.all_pass,
             "checks": [
@@ -366,7 +365,7 @@ class SweepReport:
             "probe_budget": self.probe_budget,
             "n_points": self.n_points,
             "seed": self.seed,
-            "field": field_to_json(self.field),
+            "field": self.field.to_json(),
             "total_words": self.total_words,
             "separated": self.separated,
             "fraction_separated": f"{self.separated}/{self.total_words}",
@@ -482,7 +481,7 @@ class XiReport:
         return {
             "n_points": self.n_points,
             "seed": self.seed,
-            "field": field_to_json(self.field),
+            "field": self.field.to_json(),
             "resamples": self.resamples,
             "structural_all_ok": self.structural_all_ok,
             "pluecker_set": [_plabel(ix) for ix in PLUECKER_SET],

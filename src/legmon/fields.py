@@ -206,9 +206,6 @@ class RationalField:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
     def random_scalar(self, rng: Random) -> Fraction:
         # Small integer entries keep determinant heights manageable.
         return Fraction(rng.randint(-9, 9))
@@ -254,9 +251,6 @@ class PrimeField:
     def one(self) -> ModP:
         return ModP(1, self.p)
 
-    def from_int(self, n: int) -> ModP:
-        return ModP(n, self.p)
-
     def random_scalar(self, rng: Random) -> ModP:
         return ModP(rng.randrange(self.p), self.p)
 
@@ -293,10 +287,6 @@ def format_scalar(x: FieldScalar) -> str:
     if isinstance(x, ModP):
         return str(x)
     raise TypeError(f"not a field scalar: {x!r}")
-
-
-def field_to_json(field: Field) -> dict:
-    return field.to_json()
 
 
 def field_from_json(data: dict) -> Field:

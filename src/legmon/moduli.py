@@ -20,13 +20,7 @@ import json
 from dataclasses import dataclass
 from random import Random
 
-from .fields import (
-    Field,
-    FieldScalar,
-    field_from_json,
-    field_to_json,
-    format_scalar,
-)
+from .fields import Field, FieldScalar, field_from_json, format_scalar
 from .linalg import Matrix, determinant
 
 
@@ -168,7 +162,7 @@ def pluecker(p: ModuliPoint, idx) -> FieldScalar:
 def point_to_json(p: ModuliPoint) -> dict:
     return {
         "family": p.family.name,
-        "field": field_to_json(p.field),
+        "field": p.field.to_json(),
         "columns": [[format_scalar(x) for x in c] for c in p.columns],
     }
 

@@ -6,14 +6,17 @@ subspace route's eliminations run with the scalars' own operators, and
 the stacked bases.  `span_flags_from_point` and
 `span_validate_bott_samelson` build the flag chain from `Subspace` spans
 and check its open-cell conditions by containment and span equality,
-the reference for the window chain of `legmon.moduli`.  None of them is
-on a `legmon` code path, nor is the `from_rows` constructor the tests
-build matrices with, nor `script_text`, the move-script renderer that
-`parse_script` reads back.
+the reference for the window chain of `legmon.moduli`.  `legal_moves`
+and `moved_letters` find and apply braid moves by scanning and slicing
+letter tuples, the reference for `legmon.braids.apply_move`.  None of
+them is on a `legmon` code path, nor is the `from_rows` constructor the
+tests build matrices with, nor `script_text`, the move-script renderer
+that `parse_script` reads back.
 """
 
 from dataclasses import dataclass
 
+from legmon.braids import Move
 from legmon.fields import Field, field_inverse
 from legmon.linalg import Matrix, Subspace, _rref
 from legmon.moduli import ModuliPoint, require_valid
@@ -104,6 +107,36 @@ def kernel_intersect(a: Subspace, b: Subspace) -> Subspace:
 def script_text(script) -> str:
     """A `MoveScript`'s moves in the DSL, one per line."""
     return "".join(f"{m}\n" for m in script.moves)
+
+
+def legal_moves(letters) -> list[Move]:
+    """Every move legal on `letters`, found by scanning them directly.
+    A shift is legal on every word, the empty one included."""
+    moves = [Move("shift")]
+    for p in range(1, len(letters)):
+        if abs(letters[p - 1] - letters[p]) >= 2:
+            moves.append(Move("comm", p))
+    for p in range(1, len(letters) - 1):
+        a, b, c = letters[p - 1 : p + 2]
+        if a == c and b == a + 1:
+            moves.append(Move("r3a", p))
+        if a == c and b == a - 1:
+            moves.append(Move("r3d", p))
+    return moves
+
+
+def moved_letters(letters, move: Move) -> tuple:
+    """The letters after a legal move, rebuilt by list surgery."""
+    out = list(letters)
+    if move.kind == "shift":
+        return tuple(out[1:] + out[:1])
+    p = move.pos - 1
+    if move.kind == "comm":
+        out[p], out[p + 1] = out[p + 1], out[p]
+    else:
+        a, b = out[p], out[p + 1]
+        out[p : p + 3] = [b, a, b]
+    return tuple(out)
 
 
 @dataclass(frozen=True)

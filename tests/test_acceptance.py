@@ -60,7 +60,7 @@ def test_criterion_1_loop_certification():
     for script in scripts:
         report = verify_loop(script)  # raises on any illegal intermediate move
         assert report.is_loop
-        assert str(report.trace[-1]) == str(script.base)
+        assert report.texts[-1] == str(script.base)
     _report(1, "all built-in loop scripts certify", t0, 1.0)
 
 

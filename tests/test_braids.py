@@ -18,11 +18,19 @@ from legmon.braids import (
     parse_script,
     verify_loop,
 )
-from oracles import script_text
+from oracles import legal_moves, moved_letters, script_text
 
 
 def w(strands, *letters):
     return BraidWord(strands, letters)
+
+
+def moved(word, move):
+    """`word` after `move`, applied in place to a list of its letters and
+    wrapped back through the checked `BraidWord` constructor."""
+    letters = list(word.letters)
+    apply_move(letters, move)
+    return BraidWord(word.strands, tuple(letters))
 
 
 def test_word_validation():
@@ -55,28 +63,28 @@ def test_word_text_multi_digit_letters():
 
 
 def test_apply_move_examples():
-    assert apply_move(w(3, 2, 1, 2), Move("r3d", 1)) == w(3, 1, 2, 1)
-    assert apply_move(w(4, 1, 3), Move("comm", 1)) == w(4, 3, 1)
-    assert apply_move(w(3, 1, 2, 1, 2), Move("shift")) == w(3, 2, 1, 2, 1)
-    assert apply_move(w(3, 1, 2, 1), Move("r3a", 1)) == w(3, 2, 1, 2)
+    assert moved(w(3, 2, 1, 2), Move("r3d", 1)) == w(3, 1, 2, 1)
+    assert moved(w(4, 1, 3), Move("comm", 1)) == w(4, 3, 1)
+    assert moved(w(3, 1, 2, 1, 2), Move("shift")) == w(3, 2, 1, 2, 1)
+    assert moved(w(3, 1, 2, 1), Move("r3a", 1)) == w(3, 2, 1, 2)
 
 
 def test_illegal_moves():
     with pytest.raises(IllegalMove):
-        apply_move(w(3, 1, 2, 1), Move("r3d", 1))  # pattern is r3a's
+        moved(w(3, 1, 2, 1), Move("r3d", 1))  # pattern is r3a's
     with pytest.raises(IllegalMove):
-        apply_move(w(3, 1, 2), Move("comm", 1))  # adjacent indices
+        moved(w(3, 1, 2), Move("comm", 1))  # adjacent indices
     with pytest.raises(IllegalMove):
-        apply_move(w(4, 1, 3, 2), Move("comm", 3))  # runs off the end
+        moved(w(4, 1, 3, 2), Move("comm", 3))  # runs off the end
     with pytest.raises(IllegalMove):
-        apply_move(w(3, 1, 2, 1), Move("r3a", 3))  # no wrap-around
+        moved(w(3, 1, 2, 1), Move("r3a", 3))  # no wrap-around
 
 
 def test_moves_never_wrap():
     # (2,1,2) read cyclically from position 3 would match r3a, but moves
     # must fit inside the word.
     with pytest.raises(IllegalMove):
-        apply_move(w(3, 2, 1, 2), Move("r3a", 3))
+        moved(w(3, 2, 1, 2), Move("r3a", 3))
 
 
 def test_move_validation():
@@ -97,108 +105,109 @@ def test_move_inverses_property():
         words.append(BraidWord(k, tuple(rng.randint(1, k - 1) for _ in range(n))))
     for word in words:
         n = len(word)
-        shifted = apply_move(word, Move("shift"))
+        shifted = moved(word, Move("shift"))
         for _ in range(n - 1):
-            shifted = apply_move(shifted, Move("shift"))
+            shifted = moved(shifted, Move("shift"))
         assert shifted == word  # length-many shifts is the identity
         for pos in range(1, n + 1):
             for kind, inverse in (("comm", "comm"), ("r3a", "r3d"), ("r3d", "r3a")):
                 try:
-                    once = apply_move(word, Move(kind, pos))
+                    once = moved(word, Move(kind, pos))
                 except IllegalMove:
                     continue
-                assert apply_move(once, Move(inverse, pos)) == word
+                assert moved(once, Move(inverse, pos)) == word
                 assert len(once) == n
-
-
-def legal_moves(letters):
-    """Every move legal on `letters`, found by scanning them directly."""
-    moves = [Move("shift")] if letters else []
-    for p in range(1, len(letters)):
-        if abs(letters[p - 1] - letters[p]) >= 2:
-            moves.append(Move("comm", p))
-    for p in range(1, len(letters) - 1):
-        a, b, c = letters[p - 1 : p + 2]
-        if a == c and b == a + 1:
-            moves.append(Move("r3a", p))
-        if a == c and b == a - 1:
-            moves.append(Move("r3d", p))
-    return moves
-
-
-def moved_letters(letters, move):
-    """The letters after a legal move, rebuilt by list surgery."""
-    out = list(letters)
-    if move.kind == "shift":
-        return tuple(out[1:] + out[:1])
-    p = move.pos - 1
-    if move.kind == "comm":
-        out[p], out[p + 1] = out[p + 1], out[p]
-    else:
-        a, b = out[p], out[p + 1]
-        out[p : p + 3] = [b, a, b]
-    return tuple(out)
 
 
 @pytest.mark.parametrize("strands", (3, 4, 12, 102))
 @pytest.mark.parametrize("seed", range(8))
 def test_moves_match_checked_construction(strands, seed):
-    # apply_move skips BraidWord's checks; each word it returns must be
-    # one the checked constructor accepts and builds equal.  The walk,
-    # replayed as a script, must render as a letter-by-letter join.
+    # apply_move rewrites a letter list in place and nothing re-checks
+    # it: after every move the letters must be ones the checked
+    # constructor accepts, the oracle's surgery must agree, and the
+    # aligned texts must still be the letters' texts.  The walk, replayed
+    # as a script, must render as a letter-by-letter join.
     rng = Random(seed)
     letters = []
     while len(letters) < 40:
         i = rng.randint(1, strands - 1)
         braid = i < strands - 1 and rng.random() < 0.4
         letters += [i, i + 1, i] if braid else [i]
-    word = base = BraidWord(strands, tuple(letters))
+    base = BraidWord(strands, tuple(letters))
+    texts = list(map(str, letters))
     words, moves = [base], []
     kinds = Counter()
     for _ in range(300):
         # Kind first, then position, so that on many strands the rare
         # r3d windows are not drowned out by commuting pairs.
         by_kind = {}
-        for m in legal_moves(word.letters):
+        for m in legal_moves(letters):
             by_kind.setdefault(m.kind, []).append(m)
         move = rng.choice(by_kind[rng.choice(sorted(by_kind))])
-        moved = apply_move(word, move)
-        checked = BraidWord(moved.strands, moved.letters)
-        assert moved == checked and hash(moved) == hash(checked)
-        assert moved.strands == strands
-        assert moved.letters == moved_letters(word.letters, move)
-        assert str(moved) == " ".join(map(str, moved.letters))
+        apply_move(letters, move, texts)
+        word = BraidWord(strands, tuple(letters))
+        assert word.letters == moved_letters(words[-1].letters, move)
+        assert texts == list(map(str, letters))
+        assert str(word) == " ".join(texts)
         kinds[move.kind] += 1
-        word = moved
         words.append(word)
         moves.append(move)
     # Three strands have no commuting letters.
     assert set(kinds) == {"shift", "r3a", "r3d"} | ({"comm"} if strands > 3 else set())
     report = verify_loop(MoveScript(base, tuple(moves)))
     texts = [" ".join(map(str, w.letters)) for w in words]
+    assert report.texts == tuple(texts)
     assert report.to_lines() == (
         [f"base: {texts[0]}"]
         + [f"{str(m):10s} -> {t}" for m, t in zip(moves, texts[1:])]
-        + [f"loop: {'true' if word == base else 'false'}"]
+        + [f"loop: {'true' if words[-1] == base else 'false'}"]
     )
+
+
+@pytest.mark.parametrize(
+    "letters,move,message",
+    [
+        pytest.param((1, 11, 10, 12), Move("comm", 2),
+                     "comm 2: letters (11, 10) do not commute", id="comm-pattern"),
+        pytest.param((1, 11, 10, 12), Move("comm", 4),
+                     "comm 4 does not fit in a word of length 4", id="comm-off-end"),
+        pytest.param((10, 11, 10, 12), Move("r3a", 2),
+                     "r3a 2: pattern (11, 10, 12) is not (i, i+1, i)", id="r3a-pattern"),
+        pytest.param((10, 11, 10, 11), Move("r3a", 3),
+                     "r3a 3 does not fit in a word of length 4", id="r3a-off-end"),
+        pytest.param((10, 11, 10, 12), Move("r3d", 1),
+                     "r3d 1: pattern (10, 11, 10) is not (i+1, i, i+1)", id="r3d-pattern"),
+        pytest.param((11, 10, 11), Move("r3d", 2),
+                     "r3d 2 does not fit in a word of length 3", id="r3d-off-end"),
+    ],
+)
+def test_illegal_move_changes_nothing(letters, move, message):
+    letters = list(letters)
+    texts = list(map(str, letters))
+    tags = [object() for _ in letters]
+    before = (list(letters), list(texts), list(tags))
+    with pytest.raises(IllegalMove) as err:
+        apply_move(letters, move, texts, tags)
+    assert str(err.value) == message
+    assert err.value.move == move
+    assert (letters, texts, tags) == before
 
 
 def test_letter_multiset_changes():
     word = w(3, 1, 2, 1, 2)
-    assert Counter(apply_move(word, Move("shift")).letters) == Counter(word.letters)
-    moved = apply_move(word, Move("r3a", 1))
-    assert Counter(moved.letters) == Counter((2, 1, 2, 2))
+    assert Counter(moved(word, Move("shift")).letters) == Counter(word.letters)
+    after = moved(word, Move("r3a", 1))
+    assert Counter(after.letters) == Counter((2, 1, 2, 2))
     word4 = w(4, 1, 3, 2)
-    assert Counter(apply_move(word4, Move("comm", 1)).letters) == Counter(word4.letters)
+    assert Counter(moved(word4, Move("comm", 1)).letters) == Counter(word4.letters)
 
 
 def test_parse_script_examples():
     base = w(3, 1, 2, 1, 2, 1, 2)
     script = parse_script("shift\nr3d 1", base)
     assert script.moves == (Move("shift"), Move("r3d", 1))
-    script = parse_script("# header\n\n  comm 2  # swap\nshift\n", base, name="demo")
+    script = parse_script("# header\n\n  comm 2  # swap\nshift\n", base)
     assert script.moves == (Move("comm", 2), Move("shift"))
-    assert script.name == "demo"
     assert script.base == base
 
 
@@ -243,15 +252,15 @@ def test_verify_loop_sigma1_example():
     )
     report = verify_loop(script)
     assert report.is_loop
-    assert len(report.trace) == 8  # base plus one word per move
-    assert report.trace[-1] == script.base
+    assert len(report.texts) == 8  # base plus one word per move
+    assert report.texts[-1] == str(script.base)
 
 
 def test_verify_loop_shift_examples():
     base = w(3, *(1, 2) * 9)
     one = verify_loop(MoveScript(base, (Move("shift"),)))
     assert not one.is_loop
-    assert one.trace[-1].letters[0] == 2
+    assert one.texts[-1] == " ".join("2 1".split() * 9)
     two = verify_loop(MoveScript(base, (Move("shift"), Move("shift"))))
     assert two.is_loop
 
@@ -262,7 +271,7 @@ def test_verify_loop_reports_step_and_trace():
     with pytest.raises(IllegalMove) as err:
         verify_loop(script)
     assert err.value.step == 2
-    assert err.value.trace == (base, apply_move(base, Move("shift")))
+    assert err.value.trace == ("1 2 1 2", "2 1 2 1")
 
 
 @pytest.mark.parametrize("name", ["sigma1", "xi1", "xi2", "xi3"])

@@ -24,6 +24,7 @@ from legmon.braids import (
     builtin_script,
     parse_script,
 )
+from oracles import legal_moves, moved_letters
 from legmon.cli import main
 from legmon.fields import DEFAULT_PRIME, PrimeField, QQ
 from legmon.linalg import Subspace
@@ -109,21 +110,24 @@ def test_verify_loop_illegal_move_prints_trace(tmp_path, capsys):
 
 
 def naive_verify_loop_stdout(script):
-    """verify-loop's stdout, replayed move by move and rendered letter by
-    letter with str(): the reference for the cached letter texts."""
+    """verify-loop's stdout, replayed move by move with the oracle's scan
+    and list surgery and rendered letter by letter with str(): the
+    reference for the in-place replay and its aligned letter texts.
+    `apply_move` only supplies the illegal step's message."""
 
-    def text(word):
-        return " ".join(str(x) for x in word.letters)
+    def text(letters):
+        return " ".join(str(x) for x in letters)
 
-    words = [script.base]
+    words = [script.base.letters]
     for step, move in enumerate(script.moves, start=1):
-        try:
-            words.append(apply_move(words[-1], move))
-        except IllegalMove as exc:
-            return "".join(text(word) + "\n" for word in words) + f"illegal move: step {step}: {exc}\n"
+        if move not in legal_moves(words[-1]):
+            with pytest.raises(IllegalMove) as err:
+                apply_move(list(words[-1]), move)
+            return "".join(text(word) + "\n" for word in words) + f"illegal move: step {step}: {err.value}\n"
+        words.append(moved_letters(words[-1], move))
     lines = ["base: " + text(words[0])]
     lines += [f"{move!s:10s} -> {text(word)}" for move, word in zip(script.moves, words[1:])]
-    lines.append(f"loop: {'true' if words[-1] == script.base else 'false'}")
+    lines.append(f"loop: {'true' if words[-1] == script.base.letters else 'false'}")
     return "\n".join(lines) + "\n"
 
 

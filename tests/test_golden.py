@@ -146,3 +146,27 @@ def usage_outcome(argv, capsys, monkeypatch):
     "argv", list(USAGE_GOLDEN), ids=lambda argv: " ".join(argv) or "(none)")
 def test_cli_usage_digest(argv, capsys, monkeypatch):
     assert usage_outcome(argv, capsys, monkeypatch) == USAGE_GOLDEN[argv]
+
+
+# `verify-loop --script` on twelve strands, so that letters run to two
+# digits, as (exit code, stdout digest): a loop, an open path, and an
+# illegal fourth move, whose output is the words so far and the error.
+SCRIPT_BASE = "10,11,10,1,11,3"
+SCRIPT_GOLDEN = {
+    "loop": ("r3a 1\ncomm 4\nr3d 1\ncomm 4\n" + "shift\n" * 6, (
+        0, "da427bbda6867e0022212840421847967d08fb894c58b91d32d669967d77d947")),
+    "open": ("r3a 1\ncomm 4\nr3d 1\ncomm 4\nshift\n", (
+        1, "9c3e4b7c8c16d34ebcb3bc1203457a16b8c6c56d198f6eddbcd7e054ae70d741")),
+    "illegal": ("r3a 1\ncomm 4\nshift\ncomm 2\n", (
+        1, "47d9f759cb54219f7508b25a83611693b0e14199cf547fee4ffe4bcd17aa5e37")),
+}
+
+
+@pytest.mark.parametrize("case", list(SCRIPT_GOLDEN))
+def test_verify_loop_script_digest(case, tmp_path, capsys):
+    moves, expected = SCRIPT_GOLDEN[case]
+    path = tmp_path / "twelve.moves"
+    path.write_text(moves)
+    code = main(["verify-loop", "--script", str(path), "--base", SCRIPT_BASE,
+                 "--strands", "12"])
+    assert (code, _digest(capsys.readouterr().out)) == expected

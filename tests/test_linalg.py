@@ -36,6 +36,11 @@ def frac(rows):
     return from_rows([[Fraction(x) for x in r] for r in rows], QQ)
 
 
+def scalar(field, n):
+    """The integer n as a scalar of `field`."""
+    return Fraction(n) if field is QQ else ModP(n, field.p)
+
+
 def e(i, n=3):
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
@@ -59,15 +64,15 @@ def test_determinant_against_sympy(n):
         m_q = frac(ints)
         assert determinant(m_q) == Fraction(expected)
         m_p = from_rows(
-            [[FP.from_int(x) for x in row] for row in ints], FP
+            [[ModP(x, FP.p) for x in row] for row in ints], FP
         )
-        assert determinant(m_p) == FP.from_int(expected)
+        assert determinant(m_p) == ModP(expected, FP.p)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_determinant_refuses_n_above_4(n):
     for field in (QQ, FP):
-        m = from_rows([[field.from_int(i + j) for j in range(n)] for i in range(n)], field)
+        m = from_rows([[scalar(field, i + j) for j in range(n)] for i in range(n)], field)
         with pytest.raises(ValueError, match="only n ≤ 4"):
             determinant(m)
 
@@ -80,9 +85,9 @@ def test_det_eliminate_against_sympy(n):
         expected = int(sympy.Matrix(ints).det())
         assert det_eliminate(frac(ints)) == Fraction(expected)
         m_p = from_rows(
-            [[FP.from_int(x) for x in row] for row in ints], FP
+            [[ModP(x, FP.p) for x in row] for row in ints], FP
         )
-        assert det_eliminate(m_p) == FP.from_int(expected)
+        assert det_eliminate(m_p) == ModP(expected, FP.p)
 
 
 def test_determinant_multilinear_and_alternating():
@@ -298,7 +303,7 @@ def test_determinant_int_kernel_differential(prime):
         m = Matrix.from_columns(cols, field)
         det = determinant(m)
         ints = [[x.value for x in row] for row in m.entries]
-        assert det == field.from_int(int(sympy.Matrix(ints).det()))
+        assert det == ModP(int(sympy.Matrix(ints).det()), prime)
         assert det == det_eliminate(m)
         if case % 3 == 0:
             assert not det
