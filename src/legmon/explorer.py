@@ -37,7 +37,7 @@ from .fields import (
     QQ,
     format_scalar,
 )
-from .linalg import _cleared, _det_closed, _modulus, wedge
+from .linalg import _det_closed, wedge
 from .moduli import ModuliPoint, T36, T44, point_to_json, pluecker, random_point
 from .monodromy import act_shift, act_word, act_xi
 from . import monodromy
@@ -50,6 +50,9 @@ _SYLLABLE_TOKEN = {"a": "A", "a2": "A2", "b": "B"}
 Syllables = tuple[str, ...]
 
 DELTA_INDEX = (1, 4, 7)
+
+#: The sample field of every report when none is given.
+DEFAULT_FIELD = PrimeField(DEFAULT_PRIME)
 
 
 def reduced_words(max_syllables: int) -> tuple[Syllables, ...]:
@@ -95,10 +98,6 @@ def _sample_points(family, field: Field, n_points: int, seed) -> tuple[ModuliPoi
     return tuple(
         random_point(family, field, rng.randrange(2**62)) for _ in range(n_points)
     )
-
-
-def _resolve_field(field: Field | None) -> Field:
-    return PrimeField(DEFAULT_PRIME) if field is None else field
 
 
 class _ProbeCache:
@@ -185,7 +184,7 @@ def _reduces_to(x: Fraction, r: ModP, p: int) -> bool:
 
 
 def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
-             seed=11, field: Field | None = None,
+             seed=11, field: Field = DEFAULT_FIELD,
              _cache: _ProbeCache | None = None) -> SeparationWitness | None:
     """Search for a separation witness for a nonempty reduced word.
 
@@ -200,7 +199,6 @@ def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
         raise ValueError(f"word {word!r} is not reduced")
     if probe_budget < 0:
         raise ValueError("probe_budget must be >= 0")
-    field = _resolve_field(field)
     cache = _cache if _cache is not None else _ProbeCache(
         _sample_points(T36, field, n_points, seed)
     )
@@ -271,7 +269,7 @@ class RelationReport:
         }
 
 
-def verify_relations(n_points: int = 32, seed=7, field: Field | None = None,
+def verify_relations(n_points: int = 32, seed=7, field: Field = DEFAULT_FIELD,
                      probe_budget: int = 2) -> RelationReport:
     """Check the order relations a³ and b² on Δ-probe observables.
 
@@ -289,7 +287,6 @@ def verify_relations(n_points: int = 32, seed=7, field: Field | None = None,
         raise ValueError("n_points must be >= 1")
     if probe_budget < 0:
         raise ValueError("probe_budget must be >= 0")
-    field = _resolve_field(field)
     probes = reduced_words(probe_budget)
     results: dict[tuple[str, Syllables], list[int]] = {
         (rel, u): [0, 0] for rel in ("a3", "b2") for u in probes
@@ -392,7 +389,7 @@ class SweepReport:
 
 def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
                        n_points: int = 32, seed=11,
-                       field: Field | None = None) -> SweepReport:
+                       field: Field = DEFAULT_FIELD) -> SweepReport:
     """Run separate() on every nontrivial reduced word up to the budget.
 
     All words share one deterministic point sample and probe table, so
@@ -404,7 +401,6 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
         raise ValueError("max_syllables must be >= 1")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    field = _resolve_field(field)
     cache = _ProbeCache(_sample_points(T36, field, n_points, seed))
     entries = []
     for word in reduced_words(max_syllables):
@@ -438,24 +434,25 @@ XI_REPORT_WORDS = (
 
 
 def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
-    """Post-hoc check of one xi step, on ints cleared once per window.
+    """Post-hoc check of one xi step, on the field's int form of each window.
 
-    With v_a, v_b, u and T cleared to A/α, B/β, C/γ and T′, a window passes
-    iff det(B, T′) ≠ 0, det(C, T′) = 0 (u ∈ ⟨T⟩) and γ·(A∧B) = α·(B∧C)
-    (v_a∧v_b = v_b∧u), each mod p over F_p.  Then v_b ≠ 0 and
+    With v_a, v_b, u and T in the field's int form (`Field.ints`) as A/α,
+    B/β, C/γ and T′, a window passes iff det(B, T′) ≠ 0, det(C, T′) = 0
+    (u ∈ ⟨T⟩) and γ·(A∧B) = α·(B∧C) (v_a∧v_b = v_b∧u), each after
+    `Field.reduce` (so mod p over F_p).  Then v_b ≠ 0 and
     v_b∧(u + v_a) = 0, so u ∈ ⟨v_a, v_b⟩.  `act_xi` returns only where
     det(v_b, T) ≠ 0, so on its images this is the full subspace check; a
     `before` with det(v_b, T) = 0, which `act_xi` refuses, is rejected.
     Points off T44 and i not in {1, 2, 3} are refused as `act_xi` refuses
     them, with a `ValueError`."""
     specs, layout = monodromy._xi_table(i, before, after)
-    mod = _modulus(before.field)
+    field = before.field
     for label, pair, other in specs:
         vecs = [before.col(j) for j in (*pair, *other)] + [after.columns[layout.index(label)]]
-        (a, b, *t, c), (alpha, *_, gamma) = _cleared(vecs, mod)
+        (a, b, *t, c), (alpha, *_, gamma) = field.ints(vecs)
         tests = [_det_closed([b, *t]), _det_closed([c, *t])] + [
             gamma * x - alpha * y for x, y in zip(wedge(a, b), wedge(b, c))]
-        db, dc, *gap = tests if mod is None else [x % mod for x in tests]
+        db, dc, *gap = map(field.reduce, tests)
         if not db or dc or any(gap):
             return False
     return True
@@ -497,7 +494,7 @@ def _plabel(idx: tuple[int, ...]) -> str:
 
 
 def xi_pluecker_report(n_points: int = 32, seed=11,
-                       field: Field | None = None) -> XiReport:
+                       field: Field = DEFAULT_FIELD) -> XiReport:
     """Tabulate the Plücker set of T44 before and after each xi word.
 
     For every word W the report records which P in the set satisfy
@@ -510,7 +507,6 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    field = _resolve_field(field)
     samples = []  # per point: (base values, {word: values}, structural_ok)
     for p in _sample_points(T44, field, n_points, seed):
         images = {(): p}  # word prefix -> image

@@ -9,11 +9,16 @@ parsing, formatting and sampling for one field, so matrices and points
 can stay field-agnostic.
 
 `ModP` and `Fraction` are the public scalars: points, subspace bases,
-JSON and every function result carry them.  The kernels in `linalg` and
-`monodromy` compute on ints instead (residue values over F_p, numerators
-cleared of their denominators over ℚ) and wrap one `ModP` or `Fraction`
-per entry as they return.  `PrimeField` refuses a modulus at or above
-the bound below which its Miller-Rabin test is deterministic.
+JSON and every function result carry them.  Each field object also owns
+the int form of its scalars, which the determinant and replacement-vector
+kernels compute on: `ints` turns vectors into ints over one denominator
+each (residue values over denominator 1 over F_p, numerators scaled to
+the lcm of the vector's denominators over ℚ), `reduce` maps an int
+result into the field's range (mod p, or unchanged), and `scalar` and
+`vector` wrap ints over a denominator back into `ModP` or `Fraction`.
+No other module tells the two int forms apart.  `PrimeField` refuses a
+modulus at or above the bound below which its Miller-Rabin test is
+deterministic.
 
 Serialization: rationals render as ``"a/b"`` with an explicit
 denominator, residues as ``"v mod p"``.
@@ -25,6 +30,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, fits in one machine word with room to multiply
@@ -210,6 +216,22 @@ class RationalField:
         # Small integer entries keep determinant heights manageable.
         return Fraction(rng.randint(-9, 9))
 
+    def ints(self, vectors) -> tuple[list[list[int]], list[int]]:
+        """Each vector v as ints over d = lcm of v's denominators, so that
+        v = ints / d.  Returns (int vectors, denominators)."""
+        dens = [lcm(*(x.denominator for x in v)) for v in vectors]
+        return [[x.numerator * (d // x.denominator) for x in v]
+                for v, d in zip(vectors, dens)], dens
+
+    def reduce(self, x: int) -> int:
+        return x
+
+    def scalar(self, x: int, den: int = 1) -> Fraction:
+        return Fraction(x, den)
+
+    def vector(self, ints, den: int = 1) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, den) for x in ints)
+
     def parse(self, text: str) -> Fraction:
         m = _RATIONAL_RE.match(text)
         if not m:
@@ -253,6 +275,28 @@ class PrimeField:
 
     def random_scalar(self, rng: Random) -> ModP:
         return ModP(rng.randrange(self.p), self.p)
+
+    def ints(self, vectors) -> tuple[list[list[int]], list[int]]:
+        """Each vector as its residues' int values over denominator 1.
+        Returns (int vectors, denominators)."""
+        return [[x.value for x in v] for v in vectors], [1] * len(vectors)
+
+    def reduce(self, x: int) -> int:
+        return x % self.p
+
+    def scalar(self, x: int, den: int = 1) -> ModP:
+        """x / den as a residue; den must be nonzero mod p."""
+        return ModP(x if den == 1 else x * self._inverse(den), self.p)
+
+    def vector(self, ints, den: int = 1) -> tuple[ModP, ...]:
+        """ints / den as residues, with one inversion of den."""
+        p, inv = self.p, self._inverse(den)
+        return tuple(ModP(x * inv, p) for x in ints)
+
+    def _inverse(self, den: int) -> int:
+        if den % self.p == 0:
+            raise DivisionByZero(f"inverse of {den} mod {self.p}")
+        return pow(den, -1, self.p)
 
     def parse(self, text: str) -> ModP:
         m = _RESIDUE_RE.match(text)

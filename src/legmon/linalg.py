@@ -5,7 +5,7 @@ Matrices and subspaces over a single exact field: determinants up to
 ratio of two k×k determinants, k ≤ 4), and the subspace operations
 `Subspace.span`/`contains`, `wedge`, `intersect` and `wedge_normalize`.
 `wedge` has one `src/` caller, `explorer.xi_structural_ok`, which passes
-it cleared ints.  No `src/` path calls `Subspace`, `intersect` or
+it the field's int form.  No `src/` path calls `Subspace`, `intersect` or
 `wedge_normalize`: the tests use them as the reference oracles for the
 replacement-vector formula, the xi structural check and the flag
 chain's column windows, and they stay here only because the
@@ -15,22 +15,20 @@ Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their
 column), so subspace equality is plain tuple comparison.
 
-`determinant` runs its closed form on ints in both fields: `_cleared`
-turns each row into ints over its own denominator, and one `ModP`, or
-one `Fraction` over the product of the row denominators, is returned.
-Over a prime field `Subspace.span`, `Subspace.contains`, `intersect`
-and `wedge` likewise compute on residue values reduced mod p and wrap
-`ModP` as they return; over ℚ they use the `Fraction` operators.
+`determinant` runs its closed form on the int form of its rows, which
+the matrix's field gives (`Field.ints`), and wraps the result over the
+product of the row denominators (`Field.scalar`).  The subspace
+operations compute with the scalars' own operators, `ModP` or
+`Fraction` alike, so they have one arithmetic path for both fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
-from .fields import Field, FieldScalar, ModP, PrimeField, field_inverse
+from .fields import Field, FieldScalar, field_inverse
 
 Vector = tuple[FieldScalar, ...]
 
@@ -80,21 +78,8 @@ def determinant(m: Matrix) -> FieldScalar:
         raise ValueError(f"determinant of a {n}×{n} matrix: only n ≤ 4 is supported")
     if n == 0:
         return m.field.one()
-    p = _modulus(m.field)
-    rows, dens = _cleared(m.entries, p)
-    det = _det_closed(rows)
-    return Fraction(det, prod(dens)) if p is None else ModP(det, p)
-
-
-def _cleared(vectors, p: int | None) -> tuple[list[list[int]], list[int]]:
-    """Each vector v as ints over one denominator d, v = ints / d: over F_p
-    the residues' int values and d = 1, over ℚ the numerators scaled to
-    d = lcm of v's denominators.  Returns (int vectors, denominators)."""
-    if p is not None:
-        return [[x.value for x in v] for v in vectors], [1] * len(vectors)
-    dens = [lcm(*(x.denominator for x in v)) for v in vectors]
-    return [[x.numerator * (d // x.denominator) for x in v]
-            for v, d in zip(vectors, dens)], dens
+    rows, dens = m.field.ints(m.entries)
+    return m.field.scalar(_det_closed(rows), prod(dens))
 
 
 def _det_closed(e):
@@ -118,18 +103,9 @@ def _det_closed(e):
     )
 
 
-def _modulus(field: Field) -> int | None:
-    """The prime of a prime field, None for ℚ."""
-    return field.p if isinstance(field, PrimeField) else None
-
-
-def _rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns).
-
-    With a modulus `p` the rows hold ints and every row operation is
-    reduced mod p; without one they hold field scalars (`Fraction` or
-    `ModP`) and use their operators.
-    """
+def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """In-place reduced row echelon form of rows of field scalars, with
+    their operators; returns (rows, pivot columns)."""
     pivots: list[int] = []
     ncols = len(rows[0]) if rows else 0
     r = 0
@@ -138,21 +114,17 @@ def _rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field_inverse(rows[r][c]) if p is None else pow(rows[r][c], -1, p)
-        rows[r] = _reduced([x * inv for x in rows[r]], p)
+        inv = field_inverse(rows[r][c])
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = _reduced([x - f * y for x, y in zip(rows[i], rows[r])], p)
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return rows, pivots
-
-
-def _reduced(row: list, p: int | None) -> list:
-    return row if p is None else [x % p for x in row]
 
 
 @dataclass(frozen=True)
@@ -173,33 +145,23 @@ class Subspace:
         vectors = [tuple(v) for v in vectors]
         if any(len(v) != ambient for v in vectors):
             raise ValueError("spanning vector length differs from ambient dimension")
-        p = _modulus(field)
-        if p is not None:
-            vectors = [[x.value for x in v] for v in vectors]
         rows = [list(v) for v in vectors if any(v)]
         if not rows:
             return cls(ambient, (), field)
-        rows, pivots = _rref(rows, p)
-        rows = rows[: len(pivots)]
-        if p is not None:
-            rows = [[ModP(x, p) for x in r] for r in rows]
-        return cls(ambient, tuple(tuple(r) for r in rows), field)
+        rows, pivots = _rref(rows)
+        return cls(ambient, tuple(tuple(r) for r in rows[: len(pivots)]), field)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v: Vector) -> bool:
-        p = _modulus(self.field)
-        w, basis = list(v), self.basis
-        if p is not None:
-            w = [x.value for x in w]
-            basis = [[x.value for x in b] for b in basis]
-        for b in basis:
+        w = list(v)
+        for b in self.basis:
             piv = next(i for i, x in enumerate(b) if x)
             if w[piv]:
                 f = w[piv]
-                w = _reduced([x - f * y for x, y in zip(w, b)], p)
+                w = [x - f * y for x, y in zip(w, b)]
         return not any(w)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -218,24 +180,17 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient mismatch")
     if a.field != b.field:
         raise ValueError("field mismatch")
-    n, p = a.ambient, _modulus(a.field)
+    n = a.ambient
     rows = [[*x, *x] for x in a.basis] + [[*y, *(a.field.zero(),) * n] for y in b.basis]
-    if p is not None:
-        rows = [[x.value for x in r] for r in rows]
-    rows, pivots = _rref(rows, p)
+    rows, pivots = _rref(rows)
     meet = [r[n:] for r, c in zip(rows, pivots) if c >= n]
-    if p is not None:
-        meet = [[ModP(x, p) for x in r] for r in meet]
     return Subspace(n, tuple(map(tuple, meet)), a.field)
 
 
 def wedge(v: Vector, w: Vector) -> Vector:
-    """Coordinates of v ∧ w in Λ²F^n, index pairs in lexicographic order."""
-    p = v[0].modulus if v and isinstance(v[0], ModP) else None
-    if p is not None:
-        v, w = [x.value for x in v], [x.value for x in w]
-    coords = (v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2))
-    return tuple(coords) if p is None else tuple(ModP(x, p) for x in coords)
+    """Coordinates of v ∧ w in Λ²F^n, index pairs in lexicographic order;
+    the entries may be field scalars or ints."""
+    return tuple(v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2))
 
 
 def wedge_normalize(v1: Vector, v2: Vector, direction: Vector) -> Vector:

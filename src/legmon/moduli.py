@@ -105,19 +105,6 @@ class ValidityReport:
     minors: tuple[MinorCheck, ...]
     is_valid: bool
 
-    def to_json(self) -> dict:
-        return {
-            "is_valid": self.is_valid,
-            "minors": [
-                {
-                    "indices": list(m.indices),
-                    "value": format_scalar(m.value),
-                    "nonzero": m.nonzero,
-                }
-                for m in self.minors
-            ],
-        }
-
 
 def _cyclic_minors(p: ModuliPoint):
     """Yield (window, minor) for the N cyclic consecutive k-windows in

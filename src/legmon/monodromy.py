@@ -9,8 +9,9 @@ u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by Cramer's rule:
 
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
-Both determinants are taken on ints and u is wrapped in `Fraction` or
-`ModP` only as it is returned.  `linalg.intersect` and
+Both determinants are taken on the int form that the point's field
+gives, and the field wraps u back into its scalars only as it is
+returned, so nothing here tells F_p from ℚ.  `linalg.intersect` and
 `linalg.wedge_normalize` compute the same u from the subspaces; they are
 its reference oracle in the tests, and no path here calls them.
 
@@ -25,16 +26,8 @@ a valid point is valid, so callers validate once and never resample.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .fields import ModP
-from .linalg import (
-    DegeneracyError,
-    DegenerateNormalization,
-    _cleared,
-    _det_closed,
-    _modulus,
-)
+from .linalg import DegeneracyError, DegenerateNormalization, _det_closed
 from .moduli import ModuliPoint, T36, T44
 
 
@@ -62,28 +55,23 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
                         other: tuple[int, ...]):
     """u = λ·v_b − v_a with λ = det(v_a, T) / det(v_b, T), T = other columns.
 
-    With v_a = A/α, v_b = B/β and T cleared to integer columns T′, the
-    ratio is λ = dA·β / (dB·α) for dA = det(A, T′), dB = det(B, T′), so
-    u = (dA·B − dB·A) / (dB·α): two integer determinants and one
-    denominator, wrapped in `Fraction` or `ModP` only as u is returned.
+    With v_a = A/α, v_b = B/β and T as integer columns T′, all in the
+    field's int form (`Field.ints`), the ratio is λ = dA·β / (dB·α) for
+    dA = det(A, T′), dB = det(B, T′), so u = (dA·B − dB·A) / (dB·α): two
+    integer determinants and one denominator, which `Field.vector`
+    divides out as u is returned.
 
     Raises:
         DegenerateIntersection: if both determinants vanish or u = 0.
         DegenerateNormalization: if only det(v_b, T) vanishes, so that v_b
             lies in ⟨T⟩ and no u ∈ ⟨T⟩ satisfies v_a ∧ v_b = v_b ∧ u.
     """
-    mod = _modulus(p.field)
-    (ai, bi, *ti), (alpha, *_) = _cleared([p.col(j) for j in (*pair, *other)], mod)
-    da, db = _det_closed([ai, *ti]), _det_closed([bi, *ti])
-    if mod is not None:
-        da, db = da % mod, db % mod
+    field = p.field
+    (ai, bi, *ti), (alpha, *_) = field.ints([p.col(j) for j in (*pair, *other)])
+    da = field.reduce(_det_closed([ai, *ti]))
+    db = field.reduce(_det_closed([bi, *ti]))
     if db:
-        n = [da * y - db * x for x, y in zip(ai, bi)]
-        if mod is None:
-            u = tuple(Fraction(x, db * alpha) for x in n)
-        else:
-            inv = pow(db, -1, mod)
-            u = tuple(ModP(x * inv, mod) for x in n)
+        u = field.vector([da * y - db * x for x, y in zip(ai, bi)], db * alpha)
         if any(u):
             return u
     elif da:

@@ -142,11 +142,12 @@ def test_verify_loop_stdout_matches_naive_renderer(capsys, name, s):
 @pytest.mark.parametrize(
     "base,moves,expected_code",
     [
-        pytest.param("10,11,10,1,11,3", moves, code, id=f"{moves}-{code}")
-        for moves, code in [
-            ("r3a 1\ncomm 4\nr3d 1\ncomm 4\nshift\n", 1),  # an open path
-            ("r3a 1\nr3d 1\n", 0),  # a loop
-            ("r3a 1\ncomm 2\n", 1),  # IllegalMove: (11, 10) do not commute
+        pytest.param("10,11,10,1,11,3", moves, code, id=name)
+        for name, moves, code in [
+            ("open-path", "r3a 1\ncomm 4\nr3d 1\ncomm 4\nshift\n", 1),
+            ("loop", "r3a 1\nr3d 1\n", 0),
+            # IllegalMove: (11, 10) do not commute
+            ("illegal", "r3a 1\ncomm 2\n", 1),
         ]
     ]
     + [

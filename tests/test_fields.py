@@ -1,6 +1,8 @@
-"""Exact scalar arithmetic: axioms, inverses, parsing, serialization."""
+"""Exact scalar arithmetic: axioms, inverses, the int form, parsing,
+serialization."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -98,6 +100,54 @@ def test_field_axioms_randomized(field):
         assert a + (-a) == zero
         if b != zero:
             assert b * field_inverse(b) == one
+
+
+def _rational(rng):
+    den = rng.choice((1, 2, 9, rng.randint(1, 10**25)))
+    return Fraction(rng.randint(-10**30, 10**30), den)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(DEFAULT_PRIME), QQ],
+    ids=["F2", "F3", "F7", "Fp", "Q"],
+)
+def test_int_form_round_trip(field):
+    rng = Random(31)
+    draw = _rational if field is QQ else field.random_scalar
+    vectors = [tuple(draw(rng) for _ in range(rng.randint(0, 5))) for _ in range(200)]
+    vectors += [(field.zero(),) * n for n in (1, 4)]
+    vectors += [(field.one(), -field.one(), field.zero())]
+    rows, dens = field.ints(vectors)
+    assert len(rows) == len(dens) == len(vectors)
+    for v, row, den in zip(vectors, rows, dens):
+        assert all(type(x) is int for x in row)
+        if field is QQ:
+            assert den == lcm(*(x.denominator for x in v))
+        else:
+            assert den == 1 and all(0 <= x < field.p for x in row)
+        w = field.vector(row, den)
+        assert w == v and all(type(x) is type(field.zero()) for x in w)
+        assert w == tuple(field.scalar(x, den) for x in row)
+    for _ in range(500):
+        x = rng.randint(-10**40, 10**40)
+        d = rng.choice((1, 2, 3, 7, rng.randint(1, 10**30)))
+        if field is QQ:
+            assert field.scalar(x, d) == Fraction(x) / d
+            assert field.reduce(x) == x
+        else:
+            p = field.p
+            if d % p:
+                assert field.scalar(x, d) == ModP(x, p) / ModP(d, p)
+            assert field.scalar(x) == ModP(x, p)
+            assert field.reduce(x) == x % p
+        if field is QQ or d % field.p:
+            assert field.vector([x, 0], d) == (field.scalar(x, d), field.zero())
+    zero_den = 0 if field is QQ else field.p
+    with pytest.raises(ZeroDivisionError):
+        field.scalar(1, zero_den)
+    with pytest.raises(ZeroDivisionError):
+        field.vector([1, 2], zero_den)
 
 
 def test_scalar_serialization_round_trip():

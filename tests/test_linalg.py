@@ -1,8 +1,8 @@
 """Matrices, subspaces, determinants, intersections, wedge normalization.
 
 Randomized determinant checks use sympy as an independent oracle.  The
-int kernels (prime-field residues, and rationals cleared of their
-denominators) are also checked against eliminations run with the
+determinant's int kernel (prime-field residues, and rationals cleared of
+their denominators) is also checked against an elimination run with the
 `ModP` and `Fraction` operators, and `intersect` against the
 kernel-basis route; those slow routes live in `oracles`.
 """
@@ -193,6 +193,7 @@ def test_intersect_matches_kernel_route(field):
         if vectors and case % 3 == 0:
             vectors = _degenerate_vectors(rng, field, vectors)
         a = Subspace.span(vectors, n, field)
+        assert all(isinstance(c, type(field.zero())) for v in a.basis for c in v)
         kind = case % 4
         if kind == 0:  # equal, from another spanning set
             b = Subspace.span(vectors[::-1] + vectors[:1], n, field)
@@ -208,6 +209,8 @@ def test_intersect_matches_kernel_route(field):
             assert intersect(a, b) == a
         if kind == 1:
             assert intersect(a, b) == b
+    for n in (1, 3, 4):
+        assert Subspace.span([(field.zero(),) * n] * 2, n, field).dim == 0
     zero = zero_subspace(3, field)
     line = Subspace.span([(field.one(), field.zero(), field.one())], 3, field)
     assert intersect(zero, line) == intersect(line, zero) == zero
@@ -264,9 +267,9 @@ def test_wedge_normalize_exactness_property():
             assert Subspace.span([direction], n, field).contains(u)
 
 
-# Differential tests of the int kernels: each prime gets at least 200
-# random cases per kernel, and every third case is forced singular,
-# rank-deficient or otherwise degenerate.
+# Differential tests of the kernels against independent routes: each
+# prime gets at least 200 random cases per kernel, and every third case
+# is forced singular, rank-deficient or otherwise degenerate.
 PRIMES = [7, 11, DEFAULT_PRIME]
 
 
@@ -331,30 +334,6 @@ def test_determinant_rational_kernel_differential():
         assert det == det_eliminate(m)
         if case % 3 == 0:
             assert not det
-
-
-def _operator_span(vectors, n, field):
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return zero_subspace(n, field)
-    rows, pivots = _rref(rows)
-    return Subspace(n, tuple(tuple(r) for r in rows[: len(pivots)]), field)
-
-
-@pytest.mark.parametrize("prime", PRIMES)
-def test_span_int_kernel_differential(prime):
-    field = PrimeField(prime)
-    rng = Random(prime + 1)
-    for case in range(240):
-        n = rng.randint(1, 5)
-        vectors = [_vector(rng, field, n) for _ in range(rng.randint(1, n + 1))]
-        if case % 3 == 0:
-            vectors = _degenerate_vectors(rng, field, vectors)
-        span = Subspace.span(vectors, n, field)
-        assert span == _operator_span(vectors, n, field)
-        assert all(isinstance(x, ModP) for b in span.basis for x in b)
-    for n in (1, 3, 4):
-        assert Subspace.span([(field.zero(),) * n] * 2, n, field).dim == 0
 
 
 def _operator_rank(vectors):

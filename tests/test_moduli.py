@@ -111,13 +111,6 @@ def test_validity_against_sympy_minors():
     assert report.is_valid
 
 
-def test_validity_report_json():
-    data = validate_point(sample_point()).to_json()
-    assert data["is_valid"] is True
-    assert len(data["minors"]) == 9
-    assert data["minors"][0] == {"indices": [1, 2, 3], "value": "1/1", "nonzero": True}
-
-
 def test_random_points_are_valid():
     for family in (T36, T44):
         for field in (FP, QQ):
