@@ -25,7 +25,6 @@ import sys
 from .braids import (
     BraidWord,
     IllegalMove,
-    MoveScript,
     ScriptSyntaxError,
     builtin_script,
     parse_script,

@@ -12,6 +12,10 @@ an exact certificate, and every witness re-verifies over the rationals
 by lifting the point entries to integers, so no Schwartz-Zippel caveat
 remains.
 
+Within one report call, a memo (`_WordImages`) extends each word's
+image from its prefix's image, so the sweep, its ℚ re-check, the
+relation rows and the xi table compute every image once.
+
 Every sigma1 and xi image of a valid point is valid again, so every word
 is defined on every sampled point.  Sampling-time validity is the one
 degeneracy gate: the reports neither skip nor resample, and a
@@ -32,14 +36,13 @@ from .fields import (
     DEFAULT_PRIME,
     Field,
     FieldScalar,
-    ModP,
     PrimeField,
     QQ,
     format_scalar,
 )
 from .linalg import _det_closed, wedge
 from .moduli import ModuliPoint, T36, T44, point_to_json, pluecker, random_point
-from .monodromy import act_shift, act_word, act_xi
+from .monodromy import act_word, act_xi
 from . import monodromy
 
 SYLLABLES = ("a", "a2", "b")
@@ -100,18 +103,33 @@ def _sample_points(family, field: Field, n_points: int, seed) -> tuple[ModuliPoi
     )
 
 
-class _ProbeCache:
-    """Lazy Δ(u(p)) values per (point, probe)."""
+class _WordImages:
+    """Images w(p) of points under words, and their Δ values.  A nonempty
+    word's image is `step` of its prefix's image and its last letter (a
+    syllable unless `step` says otherwise), computed once per memo."""
 
-    def __init__(self, points: tuple[ModuliPoint, ...]):
+    def __init__(self, points: tuple[ModuliPoint, ...],
+                 step=lambda q, s: apply_syllables(q, (s,))):
         self.points = points
-        self._values: dict[tuple[int, Syllables], FieldScalar] = {}
+        self._step = step
+        self._images = {(idx, ()): p for idx, p in enumerate(points)}
+        self._values: dict[tuple[int, tuple], FieldScalar] = {}
 
-    def value(self, idx: int, probe: Syllables) -> FieldScalar:
-        key = (idx, probe)
-        if key not in self._values:
-            self._values[key] = delta(apply_syllables(self.points[idx], probe))
-        return self._values[key]
+    def image(self, idx: int, word: tuple) -> ModuliPoint:
+        """word(points[idx]), extending the longest prefix already known."""
+        n = len(word)
+        while n and (idx, word[:n]) not in self._images:
+            n -= 1
+        q = self._images[idx, word[:n]]
+        for m in range(n, len(word)):
+            q = self._images[idx, word[:m + 1]] = self._step(q, word[m])
+        return q
+
+    def value(self, idx: int, word: tuple) -> FieldScalar:
+        """Δ(word(points[idx]))."""
+        if (idx, word) not in self._values:
+            self._values[idx, word] = delta(self.image(idx, word))
+        return self._values[idx, word]
 
 
 @dataclass(frozen=True)
@@ -142,31 +160,28 @@ class SeparationWitness:
 
 
 def lift_point_to_q(p: ModuliPoint) -> ModuliPoint:
-    """Lift a prime-field point to the rationals entry by entry."""
+    """Lift a prime-field point to the rationals through its int form."""
     if p.field == QQ:
         return p
-    columns = tuple(
-        tuple(Fraction(x.value) for x in c) for c in p.columns
-    )
-    return ModuliPoint(p.family, QQ, columns)
+    ints, _ = p.field.ints(p.columns)
+    return ModuliPoint(p.family, QQ, tuple(map(QQ.vector, ints)))
 
 
-def reverify_witness_q(witness: SeparationWitness) -> dict:
+def reverify_witness_q(witness: SeparationWitness, _q: tuple | None = None) -> dict:
     """Replay a witness over ℚ on the lifted point.
 
     A value that is nonzero mod p lifts to a nonzero rational, so a
     prime-field witness always stays a witness: the two rational values
-    are distinct and reduce mod p to the stored pair.
+    are distinct and reduce mod p to the stored pair.  `_q` is a memo of
+    ℚ images and the point's index in it; by default, a one-point memo.
     """
-    q = lift_point_to_q(witness.point)
-    lhs = delta(apply_syllables(apply_syllables(q, witness.word), witness.probe))
-    rhs = delta(apply_syllables(q, witness.probe))
-    consistent = True
-    if isinstance(witness.lhs, ModP):
-        p = witness.lhs.modulus
-        consistent = (
-            _reduces_to(lhs, witness.lhs, p) and _reduces_to(rhs, witness.rhs, p)
-        )
+    images, idx = _q or (_WordImages((lift_point_to_q(witness.point),)), 0)
+    lhs = images.value(idx, witness.word + witness.probe)
+    rhs = images.value(idx, witness.probe)
+    field = witness.point.field
+    consistent = (
+        _reduces_to(lhs, witness.lhs, field) and _reduces_to(rhs, witness.rhs, field)
+    )
     return {
         "lhs": format_scalar(lhs),
         "rhs": format_scalar(rhs),
@@ -176,21 +191,23 @@ def reverify_witness_q(witness: SeparationWitness) -> dict:
     }
 
 
-def _reduces_to(x: Fraction, r: ModP, p: int) -> bool:
-    den = x.denominator % p
-    if den == 0:
-        return False
-    return x.numerator % p == r.value * den % p
+def _reduces_to(x: Fraction, r: FieldScalar, field: Field) -> bool:
+    """Whether the rational x maps to r, in the int form of r's `field`."""
+    [[num]], [den] = field.ints([(r,)])
+    return bool(field.reduce(x.denominator)) and not field.reduce(
+        x.numerator * den - num * x.denominator)
 
 
 def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
              seed=11, field: Field = DEFAULT_FIELD,
-             _cache: _ProbeCache | None = None) -> SeparationWitness | None:
+             _images: _WordImages | None = None) -> SeparationWitness | None:
     """Search for a separation witness for a nonempty reduced word.
 
     Probes are tried shortest first, points in sampling order; the first
     witness found is returned, so results are deterministic in the seed.
     Returns None if the budget is exhausted (sound, not complete).
+    Δ(u(w(p))) is the memo's value of the word w + u; a sweep passes one
+    memo, `_images`, to all its calls.
     """
     word = tuple(word)
     if not word:
@@ -199,19 +216,15 @@ def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
         raise ValueError(f"word {word!r} is not reduced")
     if probe_budget < 0:
         raise ValueError("probe_budget must be >= 0")
-    cache = _cache if _cache is not None else _ProbeCache(
+    images = _images if _images is not None else _WordImages(
         _sample_points(T36, field, n_points, seed)
     )
-    probes = reduced_words(probe_budget)
-    images: dict[int, ModuliPoint] = {}
-    for probe in probes:
-        for idx in range(len(cache.points)):
-            if idx not in images:
-                images[idx] = apply_syllables(cache.points[idx], word)
-            rhs = cache.value(idx, probe)
-            lhs = delta(apply_syllables(images[idx], probe))
+    for probe in reduced_words(probe_budget):
+        for idx, point in enumerate(images.points):
+            lhs = images.value(idx, word + probe)
+            rhs = images.value(idx, probe)
             if lhs != rhs:
-                return SeparationWitness(word, probe, cache.points[idx], lhs, rhs)
+                return SeparationWitness(word, probe, point, lhs, rhs)
     return None
 
 
@@ -289,29 +302,31 @@ def verify_relations(n_points: int = 32, seed=7, field: Field = DEFAULT_FIELD,
         raise ValueError("probe_budget must be >= 0")
     probes = reduced_words(probe_budget)
     results: dict[tuple[str, Syllables], list[int]] = {
-        (rel, u): [0, 0] for rel in ("a3", "b2") for u in probes
+        (rel, u): [0, 0] for rel in _RELATIONS for u in probes
     }
     for p in _sample_points(T36, field, n_points, seed):
         for key, passed in _relation_rows(p, probes):
             results[key][0 if passed else 1] += 1
     checks = tuple(
         RelationCheck(rel, u, results[(rel, u)][0], results[(rel, u)][1])
-        for rel in ("a3", "b2")
+        for rel in _RELATIONS
         for u in probes
     )
     return RelationReport(n_points, seed, probe_budget, field, checks)
 
 
+# Relation name -> its word; three single shifts are the shift by three.
+_RELATIONS = {"a3": ("a", "a", "a"), "b2": ("b", "b")}
+
+
 def _relation_rows(p: ModuliPoint, probes) -> list[tuple[tuple[str, Syllables], bool]]:
-    a3p = act_shift(p, 3)
-    b2p = apply_syllables(p, ("b",))
-    b2p = apply_syllables(b2p, ("b",))
-    rows = []
-    for u in probes:
-        base = delta(apply_syllables(p, u))
-        rows.append((("a3", u), delta(apply_syllables(a3p, u)) == base))
-        rows.append((("b2", u), delta(apply_syllables(b2p, u)) == base))
-    return rows
+    """Δ(u(r(p))) == Δ(u(p)) per probe u and relation word r, on one memo."""
+    images = _WordImages((p,))
+    return [
+        ((rel, u), images.value(0, r + u) == images.value(0, u))
+        for u in probes
+        for rel, r in _RELATIONS.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -392,24 +407,25 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
                        field: Field = DEFAULT_FIELD) -> SweepReport:
     """Run separate() on every nontrivial reduced word up to the budget.
 
-    All words share one deterministic point sample and probe table, so
-    each word's outcome equals a standalone separate() call with the
-    same seed.  Found witnesses are re-verified over ℚ when the sample
-    field is a prime field.
+    All words share one deterministic point sample and one memo of word
+    images, so each word's outcome equals a standalone separate() call
+    with the same seed.  Over a prime field, found witnesses are
+    re-verified over ℚ on a second memo, over the lifted sample.
     """
     if max_syllables < 1:
         raise ValueError("max_syllables must be >= 1")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    cache = _ProbeCache(_sample_points(T36, field, n_points, seed))
+    points = _sample_points(T36, field, n_points, seed)
+    images = _WordImages(points)
+    q_images = _WordImages(tuple(map(lift_point_to_q, points)))
     entries = []
-    for word in reduced_words(max_syllables):
-        if not word:
-            continue
-        witness = separate(word, probe_budget, n_points, seed, field, _cache=cache)
+    for word in reduced_words(max_syllables)[1:]:
+        witness = separate(word, probe_budget, n_points, seed, field, _images=images)
         q_report = None
         if witness is not None and isinstance(field, PrimeField):
-            q_report = reverify_witness_q(witness)
+            q_at = (q_images, points.index(witness.point))
+            q_report = reverify_witness_q(witness, _q=q_at)
         entries.append(SweepEntry(word, witness, q_report))
     return SweepReport(
         max_syllables, probe_budget, n_points, seed, field, tuple(entries)
@@ -502,25 +518,26 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
     with which other members of the set, and the per-coordinate
     comparison of X1 X2 X1 against X2 X1 X2.  Purely observational; the
     asserted part is the structural postcondition of every applied step.
-    Per point each distinct word prefix is replayed and checked once:
-    the 7 words hold 14 xi steps but only 9 distinct prefixes.
+    Per point each distinct word prefix is replayed and checked once,
+    through a one-point memo of word images: the 7 words hold 14 xi
+    steps but only 9 distinct prefixes.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    samples = []  # per point: (base values, {word: values}, structural_ok)
+    structural = set()  # xi_structural_ok outcomes of the steps the memos take
+
+    def step(q: ModuliPoint, i: int) -> ModuliPoint:
+        nxt = act_xi(q, i)
+        structural.add(xi_structural_ok(q, i, nxt))
+        return nxt
+
+    def coords(q: ModuliPoint) -> tuple:
+        return tuple(pluecker(q, ix) for ix in PLUECKER_SET)
+
+    samples = []  # per point: (base values, {word: values})
     for p in _sample_points(T44, field, n_points, seed):
-        images = {(): p}  # word prefix -> image
-        structural = True
-        for word in XI_REPORT_WORDS:
-            for n, i in enumerate(word):
-                if word[:n + 1] not in images:
-                    q = images[word[:n]]
-                    images[word[:n + 1]] = nxt = act_xi(q, i)
-                    structural = structural and xi_structural_ok(q, i, nxt)
-        per_word = {w: tuple(pluecker(images[w], ix) for ix in PLUECKER_SET)
-                    for w in XI_REPORT_WORDS}
-        base = tuple(pluecker(p, ix) for ix in PLUECKER_SET)
-        samples.append((base, per_word, structural))
+        images = _WordImages((p,), step)
+        samples.append((coords(p), {w: coords(images.image(0, w)) for w in XI_REPORT_WORDS}))
 
     invariance = {}
     matches = {}
@@ -529,14 +546,14 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
         match = {}
         for col, ix in enumerate(PLUECKER_SET):
             inv[_plabel(ix)] = all(
-                per_word[word][col] == base[col] for base, per_word, _ in samples
+                per_word[word][col] == base[col] for base, per_word in samples
             )
             match[_plabel(ix)] = [
                 _plabel(other)
                 for pos, other in enumerate(PLUECKER_SET)
                 if all(
                     per_word[word][col] == base[pos]
-                    for base, per_word, _ in samples
+                    for base, per_word in samples
                 )
             ]
         invariance[_xi_word_label(word)] = inv
@@ -546,7 +563,7 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
     w121, w212 = (1, 2, 1), (2, 1, 2)
     for col, ix in enumerate(PLUECKER_SET):
         agree = sum(
-            1 for _, per_word, _ in samples
+            1 for _, per_word in samples
             if per_word[w121][col] == per_word[w212][col]
         )
         braid[_plabel(ix)] = {
@@ -557,7 +574,7 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
 
     return XiReport(
         n_points, seed, field,
-        all(s for _, _, s in samples),
+        all(structural),
         invariance, matches, braid,
     )
 

@@ -8,18 +8,37 @@ the stacked bases.  `span_flags_from_point` and
 and check its open-cell conditions by containment and span equality,
 the reference for the window chain of `legmon.moduli`.  `legal_moves`
 and `moved_letters` find and apply braid moves by scanning and slicing
-letter tuples, the reference for `legmon.braids.apply_move`.  None of
-them is on a `legmon` code path, nor is the `from_rows` constructor the
-tests build matrices with, nor `script_text`, the move-script renderer
-that `parse_script` reads back.
+letter tuples, the reference for `legmon.braids.apply_move`.
+`scratch_sweep` and `scratch_relations` rebuild the faithfulness sweep
+and the relation report by applying every whole word to the sampled
+point with `apply_syllables`, lifting to ℚ entry by entry and reducing
+the ℚ values with the residues' own value and modulus: the reference for
+the reports' memo of word images.  None of them is on a `legmon` code
+path, nor is the `from_rows` constructor the tests build matrices with,
+nor `script_text`, the move-script renderer that `parse_script` reads
+back.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from legmon.braids import Move
-from legmon.fields import Field, field_inverse
+from legmon.explorer import (
+    RelationCheck,
+    RelationReport,
+    SeparationWitness,
+    SweepEntry,
+    SweepReport,
+    _sample_points,
+    apply_syllables,
+    delta,
+    reduced_words,
+)
+from legmon.fields import QQ, Field, field_inverse, format_scalar
 from legmon.linalg import Matrix, Subspace, _rref
-from legmon.moduli import ModuliPoint, require_valid
+from legmon.moduli import T36, ModuliPoint, require_valid
+from legmon.monodromy import act_shift
 
 
 def from_rows(rows, field: Field) -> Matrix:
@@ -214,3 +233,75 @@ def span_validate_bott_samelson(f: SpanFlagTuple, w) -> bool:
             elif here[d - 1] != there[d - 1]:
                 return False
     return True
+
+
+def scratch_separate(word, probe_budget: int, points) -> SeparationWitness | None:
+    """The first witness in probe-then-point order, each side replayed as
+    whole words from the sampled point."""
+    for probe in reduced_words(probe_budget):
+        for p in points:
+            lhs = delta(apply_syllables(apply_syllables(p, word), probe))
+            rhs = delta(apply_syllables(p, probe))
+            if lhs != rhs:
+                return SeparationWitness(word, probe, p, lhs, rhs)
+    return None
+
+
+def scratch_reverify(witness: SeparationWitness) -> dict:
+    """A prime-field witness replayed over ℚ on the entrywise lift."""
+    point = witness.point
+    q = ModuliPoint(point.family, QQ, tuple(
+        tuple(Fraction(x.value) for x in c) for c in point.columns))
+    lhs = delta(apply_syllables(apply_syllables(q, witness.word), witness.probe))
+    rhs = delta(apply_syllables(q, witness.probe))
+    consistent = all(
+        x.denominator % r.modulus
+        and (x.numerator - r.value * x.denominator) % r.modulus == 0
+        for x, r in ((lhs, witness.lhs), (rhs, witness.rhs))
+    )
+    return {
+        "lhs": format_scalar(lhs),
+        "rhs": format_scalar(rhs),
+        "distinct": lhs != rhs,
+        "consistent_with_fp": consistent,
+        "ok": lhs != rhs and consistent,
+    }
+
+
+def scratch_sweep(max_syllables: int, probe_budget: int, n_points: int, seed,
+                  field: Field) -> SweepReport:
+    points = _sample_points(T36, field, n_points, seed)
+    entries = []
+    for word in reduced_words(max_syllables)[1:]:
+        witness = scratch_separate(word, probe_budget, points)
+        q_report = None
+        if witness is not None and field.kind == "fp":
+            q_report = scratch_reverify(witness)
+        entries.append(SweepEntry(word, witness, q_report))
+    return SweepReport(max_syllables, probe_budget, n_points, seed, field, tuple(entries))
+
+
+def scratch_relation_rows(p: ModuliPoint, probes) -> list:
+    """((relation, probe), passed) rows, each image replayed from p."""
+    a3p = act_shift(p, 3)
+    b2p = apply_syllables(apply_syllables(p, ("b",)), ("b",))
+    rows = []
+    for u in probes:
+        base = delta(apply_syllables(p, u))
+        rows.append((("a3", u), delta(apply_syllables(a3p, u)) == base))
+        rows.append((("b2", u), delta(apply_syllables(b2p, u)) == base))
+    return rows
+
+
+def scratch_relations(n_points: int, seed, field: Field, probe_budget: int) -> RelationReport:
+    probes = reduced_words(probe_budget)
+    counts = Counter()
+    for p in _sample_points(T36, field, n_points, seed):
+        for key, passed in scratch_relation_rows(p, probes):
+            counts[key, passed] += 1
+    checks = tuple(
+        RelationCheck(rel, u, counts[(rel, u), True], counts[(rel, u), False])
+        for rel in ("a3", "b2")
+        for u in probes
+    )
+    return RelationReport(n_points, seed, probe_budget, field, checks)

@@ -6,7 +6,6 @@ Each test prints a single summary line; every comparison is exact
 
 import itertools
 import time
-from fractions import Fraction
 from random import Random
 
 from legmon.braids import builtin_script, verify_loop

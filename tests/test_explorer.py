@@ -31,7 +31,8 @@ from legmon.explorer import (
 from legmon.fields import DEFAULT_PRIME, QQ, PrimeField
 from legmon.linalg import Subspace, wedge
 from legmon.moduli import ModuliPoint, T36, T44, pluecker, random_point
-from legmon.monodromy import act_word, act_xi
+from legmon.monodromy import act_sigma1, act_word, act_xi
+from oracles import scratch_relations, scratch_reverify, scratch_sweep
 
 ALT_PRIME = 998244353
 
@@ -238,6 +239,59 @@ def test_sweep_json():
     assert isinstance(sweep, SweepReport)
     with pytest.raises(ValueError):
         faithfulness_sweep(max_syllables=0)
+
+
+@pytest.mark.parametrize("field,probe_budget", [
+    (PrimeField(DEFAULT_PRIME), 3),
+    (PrimeField(ALT_PRIME), 3),
+    (PrimeField(3), 3),  # witnesses at three different sample points
+    (PrimeField(DEFAULT_PRIME), 0),  # words no empty probe separates
+    (QQ, 3),
+], ids=["Fp", "Falt", "F3", "Fp-budget0", "Q"])
+def test_sweep_matches_whole_word_oracle(field, probe_budget):
+    kw = dict(max_syllables=5, probe_budget=probe_budget, n_points=8, seed=11, field=field)
+    sweep = faithfulness_sweep(**kw)
+    assert report_dumps(sweep) == report_dumps(scratch_sweep(**kw))
+    # the standalone re-check, on its own one-point memo, agrees as well;
+    # a ℚ witness is its own lift and reduces to itself
+    for witness in (e.witness for e in sweep.entries if e.witness is not None):
+        if field.kind == "fp":
+            assert reverify_witness_q(witness) == scratch_reverify(witness)
+        else:
+            assert reverify_witness_q(witness)["ok"]
+
+
+@pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), PrimeField(5), QQ],
+                         ids=["Fp", "F5", "Q"])
+def test_relations_match_whole_word_oracle(field):
+    report = verify_relations(n_points=16, seed=7, field=field, probe_budget=3)
+    assert report_dumps(report) == report_dumps(scratch_relations(16, 7, field, 3))
+
+
+def _record_sigma1_inputs(monkeypatch) -> list:
+    seen = []
+
+    def recording(p):
+        seen.append(p)
+        return act_sigma1(p)
+
+    monkeypatch.setattr(monodromy, "act_sigma1", recording)
+    return seen
+
+
+def test_sweep_computes_each_image_once(monkeypatch):
+    seen = _record_sigma1_inputs(monkeypatch)
+    sweep = faithfulness_sweep(max_syllables=8)
+    assert sweep.total_words == 105 and sweep.all_separated and sweep.all_q_verified
+    # points carry their field: no sigma1 input repeats over F_p or over ℚ
+    assert len(set(seen)) == len(seen)
+    assert {p.field for p in seen} == {explorer.DEFAULT_FIELD, QQ}
+
+
+def test_relations_compute_each_image_once(monkeypatch):
+    seen = _record_sigma1_inputs(monkeypatch)
+    verify_relations(field=QQ, probe_budget=3)
+    assert seen and len(set(seen)) == len(seen)
 
 
 def test_xi_structural_ok_direct():

@@ -2,9 +2,11 @@
 
 `linalg` and `monodromy` compute on that int form through the field
 object (`Field.ints`, `reduce`, `scalar`, `vector`) or on the scalars'
-own operators, so neither names a concrete scalar or field class.  The
-modules are read from their source, as `test_bench_traced` reads the
-benchmark's table.
+own operators, so neither names a concrete scalar or field class.
+`explorer` lifts prime-field witnesses to ℚ and checks their reduction
+through the same methods, so it never names `ModP`.  The modules are
+read from their source, as `test_bench_traced` reads the benchmark's
+table.
 """
 
 import ast
@@ -49,3 +51,8 @@ def test_module_leaves_the_int_form_to_fields(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     assert _imports_from_fields(tree) <= ALLOWED[module]
     assert not _names(tree) & CONCRETE
+
+
+def test_explorer_lifts_through_the_int_form():
+    tree = ast.parse((SRC / "explorer.py").read_text())
+    assert "ModP" not in _names(tree)
