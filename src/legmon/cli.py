@@ -11,7 +11,9 @@ written), 3 for a degeneracy (including exhausted sampling, a point
 given to `act` that fails validity, and a degeneracy inside a report).
 All output is deterministic given the flags; reports carry no
 timestamps.  The environment variable LEGMON_PRIME overrides the
-default prime modulus.  Each call builds the parser of the invoked
+CLI's default prime modulus.  The reports' other defaults are the
+defaults of the `explorer` functions they run: a report flag left out
+is not passed.  Each call builds the parser of the invoked
 subcommand only; help and errors without one build all of them.  Only
 the reports `relations`, `faithful` and `xi-report` import `explorer`.
 """
@@ -175,39 +177,12 @@ def _cmd_flags(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _cmd_relations(args) -> int:
+def _cmd_report(args) -> int:
     from . import explorer
-    report = explorer.verify_relations(
-        n_points=args.points,
-        seed=args.seed,
-        field=_resolve_field(args),
-        probe_budget=args.probe_budget,
-    )
+    kwargs = {k: v for k, v in vars(args).items() if k in _REPORT_FLAGS.values()}
+    report = getattr(explorer, args.report)(field=_resolve_field(args), **kwargs)
     _write_text(args.out, explorer.report_dumps(report))
-    return EXIT_OK if report.all_pass else EXIT_VERIFICATION
-
-
-def _cmd_faithful(args) -> int:
-    from . import explorer
-    report = explorer.faithfulness_sweep(
-        max_syllables=args.max_syllables,
-        probe_budget=args.probe_budget,
-        n_points=args.points,
-        seed=args.seed,
-        field=_resolve_field(args),
-    )
-    _write_text(args.out, explorer.report_dumps(report))
-    ok = report.all_separated and report.all_q_verified
-    return EXIT_OK if ok else EXIT_VERIFICATION
-
-
-def _cmd_xi_report(args) -> int:
-    from . import explorer
-    report = explorer.xi_pluecker_report(
-        n_points=args.points, seed=args.seed, field=_resolve_field(args)
-    )
-    _write_text(args.out, explorer.report_dumps(report))
-    return EXIT_OK if report.structural_all_ok else EXIT_VERIFICATION
+    return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
 def _add_field_flags(sub, include_q: bool = True):
@@ -255,31 +230,23 @@ def _flags_args(sub):
     sub.set_defaults(func=_cmd_flags)
 
 
-def _relations_args(sub):
-    sub.add_argument("--points", type=int, default=32)
-    sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--probe-budget", type=int, default=2)
-    _add_field_flags(sub)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_relations)
+# Report flag -> the keyword of the `explorer` report function it sets.
+_REPORT_FLAGS = {"--max-syllables": "max_syllables", "--probe-budget": "probe_budget",
+                 "--points": "n_points", "--seed": "seed"}
 
 
-def _faithful_args(sub):
-    sub.add_argument("--max-syllables", type=int, default=6)
-    sub.add_argument("--probe-budget", type=int, default=4)
-    sub.add_argument("--points", type=int, default=32)
-    sub.add_argument("--seed", type=int, default=11)
-    _add_field_flags(sub, include_q=False)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_faithful)
-
-
-def _xi_report_args(sub):
-    sub.add_argument("--points", type=int, default=32)
-    sub.add_argument("--seed", type=int, default=11)
-    _add_field_flags(sub, include_q=False)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_xi_report)
+def _report_args(function: str, flags: tuple[str, ...], include_q: bool = False):
+    """The adder of a report run by `explorer.<function>`.  A flag left out
+    is not passed, so the function's signature holds every default."""
+    def add(sub):
+        for flag in flags:
+            sub.add_argument(flag, type=int, dest=_REPORT_FLAGS[flag],
+                             metavar=flag[2:].upper().replace("-", "_"),
+                             default=argparse.SUPPRESS)
+        _add_field_flags(sub, include_q)
+        sub.add_argument("--out", default=None)
+        sub.set_defaults(func=_cmd_report, report=function)
+    return add
 
 
 # Subcommand name -> (help line, adder of its arguments and handler).
@@ -289,9 +256,14 @@ _COMMANDS = {
     "pluecker": ("evaluate one Plücker coordinate", _pluecker_args),
     "random-point": ("sample a valid point", _random_point_args),
     "flags": ("rebuild and validate the flag chain", _flags_args),
-    "relations": ("report the a^3 and b^2 relation checks", _relations_args),
-    "faithful": ("separation sweep over reduced words", _faithful_args),
-    "xi-report": ("Plücker tables for the xi words", _xi_report_args),
+    "relations": ("report the a^3 and b^2 relation checks",
+                  _report_args("verify_relations", ("--points", "--seed", "--probe-budget"),
+                               include_q=True)),
+    "faithful": ("separation sweep over reduced words",
+                 _report_args("faithfulness_sweep", ("--max-syllables", "--probe-budget",
+                                                     "--points", "--seed"))),
+    "xi-report": ("Plücker tables for the xi words",
+                  _report_args("xi_pluecker_report", ("--points", "--seed"))),
 }
 
 

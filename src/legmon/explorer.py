@@ -14,22 +14,32 @@ remains.
 
 Within one report call, a memo (`_WordImages`) extends each word's
 image from its prefix's image, so the sweep, its ℚ re-check, the
-relation rows and the xi table compute every image once.
+relation checks and the xi table compute every image once.  Probes
+are drawn lazily, shortest first, so a search stops at its first
+witness without listing the rest of its budget.
 
 Every sigma1 and xi image of a valid point is valid again, so every word
 is defined on every sampled point.  Sampling-time validity is the one
 degeneracy gate: the reports neither skip nor resample, and a
 `DegeneracyError` inside one is a bug that reaches the caller.
 
-All reports are deterministic functions of their parameters and
-serialize to JSON with a fixed key order.
+Every report samples through `_sample_points`, which refuses an empty
+sample.  The report functions' signatures hold the only defaults: the
+CLI passes just the flags it is given.  Called without a `field`, a
+report samples over `DEFAULT_FIELD`, whatever LEGMON_PRIME says.  Each
+report has one `ok` verdict, the CLI's exit status.  All reports are
+deterministic functions of their parameters and serialize to JSON with
+a fixed key order.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 from .fields import (
@@ -63,18 +73,21 @@ def reduced_words(max_syllables: int) -> tuple[Syllables, ...]:
     shortest first, options in (a, a2, b) order; includes the empty word."""
     if max_syllables < 0:
         raise ValueError("max_syllables must be >= 0")
-    out: list[Syllables] = [()]
-    layer: list[Syllables] = [()]
-    for _ in range(max_syllables):
-        nxt = []
-        for w in layer:
-            last = _FACTOR[w[-1]] if w else None
-            for s in SYLLABLES:
-                if _FACTOR[s] != last:
-                    nxt.append(w + (s,))
-        out.extend(nxt)
-        layer = nxt
-    return tuple(out)
+    return tuple(_iter_reduced_words(max_syllables))
+
+
+def _iter_reduced_words(max_syllables: int) -> Iterator[Syllables]:
+    """`reduced_words(max_syllables)`, one word at a time.  A reduced word
+    of n syllables puts a or a2 in every other slot, from slot 0 or slot
+    1, and b in the slots between; in (a, a2, b) order the words opening
+    with a rotation come first."""
+    yield ()
+    for n in range(1, max_syllables + 1):
+        for start in (0, 1):
+            for rotations in product(("a", "a2"), repeat=(n + 1 - start) // 2):
+                word = ["b"] * n
+                word[start::2] = rotations
+                yield tuple(word)
 
 
 def is_reduced(word: Syllables) -> bool:
@@ -97,6 +110,9 @@ def delta(p: ModuliPoint) -> FieldScalar:
 
 
 def _sample_points(family, field: Field, n_points: int, seed) -> tuple[ModuliPoint, ...]:
+    """The sample of every report: n_points valid points drawn from `seed`."""
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
     rng = Random(seed)
     return tuple(
         random_point(family, field, rng.randrange(2**62)) for _ in range(n_points)
@@ -203,8 +219,9 @@ def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
              _images: _WordImages | None = None) -> SeparationWitness | None:
     """Search for a separation witness for a nonempty reduced word.
 
-    Probes are tried shortest first, points in sampling order; the first
-    witness found is returned, so results are deterministic in the seed.
+    Probes are drawn one at a time, shortest first, and tried on the
+    points in sampling order; the first witness found is returned, so
+    results are deterministic in the seed.
     Returns None if the budget is exhausted (sound, not complete).
     Δ(u(w(p))) is the memo's value of the word w + u; a sweep passes one
     memo, `_images`, to all its calls.
@@ -219,7 +236,7 @@ def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
     images = _images if _images is not None else _WordImages(
         _sample_points(T36, field, n_points, seed)
     )
-    for probe in reduced_words(probe_budget):
+    for probe in _iter_reduced_words(probe_budget):
         for idx, point in enumerate(images.points):
             lhs = images.value(idx, word + probe)
             rhs = images.value(idx, probe)
@@ -254,12 +271,7 @@ class RelationReport:
     def all_pass(self) -> bool:
         return all(c.all_pass for c in self.checks)
 
-    def check(self, relation: str, probe: Syllables) -> RelationCheck:
-        probe = tuple(probe)
-        for c in self.checks:
-            if c.relation == relation and c.probe == probe:
-                return c
-        raise KeyError((relation, probe))
+    ok = all_pass
 
     def to_json(self) -> dict:
         return {
@@ -296,19 +308,17 @@ def verify_relations(n_points: int = 32, seed=7, field: Field = DEFAULT_FIELD,
     columns (the empty probe, pure b-powers) pass; the report records
     each probe's outcome.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
     if probe_budget < 0:
         raise ValueError("probe_budget must be >= 0")
     probes = reduced_words(probe_budget)
-    results: dict[tuple[str, Syllables], list[int]] = {
-        (rel, u): [0, 0] for rel in _RELATIONS for u in probes
-    }
+    failures = Counter()  # (relation, probe) -> points where the values differ
     for p in _sample_points(T36, field, n_points, seed):
-        for key, passed in _relation_rows(p, probes):
-            results[key][0 if passed else 1] += 1
+        images = _WordImages((p,))
+        for u in probes:
+            for rel, r in _RELATIONS.items():
+                failures[rel, u] += images.value(0, r + u) != images.value(0, u)
     checks = tuple(
-        RelationCheck(rel, u, results[(rel, u)][0], results[(rel, u)][1])
+        RelationCheck(rel, u, n_points - failures[rel, u], failures[rel, u])
         for rel in _RELATIONS
         for u in probes
     )
@@ -317,16 +327,6 @@ def verify_relations(n_points: int = 32, seed=7, field: Field = DEFAULT_FIELD,
 
 # Relation name -> its word; three single shifts are the shift by three.
 _RELATIONS = {"a3": ("a", "a", "a"), "b2": ("b", "b")}
-
-
-def _relation_rows(p: ModuliPoint, probes) -> list[tuple[tuple[str, Syllables], bool]]:
-    """Δ(u(r(p))) == Δ(u(p)) per probe u and relation word r, on one memo."""
-    images = _WordImages((p,))
-    return [
-        ((rel, u), images.value(0, r + u) == images.value(0, u))
-        for u in probes
-        for rel, r in _RELATIONS.items()
-    ]
 
 
 @dataclass(frozen=True)
@@ -371,6 +371,10 @@ class SweepReport:
             if e.witness is not None
         )
 
+    @property
+    def ok(self) -> bool:
+        return self.all_separated and self.all_q_verified
+
     def to_json(self) -> dict:
         return {
             "max_syllables": self.max_syllables,
@@ -414,14 +418,12 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
     """
     if max_syllables < 1:
         raise ValueError("max_syllables must be >= 1")
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
     points = _sample_points(T36, field, n_points, seed)
     images = _WordImages(points)
     q_images = _WordImages(tuple(map(lift_point_to_q, points)))
     entries = []
     for word in reduced_words(max_syllables)[1:]:
-        witness = separate(word, probe_budget, n_points, seed, field, _images=images)
+        witness = separate(word, probe_budget, _images=images)
         q_report = None
         if witness is not None and isinstance(field, PrimeField):
             q_at = (q_images, points.index(witness.point))
@@ -490,6 +492,10 @@ class XiReport:
     # Valid points stay valid under every word, so no draw is resampled.
     resamples = 0
 
+    @property
+    def ok(self) -> bool:
+        return self.structural_all_ok
+
     def to_json(self) -> dict:
         return {
             "n_points": self.n_points,
@@ -513,17 +519,15 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
                        field: Field = DEFAULT_FIELD) -> XiReport:
     """Tabulate the Plücker set of T44 before and after each xi word.
 
-    For every word W the report records which P in the set satisfy
-    P(W(p)) = P(p) across the sample, which pulled-back values coincide
-    with which other members of the set, and the per-coordinate
-    comparison of X1 X2 X1 against X2 X1 X2.  Purely observational; the
+    For every word W and every P in the set, the report records the
+    members Q with P(W(p)) = Q(p) across the sample.  P is invariant
+    under W when it is among its own matches.  The report also compares
+    X1 X2 X1 against X2 X1 X2 coordinate by coordinate.  Purely observational; the
     asserted part is the structural postcondition of every applied step.
     Per point each distinct word prefix is replayed and checked once,
     through a one-point memo of word images: the 7 words hold 14 xi
     steps but only 9 distinct prefixes.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
     structural = set()  # xi_structural_ok outcomes of the steps the memos take
 
     def step(q: ModuliPoint, i: int) -> ModuliPoint:
@@ -542,12 +546,8 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
     invariance = {}
     matches = {}
     for word in XI_REPORT_WORDS:
-        inv = {}
         match = {}
         for col, ix in enumerate(PLUECKER_SET):
-            inv[_plabel(ix)] = all(
-                per_word[word][col] == base[col] for base, per_word in samples
-            )
             match[_plabel(ix)] = [
                 _plabel(other)
                 for pos, other in enumerate(PLUECKER_SET)
@@ -556,7 +556,8 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
                     for base, per_word in samples
                 )
             ]
-        invariance[_xi_word_label(word)] = inv
+        # P(W(p)) = P(p) on the sample exactly when P is among its own matches.
+        invariance[_xi_word_label(word)] = {lab: lab in m for lab, m in match.items()}
         matches[_xi_word_label(word)] = match
 
     braid = {}

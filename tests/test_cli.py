@@ -483,6 +483,33 @@ def test_probe_budget_must_be_nonnegative(capsys, cmd):
     assert "probe_budget must be >= 0" in err
 
 
+REPORT_FUNCTIONS = {"relations": "verify_relations", "faithful": "faithfulness_sweep",
+                    "xi-report": "xi_pluecker_report"}
+
+
+@pytest.mark.parametrize(
+    "argv,kwargs",
+    [
+        (("relations",), {}),
+        (("relations", "--probe-budget", "0"), {"probe_budget": 0}),
+        (("faithful",), {}),
+        (("faithful", "--max-syllables", "2"), {"max_syllables": 2}),
+        (("xi-report",), {}),
+        (("xi-report", "--points", "4"), {"n_points": 4}),
+    ],
+    ids=["relations", "relations-budget0", "faithful", "faithful-2-syllables",
+         "xi-report", "xi-report-4-points"],
+)
+def test_report_defaults_are_the_library_defaults(monkeypatch, capsys, argv, kwargs):
+    # The CLI writes no report default: a flag left out is the explorer
+    # function's own default, and the exit code is the report's verdict.
+    monkeypatch.delenv("LEGMON_PRIME", raising=False)
+    report = getattr(explorer, REPORT_FUNCTIONS[argv[0]])(**kwargs)
+    code, out, _ = run(capsys, *argv)
+    assert out == explorer.report_dumps(report)
+    assert code == (0 if report.ok else 1)
+
+
 def _fail_first_call(fn):
     calls = []
 

@@ -74,6 +74,12 @@ def test_reduced_words_ordering():
         reduced_words(-1)
 
 
+def test_reduced_words_are_in_shortlex_order():
+    rank = {"a": 0, "a2": 1, "b": 2}
+    keys = [(len(w), [rank[s] for s in w]) for w in reduced_words(8)]
+    assert keys == sorted(keys)
+
+
 def test_is_reduced():
     assert is_reduced(())
     assert is_reduced(("a", "b", "a2"))
@@ -108,10 +114,9 @@ def test_verify_relations_default_outcomes():
     }
     assert failing == {("b2", ("a",)), ("b2", ("a2", "b")), ("b2", ("b", "a"))}
     assert not report.all_pass
+    by_key = {(c.relation, c.probe): c for c in report.checks}
     for probe in ((), ("a2",), ("b",), ("a", "b"), ("b", "a2")):
-        assert report.check("b2", probe).all_pass
-    with pytest.raises(KeyError):
-        report.check("b2", ("a", "b", "a"))
+        assert by_key["b2", probe].all_pass
 
 
 def test_verify_relations_prime_independent():
@@ -163,6 +168,31 @@ def test_separate_input_validation():
         separate(("a", "a2"))
     with pytest.raises(ValueError):
         separate(("b", "b"))
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+def test_separate_refuses_an_empty_sample(n_points):
+    # No sampled point would separate nothing; the input is refused.
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        separate(("a",), n_points=n_points)
+
+
+def test_separate_draws_probes_lazily(monkeypatch):
+    # (a b) is separated by the second probe, a: a search with a large
+    # budget draws just those two probes and builds no list of them.
+    drawn = []
+    probes = explorer._iter_reduced_words
+
+    def counting(budget):
+        for probe in probes(budget):
+            drawn.append(probe)
+            yield probe
+
+    monkeypatch.setattr(explorer, "_iter_reduced_words", counting)
+    monkeypatch.setattr(explorer, "reduced_words", None)
+    witness = separate(("a", "b"), probe_budget=30, n_points=2)
+    assert witness.probe == ("a",)
+    assert drawn == [(), ("a",)]
 
 
 def test_separate_budget_exhaustion_returns_none():

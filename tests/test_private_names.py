@@ -1,0 +1,80 @@
+"""Every module-level private name of `src/legmon/` is used somewhere in it.
+
+A `_private` function, class or constant is not part of the package's
+interface, so one that no code in `src/legmon/` reads is dead: this
+stdlib `ast` scan finds them.  A reference is a name or an attribute
+anywhere in the package outside the definition itself, so a recursive
+function that nothing else calls still counts as unused.  Dunder names
+are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "legmon").glob("*.py"))
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level private name -> the statement that binds it."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found.setdefault(name, node)
+    return found
+
+
+def _references(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) for every name read and attribute taken in `tree`."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.append((node.id, node))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node))
+    return refs
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each private definition no other code reads, sorted."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    refs = [ref for tree in trees.values() for ref in _references(tree)]
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree).items():
+            inside = {id(n) for n in ast.walk(definition)}
+            if not any(r == name and id(node) not in inside for r, node in refs):
+                unused.append(f"{module}.{name}")
+    return sorted(unused)
+
+
+def test_scan_flags_unused_private_names():
+    sources = {
+        "m": (
+            "_USED = 1\n"
+            "_ORPHAN = 2\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "class _Cls:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    return name\n"
+        ),
+        "n": "from . import m\nm._helper()\nx = m._Cls\n",
+    }
+    assert unused_private_names(sources) == ["m._ORPHAN", "m._recursive"]
+
+
+def test_package_uses_every_private_name():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unused_private_names(sources) == []
