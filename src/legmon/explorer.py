@@ -51,7 +51,7 @@ from .fields import (
     format_scalar,
 )
 from .linalg import _det_closed, wedge
-from .moduli import ModuliPoint, T36, T44, point_to_json, pluecker, random_point
+from .moduli import ModuliPoint, T36, T44, minors, point_to_json, pluecker, random_point
 from .monodromy import act_word, act_xi
 from . import monodromy
 
@@ -535,13 +535,11 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
         structural.add(xi_structural_ok(q, i, nxt))
         return nxt
 
-    def coords(q: ModuliPoint) -> tuple:
-        return tuple(pluecker(q, ix) for ix in PLUECKER_SET)
-
     samples = []  # per point: (base values, {word: values})
     for p in _sample_points(T44, field, n_points, seed):
         images = _WordImages((p,), step)
-        samples.append((coords(p), {w: coords(images.image(0, w)) for w in XI_REPORT_WORDS}))
+        table = {w: tuple(minors(images.image(0, w), PLUECKER_SET)) for w in XI_REPORT_WORDS}
+        samples.append((tuple(minors(p, PLUECKER_SET)), table))
 
     invariance = {}
     matches = {}

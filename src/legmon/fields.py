@@ -339,7 +339,7 @@ def field_from_json(data: dict) -> Field:
     if data["kind"] == "q":
         return QQ
     if data["kind"] == "fp":
-        if "p" not in data or not isinstance(data["p"], int):
+        if type(data.get("p")) is not int:  # bool is an int subclass
             raise ValueError(f"prime field descriptor needs an integer p: {data!r}")
         return PrimeField(data["p"])
     raise ValueError(f"unknown field kind: {data['kind']!r}")

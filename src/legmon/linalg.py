@@ -1,25 +1,25 @@
 """Exact linear algebra in small dimension.
 
-Matrices and subspaces over a single exact field: determinants up to
-4×4, which the loop maps compute their replacement vectors from (a
-ratio of two k×k determinants, k ≤ 4), and the subspace operations
-`Subspace.span`/`contains`, `wedge`, `intersect` and `wedge_normalize`.
-`wedge` has one `src/` caller, `explorer.xi_structural_ok`, which passes
-it the field's int form.  No `src/` path calls `Subspace`, `intersect` or
+`_det_closed` is the closed-form determinant up to 4×4, on ints or any
+ring's elements.  `src/` takes every determinant with it, on the field's
+int form (`Field.ints`): `moduli.minors` for cyclic minors and Plücker
+coordinates, and the loop maps for their replacement vectors (a ratio
+of two k×k determinants, k ≤ 4).  `wedge` has one `src/` caller,
+`explorer.xi_structural_ok`, which passes it the field's int form.  No
+`src/` path calls `Matrix`, `determinant`, `Subspace`, `intersect` or
 `wedge_normalize`: the tests use them as the reference oracles for the
-replacement-vector formula, the xi structural check and the flag
-chain's column windows, and they stay here only because the
-benchmark's `bench/layers.py` `TRACED` table names them.
+minors, the replacement-vector formula, the xi structural check and the
+flag chain's column windows, and they stay here only because the
+benchmark's `bench/layers.py` imports or traces them.
 
 Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their
 column), so subspace equality is plain tuple comparison.
 
-`determinant` runs its closed form on the int form of its rows, which
-the matrix's field gives (`Field.ints`), and wraps the result over the
-product of the row denominators (`Field.scalar`).  The subspace
-operations compute with the scalars' own operators, `ModP` or
-`Fraction` alike, so they have one arithmetic path for both fields.
+`determinant` wraps `_det_closed` of its rows' int form over the product
+of the row denominators (`Field.scalar`).  The subspace operations use
+the scalars' own operators, `ModP` or `Fraction` alike, so they have one
+arithmetic path for both fields.
 """
 
 from __future__ import annotations

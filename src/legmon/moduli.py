@@ -9,19 +9,22 @@ Two families are supported:
 
 Genericity ("validity") asks that every cyclically consecutive k×k
 minor is nonzero; on a valid point every loop action of the family is
-defined.  `flags_from_point` rebuilds the chain of complete flags along
-the base braid word as column windows, and `validate_bott_samelson`
-checks the cyclic adjacency conditions of the open cell on their starts.
+defined.  `minors` takes every minor here, on the columns' int form.
+`flags_from_point` rebuilds the chain of complete flags along the base
+braid word as column windows, and `validate_bott_samelson` checks the
+cyclic adjacency conditions of the open cell on their starts.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import prod
+from operator import itemgetter
 from random import Random
 
 from .fields import Field, FieldScalar, field_from_json, format_scalar
-from .linalg import Matrix, determinant
+from .linalg import _det_closed
 
 
 class InvalidPoint(ValueError):
@@ -106,13 +109,23 @@ class ValidityReport:
     is_valid: bool
 
 
+def minors(p: ModuliPoint, windows):
+    """Yield the minor at each window of k ≥ 2 1-based column indices, lazily;
+    each column used goes to `Field.ints` once, as a row of `_det_closed`."""
+    windows = tuple(windows)
+    used = sorted(set().union(*windows))
+    ints, dens = p.field.ints([p.columns[i - 1] for i in used])
+    for w in windows:
+        pick = itemgetter(*map(used.index, w))  # picks a tuple, as k ≥ 2
+        yield p.field.scalar(_det_closed(pick(ints)), prod(pick(dens)))
+
+
 def _cyclic_minors(p: ModuliPoint):
-    """Yield (window, minor) for the N cyclic consecutive k-windows in
-    order, lazily, so a caller can stop at the first vanishing minor."""
+    """(window, minor) for the N cyclic consecutive k-windows in order,
+    as a lazy iterator, so a caller can stop at the first vanishing minor."""
     k, n = p.family.k, p.family.n_columns
-    for start in range(n):
-        idx = tuple((start + t) % n + 1 for t in range(k))
-        yield idx, determinant(Matrix(tuple(p.col(i) for i in idx), p.field))
+    windows = [tuple((start + t) % n + 1 for t in range(k)) for start in range(n)]
+    return zip(windows, minors(p, windows))
 
 
 def validate_point(p: ModuliPoint) -> ValidityReport:
@@ -132,8 +145,7 @@ def require_valid(p: ModuliPoint) -> None:
 def pluecker(p: ModuliPoint, idx) -> FieldScalar:
     """The Plücker coordinate P_idx: the minor at the chosen columns.
 
-    `idx` must be strictly increasing 1-based indices, k of them.  The
-    columns go to `determinant` as rows, since det Mᵀ = det M.
+    `idx` must be strictly increasing 1-based indices, k of them.
     """
     idx = tuple(idx)
     fam = p.family
@@ -143,7 +155,7 @@ def pluecker(p: ModuliPoint, idx) -> FieldScalar:
         raise ValueError(f"indices out of range 1..{fam.n_columns}: {idx}")
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing: {idx}")
-    return determinant(Matrix(tuple(p.columns[i - 1] for i in idx), p.field))
+    return next(minors(p, (idx,)))
 
 
 def point_to_json(p: ModuliPoint) -> dict:

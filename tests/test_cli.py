@@ -258,6 +258,18 @@ def test_point_file_modulus_above_primality_bound(tmp_path, capsys):
         assert PSEUDOPRIME in err
 
 
+@pytest.mark.parametrize("p", [True, False, 7.0, "7"], ids=repr)
+def test_point_file_modulus_must_be_an_integer(tmp_path, capsys, p):
+    # JSON true/false load as bool, an int subclass; they are not moduli.
+    data = point_to_json(random_point(T36, PrimeField(7), 1))
+    data["field"]["p"] = p
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "flags", "--point", str(p_file))
+    assert code == 2 and out == ""
+    assert "prime field descriptor needs an integer p" in err
+
+
 @pytest.mark.parametrize(
     "raw,fragment",
     [("abc", "invalid literal"), ("91", "not prime"), (PSEUDOPRIME, "too large")],

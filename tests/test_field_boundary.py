@@ -4,9 +4,11 @@
 object (`Field.ints`, `reduce`, `scalar`, `vector`) or on the scalars'
 own operators, so neither names a concrete scalar or field class.
 `explorer` lifts prime-field witnesses to ℚ and checks their reduction
-through the same methods, so it never names `ModP`.  The modules are
-read from their source, as `test_bench_traced` reads the benchmark's
-table.
+through the same methods, so it never names `ModP`.  `moduli` takes
+its minors with `linalg._det_closed` on that int form, so no `src/`
+module outside `linalg` goes back to `Matrix` or `determinant`.  The
+modules are read from their source, as `test_bench_traced` reads the
+benchmark's table.
 """
 
 import ast
@@ -56,3 +58,18 @@ def test_module_leaves_the_int_form_to_fields(module):
 def test_explorer_lifts_through_the_int_form():
     tree = ast.parse((SRC / "explorer.py").read_text())
     assert "ModP" not in _names(tree)
+
+
+def test_minors_skip_the_matrix_oracle():
+    tree = ast.parse((SRC / "moduli.py").read_text())
+    from_linalg = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+        for a in node.names
+    }
+    assert from_linalg == {"_det_closed"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "linalg":
+            names = _names(ast.parse(path.read_text()))
+            assert not names & {"Matrix", "determinant"}, path.stem

@@ -3,25 +3,28 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
 import sympy
 
 from legmon.braids import BraidWord
-from legmon.fields import DEFAULT_PRIME, QQ, PrimeField, format_scalar
-from legmon.linalg import Subspace
+from legmon.fields import DEFAULT_PRIME, QQ, PrimeField, RationalField, format_scalar
+from legmon.linalg import Matrix, Subspace, determinant
 from legmon.moduli import (
     FAMILIES,
     RETRY_BOUND,
     FlagTuple,
     InvalidPoint,
+    MinorCheck,
     ModuliPoint,
     SamplingExhausted,
     T36,
     T44,
     flags_from_point,
     get_family,
+    minors,
     pluecker,
     point_dumps,
     point_loads,
@@ -127,8 +130,19 @@ def test_random_point_deterministic():
     assert random_point(T44, FP, 2).family is T44
 
 
+def cyclic_windows(family):
+    k, n = family.k, family.n_columns
+    return [tuple((s + t) % n + 1 for t in range(k)) for s in range(n)]
+
+
+def matrix_minors(p, windows):
+    """Each minor through the `Matrix`/`determinant` oracle."""
+    return [determinant(Matrix.from_columns([p.col(i) for i in w], p.field)) for w in windows]
+
+
 def reference_random_point(family, field, seed):
-    """`random_point` as a full `validate_point` of every draw."""
+    """`random_point` with every cyclic minor of every draw taken by the
+    `Matrix`/`determinant` oracle."""
     rng = Random(seed)
     for _ in range(RETRY_BOUND):
         columns = tuple(
@@ -136,7 +150,7 @@ def reference_random_point(family, field, seed):
             for _ in range(family.n_columns)
         )
         p = ModuliPoint(family, field, columns)
-        if validate_point(p).is_valid:
+        if all(matrix_minors(p, cyclic_windows(family))):
             return p
     raise SamplingExhausted(family, seed, RETRY_BOUND)
 
@@ -148,6 +162,84 @@ def test_random_point_matches_full_validation_sampler(field):
     for family in (T36, T44):
         for seed in range(20):
             assert random_point(family, field, seed) == reference_random_point(family, field, seed)
+
+
+def sympy_minor(p, window):
+    """The minor from sympy's determinant over ℚ, reduced mod p over F_p."""
+    rational = p.field == QQ
+    m = sympy.Matrix([
+        [sympy.Rational(x.numerator, x.denominator) if rational else x.value
+         for x in p.col(i)]
+        for i in window
+    ])
+    d = m.det()
+    return Fraction(d.p, d.q) if rational else p.field.scalar(int(d))
+
+
+def random_columns(family, field, rng):
+    def draw():
+        if field == QQ:  # fractional entries with mixed denominators
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return field.random_scalar(rng)
+
+    return tuple(tuple(draw() for _ in range(family.k)) for _ in range(family.n_columns))
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), FP, QQ], ids=str)
+def test_minors_match_determinant_and_sympy(field):
+    rng = Random(41)
+    vanished = 0
+    for family in (T36, T44):
+        # Every increasing window, the wrap-around cyclic windows, two
+        # out-of-order windows (odd and even permutations) and a window
+        # with a repeated column.
+        windows = list(combinations(range(1, family.n_columns + 1), family.k))
+        windows += cyclic_windows(family) + [(2, 1, *range(3, family.k + 1))]
+        windows += [tuple(range(family.k, 0, -1)), (1, 1, *range(2, family.k))]
+        for _ in range(4):
+            p = ModuliPoint(family, field, random_columns(family, field, rng))
+            got = list(minors(p, windows))
+            assert got == matrix_minors(p, windows)
+            assert got[::7] == [sympy_minor(p, w) for w in windows[::7]]
+            assert all(isinstance(x, type(field.zero())) for x in got)
+            cyclic = cyclic_windows(family)
+            assert validate_point(p).minors == tuple(
+                MinorCheck(w, v, bool(v)) for w, v in zip(cyclic, matrix_minors(p, cyclic))
+            )
+            vanished += not all(matrix_minors(p, cyclic))
+    # Over F_3 some sampled cyclic minors vanish, so zeros are covered too.
+    assert vanished > 0 if field == PrimeField(3) else vanished == 0
+
+
+def test_minors_convert_each_used_column_once(monkeypatch):
+    # Over Q the int form costs an lcm per column, so a minor converts
+    # its own k columns only, never the whole point.
+    from legmon.explorer import PLUECKER_SET
+
+    p36 = random_point(T36, QQ, 2)
+    p44 = random_point(T44, QQ, 2)
+    sizes = []
+    ints = RationalField.ints
+
+    def counting(self, vectors):
+        sizes.append(len(vectors))
+        return ints(self, vectors)
+
+    monkeypatch.setattr(RationalField, "ints", counting)
+    for p, idx in ((p36, (1, 4, 7)), (p44, (1, 3, 7, 8)), (p44, (2, 3, 4, 8))):
+        sizes.clear()
+        pluecker(p, idx)
+        assert sizes == [len(idx)]
+    for p in (p36, p44):
+        sizes.clear()
+        validate_point(p)
+        assert sizes == [p.family.n_columns]
+    sizes.clear()
+    tuple(minors(p44, PLUECKER_SET))
+    assert sizes == [len(set().union(*PLUECKER_SET))]
+    sizes.clear()
+    tuple(minors(p44, [(1, 2, 3, 4), (4, 3, 2, 1)]))
+    assert sizes == [4]
 
 
 def test_small_field_sampling_is_bounded():
