@@ -176,11 +176,11 @@ class SeparationWitness:
 
 
 def lift_point_to_q(p: ModuliPoint) -> ModuliPoint:
-    """Lift a prime-field point to the rationals through its int form."""
+    """Lift a prime-field point to ℚ: its int form is the lift's int form."""
     if p.field == QQ:
         return p
-    ints, _ = p.field.ints(p.columns)
-    return ModuliPoint(p.family, QQ, tuple(map(QQ.vector, ints)))
+    cols = tuple(QQ.column(ints)[0] for ints, _ in p.form)
+    return ModuliPoint.image(p.family, QQ, cols, p.form)
 
 
 def reverify_witness_q(witness: SeparationWitness, _q: tuple | None = None) -> dict:
@@ -452,10 +452,10 @@ XI_REPORT_WORDS = (
 
 
 def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
-    """Post-hoc check of one xi step, on the field's int form of each window.
+    """Post-hoc check of one xi step, on the int form both points carry.
 
-    With v_a, v_b, u and T in the field's int form (`Field.ints`) as A/α,
-    B/β, C/γ and T′, a window passes iff det(B, T′) ≠ 0, det(C, T′) = 0
+    With v_a, v_b, u and T read from the points' int forms as A/α, B/β,
+    C/γ and T′, a window passes iff det(B, T′) ≠ 0, det(C, T′) = 0
     (u ∈ ⟨T⟩) and γ·(A∧B) = α·(B∧C) (v_a∧v_b = v_b∧u), each after
     `Field.reduce` (so mod p over F_p).  Then v_b ≠ 0 and
     v_b∧(u + v_a) = 0, so u ∈ ⟨v_a, v_b⟩.  `act_xi` returns only where
@@ -466,8 +466,8 @@ def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     specs, layout = monodromy._xi_table(i, before, after)
     field = before.field
     for label, pair, other in specs:
-        vecs = [before.col(j) for j in (*pair, *other)] + [after.columns[layout.index(label)]]
-        (a, b, *t, c), (alpha, *_, gamma) = field.ints(vecs)
+        pairs = [before.form[j - 1] for j in (*pair, *other)] + [after.form[layout.index(label)]]
+        (a, b, *t, c), (alpha, *_, gamma) = zip(*pairs)
         tests = [_det_closed([b, *t]), _det_closed([c, *t])] + [
             gamma * x - alpha * y for x, y in zip(wedge(a, b), wedge(b, c))]
         db, dc, *gap = map(field.reduce, tests)

@@ -10,15 +10,16 @@ can stay field-agnostic.
 
 `ModP` and `Fraction` are the public scalars: points, subspace bases,
 JSON and every function result carry them.  Each field object also owns
-the int form of its scalars, which the determinant and replacement-vector
-kernels compute on: `ints` turns vectors into ints over one denominator
-each (residue values over denominator 1 over F_p, numerators scaled to
-the lcm of the vector's denominators over ℚ), `reduce` maps an int
-result into the field's range (mod p, or unchanged), and `scalar` and
-`vector` wrap ints over a denominator back into `ModP` or `Fraction`.
-No other module tells the two int forms apart.  `PrimeField` refuses a
-modulus at or above the bound below which its Miller-Rabin test is
-deterministic.
+the int form of its scalars, which points carry and the kernels compute
+on: `ints` turns vectors into ints over one denominator each (residue
+values over 1 over F_p; over ℚ numerators scaled to the lcm of the
+denominators, the one form with gcd(den, *ints) = 1 and den > 0),
+`reduce` maps an int result into the field's range (mod p, or
+unchanged), `scalar` wraps ints over a denominator back into a scalar,
+and `column` gives ints over any denominator as scalars and in int form.
+`x in field` tells whether x is a scalar of the field.  No other module
+tells the two int forms apart.  `PrimeField` refuses a modulus at or
+above the bound below which its Miller-Rabin test is deterministic.
 
 Serialization: rationals render as ``"a/b"`` with an explicit
 denominator, residues as ``"v mod p"``.
@@ -30,7 +31,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, fits in one machine word with room to multiply
@@ -229,8 +230,14 @@ class RationalField:
     def scalar(self, x: int, den: int = 1) -> Fraction:
         return Fraction(x, den)
 
-    def vector(self, ints, den: int = 1) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, den) for x in ints)
+    def column(self, ints, den: int = 1):
+        """ints / den as Fractions and in int form: over g = ±gcd(den, *ints)."""
+        g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
+        ints, den = tuple(x // g for x in ints), den // g
+        return tuple(Fraction(x, den) for x in ints), (ints, den)
+
+    def __contains__(self, x) -> bool:
+        return type(x) is Fraction
 
     def parse(self, text: str) -> Fraction:
         m = _RATIONAL_RE.match(text)
@@ -288,10 +295,14 @@ class PrimeField:
         """x / den as a residue; den must be nonzero mod p."""
         return ModP(x if den == 1 else x * self._inverse(den), self.p)
 
-    def vector(self, ints, den: int = 1) -> tuple[ModP, ...]:
-        """ints / den as residues, with one inversion of den."""
+    def column(self, ints, den: int = 1):
+        """ints / den as residues and in int form, with one inversion of den."""
         p, inv = self.p, self._inverse(den)
-        return tuple(ModP(x * inv, p) for x in ints)
+        values = tuple(x * inv % p for x in ints)
+        return tuple(ModP(x, p) for x in values), (values, 1)
+
+    def __contains__(self, x) -> bool:
+        return type(x) is ModP and x.modulus == self.p
 
     def _inverse(self, den: int) -> int:
         if den % self.p == 0:

@@ -1,11 +1,11 @@
 """Exact linear algebra in small dimension.
 
 `_det_closed` is the closed-form determinant up to 4×4, on ints or any
-ring's elements.  `src/` takes every determinant with it, on the field's
-int form (`Field.ints`): `moduli.minors` for cyclic minors and Plücker
-coordinates, and the loop maps for their replacement vectors (a ratio
-of two k×k determinants, k ≤ 4).  `wedge` has one `src/` caller,
-`explorer.xi_structural_ok`, which passes it the field's int form.  No
+ring's elements.  `src/` takes every determinant with it, on the int
+form a point carries (`ModuliPoint.form`): `moduli.minors` for cyclic
+minors and Plücker coordinates, and the loop maps for their replacement
+vectors (a ratio of two k×k determinants, k ≤ 4).  `wedge` has one
+`src/` caller, `explorer.xi_structural_ok`, which passes it that form.  No
 `src/` path calls `Matrix`, `determinant`, `Subspace`, `intersect` or
 `wedge_normalize`: the tests use them as the reference oracles for the
 minors, the replacement-vector formula, the xi structural check and the

@@ -9,7 +9,9 @@ Two families are supported:
 
 Genericity ("validity") asks that every cyclically consecutive k×k
 minor is nonzero; on a valid point every loop action of the family is
-defined.  `minors` takes every minor here, on the columns' int form.
+defined.  A point built from scalars takes its int form once and
+refuses entries of another field; the loop maps pass the form on, and
+`minors` takes every minor here on it, converting nothing.
 `flags_from_point` rebuilds the chain of complete flags along the base
 braid word as column windows, and `validate_bott_samelson` checks the
 cyclic adjacency conditions of the open cell on their starts.
@@ -18,12 +20,11 @@ cyclic adjacency conditions of the open cell on their starts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from math import prod
-from operator import itemgetter
 from random import Random
 
-from .fields import Field, FieldScalar, field_from_json, format_scalar
+from .fields import Field, FieldMismatch, FieldScalar, field_from_json, format_scalar
 from .linalg import _det_closed
 
 
@@ -76,11 +77,13 @@ def get_family(name: str) -> Family:
 
 @dataclass(frozen=True)
 class ModuliPoint:
-    """Framed vectors v_1..v_N as columns of a k×N matrix over one field."""
+    """Framed vectors v_1..v_N as columns of a k×N matrix over one field,
+    and `form`, their int form: one `Field.ints` (ints, den) pair each."""
 
     family: Family
     field: Field
     columns: tuple[tuple[FieldScalar, ...], ...]
+    form: tuple = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.columns) != self.family.n_columns:
@@ -90,6 +93,19 @@ class ModuliPoint:
             )
         if any(len(c) != self.family.k for c in self.columns):
             raise ValueError(f"{self.family.name} columns must have length {self.family.k}")
+        for j, c in enumerate(self.columns, start=1):
+            for t, x in enumerate(c, start=1):
+                if x not in self.field:
+                    raise FieldMismatch(f"column {j} entry {t}: {x!r} is not in {self.field}")
+        ints, dens = self.field.ints(self.columns)
+        object.__setattr__(self, "form", tuple(zip(map(tuple, ints), dens)))
+
+    @classmethod
+    def image(cls, family: Family, field: Field, columns, form) -> "ModuliPoint":
+        """A point whose int form is known (a loop map's image): no checks."""
+        p = object.__new__(cls)
+        vars(p).update(family=family, field=field, columns=columns, form=form)
+        return p
 
     def col(self, i: int) -> tuple[FieldScalar, ...]:
         """Column v_i, 1-based and cyclic in i."""
@@ -110,14 +126,12 @@ class ValidityReport:
 
 
 def minors(p: ModuliPoint, windows):
-    """Yield the minor at each window of k ≥ 2 1-based column indices, lazily;
-    each column used goes to `Field.ints` once, as a row of `_det_closed`."""
-    windows = tuple(windows)
-    used = sorted(set().union(*windows))
-    ints, dens = p.field.ints([p.columns[i - 1] for i in used])
+    """Yield the minor at each window of k 1-based column indices, lazily:
+    `_det_closed` of the columns' carried int form, over their dens."""
+    field, form = p.field, p.form
     for w in windows:
-        pick = itemgetter(*map(used.index, w))  # picks a tuple, as k ≥ 2
-        yield p.field.scalar(_det_closed(pick(ints)), prod(pick(dens)))
+        rows, dens = zip(*[form[i - 1] for i in w])
+        yield field.scalar(_det_closed(rows), prod(dens))
 
 
 def _cyclic_minors(p: ModuliPoint):

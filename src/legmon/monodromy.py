@@ -9,11 +9,12 @@ u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by Cramer's rule:
 
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
-Both determinants are taken on the int form that the point's field
-gives, and the field wraps u back into its scalars only as it is
-returned, so nothing here tells F_p from ℚ.  `linalg.intersect` and
-`linalg.wedge_normalize` compute the same u from the subspaces; they are
-its reference oracle in the tests, and no path here calls them.
+Both determinants are taken on the int form the point carries, and
+`Field.column` gives u as scalars and in int form, which the image
+carries on: nothing here tells F_p from ℚ or converts a column.
+`linalg.intersect` and `linalg.wedge_normalize` compute the same u from
+the subspaces; they are its reference oracle in the tests, and no path
+here calls them.
 
 Composition is by group words.  On T36 the generators are A (column
 shift by one), A2 (shift by two), and B = sigma1 after a shift, so that
@@ -46,19 +47,19 @@ class DegenerateIntersection(DegeneracyError):
 
 def act_shift(p: ModuliPoint, j: int) -> ModuliPoint:
     """Rotate columns left by j (mod N): v_1..v_N -> v_{1+j}..v_j."""
-    n = p.family.n_columns
-    j %= n
-    return ModuliPoint(p.family, p.field, p.columns[j:] + p.columns[:j])
+    j %= p.family.n_columns
+    return ModuliPoint.image(p.family, p.field, p.columns[j:] + p.columns[:j],
+                             p.form[j:] + p.form[:j])
 
 
 def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
                         other: tuple[int, ...]):
-    """u = λ·v_b − v_a with λ = det(v_a, T) / det(v_b, T), T = other columns.
+    """(scalars, int form) of u = λ·v_b − v_a, λ = det(v_a, T) / det(v_b, T).
 
-    With v_a = A/α, v_b = B/β and T as integer columns T′, all in the
-    field's int form (`Field.ints`), the ratio is λ = dA·β / (dB·α) for
+    With v_a = A/α, v_b = B/β and T as integer columns T′, all read from
+    the point's int form, the ratio is λ = dA·β / (dB·α) for
     dA = det(A, T′), dB = det(B, T′), so u = (dA·B − dB·A) / (dB·α): two
-    integer determinants and one denominator, which `Field.vector`
+    integer determinants and one denominator, which `Field.column`
     divides out as u is returned.
 
     Raises:
@@ -67,12 +68,12 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
             lies in ⟨T⟩ and no u ∈ ⟨T⟩ satisfies v_a ∧ v_b = v_b ∧ u.
     """
     field = p.field
-    (ai, bi, *ti), (alpha, *_) = field.ints([p.col(j) for j in (*pair, *other)])
+    (ai, bi, *ti), (alpha, *_) = zip(*[p.form[j - 1] for j in (*pair, *other)])
     da = field.reduce(_det_closed([ai, *ti]))
     db = field.reduce(_det_closed([bi, *ti]))
     if db:
-        u = field.vector([da * y - db * x for x, y in zip(ai, bi)], db * alpha)
-        if any(u):
+        u = field.column([da * y - db * x for x, y in zip(ai, bi)], db * alpha)
+        if any(u[1][0]):
             return u
     elif da:
         raise DegenerateNormalization(f"{label}: v{pair[1]} lies in span{other}")
@@ -90,6 +91,15 @@ _SIGMA1_WINDOWS = (
     ("u2", (4, 5), (6, 7)),
     ("u3", (7, 8), (9, 1)),
 )
+_SIGMA1_LAYOUT = (2, "u1", 3, 5, "u2", 6, 8, "u3", 9)
+
+
+def _replace(p: ModuliPoint, specs, layout) -> ModuliPoint:
+    """The point whose columns follow `layout`: a label takes its window's
+    replacement vector, an index the column of p it names."""
+    u = {label: _replacement_vector(p, label, pair, other) for label, pair, other in specs}
+    picks = [u[s] if isinstance(s, str) else (p.columns[s - 1], p.form[s - 1]) for s in layout]
+    return ModuliPoint.image(p.family, p.field, *zip(*picks))
 
 
 def act_sigma1(p: ModuliPoint) -> ModuliPoint:
@@ -97,16 +107,7 @@ def act_sigma1(p: ModuliPoint) -> ModuliPoint:
     with u_t the wedge-normalized vector of <v_a,v_b> ∩ <v_c,v_d> per window."""
     if p.family is not T36:
         raise ValueError(f"act_sigma1 needs family T36, got {p.family.name}")
-    u = {
-        label: _replacement_vector(p, label, pair, other)
-        for label, pair, other in _SIGMA1_WINDOWS
-    }
-    cols = (
-        p.col(2), u["u1"], p.col(3),
-        p.col(5), u["u2"], p.col(6),
-        p.col(8), u["u3"], p.col(9),
-    )
-    return ModuliPoint(p.family, p.field, cols)
+    return _replace(p, _SIGMA1_WINDOWS, _SIGMA1_LAYOUT)
 
 
 # i -> ((u specs), output layout); "u1"/"u2" mark the replaced columns.
@@ -139,13 +140,7 @@ def _xi_table(i: int, *points: ModuliPoint):
 def act_xi(p: ModuliPoint, i: int) -> ModuliPoint:
     """The xi_i loop on T44 (i in {1,2,3}); each window replaces one
     column by the wedge-normalized vector of <v_a,v_b> ∩ <v_c,v_d,v_e>."""
-    specs, layout = _xi_table(i, p)
-    u = {
-        label: _replacement_vector(p, label, pair, other)
-        for label, pair, other in specs
-    }
-    cols = tuple(u[slot] if isinstance(slot, str) else p.col(slot) for slot in layout)
-    return ModuliPoint(p.family, p.field, cols)
+    return _replace(p, *_xi_table(i, p))
 
 
 # Generator token -> (family it applies to, its point map).  The maps call

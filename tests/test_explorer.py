@@ -434,7 +434,7 @@ def test_xi_structural_ok_needs_v_b_off_t():
     with pytest.raises(monodromy.DegeneracyError):
         act_xi(before, 1)
     u1 = tuple(b - a for a, b in zip(v[0], v[1]))  # v2 − v1 ∈ ⟨v3, v4, v5⟩
-    u2 = monodromy._replacement_vector(before, "u2", (5, 6), (7, 8, 1))
+    u2, _ = monodromy._replacement_vector(before, "u2", (5, 6), (7, 8, 1))
     after = ModuliPoint(T44, QQ, (v[1], u1, v[2], v[3], v[5], u2, v[6], v[7]))
     assert oracle_xi_structural_ok(before, 1, after)
     assert not xi_structural_ok(before, 1, after)

@@ -1,14 +1,16 @@
 """The int form of each field's scalars is known to `legmon.fields` only.
 
 `linalg` and `monodromy` compute on that int form through the field
-object (`Field.ints`, `reduce`, `scalar`, `vector`) or on the scalars'
+object (`Field.ints`, `reduce`, `scalar`, `column`) or on the scalars'
 own operators, so neither names a concrete scalar or field class.
 `explorer` lifts prime-field witnesses to ℚ and checks their reduction
 through the same methods, so it never names `ModP`.  `moduli` takes
 its minors with `linalg._det_closed` on that int form, so no `src/`
-module outside `linalg` goes back to `Matrix` or `determinant`.  The
-modules are read from their source, as `test_bench_traced` reads the
-benchmark's table.
+module outside `linalg` goes back to `Matrix` or `determinant`.  A
+point carries its int form from construction, and the loop maps, the
+minors and the xi check read it there: none of them calls `.ints(`.
+The modules are read from their source, as `test_bench_traced` reads
+the benchmark's table.
 """
 
 import ast
@@ -73,3 +75,22 @@ def test_minors_skip_the_matrix_oracle():
         if path.stem != "linalg":
             names = _names(ast.parse(path.read_text()))
             assert not names & {"Matrix", "determinant"}, path.stem
+
+
+def _ints_calls(tree):
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "ints"
+    ]
+
+
+def _function(module, name):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_kernels_read_the_carried_int_form():
+    assert _ints_calls(ast.parse((SRC / "monodromy.py").read_text())) == []
+    assert _ints_calls(_function("moduli", "minors")) == []
+    assert _ints_calls(_function("explorer", "xi_structural_ok")) == []

@@ -126,9 +126,14 @@ def test_int_form_round_trip(field):
             assert den == lcm(*(x.denominator for x in v))
         else:
             assert den == 1 and all(0 <= x < field.p for x in row)
-        w = field.vector(row, den)
+        w, form = field.column(row, den)
         assert w == v and all(type(x) is type(field.zero()) for x in w)
         assert w == tuple(field.scalar(x, den) for x in row)
+        # `column` returns the int form that `ints` gives, from any
+        # multiple of it, a negative denominator included.
+        assert form == (tuple(row), den)
+        m = rng.choice((-1, -5, 11))
+        assert field.column([x * m for x in row], den * m) == (w, form)
     for _ in range(500):
         x = rng.randint(-10**40, 10**40)
         d = rng.choice((1, 2, 3, 7, rng.randint(1, 10**30)))
@@ -142,12 +147,12 @@ def test_int_form_round_trip(field):
             assert field.scalar(x) == ModP(x, p)
             assert field.reduce(x) == x % p
         if field is QQ or d % field.p:
-            assert field.vector([x, 0], d) == (field.scalar(x, d), field.zero())
+            assert field.column([x, 0], d)[0] == (field.scalar(x, d), field.zero())
     zero_den = 0 if field is QQ else field.p
     with pytest.raises(ZeroDivisionError):
         field.scalar(1, zero_den)
     with pytest.raises(ZeroDivisionError):
-        field.vector([1, 2], zero_den)
+        field.column([1, 2], zero_den)
 
 
 def test_scalar_serialization_round_trip():

@@ -1,6 +1,7 @@
 """Moduli points: validity, Plücker minors, serialization, flags."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,9 @@ import pytest
 import sympy
 
 from legmon.braids import BraidWord
-from legmon.fields import DEFAULT_PRIME, QQ, PrimeField, RationalField, format_scalar
+from legmon.fields import (
+    DEFAULT_PRIME, QQ, FieldMismatch, ModP, PrimeField, RationalField, format_scalar,
+)
 from legmon.linalg import Matrix, Subspace, determinant
 from legmon.moduli import (
     FAMILIES,
@@ -211,13 +214,19 @@ def test_minors_match_determinant_and_sympy(field):
     assert vanished > 0 if field == PrimeField(3) else vanished == 0
 
 
-def test_minors_convert_each_used_column_once(monkeypatch):
-    # Over Q the int form costs an lcm per column, so a minor converts
-    # its own k columns only, never the whole point.
-    from legmon.explorer import PLUECKER_SET
+def test_points_convert_once_and_images_never(monkeypatch):
+    # Over Q the int form costs an lcm per column.  A point built from
+    # scalars converts its N columns in one call; the minors, the checks
+    # and every loop-map image then read the carried form and convert
+    # nothing, at any depth.
+    from legmon.explorer import PLUECKER_SET, xi_structural_ok
+    from legmon.monodromy import act_word, act_xi
 
-    p36 = random_point(T36, QQ, 2)
-    p44 = random_point(T44, QQ, 2)
+    words = {
+        T36: "A B S1 A2 B SH(4) B A S1 B A2 B SH(-2) S1 A B B A2 S1 B",
+        T44: "X1 X2 X3 SH(1) X2 X1 X2 X3 X3 SH(-3) X1 X2 X1 X3 X2 SH(2) X1 X3 X2 X1",
+    }
+    samples = {family: random_point(family, QQ, 2).columns for family in words}
     sizes = []
     ints = RationalField.ints
 
@@ -226,20 +235,42 @@ def test_minors_convert_each_used_column_once(monkeypatch):
         return ints(self, vectors)
 
     monkeypatch.setattr(RationalField, "ints", counting)
-    for p, idx in ((p36, (1, 4, 7)), (p44, (1, 3, 7, 8)), (p44, (2, 3, 4, 8))):
+    for family, word in words.items():
+        assert len(word.split()) == 20
         sizes.clear()
-        pluecker(p, idx)
-        assert sizes == [len(idx)]
-    for p in (p36, p44):
+        p = ModuliPoint(family, QQ, samples[family])
+        assert sizes == [family.n_columns]
         sizes.clear()
-        validate_point(p)
-        assert sizes == [p.family.n_columns]
-    sizes.clear()
-    tuple(minors(p44, PLUECKER_SET))
-    assert sizes == [len(set().union(*PLUECKER_SET))]
-    sizes.clear()
-    tuple(minors(p44, [(1, 2, 3, 4), (4, 3, 2, 1)]))
-    assert sizes == [4]
+        assert point_loads(point_dumps(p)) == p
+        assert sizes == [family.n_columns]
+        sizes.clear()
+        image = act_word(p, word)
+        for q in (p, image):
+            validate_point(q)
+            pluecker(q, range(1, family.k + 1))
+            tuple(minors(q, cyclic_windows(family)))
+        if family is T44:
+            tuple(minors(image, PLUECKER_SET))
+            for i in (1, 2, 3):
+                assert xi_structural_ok(image, i, act_xi(image, i))
+        assert sizes == []
+
+
+def test_points_refuse_scalars_of_another_field():
+    # Mod-11 residues in an F_7 point would take their minors mod 7, and a
+    # residue in a Q point has no denominator: both are refused when the
+    # point is built, naming the column and the entry.
+    f7 = PrimeField(7)
+    for field, j, t, stranger in (
+        (f7, 2, 1, ModP(3, 11)),
+        (f7, 9, 3, Fraction(1, 2)),
+        (QQ, 5, 3, ModP(1, 7)),
+        (QQ, 1, 2, 4),
+    ):
+        cols = [list(c) for c in random_point(T36, field, 1).columns]
+        cols[j - 1][t - 1] = stranger
+        with pytest.raises(FieldMismatch, match=rf"^column {j} entry {t}: {re.escape(repr(stranger))} "):
+            ModuliPoint(T36, field, tuple(map(tuple, cols)))
 
 
 def test_small_field_sampling_is_bounded():

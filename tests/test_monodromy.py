@@ -1,6 +1,7 @@
 """Loop point maps: shift, sigma1, xi, group words, pullback identities."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -127,7 +128,7 @@ def test_replacement_vector_matches_subspace_oracle(family):
     points = fp_points(family, 50) + [random_point(family, QQ, seed) for seed in range(5)]
     for p in points:
         for label, pair, other in family_windows(family):
-            assert _replacement_vector(p, label, pair, other) == oracle_replacement(p, pair, other)
+            assert _replacement_vector(p, label, pair, other)[0] == oracle_replacement(p, pair, other)
 
 
 _Q_IMAGE_WORDS = {T36: ("B", "B B", "S1 A B"), T44: ("X1", "X1 X2", "X3 X2 X1")}
@@ -145,7 +146,7 @@ def test_replacement_vector_on_rational_points(family):
             for role, idx in (("a", pair[:1]), ("b", pair[1:]), ("T", other)):
                 if any(x.denominator != 1 for i in idx for x in q.col(i)):
                     fractional.add(role)
-            assert _replacement_vector(q, label, pair, other) == oracle_replacement(q, pair, other)
+            assert _replacement_vector(q, label, pair, other)[0] == oracle_replacement(q, pair, other)
     assert fractional == {"a", "b", "T"}
 
 
@@ -162,6 +163,57 @@ def test_windows_are_cyclically_consecutive(family):
         assert frozenset((b, *other)) in consecutive
         assert len(other) == k - 1
         assert b == a % n + 1
+
+
+def fresh_form(p):
+    """The int form of p's columns, converted anew by its field."""
+    ints, dens = p.field.ints(p.columns)
+    return tuple(zip(map(tuple, ints), dens))
+
+
+def fractional_point(family, rng):
+    """A valid ℚ point whose entries have mixed denominators."""
+    while True:
+        p = ModuliPoint(family, QQ, tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(family.k))
+            for _ in range(family.n_columns)
+        ))
+        if validate_point(p).is_valid:
+            return p
+
+
+_FORM_TOKENS = {T36: ("A", "A2", "B", "S1", "SH"), T44: ("X1", "X2", "X3", "SH")}
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(3), PrimeField(5), FP, QQ], ids=["F3", "F5", "Fp", "Q"],
+)
+def test_images_carry_the_int_form_of_their_columns(field, monkeypatch):
+    # Every loop map passes its image the int form it computed or kept;
+    # it must equal a fresh conversion of the image's columns, so over ℚ
+    # each replaced column's pair is divided by its gcd and signed so
+    # that its denominator is positive, also where db·α < 0.
+    dens = []
+    column = type(field).column
+
+    def recording(self, ints, den=1):
+        dens.append(den)
+        return column(self, ints, den)
+
+    monkeypatch.setattr(type(field), "column", recording)
+    rng = Random(53)
+    for family, tokens in _FORM_TOKENS.items():
+        points = [random_point(family, field, seed) for seed in range(6)]
+        if field is QQ:
+            points += [fractional_point(family, rng) for _ in range(3)]
+        for p in points:
+            assert p.form == fresh_form(p)
+            for _ in range(10):
+                tok = rng.choice(tokens)
+                p = act_word(p, (f"SH({rng.randint(-9, 9)})" if tok == "SH" else tok,))
+                assert p.form == fresh_form(p)
+    if field is QQ:
+        assert min(dens) < 0 < max(dens)
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5, DEFAULT_PRIME])
