@@ -51,7 +51,7 @@ from .fields import (
     format_scalar,
 )
 from .linalg import _det_closed, wedge
-from .moduli import ModuliPoint, T36, T44, minors, point_to_json, pluecker, random_point
+from .moduli import ModuliPoint, T36, T44, minors, point_to_json, random_point
 from .monodromy import act_word, act_xi
 from . import monodromy
 
@@ -106,7 +106,7 @@ def apply_syllables(p: ModuliPoint, word: Syllables) -> ModuliPoint:
 
 
 def delta(p: ModuliPoint) -> FieldScalar:
-    return pluecker(p, DELTA_INDEX)
+    return next(minors(p, (DELTA_INDEX,)))
 
 
 def _sample_points(family, field: Field, n_points: int, seed) -> tuple[ModuliPoint, ...]:
@@ -177,10 +177,7 @@ class SeparationWitness:
 
 def lift_point_to_q(p: ModuliPoint) -> ModuliPoint:
     """Lift a prime-field point to ℚ: its int form is the lift's int form."""
-    if p.field == QQ:
-        return p
-    cols = tuple(QQ.column(ints)[0] for ints, _ in p.form)
-    return ModuliPoint.image(p.family, QQ, cols, p.form)
+    return p if p.field == QQ else ModuliPoint.image(p.family, QQ, p.form)
 
 
 def reverify_witness_q(witness: SeparationWitness, _q: tuple | None = None) -> dict:

@@ -16,7 +16,8 @@ values over 1 over F_p; over ℚ numerators scaled to the lcm of the
 denominators, the one form with gcd(den, *ints) = 1 and den > 0),
 `reduce` maps an int result into the field's range (mod p, or
 unchanged), `scalar` wraps ints over a denominator back into a scalar,
-and `column` gives ints over any denominator as scalars and in int form.
+`column` brings ints over any denominator into int form, `scalars` turns
+an int form back into scalars, and `random_int` draws an int entry.
 `x in field` tells whether x is a scalar of the field.  No other module
 tells the two int forms apart.  `PrimeField` refuses a modulus at or
 above the bound below which its Miller-Rabin test is deterministic.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -167,14 +169,18 @@ def field_inverse(x: FieldScalar | int) -> FieldScalar:
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-#: The least strong pseudoprime to every base in `_SMALL_PRIMES`
-#: (1287836182261 × 2575672364521); `_is_prime` is exact below it.
-#: Without the base 41 the bound would be 318665857834031151167461.
-_PRIMALITY_BOUND = 3317044064679887385961981
+#: Entry t − 1 is the least strong pseudoprime to the first t bases of
+#: `_SMALL_PRIMES` (OEIS A014233), so those t bases decide every n below
+#: it.  The last, 1287836182261 × 2575672364521, bounds `_is_prime`.
+_PSEUDOPRIME_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 341550071728321, 3825123056546413051,
+                       3825123056546413051, 3825123056546413051,
+                       318665857834031151167461, 3317044064679887385961981)
+_PRIMALITY_BOUND = _PSEUDOPRIME_BOUNDS[-1]
 
 
 def _is_prime(n: int) -> bool:
-    # Miller-Rabin with the bases 2..41: deterministic for n < _PRIMALITY_BOUND.
+    # Miller-Rabin on the bases that n needs: deterministic for n < _PRIMALITY_BOUND.
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -184,7 +190,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES[:bisect_right(_PSEUDOPRIME_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -213,9 +219,9 @@ class RationalField:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def random_scalar(self, rng: Random) -> Fraction:
+    def random_int(self, rng: Random) -> int:
         # Small integer entries keep determinant heights manageable.
-        return Fraction(rng.randint(-9, 9))
+        return rng.randint(-9, 9)
 
     def ints(self, vectors) -> tuple[list[list[int]], list[int]]:
         """Each vector v as ints over d = lcm of v's denominators, so that
@@ -230,11 +236,14 @@ class RationalField:
     def scalar(self, x: int, den: int = 1) -> Fraction:
         return Fraction(x, den)
 
-    def column(self, ints, den: int = 1):
-        """ints / den as Fractions and in int form: over g = ±gcd(den, *ints)."""
-        g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
-        ints, den = tuple(x // g for x in ints), den // g
-        return tuple(Fraction(x, den) for x in ints), (ints, den)
+    def column(self, ints, den: int = 1) -> tuple[tuple[int, ...], int]:
+        """ints / den in int form: both divided by ±gcd(den, *ints), signed as den ≠ 0."""
+        g = den // abs(den) * gcd(den, *ints)
+        return tuple(x // g for x in ints), den // g
+
+    def scalars(self, form) -> tuple[Fraction, ...]:
+        """The Fractions ints / den of an int form (ints, den)."""
+        return tuple(Fraction(x, form[1]) for x in form[0])
 
     def __contains__(self, x) -> bool:
         return type(x) is Fraction
@@ -280,8 +289,8 @@ class PrimeField:
     def one(self) -> ModP:
         return ModP(1, self.p)
 
-    def random_scalar(self, rng: Random) -> ModP:
-        return ModP(rng.randrange(self.p), self.p)
+    def random_int(self, rng: Random) -> int:
+        return rng.randrange(self.p)
 
     def ints(self, vectors) -> tuple[list[list[int]], list[int]]:
         """Each vector as its residues' int values over denominator 1.
@@ -295,11 +304,14 @@ class PrimeField:
         """x / den as a residue; den must be nonzero mod p."""
         return ModP(x if den == 1 else x * self._inverse(den), self.p)
 
-    def column(self, ints, den: int = 1):
-        """ints / den as residues and in int form, with one inversion of den."""
+    def column(self, ints, den: int = 1) -> tuple[tuple[int, ...], int]:
+        """ints / den in int form, with one inversion of den."""
         p, inv = self.p, self._inverse(den)
-        values = tuple(x * inv % p for x in ints)
-        return tuple(ModP(x, p) for x in values), (values, 1)
+        return tuple(x * inv % p for x in ints), 1
+
+    def scalars(self, form) -> tuple[ModP, ...]:
+        """The residues of an int form, whose denominator is 1 over F_p."""
+        return tuple(ModP(x, self.p) for x in form[0])
 
     def __contains__(self, x) -> bool:
         return type(x) is ModP and x.modulus == self.p

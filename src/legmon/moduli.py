@@ -9,9 +9,9 @@ Two families are supported:
 
 Genericity ("validity") asks that every cyclically consecutive k×k
 minor is nonzero; on a valid point every loop action of the family is
-defined.  A point built from scalars takes its int form once and
-refuses entries of another field; the loop maps pass the form on, and
-`minors` takes every minor here on it, converting nothing.
+defined.  A point is its int form: one built from scalars takes it once
+and refuses entries of another field; draws and loop images have only
+the form, and build `columns` when read.  `minors` works on the form.
 `flags_from_point` rebuilds the chain of complete flags along the base
 braid word as column windows, and `validate_bott_samelson` checks the
 cyclic adjacency conditions of the open cell on their starts.
@@ -78,12 +78,13 @@ def get_family(name: str) -> Family:
 @dataclass(frozen=True)
 class ModuliPoint:
     """Framed vectors v_1..v_N as columns of a k×N matrix over one field,
-    and `form`, their int form: one `Field.ints` (ints, den) pair each."""
+    and `form`, their int form: one `Field.ints` (ints, den) pair each.
+    The form is canonical in each field, so `==` and `hash` compare it."""
 
     family: Family
     field: Field
-    columns: tuple[tuple[FieldScalar, ...], ...]
-    form: tuple = dataclass_field(init=False, compare=False, repr=False)
+    columns: tuple[tuple[FieldScalar, ...], ...] = dataclass_field(compare=False)
+    form: tuple = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.columns) != self.family.n_columns:
@@ -101,11 +102,18 @@ class ModuliPoint:
         object.__setattr__(self, "form", tuple(zip(map(tuple, ints), dens)))
 
     @classmethod
-    def image(cls, family: Family, field: Field, columns, form) -> "ModuliPoint":
-        """A point whose int form is known (a loop map's image): no checks."""
+    def image(cls, family: Family, field: Field, form) -> "ModuliPoint":
+        """The point of a canonical int form (a draw, a loop map's image): no checks."""
         p = object.__new__(cls)
-        vars(p).update(family=family, field=field, columns=columns, form=form)
+        vars(p).update(family=family, field=field, form=form)
         return p
+
+    def __getattr__(self, name: str):  # an image's `columns`, built when first read
+        if name != "columns":
+            raise AttributeError(name)
+        columns = tuple(map(self.field.scalars, self.form))
+        object.__setattr__(self, name, columns)
+        return columns
 
     def col(self, i: int) -> tuple[FieldScalar, ...]:
         """Column v_i, 1-based and cyclic in i."""
@@ -215,7 +223,7 @@ RETRY_BOUND = 10_000
 def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     """A uniformly sampled valid point, deterministic in the seed.
 
-    Entries are drawn uniformly (small integers over the rationals), all
+    Entries are drawn uniformly as ints over 1 (`Field.random_int`), all
     k·N of them per draw, and the draw is rejected at its first vanishing
     cyclic minor until the point is valid.  Validity alone makes
     every loop action of the family defined, so downstream actions never
@@ -232,10 +240,8 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     rng = Random(seed)
     k, n = family.k, family.n_columns
     for _ in range(RETRY_BOUND):
-        columns = tuple(
-            tuple(field.random_scalar(rng) for _ in range(k)) for _ in range(n)
-        )
-        p = ModuliPoint(family, field, columns)
+        form = tuple((tuple(field.random_int(rng) for _ in range(k)), 1) for _ in range(n))
+        p = ModuliPoint.image(family, field, form)
         if all(value for _, value in _cyclic_minors(p)):
             return p
     raise SamplingExhausted(family, seed, RETRY_BOUND)

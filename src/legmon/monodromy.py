@@ -10,8 +10,8 @@ u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by Cramer's rule:
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
 Both determinants are taken on the int form the point carries, and
-`Field.column` gives u as scalars and in int form, which the image
-carries on: nothing here tells F_p from ℚ or converts a column.
+`Field.column` gives u in int form, the image's form: it builds scalars
+only if its `columns` are read, and nothing here tells F_p from ℚ.
 `linalg.intersect` and `linalg.wedge_normalize` compute the same u from
 the subspaces; they are its reference oracle in the tests, and no path
 here calls them.
@@ -48,13 +48,12 @@ class DegenerateIntersection(DegeneracyError):
 def act_shift(p: ModuliPoint, j: int) -> ModuliPoint:
     """Rotate columns left by j (mod N): v_1..v_N -> v_{1+j}..v_j."""
     j %= p.family.n_columns
-    return ModuliPoint.image(p.family, p.field, p.columns[j:] + p.columns[:j],
-                             p.form[j:] + p.form[:j])
+    return ModuliPoint.image(p.family, p.field, p.form[j:] + p.form[:j])
 
 
 def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
                         other: tuple[int, ...]):
-    """(scalars, int form) of u = λ·v_b − v_a, λ = det(v_a, T) / det(v_b, T).
+    """The int form of u = λ·v_b − v_a, λ = det(v_a, T) / det(v_b, T).
 
     With v_a = A/α, v_b = B/β and T as integer columns T′, all read from
     the point's int form, the ratio is λ = dA·β / (dB·α) for
@@ -73,7 +72,7 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
     db = field.reduce(_det_closed([bi, *ti]))
     if db:
         u = field.column([da * y - db * x for x, y in zip(ai, bi)], db * alpha)
-        if any(u[1][0]):
+        if any(u[0]):
             return u
     elif da:
         raise DegenerateNormalization(f"{label}: v{pair[1]} lies in span{other}")
@@ -98,8 +97,8 @@ def _replace(p: ModuliPoint, specs, layout) -> ModuliPoint:
     """The point whose columns follow `layout`: a label takes its window's
     replacement vector, an index the column of p it names."""
     u = {label: _replacement_vector(p, label, pair, other) for label, pair, other in specs}
-    picks = [u[s] if isinstance(s, str) else (p.columns[s - 1], p.form[s - 1]) for s in layout]
-    return ModuliPoint.image(p.family, p.field, *zip(*picks))
+    form = tuple(u[s] if isinstance(s, str) else p.form[s - 1] for s in layout)
+    return ModuliPoint.image(p.family, p.field, form)
 
 
 def act_sigma1(p: ModuliPoint) -> ModuliPoint:

@@ -16,7 +16,7 @@ the ℚ values with the residues' own value and modulus: the reference for
 the reports' memo of word images.  None of them is on a `legmon` code
 path, nor is the `from_rows` constructor the tests build matrices with,
 nor `script_text`, the move-script renderer that `parse_script` reads
-back.
+back, nor `random_scalar`, the scalar of one `Field.random_int` draw.
 """
 
 from collections import Counter
@@ -305,3 +305,8 @@ def scratch_relations(n_points: int, seed, field: Field, probe_budget: int) -> R
         for u in probes
     )
     return RelationReport(n_points, seed, probe_budget, field, checks)
+
+
+def random_scalar(field, rng):
+    """A scalar drawn as `random_point` draws each entry."""
+    return field.scalar(field.random_int(rng))

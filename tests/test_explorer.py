@@ -434,7 +434,7 @@ def test_xi_structural_ok_needs_v_b_off_t():
     with pytest.raises(monodromy.DegeneracyError):
         act_xi(before, 1)
     u1 = tuple(b - a for a, b in zip(v[0], v[1]))  # v2 − v1 ∈ ⟨v3, v4, v5⟩
-    u2, _ = monodromy._replacement_vector(before, "u2", (5, 6), (7, 8, 1))
+    u2 = QQ.scalars(monodromy._replacement_vector(before, "u2", (5, 6), (7, 8, 1)))
     after = ModuliPoint(T44, QQ, (v[1], u1, v[2], v[3], v[5], u2, v[6], v[7]))
     assert oracle_xi_structural_ok(before, 1, after)
     assert not xi_structural_ok(before, 1, after)
@@ -539,3 +539,26 @@ def test_pluecker_set_is_valid_for_t44():
         assert len(idx) == 4 and idx == tuple(sorted(idx))
         pluecker(p, idx)  # raises if any index is invalid
     assert len(XI_REPORT_WORDS) == 7
+
+
+def test_reports_build_scalars_only_for_witness_json(monkeypatch):
+    # Every report computes on the int form: no point's `columns` are
+    # built during a report, and the sweep's JSON builds those of each
+    # distinct witness point once, one `scalars` call per column.
+    calls = []
+    for cls in (type(QQ), PrimeField):
+        def counting(self, form, scalars=cls.scalars):
+            calls.append(form)
+            return scalars(self, form)
+
+        monkeypatch.setattr(cls, "scalars", counting)
+    verify_relations(n_points=4, field=QQ)
+    xi_pluecker_report(n_points=4)
+    xi_pluecker_report(n_points=2, field=QQ)
+    sweep = faithfulness_sweep(max_syllables=4, probe_budget=2, n_points=8)
+    assert calls == []
+    text = report_dumps(sweep)
+    witness_points = {e.witness.point for e in sweep.entries if e.witness is not None}
+    built = T36.n_columns * len(witness_points)
+    assert witness_points and len(calls) == built
+    assert report_dumps(sweep) == text and len(calls) == built  # kept, not rebuilt

@@ -9,6 +9,10 @@ its minors with `linalg._det_closed` on that int form, so no `src/`
 module outside `linalg` goes back to `Matrix` or `determinant`.  A
 point carries its int form from construction, and the loop maps, the
 minors and the xi check read it there: none of them calls `.ints(`.
+A point is its int form, and builds its scalar `columns` only when they
+are read, so no module outside `moduli` reads `.columns` or calls
+`.col(`, and inside `moduli` only the checked constructor, `col` and
+the JSON writer do.
 The modules are read from their source, as `test_bench_traced` reads
 the benchmark's table.
 """
@@ -94,3 +98,29 @@ def test_kernels_read_the_carried_int_form():
     assert _ints_calls(ast.parse((SRC / "monodromy.py").read_text())) == []
     assert _ints_calls(_function("moduli", "minors")) == []
     assert _ints_calls(_function("explorer", "xi_structural_ok")) == []
+
+
+def _columns_readers(tree):
+    """Names of the functions that read `.columns` or call `.col(`, and
+    "<module>" for a read outside any function."""
+    readers = set()
+
+    def visit(node, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("columns", "col"):
+            readers.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+
+    visit(tree, "<module>")
+    return readers
+
+
+def test_only_moduli_builds_point_scalars():
+    for path in sorted(SRC.glob("*.py")):
+        readers = _columns_readers(ast.parse(path.read_text()))
+        if path.stem == "moduli":
+            assert readers == {"__post_init__", "col", "point_to_json"}
+        else:
+            assert not readers, path.stem

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 import sympy
 
+from legmon import fields
 from legmon.fields import (
     DEFAULT_PRIME,
     DivisionByZero,
@@ -22,12 +23,18 @@ from legmon.fields import (
     format_scalar,
     _is_prime,
 )
+from oracles import random_scalar
 
 ALT_PRIME = 998244353
 # The least composite that passes Miller-Rabin to the bases 2..41, and
 # the least that passes to the bases 2..37.
 PSEUDOPRIME_41 = 3317044064679887385961981
 PSEUDOPRIME_37 = 318665857834031151167461
+# OEIS A014233: the least strong pseudoprime to each prefix of the bases
+# 2, 3, 5, ..., 41 (the prefixes of 7 and 8 bases share theirs, as do
+# those of 9, 10 and 11).
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 3825123056546413051, PSEUDOPRIME_37, PSEUDOPRIME_41)
 
 
 def test_inverse_examples():
@@ -77,10 +84,30 @@ def test_is_prime_matches_sympy():
     for p in large_primes:
         assert _is_prime(p)
         assert PrimeField(p).p == p
-    # Strong pseudoprimes to ever longer prefixes of the bases 2, 3, 5, ...
-    for n in (3215031751, 341550071728321, 3825123056546413051, PSEUDOPRIME_37):
-        assert not sympy.isprime(n)
-        assert not _is_prime(n)
+    # Strong pseudoprimes to ever longer prefixes of the bases 2, 3, 5, ...:
+    # at each prefix's least one `_is_prime` takes one more base, and just
+    # below it the prefix alone decides.
+    for bound in A014233:
+        assert not sympy.isprime(bound)
+        if bound < PSEUDOPRIME_41:
+            assert not _is_prime(bound)
+        assert _is_prime(sympy.prevprime(bound))
+
+
+def test_is_prime_takes_only_the_bases_its_bound_needs(monkeypatch):
+    bases = []
+
+    def counting_pow(a, d, n=None):
+        bases.append(a)
+        return pow(a, d, n)
+
+    # Just below 2047 the base 2 decides, just above it 2 and 3; below
+    # 3215031751 the bases 2..7, below 3825123056546413051 the bases 2..23.
+    monkeypatch.setattr(fields, "pow", counting_pow, raising=False)
+    for n, count in ((2039, 1), (2053, 2), (DEFAULT_PRIME, 4), (2**61 - 1, 9)):
+        bases.clear()
+        assert _is_prime(n)
+        assert bases == [2, 3, 5, 7, 11, 13, 17, 19, 23][:count]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME), PrimeField(ALT_PRIME)])
@@ -88,9 +115,9 @@ def test_field_axioms_randomized(field):
     rng = Random(20240814)
     zero, one = field.zero(), field.one()
     for _ in range(2000):
-        a = field.random_scalar(rng)
-        b = field.random_scalar(rng)
-        c = field.random_scalar(rng)
+        a = random_scalar(field, rng)
+        b = random_scalar(field, rng)
+        c = random_scalar(field, rng)
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a
@@ -114,7 +141,7 @@ def _rational(rng):
 )
 def test_int_form_round_trip(field):
     rng = Random(31)
-    draw = _rational if field is QQ else field.random_scalar
+    draw = _rational if field is QQ else (lambda rng: random_scalar(field, rng))
     vectors = [tuple(draw(rng) for _ in range(rng.randint(0, 5))) for _ in range(200)]
     vectors += [(field.zero(),) * n for n in (1, 4)]
     vectors += [(field.one(), -field.one(), field.zero())]
@@ -126,14 +153,15 @@ def test_int_form_round_trip(field):
             assert den == lcm(*(x.denominator for x in v))
         else:
             assert den == 1 and all(0 <= x < field.p for x in row)
-        w, form = field.column(row, den)
+        form = field.column(row, den)
+        w = field.scalars(form)
         assert w == v and all(type(x) is type(field.zero()) for x in w)
         assert w == tuple(field.scalar(x, den) for x in row)
         # `column` returns the int form that `ints` gives, from any
         # multiple of it, a negative denominator included.
         assert form == (tuple(row), den)
         m = rng.choice((-1, -5, 11))
-        assert field.column([x * m for x in row], den * m) == (w, form)
+        assert field.column([x * m for x in row], den * m) == form
     for _ in range(500):
         x = rng.randint(-10**40, 10**40)
         d = rng.choice((1, 2, 3, 7, rng.randint(1, 10**30)))
@@ -147,7 +175,7 @@ def test_int_form_round_trip(field):
             assert field.scalar(x) == ModP(x, p)
             assert field.reduce(x) == x % p
         if field is QQ or d % field.p:
-            assert field.column([x, 0], d)[0] == (field.scalar(x, d), field.zero())
+            assert field.scalars(field.column([x, 0], d)) == (field.scalar(x, d), field.zero())
     zero_den = 0 if field is QQ else field.p
     with pytest.raises(ZeroDivisionError):
         field.scalar(1, zero_den)
@@ -167,7 +195,7 @@ def test_scalar_serialization_round_trip():
     rng = Random(1)
     for field in (QQ, f7, PrimeField(DEFAULT_PRIME)):
         for _ in range(50):
-            x = field.random_scalar(rng)
+            x = random_scalar(field, rng)
             assert field.parse(field.format(x)) == x
 
 

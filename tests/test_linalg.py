@@ -26,7 +26,8 @@ from legmon.linalg import (
     wedge_normalize,
 )
 from oracles import (
-    det_eliminate, from_rows, identity, kernel_basis, kernel_intersect, zero_subspace,
+    det_eliminate, from_rows, identity, kernel_basis, kernel_intersect, random_scalar,
+    zero_subspace,
 )
 
 FP = PrimeField(DEFAULT_PRIME)
@@ -96,10 +97,10 @@ def test_determinant_multilinear_and_alternating():
         for _ in range(60):
             n = rng.choice((3, 4))
             cols = [
-                tuple(field.random_scalar(rng) for _ in range(n)) for _ in range(n)
+                tuple(random_scalar(field, rng) for _ in range(n)) for _ in range(n)
             ]
-            x = tuple(field.random_scalar(rng) for _ in range(n))
-            lam = field.random_scalar(rng)
+            x = tuple(random_scalar(field, rng) for _ in range(n))
+            lam = random_scalar(field, rng)
             j = rng.randrange(n)
             base = determinant(Matrix.from_columns(cols, field))
             with_x = list(cols)
@@ -134,7 +135,7 @@ def test_kernel_annihilates():
         for _ in range(40):
             r, c = rng.randint(1, 4), rng.randint(1, 5)
             m = from_rows(
-                [[field.random_scalar(rng) for _ in range(c)] for _ in range(r)],
+                [[random_scalar(field, rng) for _ in range(c)] for _ in range(r)],
                 field,
             )
             ker = kernel_basis(m)
@@ -159,7 +160,7 @@ def test_intersect_examples():
 def _random_subspace(rng, field, n):
     d = rng.randint(0, n)
     return Subspace.span(
-        [tuple(field.random_scalar(rng) for _ in range(n)) for _ in range(d)], n, field
+        [tuple(random_scalar(field, rng) for _ in range(n)) for _ in range(d)], n, field
     )
 
 
@@ -253,9 +254,9 @@ def test_wedge_normalize_exactness_property():
     for field in (QQ, FP):
         for _ in range(200):
             n = rng.choice((3, 4))
-            v1 = tuple(field.random_scalar(rng) for _ in range(n))
-            v2 = tuple(field.random_scalar(rng) for _ in range(n))
-            coeffs = (field.random_scalar(rng), field.random_scalar(rng))
+            v1 = tuple(random_scalar(field, rng) for _ in range(n))
+            v2 = tuple(random_scalar(field, rng) for _ in range(n))
+            coeffs = (random_scalar(field, rng), random_scalar(field, rng))
             direction = tuple(
                 coeffs[0] * a + coeffs[1] * b for a, b in zip(v1, v2)
             )
@@ -274,7 +275,7 @@ PRIMES = [7, 11, DEFAULT_PRIME]
 
 
 def _vector(rng, field, n):
-    return tuple(field.random_scalar(rng) for _ in range(n))
+    return tuple(random_scalar(field, rng) for _ in range(n))
 
 
 def _degenerate_vectors(rng, field, vectors):
@@ -288,7 +289,7 @@ def _degenerate_vectors(rng, field, vectors):
         extra = rng.choice(others)
     elif kind == 2:
         for v in others:
-            c = field.random_scalar(rng)
+            c = random_scalar(field, rng)
             extra = tuple(x + c * y for x, y in zip(extra, v))
     vectors[t] = extra
     return vectors
@@ -353,7 +354,7 @@ def test_contains_int_kernel_differential(prime):
         if case % 3 == 0:
             v = (field.zero(),) * n
             for u in vectors:
-                c = field.random_scalar(rng)
+                c = random_scalar(field, rng)
                 v = tuple(x + c * y for x, y in zip(v, u))
         span = Subspace.span(vectors, n, field)
         expected = _operator_rank(vectors + [v]) == _operator_rank(vectors)
@@ -371,7 +372,7 @@ def test_wedge_int_kernel_differential(prime):
         v = _vector(rng, field, n)
         w = _vector(rng, field, n)
         if case % 3 == 0:
-            c = field.random_scalar(rng)
+            c = random_scalar(field, rng)
             w = tuple(c * x for x in v)
         expected = tuple(
             v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(n), 2)

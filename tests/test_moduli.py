@@ -35,7 +35,9 @@ from legmon.moduli import (
     validate_bott_samelson,
     validate_point,
 )
-from oracles import SpanFlagTuple, span_flags_from_point, span_validate_bott_samelson
+from oracles import (
+    SpanFlagTuple, random_scalar, span_flags_from_point, span_validate_bott_samelson,
+)
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -149,7 +151,7 @@ def reference_random_point(family, field, seed):
     rng = Random(seed)
     for _ in range(RETRY_BOUND):
         columns = tuple(
-            tuple(field.random_scalar(rng) for _ in range(family.k))
+            tuple(random_scalar(field, rng) for _ in range(family.k))
             for _ in range(family.n_columns)
         )
         p = ModuliPoint(family, field, columns)
@@ -183,7 +185,7 @@ def random_columns(family, field, rng):
     def draw():
         if field == QQ:  # fractional entries with mixed denominators
             return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-        return field.random_scalar(rng)
+        return random_scalar(field, rng)
 
     return tuple(tuple(draw() for _ in range(family.k)) for _ in range(family.n_columns))
 

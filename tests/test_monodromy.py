@@ -14,9 +14,10 @@ from legmon.linalg import (
     wedge_normalize,
 )
 from legmon.moduli import (
-    ModuliPoint, T36, T44, pluecker, random_point, validate_point,
+    ModuliPoint, T36, T44, pluecker, point_dumps, point_loads, random_point, validate_point,
 )
 from legmon.monodromy import (
+    _SIGMA1_LAYOUT,
     _SIGMA1_WINDOWS,
     _XI_TABLE,
     DegenerateIntersection,
@@ -128,7 +129,8 @@ def test_replacement_vector_matches_subspace_oracle(family):
     points = fp_points(family, 50) + [random_point(family, QQ, seed) for seed in range(5)]
     for p in points:
         for label, pair, other in family_windows(family):
-            assert _replacement_vector(p, label, pair, other)[0] == oracle_replacement(p, pair, other)
+            u = p.field.scalars(_replacement_vector(p, label, pair, other))
+            assert u == oracle_replacement(p, pair, other)
 
 
 _Q_IMAGE_WORDS = {T36: ("B", "B B", "S1 A B"), T44: ("X1", "X1 X2", "X3 X2 X1")}
@@ -146,7 +148,8 @@ def test_replacement_vector_on_rational_points(family):
             for role, idx in (("a", pair[:1]), ("b", pair[1:]), ("T", other)):
                 if any(x.denominator != 1 for i in idx for x in q.col(i)):
                     fractional.add(role)
-            assert _replacement_vector(q, label, pair, other)[0] == oracle_replacement(q, pair, other)
+            u = QQ.scalars(_replacement_vector(q, label, pair, other))
+            assert u == oracle_replacement(q, pair, other)
     assert fractional == {"a", "b", "T"}
 
 
@@ -214,6 +217,51 @@ def test_images_carry_the_int_form_of_their_columns(field, monkeypatch):
                 assert p.form == fresh_form(p)
     if field is QQ:
         assert min(dens) < 0 < max(dens)
+
+
+def oracle_image_columns(p, tok):
+    """The columns of tok(p) from p's scalars: rotated for a shift, and
+    by `oracle_replacement` (intersect, then wedge_normalize) in each
+    replaced column of the token's layout."""
+    shifts = {"A": 1, "A2": 2, "B": 1}
+    if tok in shifts or tok.startswith("SH("):
+        j = shifts.get(tok) or int(tok[3:-1])
+        j %= p.family.n_columns
+        columns = p.columns[j:] + p.columns[:j]
+        if tok != "B":
+            return columns
+        p, tok = ModuliPoint(T36, p.field, columns), "S1"
+    specs, layout = (_SIGMA1_WINDOWS, _SIGMA1_LAYOUT) if tok == "S1" else _XI_TABLE[int(tok[1])]
+    u = {label: oracle_replacement(p, pair, other) for label, pair, other in specs}
+    return tuple(u[s] if isinstance(s, str) else p.col(s) for s in layout)
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(3), PrimeField(5), FP, QQ], ids=["F3", "F5", "Fp", "Q"],
+)
+def test_images_build_the_oracle_columns_when_read(field):
+    # An image is its int form alone; the columns it builds when first
+    # read are the subspace route's, survive a JSON round trip, and a
+    # point built from those scalars is == to it, with the same hash.
+    rng = Random(59)
+    for family, tokens in _FORM_TOKENS.items():
+        points = [random_point(family, field, seed) for seed in range(3)]
+        if field is QQ:
+            points += [fractional_point(family, rng) for _ in range(2)]
+        for p in points:
+            for _ in range(4):
+                images = []
+                for tok in tokens:
+                    tok = f"SH({rng.randint(-9, 9)})" if tok == "SH" else tok
+                    image = act_word(p, (tok,))
+                    assert "columns" not in vars(image)
+                    expect = oracle_image_columns(p, tok)
+                    assert image.columns == expect
+                    assert point_loads(point_dumps(image)).columns == expect
+                    built = ModuliPoint(family, field, expect)
+                    assert built == image and hash(built) == hash(image)
+                    images.append(image)
+                p = rng.choice(images)
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5, DEFAULT_PRIME])
