@@ -55,7 +55,6 @@ from .moduli import ModuliPoint, T36, T44, minors, point_to_json, random_point
 from .monodromy import act_word, act_xi
 from . import monodromy
 
-SYLLABLES = ("a", "a2", "b")
 _FACTOR = {"a": "rotation", "a2": "rotation", "b": "involution"}
 _SYLLABLE_TOKEN = {"a": "A", "a2": "A2", "b": "B"}
 
@@ -177,7 +176,7 @@ class SeparationWitness:
 
 def lift_point_to_q(p: ModuliPoint) -> ModuliPoint:
     """Lift a prime-field point to ℚ: its int form is the lift's int form."""
-    return p if p.field == QQ else ModuliPoint.image(p.family, QQ, p.form)
+    return p if p.field == QQ else ModuliPoint(p.family, QQ, p.form)
 
 
 def reverify_witness_q(witness: SeparationWitness, _q: tuple | None = None) -> dict:
@@ -205,10 +204,8 @@ def reverify_witness_q(witness: SeparationWitness, _q: tuple | None = None) -> d
 
 
 def _reduces_to(x: Fraction, r: FieldScalar, field: Field) -> bool:
-    """Whether the rational x maps to r, in the int form of r's `field`."""
-    [[num]], [den] = field.ints([(r,)])
-    return bool(field.reduce(x.denominator)) and not field.reduce(
-        x.numerator * den - num * x.denominator)
+    """Whether the rational x maps to r in r's `field`."""
+    return bool(field.reduce(x.denominator)) and field.scalar(x.numerator, x.denominator) == r
 
 
 def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,

@@ -5,25 +5,26 @@ floating point anywhere.  Rational scalars are `fractions.Fraction`
 values (arbitrary precision, always in lowest terms with a positive
 denominator).  Prime-field scalars are `ModP` residues that carry their
 modulus.  A `RationalField` or `PrimeField` object bundles construction,
-parsing, formatting and sampling for one field, so matrices and points
-can stay field-agnostic.
+parsing and sampling for one field, so matrices and points can stay
+field-agnostic.
 
 `ModP` and `Fraction` are the public scalars: points, subspace bases,
 JSON and every function result carry them.  Each field object also owns
 the int form of its scalars, which points carry and the kernels compute
-on: `ints` turns vectors into ints over one denominator each (residue
-values over 1 over F_p; over ℚ numerators scaled to the lcm of the
+on: `form` turns vectors into one (ints, den) pair each (residue values
+over 1 over F_p; over ℚ numerators scaled to the lcm of the
 denominators, the one form with gcd(den, *ints) = 1 and den > 0),
 `reduce` maps an int result into the field's range (mod p, or
-unchanged), `scalar` wraps ints over a denominator back into a scalar,
-`column` brings ints over any denominator into int form, `scalars` turns
-an int form back into scalars, and `random_int` draws an int entry.
-`x in field` tells whether x is a scalar of the field.  No other module
-tells the two int forms apart.  `PrimeField` refuses a modulus at or
-above the bound below which its Miller-Rabin test is deterministic.
+unchanged), `scalar` wraps one int over a denominator back into a
+scalar, `column` brings ints over any denominator into int form, and
+`random_int` draws an int entry.  `x in field` tells whether x is a
+scalar of the field.  No other module tells the two int forms apart.
+`PrimeField` refuses a modulus at or above the bound below which its
+Miller-Rabin test is deterministic.
 
-Serialization: rationals render as ``"a/b"`` with an explicit
-denominator, residues as ``"v mod p"``.
+Serialization: `format_scalar` renders rationals as ``"a/b"`` with an
+explicit denominator and residues as ``"v mod p"``; each field's `parse`
+reads them back.
 """
 
 from __future__ import annotations
@@ -223,12 +224,12 @@ class RationalField:
         # Small integer entries keep determinant heights manageable.
         return rng.randint(-9, 9)
 
-    def ints(self, vectors) -> tuple[list[list[int]], list[int]]:
-        """Each vector v as ints over d = lcm of v's denominators, so that
-        v = ints / d.  Returns (int vectors, denominators)."""
+    def form(self, vectors) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each vector v as its pair (ints, d), d the lcm of v's
+        denominators, so that v = ints / d."""
         dens = [lcm(*(x.denominator for x in v)) for v in vectors]
-        return [[x.numerator * (d // x.denominator) for x in v]
-                for v, d in zip(vectors, dens)], dens
+        return tuple((tuple(x.numerator * (d // x.denominator) for x in v), d)
+                     for v, d in zip(vectors, dens))
 
     def reduce(self, x: int) -> int:
         return x
@@ -240,10 +241,6 @@ class RationalField:
         """ints / den in int form: both divided by ±gcd(den, *ints), signed as den ≠ 0."""
         g = den // abs(den) * gcd(den, *ints)
         return tuple(x // g for x in ints), den // g
-
-    def scalars(self, form) -> tuple[Fraction, ...]:
-        """The Fractions ints / den of an int form (ints, den)."""
-        return tuple(Fraction(x, form[1]) for x in form[0])
 
     def __contains__(self, x) -> bool:
         return type(x) is Fraction
@@ -258,9 +255,6 @@ class RationalField:
         if int(den) == 0:
             raise ScalarParseError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
-
-    def format(self, x: Fraction) -> str:
-        return f"{x.numerator}/{x.denominator}"
 
     def to_json(self) -> dict:
         return {"kind": "q"}
@@ -292,10 +286,9 @@ class PrimeField:
     def random_int(self, rng: Random) -> int:
         return rng.randrange(self.p)
 
-    def ints(self, vectors) -> tuple[list[list[int]], list[int]]:
-        """Each vector as its residues' int values over denominator 1.
-        Returns (int vectors, denominators)."""
-        return [[x.value for x in v] for v in vectors], [1] * len(vectors)
+    def form(self, vectors) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each vector as its pair (residue values, 1)."""
+        return tuple((tuple(x.value for x in v), 1) for v in vectors)
 
     def reduce(self, x: int) -> int:
         return x % self.p
@@ -308,10 +301,6 @@ class PrimeField:
         """ints / den in int form, with one inversion of den."""
         p, inv = self.p, self._inverse(den)
         return tuple(x * inv % p for x in ints), 1
-
-    def scalars(self, form) -> tuple[ModP, ...]:
-        """The residues of an int form, whose denominator is 1 over F_p."""
-        return tuple(ModP(x, self.p) for x in form[0])
 
     def __contains__(self, x) -> bool:
         return type(x) is ModP and x.modulus == self.p
@@ -332,11 +321,6 @@ class PrimeField:
             )
         return ModP(int(value), self.p)
 
-    def format(self, x: ModP) -> str:
-        if x.modulus != self.p:
-            raise FieldMismatch(f"residue mod {x.modulus} in field mod {self.p}")
-        return f"{x.value} mod {x.modulus}"
-
     def to_json(self) -> dict:
         return {"kind": "fp", "p": self.p}
 
@@ -350,7 +334,7 @@ QQ = RationalField()
 def format_scalar(x: FieldScalar) -> str:
     """Serialize a scalar as ``"a/b"`` or ``"v mod p"``."""
     if isinstance(x, Fraction):
-        return QQ.format(x)
+        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, ModP):
         return str(x)
     raise TypeError(f"not a field scalar: {x!r}")

@@ -16,10 +16,10 @@ Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their
 column), so subspace equality is plain tuple comparison.
 
-`determinant` wraps `_det_closed` of its rows' int form over the product
-of the row denominators (`Field.scalar`).  The subspace operations use
-the scalars' own operators, `ModP` or `Fraction` alike, so they have one
-arithmetic path for both fields.
+`determinant` wraps `_det_closed` of its rows' int form (`Field.form`)
+over the product of the row denominators (`Field.scalar`).  The subspace
+operations use the scalars' own operators, `ModP` or `Fraction` alike,
+so they have one arithmetic path for both fields.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def determinant(m: Matrix) -> FieldScalar:
         raise ValueError(f"determinant of a {n}×{n} matrix: only n ≤ 4 is supported")
     if n == 0:
         return m.field.one()
-    rows, dens = m.field.ints(m.entries)
+    rows, dens = zip(*m.field.form(m.entries))
     return m.field.scalar(_det_closed(rows), prod(dens))
 
 

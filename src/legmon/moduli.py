@@ -9,9 +9,11 @@ Two families are supported:
 
 Genericity ("validity") asks that every cyclically consecutive k×k
 minor is nonzero; on a valid point every loop action of the family is
-defined.  A point is its int form: one built from scalars takes it once
-and refuses entries of another field; draws and loop images have only
-the form, and build `columns` when read.  `minors` works on the form.
+defined.  A point is its family, field and int form.  Draws, loop
+images and ℚ lifts construct it from a form, unchecked;
+`ModuliPoint.from_columns` converts scalars once and refuses entries of
+another field.  `columns` are built from the form when first read, and
+`minors` works on the form.
 `flags_from_point` rebuilds the chain of complete flags along the base
 braid word as column windows, and `validate_bott_samelson` checks the
 cyclic adjacency conditions of the open cell on their starts.
@@ -20,7 +22,8 @@ cyclic adjacency conditions of the open cell on their starts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from random import Random
 
@@ -77,43 +80,35 @@ def get_family(name: str) -> Family:
 
 @dataclass(frozen=True)
 class ModuliPoint:
-    """Framed vectors v_1..v_N as columns of a k×N matrix over one field,
-    and `form`, their int form: one `Field.ints` (ints, den) pair each.
-    The form is canonical in each field, so `==` and `hash` compare it."""
+    """Framed vectors v_1..v_N over one field, as `form`, their int form:
+    one `Field.form` (ints, den) pair per column.  The form is canonical
+    in each field, so `==` and `hash` compare it.  The constructor takes
+    the form unchecked; `from_columns` checks and converts scalars."""
 
     family: Family
     field: Field
-    columns: tuple[tuple[FieldScalar, ...], ...] = dataclass_field(compare=False)
-    form: tuple = dataclass_field(init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.columns) != self.family.n_columns:
-            raise ValueError(
-                f"{self.family.name} needs {self.family.n_columns} columns, "
-                f"got {len(self.columns)}"
-            )
-        if any(len(c) != self.family.k for c in self.columns):
-            raise ValueError(f"{self.family.name} columns must have length {self.family.k}")
-        for j, c in enumerate(self.columns, start=1):
-            for t, x in enumerate(c, start=1):
-                if x not in self.field:
-                    raise FieldMismatch(f"column {j} entry {t}: {x!r} is not in {self.field}")
-        ints, dens = self.field.ints(self.columns)
-        object.__setattr__(self, "form", tuple(zip(map(tuple, ints), dens)))
+    form: tuple
 
     @classmethod
-    def image(cls, family: Family, field: Field, form) -> "ModuliPoint":
-        """The point of a canonical int form (a draw, a loop map's image): no checks."""
-        p = object.__new__(cls)
-        vars(p).update(family=family, field=field, form=form)
-        return p
+    def from_columns(cls, family: Family, field: Field, columns) -> "ModuliPoint":
+        """The point of k×N scalar columns, refusing an entry of another field."""
+        if len(columns) != family.n_columns:
+            raise ValueError(
+                f"{family.name} needs {family.n_columns} columns, got {len(columns)}"
+            )
+        if any(len(c) != family.k for c in columns):
+            raise ValueError(f"{family.name} columns must have length {family.k}")
+        for j, c in enumerate(columns, start=1):
+            for t, x in enumerate(c, start=1):
+                if x not in field:
+                    raise FieldMismatch(f"column {j} entry {t}: {x!r} is not in {field}")
+        return cls(family, field, field.form(columns))
 
-    def __getattr__(self, name: str):  # an image's `columns`, built when first read
-        if name != "columns":
-            raise AttributeError(name)
-        columns = tuple(map(self.field.scalars, self.form))
-        object.__setattr__(self, name, columns)
-        return columns
+    @cached_property
+    def columns(self) -> tuple[tuple[FieldScalar, ...], ...]:
+        """The scalar columns, built from the form when first read."""
+        scalar = self.field.scalar
+        return tuple(tuple(scalar(x, den) for x in ints) for ints, den in self.form)
 
     def col(self, i: int) -> tuple[FieldScalar, ...]:
         """Column v_i, 1-based and cyclic in i."""
@@ -206,7 +201,7 @@ def point_from_json(data: dict) -> ModuliPoint:
             if not isinstance(x, str):
                 raise ValueError(f"column {j} entry {t}: scalar must be a string, got {x!r}")
     columns = tuple(tuple(field.parse(x) for x in c) for c in raw)
-    return ModuliPoint(family, field, columns)
+    return ModuliPoint.from_columns(family, field, columns)
 
 
 def point_dumps(p: ModuliPoint) -> str:
@@ -224,8 +219,9 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     """A uniformly sampled valid point, deterministic in the seed.
 
     Entries are drawn uniformly as ints over 1 (`Field.random_int`), all
-    k·N of them per draw, and the draw is rejected at its first vanishing
-    cyclic minor until the point is valid.  Validity alone makes
+    k·N of them per draw; the draw is the point's int form, so no scalar
+    is built, and it is rejected at its first vanishing cyclic minor
+    until the point is valid.  Validity alone makes
     every loop action of the family defined, so downstream actions never
     degenerate at any depth: in each window of sigma1 (on the point and
     on its shift by one) and of xi1..xi3, {v_b} ∪ T is a cyclically
@@ -241,7 +237,7 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     k, n = family.k, family.n_columns
     for _ in range(RETRY_BOUND):
         form = tuple((tuple(field.random_int(rng) for _ in range(k)), 1) for _ in range(n))
-        p = ModuliPoint.image(family, field, form)
+        p = ModuliPoint(family, field, form)
         if all(value for _, value in _cyclic_minors(p)):
             return p
     raise SamplingExhausted(family, seed, RETRY_BOUND)

@@ -10,8 +10,8 @@ u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by Cramer's rule:
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
 Both determinants are taken on the int form the point carries, and
-`Field.column` gives u in int form, the image's form: it builds scalars
-only if its `columns` are read, and nothing here tells F_p from ℚ.
+`Field.column` gives u in int form, the image's form: an image builds
+scalars only if its `columns` are read, and nothing here tells F_p from ℚ.
 `linalg.intersect` and `linalg.wedge_normalize` compute the same u from
 the subspaces; they are its reference oracle in the tests, and no path
 here calls them.
@@ -48,7 +48,7 @@ class DegenerateIntersection(DegeneracyError):
 def act_shift(p: ModuliPoint, j: int) -> ModuliPoint:
     """Rotate columns left by j (mod N): v_1..v_N -> v_{1+j}..v_j."""
     j %= p.family.n_columns
-    return ModuliPoint.image(p.family, p.field, p.form[j:] + p.form[:j])
+    return ModuliPoint(p.family, p.field, p.form[j:] + p.form[:j])
 
 
 def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
@@ -98,7 +98,7 @@ def _replace(p: ModuliPoint, specs, layout) -> ModuliPoint:
     replacement vector, an index the column of p it names."""
     u = {label: _replacement_vector(p, label, pair, other) for label, pair, other in specs}
     form = tuple(u[s] if isinstance(s, str) else p.form[s - 1] for s in layout)
-    return ModuliPoint.image(p.family, p.field, form)
+    return ModuliPoint(p.family, p.field, form)
 
 
 def act_sigma1(p: ModuliPoint) -> ModuliPoint:

@@ -250,7 +250,7 @@ def scratch_separate(word, probe_budget: int, points) -> SeparationWitness | Non
 def scratch_reverify(witness: SeparationWitness) -> dict:
     """A prime-field witness replayed over ℚ on the entrywise lift."""
     point = witness.point
-    q = ModuliPoint(point.family, QQ, tuple(
+    q = ModuliPoint.from_columns(point.family, QQ, tuple(
         tuple(Fraction(x.value) for x in c) for c in point.columns))
     lhs = delta(apply_syllables(apply_syllables(q, witness.word), witness.probe))
     rhs = delta(apply_syllables(q, witness.probe))

@@ -54,14 +54,14 @@ def degenerate_point():
     base = random_point(T36, QQ, 11)
     cols = list(base.columns)
     cols[0], cols[1], cols[2], cols[3] = qv(1, 0, 0), qv(0, 1, 0), qv(1, 1, 0), qv(1, -1, 0)
-    return ModuliPoint(T36, QQ, tuple(cols))
+    return ModuliPoint.from_columns(T36, QQ, tuple(cols))
 
 
 def invalid_point():
     base = random_point(T36, QQ, 11)
     cols = list(base.columns)
     cols[1] = cols[0]
-    return ModuliPoint(T36, QQ, tuple(cols))
+    return ModuliPoint.from_columns(T36, QQ, tuple(cols))
 
 
 def test_verify_loop_builtin(capsys):

@@ -394,12 +394,12 @@ def _xi_after_candidates(before, i):
         ):
             cols = list(after.columns)
             cols[upos - 1] = mutated
-            out.append(ModuliPoint(T44, before.field, tuple(cols)))
+            out.append(ModuliPoint.from_columns(T44, before.field, tuple(cols)))
     u1, u2 = _xi_upos(i)
     for a, b in ((u1, u2), (u1, u1 - 1)):
         cols = list(after.columns)
         cols[a - 1], cols[b - 1] = cols[b - 1], cols[a - 1]
-        out.append(ModuliPoint(T44, before.field, tuple(cols)))
+        out.append(ModuliPoint.from_columns(T44, before.field, tuple(cols)))
     out.append(before)
     return out
 
@@ -430,12 +430,13 @@ def test_xi_structural_ok_needs_v_b_off_t():
     q = lambda *xs: tuple(Fraction(x) for x in xs)  # noqa: E731
     v = [q(1, 1, 0, 0), q(1, 0, 1, 0), q(1, 0, 0, 0), q(0, 1, 0, 0),
          q(0, 0, 1, 0), q(0, 0, 0, 1), q(1, 2, 3, 4), q(2, -1, 5, 7)]
-    before = ModuliPoint(T44, QQ, tuple(v))
+    before = ModuliPoint.from_columns(T44, QQ, tuple(v))
     with pytest.raises(monodromy.DegeneracyError):
         act_xi(before, 1)
     u1 = tuple(b - a for a, b in zip(v[0], v[1]))  # v2 − v1 ∈ ⟨v3, v4, v5⟩
-    u2 = QQ.scalars(monodromy._replacement_vector(before, "u2", (5, 6), (7, 8, 1)))
-    after = ModuliPoint(T44, QQ, (v[1], u1, v[2], v[3], v[5], u2, v[6], v[7]))
+    ints, den = monodromy._replacement_vector(before, "u2", (5, 6), (7, 8, 1))
+    u2 = tuple(Fraction(x, den) for x in ints)
+    after = ModuliPoint.from_columns(T44, QQ, (v[1], u1, v[2], v[3], v[5], u2, v[6], v[7]))
     assert oracle_xi_structural_ok(before, 1, after)
     assert not xi_structural_ok(before, 1, after)
 
@@ -544,14 +545,15 @@ def test_pluecker_set_is_valid_for_t44():
 def test_reports_build_scalars_only_for_witness_json(monkeypatch):
     # Every report computes on the int form: no point's `columns` are
     # built during a report, and the sweep's JSON builds those of each
-    # distinct witness point once, one `scalars` call per column.
+    # distinct witness point once.
     calls = []
-    for cls in (type(QQ), PrimeField):
-        def counting(self, form, scalars=cls.scalars):
-            calls.append(form)
-            return scalars(self, form)
+    build = ModuliPoint.columns.func
 
-        monkeypatch.setattr(cls, "scalars", counting)
+    def counting(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(ModuliPoint.columns, "func", counting)
     verify_relations(n_points=4, field=QQ)
     xi_pluecker_report(n_points=4)
     xi_pluecker_report(n_points=2, field=QQ)
@@ -559,6 +561,6 @@ def test_reports_build_scalars_only_for_witness_json(monkeypatch):
     assert calls == []
     text = report_dumps(sweep)
     witness_points = {e.witness.point for e in sweep.entries if e.witness is not None}
-    built = T36.n_columns * len(witness_points)
+    built = len(witness_points)
     assert witness_points and len(calls) == built
     assert report_dumps(sweep) == text and len(calls) == built  # kept, not rebuilt

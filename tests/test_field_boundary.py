@@ -1,18 +1,18 @@
 """The int form of each field's scalars is known to `legmon.fields` only.
 
 `linalg` and `monodromy` compute on that int form through the field
-object (`Field.ints`, `reduce`, `scalar`, `column`) or on the scalars'
+object (`Field.form`, `reduce`, `scalar`, `column`) or on the scalars'
 own operators, so neither names a concrete scalar or field class.
 `explorer` lifts prime-field witnesses to ℚ and checks their reduction
 through the same methods, so it never names `ModP`.  `moduli` takes
 its minors with `linalg._det_closed` on that int form, so no `src/`
 module outside `linalg` goes back to `Matrix` or `determinant`.  A
 point carries its int form from construction, and the loop maps, the
-minors and the xi check read it there: none of them calls `.ints(`.
-A point is its int form, and builds its scalar `columns` only when they
-are read, so no module outside `moduli` reads `.columns` or calls
-`.col(`, and inside `moduli` only the checked constructor, `col` and
-the JSON writer do.
+minors and the xi check read it there (`p.form`): none of them calls
+`.form(` to convert scalars.  A point builds its scalar `columns` from
+that form only when they are read, so no module outside `moduli` reads
+`.columns` or calls `.col(`, and inside `moduli` only `col` and the
+JSON writer do.
 The modules are read from their source, as `test_bench_traced` reads
 the benchmark's table.
 """
@@ -81,11 +81,12 @@ def test_minors_skip_the_matrix_oracle():
             assert not names & {"Matrix", "determinant"}, path.stem
 
 
-def _ints_calls(tree):
+def _form_calls(tree):
+    """Lines of the calls `x.form(...)`; a read of the attribute `p.form` is no call."""
     return [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "ints"
+        and node.func.attr == "form"
     ]
 
 
@@ -95,9 +96,9 @@ def _function(module, name):
 
 
 def test_kernels_read_the_carried_int_form():
-    assert _ints_calls(ast.parse((SRC / "monodromy.py").read_text())) == []
-    assert _ints_calls(_function("moduli", "minors")) == []
-    assert _ints_calls(_function("explorer", "xi_structural_ok")) == []
+    assert _form_calls(ast.parse((SRC / "monodromy.py").read_text())) == []
+    assert _form_calls(_function("moduli", "minors")) == []
+    assert _form_calls(_function("explorer", "xi_structural_ok")) == []
 
 
 def _columns_readers(tree):
@@ -121,6 +122,6 @@ def test_only_moduli_builds_point_scalars():
     for path in sorted(SRC.glob("*.py")):
         readers = _columns_readers(ast.parse(path.read_text()))
         if path.stem == "moduli":
-            assert readers == {"__post_init__", "col", "point_to_json"}
+            assert readers == {"col", "point_to_json"}
         else:
             assert not readers, path.stem

@@ -51,7 +51,8 @@ def qvec(*xs):
 
 
 def qpoint(family, columns):
-    return ModuliPoint(family, QQ, tuple(tuple(Fraction(x) for x in c) for c in columns))
+    return ModuliPoint.from_columns(
+        family, QQ, tuple(tuple(Fraction(x) for x in c) for c in columns))
 
 
 # Nine rational columns whose cyclic windows are all nonsingular even
@@ -97,7 +98,7 @@ def test_point_shape_validation():
 
 def test_validity_repeated_column():
     columns = (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:])
-    report = validate_point(ModuliPoint(T36, QQ, columns))
+    report = validate_point(ModuliPoint.from_columns(T36, QQ, columns))
     assert not report.is_valid
     first = report.minors[0]
     assert first.indices == (1, 2, 3)
@@ -154,7 +155,7 @@ def reference_random_point(family, field, seed):
             tuple(random_scalar(field, rng) for _ in range(family.k))
             for _ in range(family.n_columns)
         )
-        p = ModuliPoint(family, field, columns)
+        p = ModuliPoint.from_columns(family, field, columns)
         if all(matrix_minors(p, cyclic_windows(family))):
             return p
     raise SamplingExhausted(family, seed, RETRY_BOUND)
@@ -202,7 +203,7 @@ def test_minors_match_determinant_and_sympy(field):
         windows += cyclic_windows(family) + [(2, 1, *range(3, family.k + 1))]
         windows += [tuple(range(family.k, 0, -1)), (1, 1, *range(2, family.k))]
         for _ in range(4):
-            p = ModuliPoint(family, field, random_columns(family, field, rng))
+            p = ModuliPoint.from_columns(family, field, random_columns(family, field, rng))
             got = list(minors(p, windows))
             assert got == matrix_minors(p, windows)
             assert got[::7] == [sympy_minor(p, w) for w in windows[::7]]
@@ -230,17 +231,17 @@ def test_points_convert_once_and_images_never(monkeypatch):
     }
     samples = {family: random_point(family, QQ, 2).columns for family in words}
     sizes = []
-    ints = RationalField.ints
+    form = RationalField.form
 
     def counting(self, vectors):
         sizes.append(len(vectors))
-        return ints(self, vectors)
+        return form(self, vectors)
 
-    monkeypatch.setattr(RationalField, "ints", counting)
+    monkeypatch.setattr(RationalField, "form", counting)
     for family, word in words.items():
         assert len(word.split()) == 20
         sizes.clear()
-        p = ModuliPoint(family, QQ, samples[family])
+        p = ModuliPoint.from_columns(family, QQ, samples[family])
         assert sizes == [family.n_columns]
         sizes.clear()
         assert point_loads(point_dumps(p)) == p
@@ -272,7 +273,7 @@ def test_points_refuse_scalars_of_another_field():
         cols = [list(c) for c in random_point(T36, field, 1).columns]
         cols[j - 1][t - 1] = stranger
         with pytest.raises(FieldMismatch, match=rf"^column {j} entry {t}: {re.escape(repr(stranger))} "):
-            ModuliPoint(T36, field, tuple(map(tuple, cols)))
+            ModuliPoint.from_columns(T36, field, tuple(map(tuple, cols)))
 
 
 def test_small_field_sampling_is_bounded():
@@ -319,7 +320,7 @@ def test_pluecker_rejects_bool_indices_and_matches_column_determinant():
             tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(family.k))
             for _ in range(family.n_columns)
         )
-        q = ModuliPoint(family, QQ, columns)
+        q = ModuliPoint.from_columns(family, QQ, columns)
         assert len({x.denominator for c in columns for x in c}) > 1
         for idx in combinations(range(1, family.n_columns + 1), family.k):
             by_columns = Matrix.from_columns([columns[i - 1] for i in idx], QQ)
@@ -485,7 +486,7 @@ def test_bott_samelson_rejects_swapped_adjacent_flags(family):
 def test_flags_invalid_point():
     columns = (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:])
     with pytest.raises(InvalidPoint) as err:
-        flags_from_point(ModuliPoint(T36, QQ, columns))
+        flags_from_point(ModuliPoint.from_columns(T36, QQ, columns))
     assert "(1, 2, 3)" in str(err.value)
 
 
@@ -534,7 +535,7 @@ def test_bott_samelson_strand_mismatch():
 def rescale_column(p, i, c):
     columns = list(p.columns)
     columns[i] = tuple(c * x for x in columns[i])
-    return ModuliPoint(p.family, p.field, tuple(columns))
+    return ModuliPoint.from_columns(p.family, p.field, tuple(columns))
 
 
 def left_multiply(p, g):
@@ -543,7 +544,7 @@ def left_multiply(p, g):
         tuple(sum((g[r][t] * col[t] for t in range(k)), p.field.zero()) for r in range(k))
         for col in p.columns
     )
-    return ModuliPoint(p.family, p.field, columns)
+    return ModuliPoint.from_columns(p.family, p.field, columns)
 
 
 def test_validity_invariance():
@@ -560,7 +561,7 @@ def test_validity_invariance():
             c = Fraction(rng.choice([1, -1, 2, 5]), rng.choice([1, 3]))
             assert validate_point(rescale_column(p, i, c)).is_valid == base
         assert validate_point(left_multiply(p, g)).is_valid == base
-    bad = ModuliPoint(T36, QQ, (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:]))
+    bad = ModuliPoint.from_columns(T36, QQ, (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:]))
     assert not validate_point(rescale_column(bad, 3, Fraction(5))).is_valid
     assert not validate_point(left_multiply(bad, g)).is_valid
 
@@ -568,7 +569,7 @@ def test_validity_invariance():
 def test_validity_cyclically_symmetric():
     for seed in range(3):
         p = random_point(T36, FP, seed)
-        shifted = ModuliPoint(T36, FP, p.columns[1:] + p.columns[:1])
+        shifted = ModuliPoint.from_columns(T36, FP, p.columns[1:] + p.columns[:1])
         before = validate_point(p)
         after = validate_point(shifted)
         assert before.is_valid == after.is_valid

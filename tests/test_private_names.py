@@ -1,22 +1,25 @@
-"""Every module-level private name of `src/legmon/` is used somewhere in it.
+"""Every module-level name of `src/legmon/` is read somewhere.
 
 A `_private` function, class or constant is not part of the package's
-interface, so one that no code in `src/legmon/` reads is dead: this
-stdlib `ast` scan finds them.  A reference is a name or an attribute
-anywhere in the package outside the definition itself, so a recursive
-function that nothing else calls still counts as unused.  Dunder names
-are exempt.
+interface, so one that no code in `src/legmon/` reads is dead.  A
+public one is dead when nothing in `src/`, `tests/` or `bench/` reads
+it and README.md does not name it.  This stdlib `ast` scan finds both.
+A reference is a name or an attribute anywhere outside the definition
+itself, so a recursive function that nothing else calls still counts as
+unused.  Dunder names are exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "legmon").glob("*.py"))
+READERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """Module-level private name -> the statement that binds it."""
+def _definitions(tree: ast.Module, private: bool) -> dict[str, ast.AST]:
+    """Module-level private (or public) name -> the statement that binds it."""
     found = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -27,7 +30,7 @@ def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if name.startswith("_") == private and not name.startswith("__"):
                 found.setdefault(name, node)
     return found
 
@@ -43,13 +46,15 @@ def _references(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return refs
 
 
-def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """`module.name` of each private definition no other code reads, sorted."""
+def unused_names(sources: dict[str, str], private: bool = True, readers=()) -> list[str]:
+    """`module.name` of each private (or public) definition in `sources`
+    that no other code in `sources` or in the `readers` sources reads, sorted."""
     trees = {module: ast.parse(src) for module, src in sources.items()}
-    refs = [ref for tree in trees.values() for ref in _references(tree)]
+    refs = [ref for tree in [*trees.values(), *map(ast.parse, readers)]
+            for ref in _references(tree)]
     unused = []
     for module, tree in trees.items():
-        for name, definition in _private_definitions(tree).items():
+        for name, definition in _definitions(tree, private).items():
             inside = {id(n) for n in ast.walk(definition)}
             if not any(r == name and id(node) not in inside for r, node in refs):
                 unused.append(f"{module}.{name}")
@@ -70,11 +75,20 @@ def test_scan_flags_unused_private_names():
             "def __getattr__(name):\n"
             "    return name\n"
         ),
-        "n": "from . import m\nm._helper()\nx = m._Cls\n",
+        "n": "from . import m\nm._helper()\nx = m._Cls\nTABLE = 1\ndef api():\n    return api()\n",
     }
-    assert unused_private_names(sources) == ["m._ORPHAN", "m._recursive"]
+    assert unused_names(sources) == ["m._ORPHAN", "m._recursive"]
+    assert unused_names(sources, private=False) == ["n.TABLE", "n.api", "n.x"]
+    assert unused_names(sources, private=False, readers=["n.TABLE + x"]) == ["n.api"]
 
 
 def test_package_uses_every_private_name():
     sources = {path.stem: path.read_text() for path in MODULES}
-    assert unused_private_names(sources) == []
+    assert unused_names(sources) == []
+
+
+def test_every_public_name_is_read_or_documented():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    readme = (ROOT / "README.md").read_text()
+    unused = unused_names(sources, private=False, readers=[p.read_text() for p in READERS])
+    assert [n for n in unused if not re.search(rf"\b{n.split('.')[1]}\b", readme)] == []
