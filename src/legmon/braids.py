@@ -13,11 +13,11 @@ Positions are 1-based and moves never wrap around the end of the word;
 cyclic behaviour is reached only through explicit shifts.  A
 `MoveScript` replayed by `verify_loop` that returns to its base word
 letter-for-letter certifies a loop.  The replay rewrites one list of
-letters in place, together with an aligned list of their texts, and
-keeps only each word's text.  The built-in scripts, one row each of
-`_LOOPS`, transcribe the rewriting chains for the loops sigma1, xi1,
-xi2, xi3 and the power of the cyclic shift, one move per rewrite,
-window by window.
+letters in place, together with one string of fixed-width slots that
+hold their texts, and keeps only each word's text.  The built-in
+scripts, one row each of `_LOOPS`, transcribe the rewriting chains for
+the loops sigma1, xi1, xi2, xi3 and the power of the cyclic shift, one
+move per rewrite, window by window.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class BraidWord:
 
 @dataclass(frozen=True)
 class Move:
-    """One rewriting move; `pos` is 1-based and None exactly for shift."""
+    """One rewriting move; `pos` is a 1-based int (by type, so not True
+    or 2.0, as for `BraidWord` letters) and None exactly for shift."""
 
     kind: str  # "shift" | "comm" | "r3a" | "r3d"
     pos: int | None = None
@@ -91,8 +92,8 @@ class Move:
             if self.pos is not None:
                 raise ValueError("shift takes no position")
         elif self.kind in ("comm", "r3a", "r3d"):
-            if self.pos is None or self.pos < 1:
-                raise ValueError(f"{self.kind} needs a position >= 1")
+            if type(self.pos) is not int or self.pos < 1:
+                raise ValueError(f"{self.kind} needs an int position >= 1, got {self.pos!r}")
         else:
             raise ValueError(f"unknown move kind {self.kind!r}")
 
@@ -124,16 +125,13 @@ class LoopReport:
         return lines
 
 
-def apply_move(letters: list[int], move: Move, *aligned: list) -> None:
+def apply_move(letters: list[int], move: Move) -> None:
     """Apply one move to the list `letters` in place, checking its
-    pattern there, and rearrange each `aligned` list the same way.
+    pattern there.
 
-    Entry j of a list after the move is the entry at the position that
-    letter j came from, so an aligned list of the letters' texts stays
-    their texts.  An illegal move raises `IllegalMove` and changes
-    nothing.  The letters stay a valid word on the same strands (shift
-    and comm permute them, r3a/r3d swap i and i+1), so nothing re-checks
-    them."""
+    An illegal move raises `IllegalMove` and changes nothing.  The
+    letters stay a valid word on the same strands (shift and comm
+    permute them, r3a/r3d swap i and i+1), so nothing re-checks them."""
     n = len(letters)
     p = move.pos
     if move.kind == "comm":
@@ -161,38 +159,48 @@ def apply_move(letters: list[int], move: Move, *aligned: list) -> None:
             raise IllegalMove(
                 f"r3d {p}: pattern ({a}, {b}, {c}) is not (i+1, i, i+1)", move=move
             )
-    for seq in (letters, *aligned):
-        if move.kind == "shift":
-            seq.extend(seq[:1])
-            del seq[:1]
-        elif move.kind == "comm":
-            seq[p - 1], seq[p] = seq[p], seq[p - 1]
-        else:  # (x, y, x) becomes (y, x, y)
-            seq[p - 1 : p + 2] = seq[p], seq[p - 1], seq[p]
+    if move.kind == "shift":
+        letters.extend(letters[:1])
+        del letters[:1]
+    elif move.kind == "comm":
+        letters[p - 1], letters[p] = letters[p], letters[p - 1]
+    else:  # (x, y, x) becomes (y, x, y)
+        letters[p - 1 : p + 2] = letters[p], letters[p - 1], letters[p]
 
 
 def verify_loop(script: MoveScript) -> LoopReport:
     """Replay all moves in place from the base; report closure and the
     text of every word.
 
-    The letters and their texts are two aligned lists, so each word's
-    text is one join.
+    Next to the letters, one string `slots` gives each letter `size`
+    characters: a space, then its text right-justified with "_" to the
+    width of the base's largest letter, which no move exceeds.  A move
+    is a slice edit of `slots`, and a word's text is `slots` without the
+    fill and the leading space.
 
     Raises:
         IllegalMove: at the first illegal step, carrying the step index
             and the texts of the words so far.
     """
     letters = list(script.base.letters)
-    texts = list(map(str, letters))
-    words = [" ".join(texts)]
+    size = 1 + len(str(max(letters, default=0)))
+    slots = "".join(" " + str(x).rjust(size - 1, "_") for x in letters)
+    words = [slots.replace("_", "")[1:]]
     for j, move in enumerate(script.moves, start=1):
         try:
-            apply_move(letters, move, texts)
+            apply_move(letters, move)
         except IllegalMove as exc:
             raise IllegalMove(
                 f"step {j}: {exc}", move=move, step=j, trace=tuple(words)
             ) from None
-        words.append(" ".join(texts))
+        if move.kind == "shift":
+            slots = slots[size:] + slots[:size]
+        else:
+            o = (move.pos - 1) * size
+            a, b = slots[o : o + size], slots[o + size : o + 2 * size]
+            edit = b + a if move.kind == "comm" else b + a + b  # (x, y, x) -> (y, x, y)
+            slots = slots[:o] + edit + slots[o + len(edit) :]
+        words.append(slots.replace("_", "")[1:])
     return LoopReport(script, tuple(words), tuple(letters) == script.base.letters)
 
 

@@ -96,6 +96,15 @@ def test_move_validation():
         Move("r3x", 1)
 
 
+@pytest.mark.parametrize("pos", [True, 2.0, "2"])
+def test_move_rejects_non_int_position(pos):
+    # True and 2.0 compare like ints, and "2" cannot be compared with 1:
+    # each is refused by type, with the same ValueError.
+    for kind in ("comm", "r3a", "r3d"):
+        with pytest.raises(ValueError, match=rf"^{kind} needs an int position >= 1, got {re.escape(repr(pos))}$"):
+            Move(kind, pos)
+
+
 def test_move_inverses_property():
     rng = Random(2)
     words = []
@@ -124,9 +133,8 @@ def test_move_inverses_property():
 def test_moves_match_checked_construction(strands, seed):
     # apply_move rewrites a letter list in place and nothing re-checks
     # it: after every move the letters must be ones the checked
-    # constructor accepts, the oracle's surgery must agree, and the
-    # aligned texts must still be the letters' texts.  The walk, replayed
-    # as a script, must render as a letter-by-letter join.
+    # constructor accepts, and the oracle's surgery must agree.  The
+    # walk, replayed as a script, must render as a letter-by-letter join.
     rng = Random(seed)
     letters = []
     while len(letters) < 40:
@@ -134,7 +142,6 @@ def test_moves_match_checked_construction(strands, seed):
         braid = i < strands - 1 and rng.random() < 0.4
         letters += [i, i + 1, i] if braid else [i]
     base = BraidWord(strands, tuple(letters))
-    texts = list(map(str, letters))
     words, moves = [base], []
     kinds = Counter()
     for _ in range(300):
@@ -144,11 +151,9 @@ def test_moves_match_checked_construction(strands, seed):
         for m in legal_moves(letters):
             by_kind.setdefault(m.kind, []).append(m)
         move = rng.choice(by_kind[rng.choice(sorted(by_kind))])
-        apply_move(letters, move, texts)
+        apply_move(letters, move)
         word = BraidWord(strands, tuple(letters))
         assert word.letters == moved_letters(words[-1].letters, move)
-        assert texts == list(map(str, letters))
-        assert str(word) == " ".join(texts)
         kinds[move.kind] += 1
         words.append(word)
         moves.append(move)
@@ -182,15 +187,23 @@ def test_moves_match_checked_construction(strands, seed):
     ],
 )
 def test_illegal_move_changes_nothing(letters, move, message):
+    before = letters
     letters = list(letters)
-    texts = list(map(str, letters))
-    tags = [object() for _ in letters]
-    before = (list(letters), list(texts), list(tags))
     with pytest.raises(IllegalMove) as err:
-        apply_move(letters, move, texts, tags)
+        apply_move(letters, move)
     assert str(err.value) == message
     assert err.value.move == move
-    assert (letters, texts, tags) == before
+    assert tuple(letters) == before
+    # Replayed after a full turn of shifts, the trace holds every
+    # rotation's letter-by-letter join, and the last one is the base.
+    n = len(before)
+    script = MoveScript(BraidWord(13, before), (Move("shift"),) * n + (move,))
+    with pytest.raises(IllegalMove) as err:
+        verify_loop(script)
+    assert str(err.value) == f"step {n + 1}: {message}"
+    assert (err.value.move, err.value.step) == (move, n + 1)
+    rotations = [before[i:] + before[:i] for i in range(n)] + [before]
+    assert err.value.trace == tuple(" ".join(map(str, r)) for r in rotations)
 
 
 def test_letter_multiset_changes():

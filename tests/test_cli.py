@@ -20,11 +20,13 @@ from legmon.braids import (
     BUILTIN_NAMES,
     BraidWord,
     IllegalMove,
+    Move,
+    MoveScript,
     apply_move,
     builtin_script,
     parse_script,
 )
-from oracles import legal_moves, moved_letters
+from oracles import legal_moves, moved_letters, script_text
 from legmon.cli import main
 from legmon.fields import DEFAULT_PRIME, PrimeField, QQ
 from legmon.linalg import Subspace
@@ -112,8 +114,8 @@ def test_verify_loop_illegal_move_prints_trace(tmp_path, capsys):
 def naive_verify_loop_stdout(script):
     """verify-loop's stdout, replayed move by move with the oracle's scan
     and list surgery and rendered letter by letter with str(): the
-    reference for the in-place replay and its aligned letter texts.
-    `apply_move` only supplies the illegal step's message."""
+    reference for the in-place replay and its string of fixed-width
+    letter slots.  `apply_move` only supplies the illegal step's message."""
 
     def text(letters):
         return " ".join(str(x) for x in letters)
@@ -139,38 +141,43 @@ def test_verify_loop_stdout_matches_naive_renderer(capsys, name, s):
     assert out == naive_verify_loop_stdout(builtin_script(name, s))
 
 
-@pytest.mark.parametrize(
-    "base,moves,expected_code",
-    [
-        pytest.param("10,11,10,1,11,3", moves, code, id=name)
-        for name, moves, code in [
-            ("open-path", "r3a 1\ncomm 4\nr3d 1\ncomm 4\nshift\n", 1),
-            ("loop", "r3a 1\nr3d 1\n", 0),
-            # IllegalMove: (11, 10) do not commute
-            ("illegal", "r3a 1\ncomm 2\n", 1),
-        ]
-    ]
-    + [
-        # (9, 10, 9) <-> (10, 9, 10) widens and narrows the window text;
-        # the comm windows after it lie right of it, then left of it.
-        pytest.param("1,9,10,9,3,11", "r3a 2\ncomm 5\nr3d 2\ncomm 1\ncomm 1\ncomm 5\n",
-                     0, id="window-width-changes"),
-        pytest.param("11,3,10,1", "shift\ncomm 3\nshift\nr3a 1\n", 1,
-                     id="shift-two-digit-head"),
-        pytest.param("", "shift\n", 0, id="shift-empty-base"),
-        pytest.param("10", "shift\nshift\n", 0, id="shift-one-letter-base"),
-    ],
-)
+# (id, base, moves, exit code) of each --script case.
+SCRIPT_CASES = [
+    ("open-path", "10,11,10,1,11,3", "r3a 1\ncomm 4\nr3d 1\ncomm 4\nshift\n", 1),
+    ("loop", "10,11,10,1,11,3", "r3a 1\nr3d 1\n", 0),
+    # IllegalMove: (11, 10) do not commute
+    ("illegal", "10,11,10,1,11,3", "r3a 1\ncomm 2\n", 1),
+    # (9, 10, 9) <-> (10, 9, 10) widens and narrows the window text;
+    # the comm windows after it lie right of it, then left of it.
+    ("window-width-changes", "1,9,10,9,3,11",
+     "r3a 2\ncomm 5\nr3d 2\ncomm 1\ncomm 1\ncomm 5\n", 0),
+    ("shift-two-digit-head", "11,3,10,1", "shift\ncomm 3\nshift\nr3a 1\n", 1),
+    ("shift-empty-base", "", "shift\n", 0),
+    ("shift-one-letter-base", "10", "shift\nshift\n", 0),
+    ("one-digit-loop", "1,2,1,8,9,3", "r3a 1\ncomm 3\ncomm 3\nr3d 1\n" + "shift\n" * 6, 0),
+    # Letters of one, two and three digits, in slots three wide.
+    ("three-digit-width", "998,999,998,5,10", "r3a 1\ncomm 3\ncomm 4\nshift\nr3d 4\n", 1),
+]
+
+
+# Twelve strands, so the letters run to two digits, under the cases' own
+# ids; then, wherever the letters fit, on 10, 11 and 1000 strands: the
+# slot width follows the letters, not the strand count.
+@pytest.mark.parametrize("strands,base,moves,expected_code", [
+    pytest.param(strands, base, moves, code,
+                 id=name if strands == 12 else f"{strands}-{name}")
+    for strands in (12, 10, 11, 1000) for name, base, moves, code in SCRIPT_CASES
+    if all(int(x) < strands for x in base.split(",") if x)
+])
 def test_verify_loop_script_stdout_matches_naive_renderer(
-        tmp_path, capsys, base, moves, expected_code):
-    # Twelve strands, so the letters run to two digits.
-    path = tmp_path / "twelve.moves"
+        tmp_path, capsys, strands, base, moves, expected_code):
+    path = tmp_path / "case.moves"
     path.write_text(moves)
     code, out, _ = run(capsys, "verify-loop", "--script", str(path),
-                       "--base", base, "--strands", "12")
+                       "--base", base, "--strands", str(strands))
     assert code == expected_code
     letters = tuple(int(x) for x in base.replace(",", " ").split())
-    script = parse_script(moves, BraidWord(12, letters))
+    script = parse_script(moves, BraidWord(strands, letters))
     assert out == naive_verify_loop_stdout(script)
 
 
@@ -698,6 +705,45 @@ def test_point_loader_fuzz(argv, value):
         finally:
             sys.stdin = saved
     assert code in (0, 1, 2, 3)
+
+
+@st.composite
+def walk_scripts(draw):
+    """A random legal walk on a base of braided triples and single
+    letters; about three in ten end in an illegal move."""
+    strands = draw(st.sampled_from([3, 4, 11, 12, 102, 10**6]))
+    letters = []
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(1, strands - 1))
+        braid = i < strands - 1 and draw(st.booleans())
+        letters += [i, i + 1, i] if braid else [i]
+    base = BraidWord(strands, tuple(letters))
+    moves = []
+    for _ in range(draw(st.integers(0, 12))):
+        by_kind = {}
+        for m in legal_moves(letters):
+            by_kind.setdefault(m.kind, []).append(m)
+        move = draw(st.sampled_from(by_kind[draw(st.sampled_from(sorted(by_kind)))]))
+        letters = list(moved_letters(letters, move))
+        moves.append(move)
+    if draw(st.randoms(use_true_random=True)).random() < 0.3:
+        legal = legal_moves(letters)
+        moves.append(draw(st.sampled_from([
+            Move(kind, p) for kind in ("comm", "r3a", "r3d")
+            for p in range(1, len(letters) + 2) if Move(kind, p) not in legal])))
+    return MoveScript(base, tuple(moves))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(script=walk_scripts())
+def test_verify_loop_walk_stdout_matches_naive_renderer(tmp_path_factory, script):
+    path = tmp_path_factory.mktemp("walk") / "walk.moves"
+    path.write_text(script_text(script))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(["verify-loop", "--script", str(path), "--strands", str(script.base.strands),
+              "--base", ",".join(map(str, script.base.letters))])
+    assert out.getvalue() == naive_verify_loop_stdout(script)
 
 
 SCRIPT_LINES = st.sampled_from(

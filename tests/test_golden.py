@@ -127,6 +127,13 @@ USAGE_GOLDEN = {
     ("verify-loop", "--builtin", "delta_power", "--s", "80"): (
         0, "2e97680bc2744957d709ce2561c2399894c4d094858b99e5750b809d0cd4d9e3",
         EMPTY),
+    # Letters of one and two digits in one word.
+    ("verify-loop", "--builtin", "delta_power", "--k", "11", "--s", "2"): (
+        0, "0d55e6ccad484e724b20e629be041dad33e47407e497017afe9491f2d37dd9d8",
+        EMPTY),
+    ("verify-loop", "--builtin", "delta_power", "--k", "12", "--s", "3"): (
+        0, "fd3a38c794dc742f45e0e28c5b4509807f5fd2fc91b2cdef5cb686d0aecd5ba8",
+        EMPTY),
 }
 
 
