@@ -123,10 +123,10 @@ def _cmd_verify_loop(args) -> int:
     try:
         report = verify_loop(script)
     except IllegalMove as exc:
-        print("\n".join(exc.trace))
+        print(*exc.trace, sep="\n")
         print(f"illegal move: {exc}")
         return EXIT_VERIFICATION
-    print("\n".join(report.to_lines()))
+    print(*report.to_lines(), sep="\n")
     return EXIT_OK if report.is_loop else EXIT_VERIFICATION
 
 

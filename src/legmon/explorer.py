@@ -448,6 +448,8 @@ XI_REPORT_WORDS = (
 def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     """Post-hoc check of one xi step, on the int form both points carry.
 
+    The windows are `act_xi`'s own, Φ_4's blocks at start i, and each
+    window's u sits in `after` at column b of its pair (v_a, v_b).
     With v_a, v_b, u and T read from the points' int forms as A/α, B/β,
     C/γ and T′, a window passes iff det(B, T′) ≠ 0, det(C, T′) = 0
     (u ∈ ⟨T⟩) and γ·(A∧B) = α·(B∧C) (v_a∧v_b = v_b∧u), each after
@@ -457,10 +459,10 @@ def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     `before` with det(v_b, T) = 0, which `act_xi` refuses, is rejected.
     Points off T44 and i not in {1, 2, 3} are refused as `act_xi` refuses
     them, with a `ValueError`."""
-    specs, layout = monodromy._xi_table(i, before, after)
+    windows, _ = monodromy._xi_blocks(i, before, after)
     field = before.field
-    for label, pair, other in specs:
-        pairs = [before.form[j - 1] for j in (*pair, *other)] + [after.form[layout.index(label)]]
+    for _, pair, other in windows:
+        pairs = [before.form[j - 1] for j in (*pair, *other)] + [after.form[pair[1] - 1]]
         (a, b, *t, c), (alpha, *_, gamma) = zip(*pairs)
         tests = [_det_closed([b, *t]), _det_closed([c, *t])] + [
             gamma * x - alpha * y for x, y in zip(wedge(a, b), wedge(b, c))]

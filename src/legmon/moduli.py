@@ -223,12 +223,13 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     is built, and it is rejected at its first vanishing cyclic minor
     until the point is valid.  Validity alone makes
     every loop action of the family defined, so downstream actions never
-    degenerate at any depth: in each window of sigma1 (on the point and
-    on its shift by one) and of xi1..xi3, {v_b} ∪ T is a cyclically
-    consecutive k-window, so the denominator det(v_b, T) of the
-    replacement vector is a nonzero cyclic minor, and v_a, v_b are
-    adjacent columns, so u = λ·v_b − v_a is nonzero; and the image of a
-    valid point is valid again, so the same holds after any word.
+    degenerate at any depth: every loop map is the block rule Φ_k of
+    `monodromy` at some start, whose window at block j has
+    {v_b} ∪ T = (v_{j+1}, …, v_{j+k}), a cyclically consecutive k-window,
+    so the denominator det(v_b, T) of the replacement vector is a nonzero
+    cyclic minor, and v_a, v_b = v_j, v_{j+1} are adjacent columns, so
+    u = λ·v_b − v_a is nonzero; and the image of a valid point is valid
+    again, so the same holds after any word.
 
     Raises:
         SamplingExhausted: after 10,000 rejected draws.

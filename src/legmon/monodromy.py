@@ -1,11 +1,17 @@
 """Exact point maps induced by the Legendrian loops.
 
 Each verified loop acts on framed moduli points.  The cyclic shift
-rotates the column tuple; the sigma1 loop on T36 and the xi loops on
-T44 replace one column per window by the vector u that lies in ⟨T⟩,
-where T is the window's k−1 "other" columns, and satisfies the wedge
-normalization v_a ∧ v_b = v_b ∧ u.  The normalization forces
-u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by Cramer's rule:
+rotates the column tuple.  The sigma1 loop on T36 and the xi loops on
+T44 are one rule Φ_k on Gr(k, N), N = k(s+1), at a block offset: sigma1
+is Φ_3 at start 1, xi_i is Φ_4 at start i.  Φ_k maps each block
+(v_j, …, v_{j+k−1}), j ≡ start (mod k), to (v_{j+1}, u, v_{j+2}, …,
+v_{j+k−1}), where u lies in ⟨T⟩, T = (v_{j+2}, …, v_{j+k}), and
+satisfies the wedge normalization v_a ∧ v_b = v_b ∧ u for the pair
+(v_a, v_b) = (v_j, v_{j+1}).  Start i is start 1 conjugated by the
+shift (X_i = SH(i−1) X1 SH(1−i)), but the offset keeps each window's
+own columns in its label, pair and degeneracy message.  The
+normalization forces u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by
+Cramer's rule:
 
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
@@ -27,6 +33,7 @@ a valid point is valid, so callers validate once and never resample.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from .linalg import DegeneracyError, DegenerateNormalization, _det_closed
 from .moduli import ModuliPoint, T36, T44
@@ -84,62 +91,50 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
     )
 
 
-# (label, pair spanning the 2-plane, tuple spanning the other subspace)
-_SIGMA1_WINDOWS = (
-    ("u1", (1, 2), (3, 4)),
-    ("u2", (4, 5), (6, 7)),
-    ("u3", (7, 8), (9, 1)),
-)
-_SIGMA1_LAYOUT = (2, "u1", 3, 5, "u2", 6, 8, "u3", 9)
+@cache
+def _blocks(k: int, n: int, start: int):
+    """Φ_k at `start` on Gr(k, n): its windows (label, pair, T), block by
+    block, and its layout, each entry the column of the point acted on or
+    the label of the u filling that slot.  Needs k | n, and k ≤ 4, where
+    `_det_closed` stops."""
+    windows, layout = [], list(range(1, n + 1))
+    for t, j in enumerate(range(start - 1, start - 1 + n, k), start=1):
+        a, b, *other = ((j + d) % n + 1 for d in range(k + 1))
+        windows.append((f"u{t}", (a, b), tuple(other)))
+        layout[a - 1], layout[b - 1] = b, f"u{t}"
+    return tuple(windows), tuple(layout)
 
 
-def _replace(p: ModuliPoint, specs, layout) -> ModuliPoint:
+def _replace(p: ModuliPoint, windows, layout) -> ModuliPoint:
     """The point whose columns follow `layout`: a label takes its window's
     replacement vector, an index the column of p it names."""
-    u = {label: _replacement_vector(p, label, pair, other) for label, pair, other in specs}
+    u = {label: _replacement_vector(p, label, pair, other) for label, pair, other in windows}
     form = tuple(u[s] if isinstance(s, str) else p.form[s - 1] for s in layout)
     return ModuliPoint(p.family, p.field, form)
 
 
 def act_sigma1(p: ModuliPoint) -> ModuliPoint:
-    """The sigma1 loop on T36: (v1..v9) -> (v2,u1,v3, v5,u2,v6, v8,u3,v9)
-    with u_t the wedge-normalized vector of <v_a,v_b> ∩ <v_c,v_d> per window."""
+    """The sigma1 loop on T36, Φ_3 at start 1:
+    (v1..v9) -> (v2,u1,v3, v5,u2,v6, v8,u3,v9)."""
     if p.family is not T36:
         raise ValueError(f"act_sigma1 needs family T36, got {p.family.name}")
-    return _replace(p, _SIGMA1_WINDOWS, _SIGMA1_LAYOUT)
+    return _replace(p, *_blocks(T36.k, T36.n_columns, 1))
 
 
-# i -> ((u specs), output layout); "u1"/"u2" mark the replaced columns.
-_XI_TABLE = {
-    1: (
-        (("u1", (1, 2), (3, 4, 5)), ("u2", (5, 6), (7, 8, 1))),
-        (2, "u1", 3, 4, 6, "u2", 7, 8),
-    ),
-    2: (
-        (("u1", (2, 3), (4, 5, 6)), ("u2", (6, 7), (8, 1, 2))),
-        (1, 3, "u1", 4, 5, 7, "u2", 8),
-    ),
-    3: (
-        (("u1", (3, 4), (5, 6, 7)), ("u2", (7, 8), (1, 2, 3))),
-        (1, 2, 4, "u1", 5, 6, 8, "u2"),
-    ),
-}
-
-
-def _xi_table(i: int, *points: ModuliPoint):
-    """`_XI_TABLE[i]`, refusing points off T44 and i not in {1, 2, 3}."""
+def _xi_blocks(i: int, *points: ModuliPoint):
+    """`_blocks` of xi_i, Φ_4 at start i, refusing points off T44 and i
+    other than the ints 1, 2, 3 (1.0 and True too, as `braids.Move` does)."""
     for p in points:
         if p.family is not T44:
             raise ValueError(f"act_xi needs family T44, got {p.family.name}")
-    if i not in _XI_TABLE:
+    if type(i) is not int or i not in (1, 2, 3):
         raise ValueError(f"xi index must be 1, 2 or 3, got {i}")
-    return _XI_TABLE[i]
+    return _blocks(T44.k, T44.n_columns, i)
 
 
 def act_xi(p: ModuliPoint, i: int) -> ModuliPoint:
-    """The xi_i loop on T44 (i in {1,2,3}); each window replaces one
-    column by the wedge-normalized vector of <v_a,v_b> ∩ <v_c,v_d,v_e>."""
-    return _replace(p, *_xi_table(i, p))
+    """The xi_i loop on T44 (i in {1,2,3}), Φ_4 at start i."""
+    return _replace(p, *_xi_blocks(i, p))
 
 
 # Generator token -> (family it applies to, its point map).  The maps call

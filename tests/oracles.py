@@ -17,6 +17,9 @@ the reports' memo of word images.  None of them is on a `legmon` code
 path, nor is the `from_rows` constructor the tests build matrices with,
 nor `script_text`, the move-script renderer that `parse_script` reads
 back, nor `random_scalar`, the scalar of one `Field.random_int` draw.
+`LOOP_WINDOWS` writes out by hand the windows and output layouts that
+`legmon.monodromy._blocks` derives for the sigma1 and xi maps, and
+`window_slots` reads each window's output slot off its layout.
 """
 
 from collections import Counter
@@ -310,3 +313,33 @@ def scratch_relations(n_points: int, seed, field: Field, probe_budget: int) -> R
 def random_scalar(field, rng):
     """A scalar drawn as `random_point` draws each entry."""
     return field.scalar(field.random_int(rng))
+
+
+# token -> (windows (label, pair, T), output layout), written out by hand.
+# A layout entry is the column of the point acted on that fills the slot,
+# or the label of the window whose replacement vector fills it.
+LOOP_WINDOWS = {
+    "S1": (
+        (("u1", (1, 2), (3, 4)), ("u2", (4, 5), (6, 7)), ("u3", (7, 8), (9, 1))),
+        (2, "u1", 3, 5, "u2", 6, 8, "u3", 9),
+    ),
+    "X1": (
+        (("u1", (1, 2), (3, 4, 5)), ("u2", (5, 6), (7, 8, 1))),
+        (2, "u1", 3, 4, 6, "u2", 7, 8),
+    ),
+    "X2": (
+        (("u1", (2, 3), (4, 5, 6)), ("u2", (6, 7), (8, 1, 2))),
+        (1, 3, "u1", 4, 5, 7, "u2", 8),
+    ),
+    "X3": (
+        (("u1", (3, 4), (5, 6, 7)), ("u2", (7, 8), (1, 2, 3))),
+        (1, 2, 4, "u1", 5, 6, 8, "u2"),
+    ),
+}
+
+
+def window_slots(tok: str) -> list:
+    """(label, pair, T, slot) for each window of `LOOP_WINDOWS[tok]`, with
+    slot the 1-based output column its replacement vector fills."""
+    windows, layout = LOOP_WINDOWS[tok]
+    return [(label, pair, other, layout.index(label) + 1) for label, pair, other in windows]

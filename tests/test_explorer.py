@@ -32,7 +32,9 @@ from legmon.fields import DEFAULT_PRIME, QQ, PrimeField
 from legmon.linalg import Subspace, wedge
 from legmon.moduli import ModuliPoint, T36, T44, pluecker, random_point
 from legmon.monodromy import act_sigma1, act_word, act_xi
-from oracles import scratch_relations, scratch_reverify, scratch_sweep
+from oracles import (
+    LOOP_WINDOWS, scratch_relations, scratch_reverify, scratch_sweep, window_slots,
+)
 
 ALT_PRIME = 998244353
 
@@ -335,8 +337,7 @@ def test_xi_structural_ok_direct():
 
 def _xi_upos(i):
     """Output slots (1-based) of the replaced columns u1, u2 of xi_i."""
-    specs, layout = monodromy._XI_TABLE[i]
-    return tuple(layout.index(label) + 1 for label, _, _ in specs)
+    return tuple(slot for *_, slot in window_slots(f"X{i}"))
 
 
 def test_xi_upos_slots():
@@ -361,9 +362,8 @@ def test_xi_structural_ok_refuses_non_t44_points():
 def oracle_xi_structural_ok(before, i, after):
     """The subspace-route check: each replaced column lies in both
     prescribed subspaces and satisfies its wedge normalization."""
-    specs, _ = monodromy._XI_TABLE[i]
     k = before.family.k
-    for (label, pair, other), upos in zip(specs, _xi_upos(i)):
+    for _, pair, other, upos in window_slots(f"X{i}"):
         u = after.columns[upos - 1]
         va, vb = before.col(pair[0]), before.col(pair[1])
         plane = Subspace.span([va, vb], k, before.field)
@@ -382,9 +382,8 @@ def _xi_after_candidates(before, i):
     columns; and `before` itself."""
     after = act_xi(before, i)
     one = before.field.one()
-    specs, _ = monodromy._XI_TABLE[i]
     out = [after]
-    for (_, pair, _), upos in zip(specs, _xi_upos(i)):
+    for _, pair, _, upos in window_slots(f"X{i}"):
         u, vb = after.columns[upos - 1], before.col(pair[1])
         for mutated in (
             tuple(x + x for x in u),
@@ -434,7 +433,7 @@ def test_xi_structural_ok_needs_v_b_off_t():
     with pytest.raises(monodromy.DegeneracyError):
         act_xi(before, 1)
     u1 = tuple(b - a for a, b in zip(v[0], v[1]))  # v2 − v1 ∈ ⟨v3, v4, v5⟩
-    ints, den = monodromy._replacement_vector(before, "u2", (5, 6), (7, 8, 1))
+    ints, den = monodromy._replacement_vector(before, *LOOP_WINDOWS["X1"][0][1])
     u2 = tuple(Fraction(x, den) for x in ints)
     after = ModuliPoint.from_columns(T44, QQ, (v[1], u1, v[2], v[3], v[5], u2, v[6], v[7]))
     assert oracle_xi_structural_ok(before, 1, after)

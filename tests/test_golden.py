@@ -177,3 +177,34 @@ def test_verify_loop_script_digest(case, tmp_path, capsys):
     code = main(["verify-loop", "--script", str(path), "--base", SCRIPT_BASE,
                  "--strands", "12"])
     assert (code, _digest(capsys.readouterr().out)) == expected
+
+
+# `random-point | act` for a word of every generator of each family, over
+# the default prime, F_3 and ℚ, as (exit code, stdout digest).
+ACT_WORDS = {"T36": "B S1 A2 B SH(-4) S1", "T44": "X1 X2 X3 X2 SH(5) X3"}
+ACT_GOLDEN = {
+    ("T36", ()): (
+        0, "f07a48170552f550bf88cbf18852a8c124e40b8a08753003328feec203ff0560"),
+    ("T36", ("--prime", "3")): (
+        0, "80ba969758479503044ff80f15d127fd33ba2732e38dfb7b4d117a9b34f00352"),
+    ("T36", ("--field", "q")): (
+        0, "eda7041503808c6906d7b73dfa0ba837238e45c6a1c91725f7ca70a2fbde192a"),
+    ("T44", ()): (
+        0, "84322d42b8d992cace124fd2c18faa961657d4792ca414b8272fa28766106252"),
+    ("T44", ("--prime", "3")): (
+        0, "3ef309aa8d8dba97c010c410a308f21aa4498f553b657e39ed9862da7f1fb7b9"),
+    ("T44", ("--field", "q")): (
+        0, "2faea817ccae29c7a9dce27e75188cb23b155e68f43bcc89c18bfcdf11acc6b6"),
+}
+
+
+@pytest.mark.parametrize("family, field", list(ACT_GOLDEN),
+                         ids=lambda x: " ".join(x) if isinstance(x, tuple) else x)
+def test_act_stdout_digest(family, field, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LEGMON_PRIME", raising=False)
+    point = tmp_path / "p.json"
+    assert main(["random-point", "--family", family, "--seed", "7", *field,
+                 "--out", str(point)]) == 0
+    capsys.readouterr()
+    code = main(["act", "--point", str(point), "--word", ACT_WORDS[family]])
+    assert (code, _digest(capsys.readouterr().out)) == ACT_GOLDEN[family, field]

@@ -14,13 +14,13 @@ from legmon.linalg import (
     wedge_normalize,
 )
 from legmon.moduli import (
-    ModuliPoint, T36, T44, pluecker, point_dumps, point_loads, random_point, validate_point,
+    Family, ModuliPoint, T36, T44, pluecker, point_dumps, point_loads, random_point,
+    validate_point,
 )
 from legmon.monodromy import (
-    _SIGMA1_LAYOUT,
-    _SIGMA1_WINDOWS,
-    _XI_TABLE,
     DegenerateIntersection,
+    _blocks,
+    _replace,
     _replacement_vector,
     act_shift,
     act_sigma1,
@@ -28,6 +28,7 @@ from legmon.monodromy import (
     act_xi,
     parse_group_word,
 )
+from oracles import LOOP_WINDOWS, window_slots
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -85,13 +86,13 @@ def test_pullback_identities_q(lhs, word, rhs):
 
 
 def test_sigma1_postconditions():
-    windows = [("u1", (1, 2), (3, 4), 2), ("u2", (4, 5), (6, 7), 5), ("u3", (7, 8), (9, 1), 8)]
+    _, layout = LOOP_WINDOWS["S1"]
+    kept = {dst: src for dst, src in enumerate(layout, 1) if isinstance(src, int)}
     for p in fp_points(T36, 10):
         out = act_sigma1(p)
-        kept = {1: 2, 3: 3, 4: 5, 6: 6, 7: 8, 9: 9}
         for dst, src in kept.items():
             assert out.columns[dst - 1] == p.col(src)
-        for _, pair, other, dst in windows:
+        for _, pair, other, dst in window_slots("S1"):
             u = out.columns[dst - 1]
             va, vb = p.col(pair[0]), p.col(pair[1])
             plane = Subspace.span([va, vb], 3, FP)
@@ -111,9 +112,9 @@ def family_windows(family):
         return [
             (label, shifted(pair, shift), shifted(other, shift))
             for shift in (0, 1)
-            for label, pair, other in _SIGMA1_WINDOWS
+            for label, pair, other in LOOP_WINDOWS["S1"][0]
         ]
-    return [spec for specs, _ in _XI_TABLE.values() for spec in specs]
+    return [spec for tok in ("X1", "X2", "X3") for spec in LOOP_WINDOWS[tok][0]]
 
 
 def oracle_replacement(p, pair, other):
@@ -166,6 +167,66 @@ def test_windows_are_cyclically_consecutive(family):
         assert frozenset((b, *other)) in consecutive
         assert len(other) == k - 1
         assert b == a % n + 1
+
+
+@pytest.mark.parametrize(
+    "tok, k, n, start", [("S1", 3, 9, 1), ("X1", 4, 8, 1), ("X2", 4, 8, 2), ("X3", 4, 8, 3)],
+    ids=["S1", "X1", "X2", "X3"],
+)
+def test_blocks_reproduce_the_window_table(tok, k, n, start):
+    # Labels, pairs, T and output slots, against the table written out by hand.
+    assert _blocks(k, n, start) == LOOP_WINDOWS[tok]
+
+
+_CONJUGATION_FIELDS = [PrimeField(101), FP, QQ]
+
+
+@pytest.mark.parametrize("field", _CONJUGATION_FIELDS, ids=["F101", "Fp", "Q"])
+def test_xi_is_x1_conjugated_by_the_shift(field):
+    # Exact on the framed int forms: == compares family, field and form.
+    for seed in range(30):
+        p = random_point(T44, field, seed)
+        for i in (2, 3):
+            assert act_xi(p, i) == act_word(p, f"SH({i - 1}) X1 SH({1 - i})")
+
+
+@pytest.mark.parametrize("field", _CONJUGATION_FIELDS, ids=["F101", "Fp", "Q"])
+def test_phi3_at_later_starts_is_s1_conjugated_by_the_shift(field):
+    for seed in range(30):
+        p = random_point(T36, field, seed)
+        for start in (2, 3):
+            expect = act_word(p, f"SH({start - 1}) S1 SH({1 - start})")
+            assert _replace(p, *_blocks(3, 9, start)) == expect
+
+
+# Families of Gr(k, n) with k | n that only the tests build; none is in FAMILIES.
+_GR_FAMILIES = [Family(f"Gr({k},{n})", k, n, (k, n - k))
+                for k, n in ((2, 4), (2, 6), (3, 6), (3, 12), (4, 12))]
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), FP], ids=["F3", "F5", "Fp"])
+@pytest.mark.parametrize("family", _GR_FAMILIES, ids=lambda f: f.name)
+def test_phi_k_on_other_grassmannians(family, field):
+    # At every start, Φ_k's windows are cyclically consecutive as on T36
+    # and T44, its replacement vectors are the subspace route's, and it
+    # keeps sampled points valid.
+    k, n = family.k, family.n_columns
+    consecutive = {frozenset((s + t) % n + 1 for t in range(k)) for s in range(n)}
+    for start in range(1, k + 1):
+        windows, layout = _blocks(k, n, start)
+        assert len(windows) == n // k and windows[0][1][0] == start
+        for label, (a, b), other in windows:
+            assert frozenset((b, *other)) in consecutive and len(other) == k - 1
+            assert b == a % n + 1
+            assert layout[a - 1] == b and layout[b - 1] == label
+    for seed in range(30):
+        p = random_point(family, field, seed)
+        for start in range(1, k + 1):
+            windows, layout = _blocks(k, n, start)
+            assert validate_point(_replace(p, windows, layout)).is_valid
+            for label, pair, other in windows:
+                u = _replacement_vector(p, label, pair, other)
+                assert u == field.form([oracle_replacement(p, pair, other)])[0]
 
 
 def fresh_form(p):
@@ -230,8 +291,8 @@ def oracle_image_columns(p, tok):
         if tok != "B":
             return columns
         p, tok = ModuliPoint.from_columns(T36, p.field, columns), "S1"
-    specs, layout = (_SIGMA1_WINDOWS, _SIGMA1_LAYOUT) if tok == "S1" else _XI_TABLE[int(tok[1])]
-    u = {label: oracle_replacement(p, pair, other) for label, pair, other in specs}
+    windows, layout = LOOP_WINDOWS[tok]
+    u = {label: oracle_replacement(p, pair, other) for label, pair, other in windows}
     return tuple(u[s] if isinstance(s, str) else p.col(s) for s in layout)
 
 
@@ -285,6 +346,10 @@ def test_sigma1_family_check():
         act_xi(random_point(T36, FP, 1), 1)
     with pytest.raises(ValueError):
         act_xi(random_point(T44, FP, 1), 4)
+    # An index equal to 1 but not an int would key `_blocks` like 1.
+    for i in (1.0, True):
+        with pytest.raises(ValueError, match=f"xi index must be 1, 2 or 3, got {i}"):
+            act_xi(random_point(T44, FP, 1), i)
 
 
 def doctored_t36(v3, v4):
@@ -343,13 +408,6 @@ def test_xi1_frozen_example():
     assert out.columns[7] == p.col(8)
 
 
-XI_WINDOWS = {
-    1: [("u1", (1, 2), (3, 4, 5), 2), ("u2", (5, 6), (7, 8, 1), 6)],
-    2: [("u1", (2, 3), (4, 5, 6), 3), ("u2", (6, 7), (8, 1, 2), 7)],
-    3: [("u1", (3, 4), (5, 6, 7), 4), ("u2", (7, 8), (1, 2, 3), 8)],
-}
-
-
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_xi_postconditions(i):
     from legmon.moduli import validate_point
@@ -357,7 +415,7 @@ def test_xi_postconditions(i):
     for p in fp_points(T44, 10):
         out = act_xi(p, i)
         assert validate_point(out).is_valid
-        for _, pair, other, dst in XI_WINDOWS[i]:
+        for _, pair, other, dst in window_slots(f"X{i}"):
             u = out.columns[dst - 1]
             va, vb = p.col(pair[0]), p.col(pair[1])
             plane = Subspace.span([va, vb], 4, FP)
