@@ -298,8 +298,10 @@ def builtin_script(name: str, s: int = 1, k_for_delta: int | None = None) -> Mov
         if k < 2:
             raise ValueError(f"delta_power needs k >= 2, got {k}")
         shifts = k - 1
+    # The base first: a size beyond memory fails before any move list grows.
+    base = BraidWord(k, tuple(range(1, k)) * (k * (s + 1)))
     width = k * (k - 1)
     moves = [Move(kind, pos + width * j) for kind, pos in before for j in range(s + 1)]
     moves += [Move("shift")] * shifts
     moves += [Move(kind, pos + width * j) for kind, pos in after for j in range(s + 1)]
-    return MoveScript(BraidWord(k, tuple(range(1, k)) * (k * (s + 1))), tuple(moves))
+    return MoveScript(base, tuple(moves))

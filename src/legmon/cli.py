@@ -13,9 +13,10 @@ All output is deterministic given the flags; reports carry no
 timestamps.  The environment variable LEGMON_PRIME overrides the
 CLI's default prime modulus.  The reports' other defaults are the
 defaults of the `explorer` functions they run: a report flag left out
-is not passed.  Each call builds the parser of the invoked
-subcommand only; help and errors without one build all of them.  Only
-the reports `relations`, `faithful` and `xi-report` import `explorer`.
+is not passed.  A call to a known subcommand builds that command's
+parser alone; help, no or an unknown command, and unrecognised
+arguments build the full parser, which reports them.  Only the reports
+`relations`, `faithful` and `xi-report` import `explorer`.
 """
 
 from __future__ import annotations
@@ -118,8 +119,11 @@ def _cmd_verify_loop(args) -> int:
     else:
         if args.base is not None or args.strands is not None:
             raise UsageError("--base and --strands apply only to --script")
-        script = builtin_script(args.builtin, s=1 if args.s is None else args.s,
-                               k_for_delta=args.k)
+        try:
+            script = builtin_script(args.builtin, s=1 if args.s is None else args.s,
+                                   k_for_delta=args.k)
+        except (MemoryError, OverflowError):
+            raise UsageError("--s or --k too large to build the loop") from None
     try:
         report = verify_loop(script)
     except IllegalMove as exc:
@@ -268,25 +272,29 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `legmon` parser; for a known `command`, with only its subparser."""
+    """A known `command`'s own parser alone, else the full `legmon` parser."""
+    if command in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"legmon {command}")
+        _COMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="legmon",
         description="Braid-move loop certification and Legendrian-loop "
         "monodromy over exact fields",
     )
-    known = command in _COMMANDS
-    # One subparser built: the metavar keeps the usage line naming every command.
-    metavar = "{" + ",".join(_COMMANDS) + "}" if known else None
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in (command,) if known else _COMMANDS:
-        summary, add_args = _COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_args) in _COMMANDS.items():
         add_args(subs.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    extras = True
+    if argv and argv[0] in _COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+    if extras:  # no known command, or arguments the command does not take
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScriptSyntaxError as exc:

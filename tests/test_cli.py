@@ -208,6 +208,10 @@ def test_verify_loop_syntax_error(tmp_path, capsys):
          "--k", "7"),
         ("verify-loop", "--script", "{tmp}/f.moves", "--base", "1", "--strands", "3",
          "--s", "5"),
+        # Loops beyond the address space, refused when their base is asked for.
+        ("verify-loop", "--builtin", "delta_power", "--k", "2", "--s", str(10**18)),
+        ("verify-loop", "--builtin", "delta_power", "--k", str(10**19)),
+        ("verify-loop", "--builtin", "xi1", "--s", str(10**19)),
     ],
 )
 def test_verify_loop_usage_errors(tmp_path, capsys, argv):
@@ -590,37 +594,135 @@ COMMANDS = ["verify-loop", "act", "pluecker", "random-point", "flags",
             "relations", "faithful", "xi-report"]
 
 
-def count_subparsers(monkeypatch):
-    """Record the name of every subparser built from now on."""
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+def count_parsers(monkeypatch):
+    """Record the prog of every parser built from now on, and the command
+    of every argument adder run."""
+    progs, adders = [], []
+    init = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    return built
+    def recording(name, add_args):
+        def add(sub):
+            adders.append(name)
+            add_args(sub)
+        return add
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        name: (summary, recording(name, add_args))
+        for name, (summary, add_args) in cli._COMMANDS.items()})
+    return progs, adders
 
 
-def test_call_builds_only_its_subparser(monkeypatch, capsys):
-    built = count_subparsers(monkeypatch)
-    assert main(["random-point", "--family", "T44", "--seed", "3"]) == 0
-    assert built == ["random-point"]
-    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
-    monkeypatch.setattr("sys.argv", ["legmon", "flags"])
+# A valid call of each command that runs in milliseconds.
+QUICK_CALLS = {
+    "verify-loop": ("--builtin", "sigma1"),
+    "act": ("--point", "{tmp}/p.json", "--word", "A"),
+    "pluecker": ("--point", "{tmp}/p.json", "--idx", "1,2,3"),
+    "random-point": ("--family", "T44", "--seed", "3"),
+    "flags": ("--point", "{tmp}/p.json"),
+    "relations": ("--points", "1", "--probe-budget", "0"),
+    "faithful": ("--max-syllables", "1", "--points", "1"),
+    "xi-report": ("--points", "1"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_call_builds_one_parser(command, tmp_path, monkeypatch, capsys):
+    (tmp_path / "p.json").write_text(point_dumps(random_point(T36, QQ, 5)))
+    progs, adders = count_parsers(monkeypatch)
+    argv = [command, *(a.format(tmp=tmp_path) for a in QUICK_CALLS[command])]
+    monkeypatch.setattr("sys.argv", ["legmon", *argv])
     assert main() == 0  # argv=None reads the command from sys.argv
-    assert built == ["random-point", "flags"]
-    assert '"bott_samelson": true' in capsys.readouterr().out
+    assert progs == [f"legmon {command}"] and adders == [command]
 
 
 def test_top_level_help_lists_every_command(monkeypatch, capsys):
-    built = count_subparsers(monkeypatch)
+    progs, adders = count_parsers(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
-    assert exc.value.code == 0 and built == COMMANDS
+    assert exc.value.code == 0 and adders == COMMANDS
+    assert progs == ["legmon", *(f"legmon {name}" for name in COMMANDS)]
     out = capsys.readouterr().out
     assert all(name in out for name in COMMANDS)
+
+
+# Per command, argv after the command name: valid and repeated flags,
+# abbreviations (unique and ambiguous), a bad int, a bad choice and a
+# missing required flag where the command has one.  Each command also
+# runs bare and with `-h`, `--`, `-- x`, `extra` and `--bogus` after its
+# first entry.
+PARSE_CORPUS = {
+    "verify-loop": [("--builtin", "xi1", "--s", "2"),
+                    ("--s", "1", "--builtin", "sigma1", "--s", "3"),
+                    ("--built", "delta_power", "--k", "4"),
+                    ("--sc", "f.moves", "--ba", "1,2", "--st", "3"),
+                    ("--b", "1"), ("--k", "x"), ("--builtin", "xi9")],
+    "act": [("--point", "p.json", "--word", "A B"), ("--word", "A", "--word", "B"),
+            ("--po", "p.json", "--wo", "X1", "--o", "o.json"), ("--point", "p.json")],
+    "pluecker": [("--idx", "1,2,3"), ("--id", "1", "--idx", "4,5,6"),
+                 ("--point", "p.json")],
+    "random-point": [("--family", "T36", "--seed", "5"),
+                     ("--fam", "T44", "--seed", "1", "--seed", "2"),
+                     ("--family", "T36", "--seed", "1", "--fi", "q", "--pr", "7"),
+                     ("--family", "T36", "--seed", "x"), ("--family", "T99", "--seed", "1"),
+                     ("--seed", "1"), ("--family", "T36", "--field", "r", "--seed", "1")],
+    "flags": [("--point", "p.json"), ("--po", "a.json", "--point", "b.json")],
+    "relations": [("--points", "2", "--probe-budget", "0", "--field", "q"),
+                  ("--pro", "3", "--se", "4", "--points", "1", "--points", "5"),
+                  ("--p", "3"), ("--points", "x"), ("--field", "r")],
+    "faithful": [("--max-syllables", "4"), ("--max-syl", "2", "--max-syl", "3"),
+                 ("--max-syllables", "x"), ("--field", "q"), ("--pri", "5", "--o", "-")],
+    "xi-report": [("--points", "3", "--seed", "2"), ("--po", "3", "--pr", "5"),
+                  ("--seed", "x"), ("--out", "o.json", "--out")],
+}
+PARSE_ARGV = [
+    (command, *rest)
+    for command, corpus in PARSE_CORPUS.items()
+    for rest in [*corpus, (), *((*corpus[0], *tail) for tail in (
+        ("-h",), ("--",), ("--", "x"), ("extra",), ("--bogus",)))]
+]
+HANDLERS = ["_cmd_verify_loop", "_cmd_act", "_cmd_pluecker", "_cmd_random_point",
+            "_cmd_flags", "_cmd_report"]
+
+
+def parse_outcome(call, argv, monkeypatch, capsys):
+    """(exit or SystemExit code, [(handler, namespace without `command`)],
+    stdout, stderr) of `call(argv)` with each handler a recorder."""
+    seen = []
+
+    def recorder(name):
+        def handle(args):
+            seen.append((name, {k: v for k, v in vars(args).items()
+                                if k not in ("command", "func")}))
+            return 0
+        return handle
+
+    for name in HANDLERS:
+        monkeypatch.setattr(cli, name, recorder(name))
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, seen, captured.out, captured.err
+
+
+def full_parser_call(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
+def test_parse_matches_full_parser(argv, monkeypatch, capsys):
+    # The command's own parser, and the full parser only for leftover
+    # arguments, parse and report exactly as the full parser alone does.
+    expected = parse_outcome(full_parser_call, argv, monkeypatch, capsys)
+    assert parse_outcome(main, argv, monkeypatch, capsys) == expected
 
 
 def test_module_entry_point_subcommand_help():

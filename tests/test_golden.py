@@ -112,6 +112,23 @@ USAGE_GOLDEN = {
     ("random-point", "--family", "T99"): (
         2, EMPTY,
         "85064f26fac389c6da618050318b9011ef4645030ed007a44694d58f8eb971de"),
+    # Unrecognised arguments after a command, which the full parser
+    # reports, and errors that the command's own parser reports.
+    ("relations", "--bogus"): (
+        2, EMPTY,
+        "40741c28cdf2873b01a4973aec1185ca464a3807198eca41f143daa9302072bc"),
+    ("xi-report", "--points", "x"): (
+        2, EMPTY,
+        "7ffd810f0d392e0b48f529c7367d5b8348b5fc97ec8ce4ba3e2d2fe1e3a279f5"),
+    ("act",): (
+        2, EMPTY,
+        "7ffc96afa201585f1ac4a9810779c8a1a1e85b8fb4cf86f614f282998a0c3480"),
+    ("flags", "--", "x"): (
+        2, EMPTY,
+        "6b9db55422a0cd0ec334826c762e5cc2159c6dcd50657a40d47ca921e012b1f1"),
+    ("faithful", "--max-syl", "1", "--bogus"): (
+        2, EMPTY,
+        "40741c28cdf2873b01a4973aec1185ca464a3807198eca41f143daa9302072bc"),
     ("verify-loop", "--builtin", "xi3", "--s", "80"): (
         0, "6eb9cbc4ffe93987950b1f2fadeabd7a72355f477fcba687ccce3b5cc21262fa",
         EMPTY),
