@@ -34,7 +34,6 @@ from .braids import (
     verify_loop,
 )
 from .fields import Field, PrimeField, QQ, default_prime, format_scalar
-from .linalg import DegeneracyError
 from .moduli import (
     InvalidPoint,
     SamplingExhausted,
@@ -47,7 +46,7 @@ from .moduli import (
     require_valid,
     validate_bott_samelson,
 )
-from .monodromy import act_word, parse_group_word
+from .monodromy import DegeneracyError, act_word
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -137,11 +136,7 @@ def _cmd_verify_loop(args) -> int:
 def _cmd_act(args) -> int:
     point = _read_point(args.point)
     require_valid(point)
-    try:
-        image = act_word(point, parse_group_word(args.word))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _write_text(args.out, point_dumps(image))
+    _write_text(args.out, point_dumps(act_word(point, args.word)))
     return EXIT_OK
 
 
@@ -151,11 +146,7 @@ def _cmd_pluecker(args) -> int:
         idx = tuple(int(x) for x in args.idx.split(","))
     except ValueError as exc:
         raise UsageError(f"bad index list {args.idx!r}") from exc
-    try:
-        value = pluecker(point, idx)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    print(format_scalar(value))
+    print(format_scalar(pluecker(point, idx)))
     return EXIT_OK
 
 

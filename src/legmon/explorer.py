@@ -50,8 +50,9 @@ from .fields import (
     QQ,
     format_scalar,
 )
-from .linalg import _det_closed, wedge
-from .moduli import ModuliPoint, T36, T44, minors, point_to_json, random_point
+from .moduli import (
+    ModuliPoint, T36, T44, _det_closed, minors, point_to_json, random_point, wedge,
+)
 from .monodromy import act_word, act_xi
 from . import monodromy
 

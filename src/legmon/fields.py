@@ -204,8 +204,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
-_RESIDUE_RE = re.compile(r"^\s*(-?\d+)\s*(?:mod\s+(\d+)\s*)?$")
+# ASCII digits only: `\d` would also match other scripts' digits, which `int` reads.
+_RATIONAL_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?$")
+_RESIDUE_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:mod\s+([0-9]+)\s*)?$")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,11 @@
-"""Exact linear algebra in small dimension.
+"""Exact linear algebra in small dimension: the tests' reference oracles.
 
-`_det_closed` is the closed-form determinant up to 4×4, on ints or any
-ring's elements.  `src/` takes every determinant with it, on the int
-form a point carries (`ModuliPoint.form`): `moduli.minors` for cyclic
-minors and Plücker coordinates, and the loop maps for their replacement
-vectors (a ratio of two k×k determinants, k ≤ 4).  `wedge` has one
-`src/` caller, `explorer.xi_structural_ok`, which passes it that form.  No
-`src/` path calls `Matrix`, `determinant`, `Subspace`, `intersect` or
-`wedge_normalize`: the tests use them as the reference oracles for the
-minors, the replacement-vector formula, the xi structural check and the
-flag chain's column windows, and they stay here only because the
-benchmark's `bench/layers.py` imports or traces them.
+`Matrix`, `determinant`, `Subspace`, `intersect` and `wedge_normalize`
+are the slow routes the tests check the package's kernels against.  No
+other module of the package imports this one; it stays in `src/` only
+because the benchmark's `bench/layers.py` imports or traces its names.
+It takes the closed-form determinant `_det_closed` and `wedge` from
+`moduli`, and `DegenerateNormalization` from `monodromy`.
 
 Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their
@@ -25,20 +20,13 @@ so they have one arithmetic path for both fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import prod
 
 from .fields import Field, FieldScalar, field_inverse
+from .moduli import _det_closed, wedge
+from .monodromy import DegenerateNormalization
 
 Vector = tuple[FieldScalar, ...]
-
-
-class DegeneracyError(Exception):
-    """Input is not generic enough for the requested construction."""
-
-
-class DegenerateNormalization(DegeneracyError):
-    """No admissible u satisfies the wedge identity v1 ∧ v2 = v2 ∧ u."""
 
 
 @dataclass(frozen=True)
@@ -80,27 +68,6 @@ def determinant(m: Matrix) -> FieldScalar:
         return m.field.one()
     rows, dens = zip(*m.field.form(m.entries))
     return m.field.scalar(_det_closed(rows), prod(dens))
-
-
-def _det_closed(e):
-    n = len(e)
-    if n == 1:
-        return e[0][0]
-    if n == 2:
-        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    if n == 3:
-        (a, b, c), (d, f, g), (h, i, j) = e
-        return a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)
-    # Expansion by 2x2 complementary minors (first two rows vs last two).
-    (a, b, c, d), (f, g, h, i), (j, k, l, p), (q, r, s, t) = e
-    return (
-        (a * g - b * f) * (l * t - p * s)
-        - (a * h - c * f) * (k * t - p * r)
-        + (a * i - d * f) * (k * s - l * r)
-        + (b * h - c * g) * (j * t - p * q)
-        - (b * i - d * g) * (j * s - l * q)
-        + (c * i - d * h) * (j * r - k * q)
-    )
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -185,12 +152,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     rows, pivots = _rref(rows)
     meet = [r[n:] for r, c in zip(rows, pivots) if c >= n]
     return Subspace(n, tuple(map(tuple, meet)), a.field)
-
-
-def wedge(v: Vector, w: Vector) -> Vector:
-    """Coordinates of v ∧ w in Λ²F^n, index pairs in lexicographic order;
-    the entries may be field scalars or ints."""
-    return tuple(v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2))
 
 
 def wedge_normalize(v1: Vector, v2: Vector, direction: Vector) -> Vector:

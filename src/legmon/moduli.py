@@ -9,11 +9,15 @@ Two families are supported:
 
 Genericity ("validity") asks that every cyclically consecutive k×k
 minor is nonzero; on a valid point every loop action of the family is
-defined.  A point is its family, field and int form.  Draws, loop
-images and ℚ lifts construct it from a form, unchecked;
-`ModuliPoint.from_columns` converts scalars once and refuses entries of
-another field.  `columns` are built from the form when first read, and
-`minors` works on the form.
+defined.  `validate_point` is that predicate, a bool that stops at the
+first vanishing minor, and `require_valid` names every vanishing window.
+A point is its family, field and int form.  Draws, loop images and ℚ
+lifts construct it from a form, unchecked; `ModuliPoint.from_columns`
+converts scalars once and refuses entries of another field.  `columns`
+are built from the form when first read, and `minors` works on the form
+with `_det_closed`, the closed-form determinant up to 4×4.  It and
+`wedge` are the package's two kernels on int forms; the loop maps and
+the xi check use them as well.
 `flags_from_point` rebuilds the chain of complete flags along the base
 braid word as column windows, and `validate_bott_samelson` checks the
 cyclic adjacency conditions of the open cell on their starts.
@@ -24,11 +28,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from math import prod
 from random import Random
 
 from .fields import Field, FieldMismatch, FieldScalar, field_from_json, format_scalar
-from .linalg import _det_closed
 
 
 class InvalidPoint(ValueError):
@@ -115,17 +119,33 @@ class ModuliPoint:
         return self.columns[(i - 1) % self.family.n_columns]
 
 
-@dataclass(frozen=True)
-class MinorCheck:
-    indices: tuple[int, ...]  # cyclic window, 1-based
-    value: FieldScalar
-    nonzero: bool
+def _det_closed(e):
+    """The determinant of a k×k array, k ≤ 4, by its closed form, on ints
+    or any ring's elements."""
+    n = len(e)
+    if n == 1:
+        return e[0][0]
+    if n == 2:
+        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
+    if n == 3:
+        (a, b, c), (d, f, g), (h, i, j) = e
+        return a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)
+    # Expansion by 2x2 complementary minors (first two rows vs last two).
+    (a, b, c, d), (f, g, h, i), (j, k, l, p), (q, r, s, t) = e
+    return (
+        (a * g - b * f) * (l * t - p * s)
+        - (a * h - c * f) * (k * t - p * r)
+        + (a * i - d * f) * (k * s - l * r)
+        + (b * h - c * g) * (j * t - p * q)
+        - (b * i - d * g) * (j * s - l * q)
+        + (c * i - d * h) * (j * r - k * q)
+    )
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    minors: tuple[MinorCheck, ...]
-    is_valid: bool
+def wedge(v, w):
+    """Coordinates of v ∧ w in Λ²F^n, index pairs in lexicographic order;
+    the entries may be field scalars or ints."""
+    return tuple(v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2))
 
 
 def minors(p: ModuliPoint, windows):
@@ -145,17 +165,16 @@ def _cyclic_minors(p: ModuliPoint):
     return zip(windows, minors(p, windows))
 
 
-def validate_point(p: ModuliPoint) -> ValidityReport:
-    """Evaluate all N cyclic consecutive k×k minors; valid iff none vanish."""
-    checks = tuple(MinorCheck(idx, value, bool(value)) for idx, value in _cyclic_minors(p))
-    return ValidityReport(checks, all(c.nonzero for c in checks))
+def validate_point(p: ModuliPoint) -> bool:
+    """True iff none of the N cyclic consecutive k×k minors vanishes;
+    stops at the first that does."""
+    return all(value for _, value in _cyclic_minors(p))
 
 
 def require_valid(p: ModuliPoint) -> None:
     """Raise `InvalidPoint` naming the vanishing cyclic minors, if any."""
-    report = validate_point(p)
-    if not report.is_valid:
-        bad = [m.indices for m in report.minors if not m.nonzero]
+    if not validate_point(p):
+        bad = [window for window, value in _cyclic_minors(p) if not value]
         raise InvalidPoint(f"vanishing cyclic minors at {bad}")
 
 
@@ -239,7 +258,7 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     for _ in range(RETRY_BOUND):
         form = tuple((tuple(field.random_int(rng) for _ in range(k)), 1) for _ in range(n))
         p = ModuliPoint(family, field, form)
-        if all(value for _, value in _cyclic_minors(p)):
+        if validate_point(p):
             return p
     raise SamplingExhausted(family, seed, RETRY_BOUND)
 

@@ -15,19 +15,20 @@ Cramer's rule:
 
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
-Both determinants are taken on the int form the point carries, and
-`Field.column` gives u in int form, the image's form: an image builds
-scalars only if its `columns` are read, and nothing here tells F_p from ℚ.
-`linalg.intersect` and `linalg.wedge_normalize` compute the same u from
-the subspaces; they are its reference oracle in the tests, and no path
-here calls them.
+Both determinants are taken with `moduli._det_closed` on the int form
+the point carries, and `Field.column` gives u in int form, the image's
+form: an image builds scalars only if its `columns` are read, and
+nothing here tells F_p from ℚ.  The tests check u against the subspace
+route of `linalg`, `intersect` then `wedge_normalize`.
 
 Composition is by group words.  On T36 the generators are A (column
 shift by one), A2 (shift by two), and B = sigma1 after a shift, so that
 pullbacks compose contravariantly.  On T44 the generators are X1, X2,
-X3.  Degeneracies name the window label and the failing vector and
-subspace pair.  They cannot occur on a valid point, and every image of
-a valid point is valid, so callers validate once and never resample.
+X3.  Degeneracies (`DegeneracyError` and its two kinds, defined here,
+where the loop maps raise them) name the window label and the failing
+vector and subspace pair.  They cannot occur on a valid point, and every
+image of a valid point is valid, so callers validate once and never
+resample.
 """
 
 from __future__ import annotations
@@ -35,8 +36,15 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .linalg import DegeneracyError, DegenerateNormalization, _det_closed
-from .moduli import ModuliPoint, T36, T44
+from .moduli import ModuliPoint, T36, T44, _det_closed
+
+
+class DegeneracyError(Exception):
+    """Input is not generic enough for the requested construction."""
+
+
+class DegenerateNormalization(DegeneracyError):
+    """No admissible u satisfies the wedge identity v1 ∧ v2 = v2 ∧ u."""
 
 
 class DegenerateIntersection(DegeneracyError):

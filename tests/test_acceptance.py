@@ -22,7 +22,6 @@ from legmon.linalg import (
     Subspace,
     determinant,
     intersect,
-    wedge,
     wedge_normalize,
 )
 from legmon.moduli import (
@@ -33,6 +32,7 @@ from legmon.moduli import (
     random_point,
     validate_bott_samelson,
     validate_point,
+    wedge,
 )
 from legmon.monodromy import act_shift, act_sigma1, act_word, act_xi
 from oracles import random_scalar
@@ -92,7 +92,7 @@ def test_criterion_3_xi_structural_postconditions():
         for p in points:
             out = act_xi(p, i)
             assert xi_structural_ok(p, i, out)
-            assert validate_point(out).is_valid
+            assert validate_point(out) is True
     _report(3, "xi membership + wedge normalization on 100 points x 3", t0, 30.0)
 
 

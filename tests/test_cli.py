@@ -356,10 +356,10 @@ def test_act_reads_stdin(monkeypatch, capsys):
 def test_act_usage_errors(tmp_path, capsys):
     p_file = tmp_path / "p.json"
     run(capsys, "random-point", "--family", "T36", "--seed", "5", "--out", str(p_file))
-    code, _, err = run(capsys, "act", "--point", str(p_file), "--word", "A C")
-    assert code == 2 and "unknown generator" in err
-    code, _, err = run(capsys, "act", "--point", str(p_file), "--word", "X1")
-    assert code == 2 and "T44" in err
+    code, out, err = run(capsys, "act", "--point", str(p_file), "--word", "A C")
+    assert (code, out, err) == (2, "", "error: unknown generator token 'C'\n")
+    code, out, err = run(capsys, "act", "--point", str(p_file), "--word", "A X1")
+    assert (code, out, err) == (2, "", "error: token X1 applies to T44, point is T36\n")
     code, _, err = run(capsys, "act", "--point", str(tmp_path / "missing.json"),
                        "--word", "A")
     assert code == 2 and "cannot read point file" in err
@@ -376,8 +376,13 @@ def test_act_usage_errors(tmp_path, capsys):
     list_family.write_text(json.dumps(data))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
+    arabic = tmp_path / "arabic.json"  # `int` would read ARABIC-INDIC DIGIT THREE
+    data = json.loads(p_file.read_text())
+    data["columns"][0][0] = "\u0663"
+    arabic.write_text(json.dumps(data))
     for bad, message in ((list_family, "family must be a string"),
-                         (deep, "cannot read point file")):
+                         (deep, "cannot read point file"),
+                         (arabic, "cannot read point file: not a residue scalar: '\u0663'")):
         for cmd in (("act", "--word", "A"), ("flags",), ("pluecker", "--idx", "1,4,7")):
             code, _, err = run(capsys, cmd[0], "--point", str(bad), *cmd[1:])
             assert code == 2 and message in err
@@ -403,10 +408,11 @@ def test_act_rejects_invalid_point(tmp_path, capsys, word):
 def test_pluecker_bad_index(tmp_path, capsys):
     p_file = tmp_path / "p.json"
     run(capsys, "random-point", "--family", "T36", "--seed", "5", "--out", str(p_file))
-    code, _, err = run(capsys, "pluecker", "--point", str(p_file), "--idx", "1,1,7")
-    assert code == 2 and "strictly increasing" in err
-    code, _, err = run(capsys, "pluecker", "--point", str(p_file), "--idx", "1,4,x")
-    assert code == 2 and "bad index list" in err
+    for idx, message in (("1,1,7", "indices must be strictly increasing: (1, 1, 7)"),
+                         ("1,2", "need 3 indices for T36, got 2"),
+                         ("1,4,x", "bad index list '1,4,x'")):
+        code, out, err = run(capsys, "pluecker", "--point", str(p_file), "--idx", idx)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_flags_validates_once(tmp_path, monkeypatch, capsys):
@@ -742,12 +748,14 @@ def test_imports_load_only_what_they_need():
         "import legmon\n"
         "print(sorted(m for m in sys.modules if m.startswith('legmon.')))\n"
         "import legmon.cli\n"
-        "print('legmon.explorer' in sys.modules)\n"
+        "print('legmon.explorer' in sys.modules, 'legmon.linalg' in sys.modules)\n"
+        "import legmon.explorer\n"
+        "print('legmon.linalg' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == "[]\nFalse\n"
+    assert proc.stdout == "[]\nFalse False\nFalse\n"
 
 
 JSON_VALUES = st.recursive(

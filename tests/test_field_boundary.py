@@ -5,14 +5,14 @@ object (`Field.form`, `reduce`, `scalar`, `column`) or on the scalars'
 own operators, so neither names a concrete scalar or field class.
 `explorer` lifts prime-field witnesses to ℚ and checks their reduction
 through the same methods, so it never names `ModP`.  `moduli` takes
-its minors with `linalg._det_closed` on that int form, so no `src/`
-module outside `linalg` goes back to `Matrix` or `determinant`.  A
-point carries its int form from construction, and the loop maps, the
-minors and the xi check read it there (`p.form`): none of them calls
-`.form(` to convert scalars.  A point builds its scalar `columns` from
-that form only when they are read, so no module outside `moduli` reads
-`.columns` or calls `.col(`, and inside `moduli` only `col` and the
-JSON writer do.
+its minors with its own `_det_closed` on that int form, and no other
+module of the package imports `linalg`, the tests' oracles, or goes
+back to `Matrix` or `determinant`.  A point carries its int form from
+construction, and the loop maps, the minors and the xi check read it
+there (`p.form`): none of them calls `.form(` to convert scalars.  A
+point builds its scalar `columns` from that form only when they are
+read, so no module outside `moduli` reads `.columns` or calls `.col(`,
+and inside `moduli` only `col` and the JSON writer do.
 The modules are read from their source, as `test_bench_traced` reads
 the benchmark's table.
 """
@@ -66,19 +66,30 @@ def test_explorer_lifts_through_the_int_form():
     assert "ModP" not in _names(tree)
 
 
-def test_minors_skip_the_matrix_oracle():
-    tree = ast.parse((SRC / "moduli.py").read_text())
-    from_linalg = {
-        a.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
-        for a in node.names
-    }
-    assert from_linalg == {"_det_closed"}
+def _imports_linalg(tree):
+    """Whether the module imports `linalg` or any name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            return True
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(a.name.split(".")[-1] == "linalg" for a in node.names):
+                return True
+    return False
+
+
+def test_scan_finds_linalg_imports():
+    for source in ("from .linalg import wedge", "from . import linalg",
+                   "import legmon.linalg", "from legmon.linalg import Matrix as M"):
+        assert _imports_linalg(ast.parse(source)), source
+    assert not _imports_linalg(ast.parse("from .moduli import wedge\nimport linalgebra"))
+
+
+def test_product_modules_skip_the_oracles():
     for path in sorted(SRC.glob("*.py")):
         if path.stem != "linalg":
-            names = _names(ast.parse(path.read_text()))
-            assert not names & {"Matrix", "determinant"}, path.stem
+            tree = ast.parse(path.read_text())
+            assert not _imports_linalg(tree), path.stem
+            assert not _names(tree) & {"Matrix", "determinant"}, path.stem
 
 
 def _form_calls(tree):

@@ -205,6 +205,18 @@ def test_scalar_parse_errors():
         PrimeField(7).parse("5 mod 11")
     with pytest.raises(ScalarParseError):
         PrimeField(7).parse("x")
+    # `int` reads the digits of every script, so only the patterns keep
+    # scalar strings to ASCII.
+    for field, text in (
+        (QQ, "\u0663/\u0664"),  # ARABIC-INDIC DIGITS THREE, FOUR
+        (QQ, "1/\u0664"),
+        (QQ, "-\uff13"),  # FULLWIDTH DIGIT THREE
+        (PrimeField(7), "\uff13"),
+        (PrimeField(7), "5 mod \u0667"),  # ARABIC-INDIC DIGIT SEVEN
+        (PrimeField(7), "\u09e9 mod 7"),  # BENGALI DIGIT THREE
+    ):
+        with pytest.raises(ScalarParseError):
+            field.parse(text)
 
 
 def test_field_json_round_trip():

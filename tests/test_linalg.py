@@ -16,15 +16,15 @@ import sympy
 
 from legmon.fields import ModP, PrimeField, QQ, DEFAULT_PRIME
 from legmon.linalg import (
-    DegenerateNormalization,
     Matrix,
     Subspace,
     _rref,
     determinant,
     intersect,
-    wedge,
     wedge_normalize,
 )
+from legmon.moduli import wedge
+from legmon.monodromy import DegenerateNormalization
 from oracles import (
     det_eliminate, from_rows, identity, kernel_basis, kernel_intersect, random_scalar,
     zero_subspace,

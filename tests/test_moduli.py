@@ -20,7 +20,6 @@ from legmon.moduli import (
     RETRY_BOUND,
     FlagTuple,
     InvalidPoint,
-    MinorCheck,
     ModuliPoint,
     SamplingExhausted,
     T36,
@@ -32,6 +31,7 @@ from legmon.moduli import (
     point_dumps,
     point_loads,
     random_point,
+    require_valid,
     validate_bott_samelson,
     validate_point,
 )
@@ -98,33 +98,47 @@ def test_point_shape_validation():
 
 def test_validity_repeated_column():
     columns = (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:])
-    report = validate_point(ModuliPoint.from_columns(T36, QQ, columns))
-    assert not report.is_valid
-    first = report.minors[0]
-    assert first.indices == (1, 2, 3)
-    assert first.value == 0 and not first.nonzero
+    p = ModuliPoint.from_columns(T36, QQ, columns)
+    assert validate_point(p) is False
+    assert next(minors(p, [(1, 2, 3)])) == 0
+    with pytest.raises(InvalidPoint, match=re.escape("at [(1, 2, 3), (9, 1, 2)]")):
+        require_valid(p)
+
+
+def test_validity_stops_at_the_first_vanishing_minor(monkeypatch):
+    # Window (1, 2, 3) vanishes, so the predicate takes one determinant;
+    # a valid point takes all N of them.
+    import legmon.moduli as moduli
+
+    dets = []
+    det = moduli._det_closed
+    monkeypatch.setattr(moduli, "_det_closed", lambda rows: dets.append(rows) or det(rows))
+    columns = (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:])
+    assert validate_point(ModuliPoint.from_columns(T36, QQ, columns)) is False
+    assert len(dets) == 1
+    dets.clear()
+    assert validate_point(sample_point()) is True
+    assert len(dets) == T36.n_columns
 
 
 def test_validity_against_sympy_minors():
     p = sample_point()
-    report = validate_point(p)
+    cyclic = cyclic_windows(T36)
     m = sympy.Matrix([[sympy.Rational(c[r]) for c in SAMPLE_COLUMNS] for r in range(3)])
-    for check in report.minors:
-        sub = m[:, [i - 1 for i in check.indices]]
-        expected = sub.det()
-        assert Fraction(expected.p, expected.q) == check.value
-        assert check.nonzero == (expected != 0)
-    assert report.is_valid == all(
+    for window, value in zip(cyclic, minors(p, cyclic), strict=True):
+        expected = m[:, [i - 1 for i in window]].det()
+        assert Fraction(expected.p, expected.q) == value
+    assert validate_point(p) == all(
         m[:, [(s + t) % 9 for t in range(3)]].det() != 0 for s in range(9)
     )
-    assert report.is_valid
+    assert validate_point(p) is True
 
 
 def test_random_points_are_valid():
     for family in (T36, T44):
         for field in (FP, QQ):
             p = random_point(family, field, 1)
-            assert validate_point(p).is_valid
+            assert validate_point(p) is True
             assert p.field == field
 
 
@@ -209,9 +223,7 @@ def test_minors_match_determinant_and_sympy(field):
             assert got[::7] == [sympy_minor(p, w) for w in windows[::7]]
             assert all(isinstance(x, type(field.zero())) for x in got)
             cyclic = cyclic_windows(family)
-            assert validate_point(p).minors == tuple(
-                MinorCheck(w, v, bool(v)) for w, v in zip(cyclic, matrix_minors(p, cyclic))
-            )
+            assert validate_point(p) is all(matrix_minors(p, cyclic))
             vanished += not all(matrix_minors(p, cyclic))
     # Over F_3 some sampled cyclic minors vanish, so zeros are covered too.
     assert vanished > 0 if field == PrimeField(3) else vanished == 0
@@ -287,7 +299,7 @@ def test_small_field_sampling_is_bounded():
             assert err.attempts == RETRY_BOUND
             assert err.family is family
         else:
-            assert validate_point(p).is_valid
+            assert validate_point(p) is True
 
 
 def test_pluecker_examples():
@@ -555,25 +567,24 @@ def test_validity_invariance():
         [Fraction(1), Fraction(0), Fraction(1)],
     ]  # det = 7
     for p in (sample_point(), random_point(T36, QQ, 7)):
-        base = validate_point(p).is_valid
+        base = validate_point(p)
         for _ in range(10):
             i = rng.randrange(9)
             c = Fraction(rng.choice([1, -1, 2, 5]), rng.choice([1, 3]))
-            assert validate_point(rescale_column(p, i, c)).is_valid == base
-        assert validate_point(left_multiply(p, g)).is_valid == base
+            assert validate_point(rescale_column(p, i, c)) == base
+        assert validate_point(left_multiply(p, g)) == base
     bad = ModuliPoint.from_columns(T36, QQ, (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:]))
-    assert not validate_point(rescale_column(bad, 3, Fraction(5))).is_valid
-    assert not validate_point(left_multiply(bad, g)).is_valid
+    assert validate_point(rescale_column(bad, 3, Fraction(5))) is False
+    assert validate_point(left_multiply(bad, g)) is False
 
 
 def test_validity_cyclically_symmetric():
     for seed in range(3):
         p = random_point(T36, FP, seed)
         shifted = ModuliPoint.from_columns(T36, FP, p.columns[1:] + p.columns[:1])
-        before = validate_point(p)
-        after = validate_point(shifted)
-        assert before.is_valid == after.is_valid
+        assert validate_point(p) == validate_point(shifted)
         # the window minors are the same multiset, relabeled
-        assert sorted(format_scalar(m.value) for m in before.minors) == sorted(
-            format_scalar(m.value) for m in after.minors
+        cyclic = cyclic_windows(T36)
+        assert sorted(map(format_scalar, minors(p, cyclic))) == sorted(
+            map(format_scalar, minors(shifted, cyclic))
         )
