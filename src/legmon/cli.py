@@ -11,17 +11,19 @@ written), 3 for a degeneracy (including exhausted sampling, a point
 given to `act` that fails validity, and a degeneracy inside a report).
 All output is deterministic given the flags; reports carry no
 timestamps.  The environment variable LEGMON_PRIME overrides the
-CLI's default prime modulus.  The reports' other defaults are the
-defaults of the `explorer` functions they run: a report flag left out
-is not passed.  A call to a known subcommand builds that command's
-parser alone; help, no or an unknown command, and unrecognised
-arguments build the full parser, which reports them.  Only the reports
-`relations`, `faithful` and `xi-report` import `explorer`.
+CLI's default prime modulus.  Integers take ASCII digits only.  The
+reports' other defaults are the defaults of the `explorer` functions
+they run: a report flag left out is not passed.  A call to a known
+subcommand builds that command's parser alone; help, no or an unknown
+command, and unrecognised arguments build the full parser, which
+reports them.  Only the reports `relations`, `faithful` and
+`xi-report` import `explorer`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -35,10 +37,10 @@ from .braids import (
 )
 from .fields import Field, PrimeField, QQ, default_prime, format_scalar
 from .moduli import (
+    FAMILIES,
     InvalidPoint,
     SamplingExhausted,
     flags_from_point,
-    get_family,
     pluecker,
     point_dumps,
     point_loads,
@@ -95,8 +97,18 @@ def _read_point(path: str | None):
         raise UsageError(f"cannot read point file: {exc}") from exc
 
 
+def _int(text: str) -> int:
+    """`int` of ASCII text only, refusing in argparse's `type=int` wording."""
+    if text.isascii():
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_base(text: str, strands: int) -> BraidWord:
     try:
+        if not text.isascii():
+            raise ValueError(f"not ASCII: {text!r}")
         letters = tuple(int(x) for x in text.replace(",", " ").split())
         return BraidWord(strands, letters)
     except ValueError as exc:
@@ -143,15 +155,15 @@ def _cmd_act(args) -> int:
 def _cmd_pluecker(args) -> int:
     point = _read_point(args.point)
     try:
-        idx = tuple(int(x) for x in args.idx.split(","))
-    except ValueError as exc:
+        idx = tuple(map(_int, args.idx.split(",")))
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"bad index list {args.idx!r}") from exc
     print(format_scalar(pluecker(point, idx)))
     return EXIT_OK
 
 
 def _cmd_random_point(args) -> int:
-    family = get_family(args.family)
+    family = FAMILIES[args.family]
     field = _resolve_field(args)
     point = random_point(family, field, args.seed)
     _write_text(args.out, point_dumps(point))
@@ -184,17 +196,17 @@ def _add_field_flags(sub, include_q: bool = True):
     if include_q:
         sub.add_argument("--field", choices=("fp", "q"), default="fp",
                          help="scalar field (default: fp)")
-    sub.add_argument("--prime", type=int, default=None,
+    sub.add_argument("--prime", type=_int, default=None,
                      help="prime modulus (default: LEGMON_PRIME or 2147483647)")
 
 
 def _verify_loop_args(sub):
     sub.add_argument("--script", help="move-script file (DSL)")
     sub.add_argument("--base", help="base word letters for --script, e.g. '1,2,1,2'")
-    sub.add_argument("--strands", type=int, help="strand count for --script")
+    sub.add_argument("--strands", type=_int, help="strand count for --script")
     sub.add_argument("--builtin", choices=("sigma1", "xi1", "xi2", "xi3", "delta_power"))
-    sub.add_argument("--s", type=int, default=None, help="window parameter (default 1)")
-    sub.add_argument("--k", type=int, default=None, help="k for delta_power")
+    sub.add_argument("--s", type=_int, default=None, help="window parameter (default 1)")
+    sub.add_argument("--k", type=_int, default=None, help="k for delta_power")
     sub.set_defaults(func=_cmd_verify_loop)
 
 
@@ -213,8 +225,8 @@ def _pluecker_args(sub):
 
 
 def _random_point_args(sub):
-    sub.add_argument("--family", required=True, choices=("T36", "T44"))
-    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--family", required=True, choices=FAMILIES)
+    sub.add_argument("--seed", type=_int, required=True)
     _add_field_flags(sub)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_random_point)
@@ -235,7 +247,7 @@ def _report_args(function: str, flags: tuple[str, ...], include_q: bool = False)
     is not passed, so the function's signature holds every default."""
     def add(sub):
         for flag in flags:
-            sub.add_argument(flag, type=int, dest=_REPORT_FLAGS[flag],
+            sub.add_argument(flag, type=_int, dest=_REPORT_FLAGS[flag],
                              metavar=flag[2:].upper().replace("-", "_"),
                              default=argparse.SUPPRESS)
         _add_field_flags(sub, include_q)

@@ -8,17 +8,19 @@ modulus.  A `RationalField` or `PrimeField` object bundles construction,
 parsing and sampling for one field, so matrices and points can stay
 field-agnostic.
 
-`ModP` and `Fraction` are the public scalars: points, subspace bases,
-JSON and every function result carry them.  Each field object also owns
-the int form of its scalars, which points carry and the kernels compute
-on: `form` turns vectors into one (ints, den) pair each (residue values
-over 1 over F_p; over ℚ numerators scaled to the lcm of the
-denominators, the one form with gcd(den, *ints) = 1 and den > 0),
-`reduce` maps an int result into the field's range (mod p, or
-unchanged), `scalar` wraps one int over a denominator back into a
-scalar, `column` brings ints over any denominator into int form, and
-`random_int` draws an int entry.  `x in field` tells whether x is a
-scalar of the field.  No other module tells the two int forms apart.
+`ModP` and `Fraction` are the public scalars: a point's `columns`,
+Plücker values, subspace bases and JSON carry them, and each inverts one
+way, `ModP` by `x ** -1` (which `/` calls) and `Fraction` by its own `/`.
+Each field object also owns the int form of its scalars, which points
+carry and the kernels compute on: `form` turns vectors into one
+(ints, den) pair each (residue values over 1 over F_p; over ℚ
+numerators scaled to the lcm of the denominators, the one form with
+gcd(den, *ints) = 1 and den > 0), `reduce` maps an int result into
+the field's range (mod p, or unchanged), `scalar` wraps one int over a
+denominator back into a scalar, `column` brings ints over any
+denominator into int form, and `random_int` draws an int entry.
+`x in field` tells whether x is a scalar of the field.  No other module
+tells the two int forms apart.
 `PrimeField` refuses a modulus at or above the bound below which its
 Miller-Rabin test is deterministic.
 
@@ -41,7 +43,7 @@ DEFAULT_PRIME = 2147483647  # 2^31 - 1, fits in one machine word with room to mu
 
 
 class DivisionByZero(ZeroDivisionError):
-    """Inversion or division of a zero scalar."""
+    """Inversion or division of a zero residue mod p."""
 
 
 class FieldMismatch(ValueError):
@@ -108,13 +110,13 @@ class ModP:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self * field_inverse(o)
+        return self * o ** -1
 
     def __rtruediv__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return o * field_inverse(self)
+        return o * self ** -1
 
     def __neg__(self):
         return ModP(-self.value, self.modulus)
@@ -147,25 +149,6 @@ class ModP:
 
 #: A scalar of either supported field.
 FieldScalar = Fraction | ModP
-
-
-def field_inverse(x: FieldScalar | int) -> FieldScalar:
-    """Multiplicative inverse of ``x`` in its own field.
-
-    Raises:
-        DivisionByZero: if ``x`` is zero.
-    """
-    if isinstance(x, ModP):
-        if x.value == 0:
-            raise DivisionByZero(f"inverse of 0 mod {x.modulus}")
-        return ModP(pow(x.value, -1, x.modulus), x.modulus)
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise DivisionByZero("inverse of rational 0")
-        return Fraction(1) / x
-    raise TypeError(f"not a field scalar: {x!r}")
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -364,6 +347,8 @@ def default_prime() -> int:
     if not raw:
         return DEFAULT_PRIME
     try:
+        if not raw.isascii():  # `int` also reads other scripts' digits
+            raise ValueError("not ASCII digits")
         return PrimeField(int(raw)).p
     except ValueError as exc:
         raise ValueError(f"LEGMON_PRIME={raw!r}: {exc}") from None

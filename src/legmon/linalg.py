@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .fields import Field, FieldScalar, field_inverse
+from .fields import Field, FieldScalar
 from .moduli import _det_closed, wedge
 from .monodromy import DegenerateNormalization
 
@@ -81,7 +81,7 @@ def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field_inverse(rows[r][c])
+        inv = 1 / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:

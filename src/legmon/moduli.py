@@ -1,11 +1,10 @@
 """Framed moduli points, genericity, Plücker minors, and flag chains.
 
-A `ModuliPoint` is a k×N matrix of exact scalars whose columns
-v_1..v_N are the framed vectors representing a point inside Gr(k,N).
-Two families are supported:
-
-* ``T36``: k = 3, N = 9, base braid word (σ1σ2)^9 on 3 strands;
-* ``T44``: k = 4, N = 8, base braid word (σ1σ2σ3)^8 on 4 strands.
+A `ModuliPoint` holds the framed vectors v_1..v_N of a point inside
+Gr(k, N).  A `Family` is two integers (k, s): the torus link T(k, ks),
+whose points lie in Gr(k, N), N = k(s+1), with base braid word
+(σ1…σ_{k−1})^N.  `FAMILIES` names the two that points, files and the
+CLI take, ``T36`` = (3, 2), N = 9, and ``T44`` = (4, 1), N = 8.
 
 Genericity ("validity") asks that every cyclically consecutive k×k
 minor is nonzero; on a valid point every loop action of the family is
@@ -53,26 +52,28 @@ class SamplingExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class Family:
-    """One of the two torus-link families, fixing k, N and the base word."""
+    """The torus link T(k, ks) on Gr(k, N); N and the name are cached."""
 
-    name: str
     k: int
-    n_columns: int
-    torus: tuple[int, int]
+    s: int
 
-    @property
-    def base_letters(self) -> tuple[int, ...]:
-        return tuple(range(1, self.k)) * self.n_columns
+    @cached_property
+    def n_columns(self) -> int:
+        return self.k * (self.s + 1)
+
+    @cached_property
+    def name(self) -> str:
+        return f"T{self.k}{self.k * self.s}"
 
     def base_word(self):
         from .braids import BraidWord
 
-        return BraidWord(self.k, self.base_letters)
+        return BraidWord(self.k, tuple(range(1, self.k)) * self.n_columns)
 
 
-T36 = Family("T36", 3, 9, (3, 6))
-T44 = Family("T44", 4, 8, (4, 4))
-FAMILIES = {"T36": T36, "T44": T44}
+T36 = Family(3, 2)
+T44 = Family(4, 1)
+FAMILIES = {f.name: f for f in (T36, T44)}
 
 
 def get_family(name: str) -> Family:

@@ -103,8 +103,9 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
 def _blocks(k: int, n: int, start: int):
     """Φ_k at `start` on Gr(k, n): its windows (label, pair, T), block by
     block, and its layout, each entry the column of the point acted on or
-    the label of the u filling that slot.  Needs k | n, and k ≤ 4, where
-    `_det_closed` stops."""
+    the label of the u filling that slot.  Keyed by ints: a `Family`
+    hashes in Python.  Needs k | n, as N = k(s+1) of every family, and
+    k ≤ 4, where `_det_closed` stops."""
     windows, layout = [], list(range(1, n + 1))
     for t, j in enumerate(range(start - 1, start - 1 + n, k), start=1):
         a, b, *other = ((j + d) % n + 1 for d in range(k + 1))
@@ -157,7 +158,7 @@ _TOKENS = {
     "X2": (T44, lambda p: act_xi(p, 2)),
     "X3": (T44, lambda p: act_xi(p, 3)),
 }
-_SHIFT_RE = re.compile(r"^SH\((-?\d+)\)$")
+_SHIFT_RE = re.compile(r"^SH\((-?[0-9]+)\)$")  # ASCII: `int` reads every script's digits
 
 #: A group word is a tuple of generator tokens, applied left to right.
 GroupWord = tuple[str, ...]

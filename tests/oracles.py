@@ -38,7 +38,7 @@ from legmon.explorer import (
     delta,
     reduced_words,
 )
-from legmon.fields import QQ, Field, field_inverse, format_scalar
+from legmon.fields import QQ, Field, format_scalar
 from legmon.linalg import Matrix, Subspace, _rref
 from legmon.moduli import T36, ModuliPoint, require_valid
 from legmon.monodromy import act_shift
@@ -75,7 +75,7 @@ def det_eliminate(m: Matrix):
             a[col], a[piv] = a[piv], a[col]
             det = -det
         det = det * a[col][col]
-        inv = field_inverse(a[col][col])
+        inv = 1 / a[col][col]
         for r in range(col + 1, n):
             if a[r][col]:
                 f = a[r][col] * inv

@@ -590,6 +590,67 @@ def test_prime_selection(monkeypatch, capsys):
     assert code == 2 and "prime" in err
 
 
+# `int` reads ARABIC-INDIC, FULLWIDTH and other scripts' digits as ASCII
+# ones; every integer the CLI reads takes ASCII digits only.
+AR = "\u0663"  # ARABIC-INDIC DIGIT THREE
+FW = "\uff17"  # FULLWIDTH DIGIT SEVEN
+NON_ASCII_INTEGERS = {  # id: (argv, LEGMON_PRIME or None, last line of stderr)
+    "random-point --seed": (
+        ("random-point", "--family", "T36", "--seed", AR), None,
+        f"legmon random-point: error: argument --seed: invalid int value: '{AR}'"),
+    "random-point --prime": (
+        ("random-point", "--family", "T36", "--seed", "1", "--prime", FW), None,
+        f"legmon random-point: error: argument --prime: invalid int value: '{FW}'"),
+    "LEGMON_PRIME": (
+        ("random-point", "--family", "T36", "--seed", "1"), FW,
+        f"error: LEGMON_PRIME='{FW}': not ASCII digits"),
+    "verify-loop --s": (
+        ("verify-loop", "--builtin", "sigma1", "--s", AR), None,
+        f"legmon verify-loop: error: argument --s: invalid int value: '{AR}'"),
+    "verify-loop --k": (
+        ("verify-loop", "--builtin", "delta_power", "--k", AR), None,
+        f"legmon verify-loop: error: argument --k: invalid int value: '{AR}'"),
+    "verify-loop --strands": (
+        ("verify-loop", "--script", "-", "--base", "1,2", "--strands", AR), None,
+        f"legmon verify-loop: error: argument --strands: invalid int value: '{AR}'"),
+    "verify-loop --base": (
+        ("verify-loop", "--script", "-", "--base", f"1,{AR}", "--strands", "4"), None,
+        f"error: bad base word: not ASCII: '1,{AR}'"),
+    "act --word SH(j)": (
+        ("act", "--point", "{point}", "--word", f"SH({AR})"), None,
+        f"error: unknown generator token 'SH({AR})'"),
+    "pluecker --idx": (
+        ("pluecker", "--point", "{point}", "--idx", f"1,{AR},7"), None,
+        f"error: bad index list '1,{AR},7'"),
+    "relations --points": (
+        ("relations", "--points", AR), None,
+        f"legmon relations: error: argument --points: invalid int value: '{AR}'"),
+    "faithful --max-syllables": (
+        ("faithful", "--max-syllables", AR), None,
+        f"legmon faithful: error: argument --max-syllables: invalid int value: '{AR}'"),
+    "xi-report --seed": (
+        ("xi-report", "--seed", FW), None,
+        f"legmon xi-report: error: argument --seed: invalid int value: '{FW}'"),
+}
+
+
+@pytest.mark.parametrize("argv, env, last_line", list(NON_ASCII_INTEGERS.values()),
+                         ids=list(NON_ASCII_INTEGERS))
+def test_integer_text_takes_ascii_digits_only(argv, env, last_line, tmp_path, monkeypatch,
+                                              capsys):
+    point = tmp_path / "p.json"
+    point.write_text(point_dumps(random_point(T36, QQ, 5)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    if env is not None:
+        monkeypatch.setenv("LEGMON_PRIME", env)
+    try:
+        code = main([a.format(point=point) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err.splitlines()[-1]) == (2, "", last_line)
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -27,7 +27,7 @@ CONCRETE = {"ModP", "PrimeField", "Fraction"}
 # Names each module may import from `fields`.
 ALLOWED = {
     "monodromy": set(),
-    "linalg": {"Field", "FieldScalar", "field_inverse"},
+    "linalg": {"Field", "FieldScalar"},
 }
 
 

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: axioms, inverses, the int form, parsing,
 serialization."""
 
+import re
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -19,7 +20,6 @@ from legmon.fields import (
     ScalarParseError,
     default_prime,
     field_from_json,
-    field_inverse,
     format_scalar,
     _is_prime,
 )
@@ -38,12 +38,20 @@ A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
 
 
 def test_inverse_examples():
-    assert field_inverse(ModP(2, 7)) == ModP(4, 7)
-    assert field_inverse(Fraction(2, 3)) == Fraction(3, 2)
-    with pytest.raises(DivisionByZero):
-        field_inverse(ModP(0, 7))
-    with pytest.raises(DivisionByZero):
-        field_inverse(Fraction(0))
+    # Scalars invert one way: `ModP` by `** -1`, which `/` calls, and
+    # `Fraction` by its own operators.
+    for x, inverse in ((ModP(2, 7), ModP(4, 7)), (Fraction(2, 3), Fraction(3, 2))):
+        assert 1 / x == x ** -1 == inverse
+    assert 3 / ModP(2, 7) == ModP(5, 7)
+    for zero in (ModP(0, 7), ModP(7, 7)):
+        with pytest.raises(DivisionByZero):
+            1 / zero
+        with pytest.raises(DivisionByZero):
+            zero ** -1
+        with pytest.raises(DivisionByZero):
+            ModP(3, 7) / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / Fraction(0)
 
 
 def test_modp_arithmetic():
@@ -51,7 +59,7 @@ def test_modp_arithmetic():
     assert x + y == ModP(2, 7)
     assert x - y == ModP(1, 7)
     assert x * y == ModP(6, 7)
-    assert x / y == x * field_inverse(y)
+    assert x / y == x * y ** -1 == ModP(3, 7)
     assert -x == ModP(2, 7)
     assert x**3 == ModP(6, 7)
     assert x + 10 == ModP(1, 7)
@@ -124,7 +132,7 @@ def test_field_axioms_randomized(field):
         assert a + zero == a and a * one == a
         assert a + (-a) == zero
         if b != zero:
-            assert b * field_inverse(b) == one
+            assert b * (1 / b) == b / b == one
 
 
 def _rational(rng):
@@ -233,3 +241,11 @@ def test_default_prime_env(monkeypatch):
     assert default_prime() == DEFAULT_PRIME
     monkeypatch.setenv("LEGMON_PRIME", str(ALT_PRIME))
     assert default_prime() == ALT_PRIME
+
+
+@pytest.mark.parametrize("raw", ["\u0667", "\uff17", "1\u0669"], ids=ascii)
+def test_default_prime_refuses_non_ascii_digits(monkeypatch, raw):
+    # `int` reads ARABIC-INDIC SEVEN and FULLWIDTH SEVEN as 7, and "1٩" as 19.
+    monkeypatch.setenv("LEGMON_PRIME", raw)
+    with pytest.raises(ValueError, match=re.escape(f"LEGMON_PRIME={raw!r}: not ASCII digits")):
+        default_prime()

@@ -112,6 +112,16 @@ USAGE_GOLDEN = {
     ("random-point", "--family", "T99"): (
         2, EMPTY,
         "85064f26fac389c6da618050318b9011ef4645030ed007a44694d58f8eb971de"),
+    ("random-point", "--family", "X"): (
+        2, EMPTY,
+        "5659d6b28592144edbcbc5f307ba8feb1665ba6764d4980409d23bbf42173fba"),
+    ("random-point", "--help"): (
+        0, "c7a6c29a5dc16d9e5f65522151e026120234617e4678d5c82238d7b86c884685",
+        EMPTY),
+    # A base word that is not ints, refused after parsing.
+    ("verify-loop", "--script", "-", "--base", "1,x", "--strands", "3"): (
+        2, EMPTY,
+        "0c81b4a3abba5c99235010dd6022a961ee7e2e51fcf1244ab33c1a9b833eb7d3"),
     # Unrecognised arguments after a command, which the full parser
     # reports, and errors that the command's own parser reports.
     ("relations", "--bogus"): (

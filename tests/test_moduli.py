@@ -1,5 +1,6 @@
 """Moduli points: validity, Plücker minors, serialization, flags."""
 
+import dataclasses
 import json
 import re
 from dataclasses import replace
@@ -10,7 +11,7 @@ from random import Random
 import pytest
 import sympy
 
-from legmon.braids import BraidWord
+from legmon.braids import BraidWord, builtin_script
 from legmon.fields import (
     DEFAULT_PRIME, QQ, FieldMismatch, ModP, PrimeField, RationalField, format_scalar,
 )
@@ -18,6 +19,7 @@ from legmon.linalg import Matrix, Subspace, determinant
 from legmon.moduli import (
     FAMILIES,
     RETRY_BOUND,
+    Family,
     FlagTuple,
     InvalidPoint,
     ModuliPoint,
@@ -76,13 +78,36 @@ def sample_point():
 
 def test_families():
     assert get_family("T36") is T36
-    assert T36.k == 3 and T36.n_columns == 9 and T36.torus == (3, 6)
-    assert T44.k == 4 and T44.n_columns == 8 and T44.torus == (4, 4)
+    assert T36.k == 3 and T36.n_columns == 9 and T36.name == "T36"
+    assert T44.k == 4 and T44.n_columns == 8 and T44.name == "T44"
     assert T36.base_word().letters == (1, 2) * 9
     assert T44.base_word().letters == (1, 2, 3) * 8
     assert set(FAMILIES) == {"T36", "T44"}
     with pytest.raises(ValueError):
         get_family("T45")
+
+
+def test_a_family_is_two_integers():
+    # (k, s) is the torus link T(k, ks) on Gr(k, k(s+1)); N and the name follow.
+    assert [f.name for f in dataclasses.fields(Family)] == ["k", "s"]
+    assert T36 == Family(3, 2) and T44 == Family(4, 1)
+    assert FAMILIES == {"T36": Family(3, 2), "T44": Family(4, 1)}
+    for (k, s), name, n in (((3, 1), "T33", 6), ((2, 3), "T26", 8), ((4, 3), "T412", 16)):
+        assert (Family(k, s).name, Family(k, s).n_columns) == (name, n)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T36.k = 4
+
+
+@pytest.mark.parametrize("name, k, s", [
+    *(("sigma1", 3, s) for s in range(1, 5)),
+    *((f"xi{i}", 4, s) for i in (1, 2, 3) for s in range(1, 4)),
+    *(("delta_power", k, s) for k in range(2, 6) for s in range(1, 4)),
+])
+def test_builtin_loops_start_at_their_family_base_word(name, k, s):
+    # One base-word rule: the built-in loop on k strands with window
+    # parameter s starts at the base word of Family(k, s).
+    k_for_delta = k if name == "delta_power" else None
+    assert builtin_script(name, s, k_for_delta).base == Family(k, s).base_word()
 
 
 def test_point_shape_validation():
@@ -459,7 +484,7 @@ def test_window_validator_matches_span_oracle(family, field):
     and the reversal, against each rotation of the base word, and on
     every one-column level nudge, in one flag or in all, against the
     base word."""
-    k, letters = family.k, family.base_letters
+    k, letters = family.k, family.base_word().letters
     words = [BraidWord(k, letters[r:] + letters[:r]) for r in range(k - 1)]
     verdicts = set()
 

@@ -195,12 +195,12 @@ def test_phi3_at_later_starts_is_s1_conjugated_by_the_shift(field):
 
 
 # Families of Gr(k, n) with k | n that only the tests build; none is in FAMILIES.
-_GR_FAMILIES = [Family(f"Gr({k},{n})", k, n, (k, n - k))
+_GR_FAMILIES = [Family(k, n // k - 1)
                 for k, n in ((2, 4), (2, 6), (3, 6), (3, 12), (4, 12))]
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), FP], ids=["F3", "F5", "Fp"])
-@pytest.mark.parametrize("family", _GR_FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("family", _GR_FAMILIES, ids=lambda f: f"Gr({f.k},{f.n_columns})")
 def test_phi_k_on_other_grassmannians(family, field):
     # At every start, Φ_k's windows are cyclically consecutive as on T36
     # and T44, its replacement vectors are the subspace route's, and it
@@ -449,6 +449,16 @@ def test_act_word_parsing_and_composition():
     assert act_word(p, "A A") == act_word(p, ("A2",))
     assert act_word(p, "SH(9)") == p
     assert act_word(p, "B") == act_sigma1(act_shift(p, 1))
+
+
+@pytest.mark.parametrize("tok", ["SH(\u0663)", "SH(-\uff13)", "SH(1\u0669)"], ids=ascii)
+def test_shift_token_takes_ascii_digits_only(tok):
+    # `int` reads ARABIC-INDIC THREE and FULLWIDTH THREE as 3; the token refuses them.
+    p = random_point(T36, FP, 3)
+    for call in (lambda: parse_group_word(tok), lambda: act_word(p, tok),
+                 lambda: act_word(p, (tok,))):
+        with pytest.raises(ValueError, match="unknown generator token"):
+            call()
 
 
 def test_act_word_family_mismatch():
