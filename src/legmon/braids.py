@@ -254,6 +254,12 @@ def parse_script(text: str, base: BraidWord) -> MoveScript:
     return MoveScript(base, tuple(moves))
 
 
+def base_word(k: int, s: int) -> BraidWord:
+    """The base (1..k-1)^{k(s+1)} of the loops on k strands with window
+    parameter s: the word of the family T(k, ks)."""
+    return BraidWord(k, tuple(range(1, k)) * (k * (s + 1)))
+
+
 # Each built-in loop as (strands k, steps before its one shift, steps
 # after it).  A step is a move kind and a position in the first window
 # of k(k-1) letters of the base (1..k-1)^{k(s+1)}; each step is expanded
@@ -299,7 +305,7 @@ def builtin_script(name: str, s: int = 1, k_for_delta: int | None = None) -> Mov
             raise ValueError(f"delta_power needs k >= 2, got {k}")
         shifts = k - 1
     # The base first: a size beyond memory fails before any move list grows.
-    base = BraidWord(k, tuple(range(1, k)) * (k * (s + 1)))
+    base = base_word(k, s)
     width = k * (k - 1)
     moves = [Move(kind, pos + width * j) for kind, pos in before for j in range(s + 1)]
     moves += [Move("shift")] * shifts

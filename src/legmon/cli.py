@@ -11,8 +11,10 @@ written), 3 for a degeneracy (including exhausted sampling, a point
 given to `act` that fails validity, and a degeneracy inside a report).
 All output is deterministic given the flags; reports carry no
 timestamps.  The environment variable LEGMON_PRIME overrides the
-CLI's default prime modulus.  Integers take ASCII digits only.  The
-reports' other defaults are the defaults of the `explorer` functions
+CLI's default prime modulus.  Integer flags, `--base` letters, `--idx`
+indices and LEGMON_PRIME are read by `fields.ascii_int`: ASCII digits
+after an optional minus, with no underscores or surrounding whitespace.
+The reports' other defaults are the defaults of the `explorer` functions
 they run: a report flag left out is not passed.  A call to a known
 subcommand builds that command's parser alone; help, no or an unknown
 command, and unrecognised arguments build the full parser, which
@@ -23,7 +25,6 @@ reports them.  Only the reports `relations`, `faithful` and
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
@@ -35,7 +36,7 @@ from .braids import (
     parse_script,
     verify_loop,
 )
-from .fields import Field, PrimeField, QQ, default_prime, format_scalar
+from .fields import Field, PrimeField, QQ, ascii_int, default_prime, format_scalar
 from .moduli import (
     FAMILIES,
     InvalidPoint,
@@ -98,18 +99,18 @@ def _read_point(path: str | None):
 
 
 def _int(text: str) -> int:
-    """`int` of ASCII text only, refusing in argparse's `type=int` wording."""
-    if text.isascii():
-        with contextlib.suppress(ValueError):
-            return int(text)
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """`ascii_int`, refusing in argparse's `type=int` wording."""
+    try:
+        return ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _parse_base(text: str, strands: int) -> BraidWord:
     try:
         if not text.isascii():
             raise ValueError(f"not ASCII: {text!r}")
-        letters = tuple(int(x) for x in text.replace(",", " ").split())
+        letters = tuple(map(ascii_int, text.replace(",", " ").split()))
         return BraidWord(strands, letters)
     except ValueError as exc:
         raise UsageError(f"bad base word: {exc}") from exc

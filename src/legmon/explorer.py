@@ -26,10 +26,11 @@ degeneracy gate: the reports neither skip nor resample, and a
 Every report samples through `_sample_points`, which refuses an empty
 sample.  The report functions' signatures hold the only defaults: the
 CLI passes just the flags it is given.  Called without a `field`, a
-report samples over `DEFAULT_FIELD`, whatever LEGMON_PRIME says.  Each
-report has one `ok` verdict, the CLI's exit status.  All reports are
-deterministic functions of their parameters and serialize to JSON with
-a fixed key order.
+report samples over `DEFAULT_FIELD`, whatever LEGMON_PRIME says.  A
+report is its JSON plus one `ok` verdict, the CLI's exit status: each
+report function builds the JSON dict as it computes, and `Report` holds
+the two.  All reports are deterministic functions of their parameters,
+with a fixed key order.
 """
 
 from __future__ import annotations
@@ -241,56 +242,20 @@ def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
 
 
 @dataclass(frozen=True)
-class RelationCheck:
-    relation: str
-    probe: Syllables
-    passes: int
-    failures: int
+class Report:
+    """A report's JSON, built as the report computes, and its `ok`
+    verdict, the CLI's exit status."""
 
-    @property
-    def all_pass(self) -> bool:
-        return self.failures == 0
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    n_points: int
-    seed: object
-    probe_budget: int
-    field: Field
-    checks: tuple[RelationCheck, ...]
-    # Valid points stay valid under every word, so no draw is resampled.
+    json: dict
+    ok: bool
+    # Valid points stay valid under every word, so nothing degenerates
+    # and no draw is resampled.
+    degenerate_evals = 0
     resamples = 0
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.all_pass for c in self.checks)
-
-    ok = all_pass
-
-    def to_json(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "seed": self.seed,
-            "probe_budget": self.probe_budget,
-            "field": self.field.to_json(),
-            "resamples": self.resamples,
-            "all_pass": self.all_pass,
-            "checks": [
-                {
-                    "relation": c.relation,
-                    "probe": word_label(c.probe),
-                    "passes": c.passes,
-                    "failures": c.failures,
-                    "all_pass": c.all_pass,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def verify_relations(n_points: int = 32, seed=7, field: Field = DEFAULT_FIELD,
-                     probe_budget: int = 2) -> RelationReport:
+                     probe_budget: int = 2) -> Report:
     """Check the order relations a³ and b² on Δ-probe observables.
 
     For each sampled point p and probe u: compares Δ(u(a³(p))) with
@@ -312,98 +277,36 @@ def verify_relations(n_points: int = 32, seed=7, field: Field = DEFAULT_FIELD,
         for u in probes:
             for rel, r in _RELATIONS.items():
                 failures[rel, u] += images.value(0, r + u) != images.value(0, u)
-    checks = tuple(
-        RelationCheck(rel, u, n_points - failures[rel, u], failures[rel, u])
+    checks = [
+        {
+            "relation": rel,
+            "probe": word_label(u),
+            "passes": n_points - failures[rel, u],
+            "failures": failures[rel, u],
+            "all_pass": not failures[rel, u],
+        }
         for rel in _RELATIONS
         for u in probes
-    )
-    return RelationReport(n_points, seed, probe_budget, field, checks)
+    ]
+    all_pass = all(c["all_pass"] for c in checks)
+    return Report({
+        "n_points": n_points,
+        "seed": seed,
+        "probe_budget": probe_budget,
+        "field": field.to_json(),
+        "resamples": Report.resamples,
+        "all_pass": all_pass,
+        "checks": checks,
+    }, all_pass)
 
 
 # Relation name -> its word; three single shifts are the shift by three.
 _RELATIONS = {"a3": ("a", "a", "a"), "b2": ("b", "b")}
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    word: Syllables
-    witness: SeparationWitness | None
-    q_reverify: dict | None
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    max_syllables: int
-    probe_budget: int
-    n_points: int
-    seed: object
-    field: Field
-    entries: tuple[SweepEntry, ...]
-    # Valid points stay valid under every word, so nothing degenerates.
-    degenerate_evals = 0
-
-    @property
-    def total_words(self) -> int:
-        return len(self.entries)
-
-    @property
-    def separated(self) -> int:
-        return sum(1 for e in self.entries if e.witness is not None)
-
-    @property
-    def unseparated_words(self) -> tuple[Syllables, ...]:
-        return tuple(e.word for e in self.entries if e.witness is None)
-
-    @property
-    def all_separated(self) -> bool:
-        return self.separated == self.total_words
-
-    @property
-    def all_q_verified(self) -> bool:
-        return all(
-            e.q_reverify is None or e.q_reverify["ok"]
-            for e in self.entries
-            if e.witness is not None
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.all_separated and self.all_q_verified
-
-    def to_json(self) -> dict:
-        return {
-            "max_syllables": self.max_syllables,
-            "probe_budget": self.probe_budget,
-            "n_points": self.n_points,
-            "seed": self.seed,
-            "field": self.field.to_json(),
-            "total_words": self.total_words,
-            "separated": self.separated,
-            "fraction_separated": f"{self.separated}/{self.total_words}",
-            "all_separated": self.all_separated,
-            "unseparated_words": [word_label(w) for w in self.unseparated_words],
-            "degenerate_evals": self.degenerate_evals,
-            "witnesses": [
-                {
-                    "word": word_label(e.word),
-                    "separated": e.witness is not None,
-                    **(
-                        {
-                            "witness": e.witness.to_json(),
-                            "q_reverify": e.q_reverify,
-                        }
-                        if e.witness is not None
-                        else {}
-                    ),
-                }
-                for e in self.entries
-            ],
-        }
-
-
 def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
                        n_points: int = 32, seed=11,
-                       field: Field = DEFAULT_FIELD) -> SweepReport:
+                       field: Field = DEFAULT_FIELD) -> Report:
     """Run separate() on every nontrivial reduced word up to the budget.
 
     All words share one deterministic point sample and one memo of word
@@ -417,16 +320,36 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
     images = _WordImages(points)
     q_images = _WordImages(tuple(map(lift_point_to_q, points)))
     entries = []
+    unseparated = []
     for word in reduced_words(max_syllables)[1:]:
         witness = separate(word, probe_budget, _images=images)
-        q_report = None
-        if witness is not None and isinstance(field, PrimeField):
-            q_at = (q_images, points.index(witness.point))
-            q_report = reverify_witness_q(witness, _q=q_at)
-        entries.append(SweepEntry(word, witness, q_report))
-    return SweepReport(
-        max_syllables, probe_budget, n_points, seed, field, tuple(entries)
-    )
+        entry = {"word": word_label(word), "separated": witness is not None}
+        if witness is None:
+            unseparated.append(entry["word"])
+        else:
+            entry["witness"] = witness.to_json()
+            entry["q_reverify"] = None
+            if isinstance(field, PrimeField):
+                q_at = (q_images, points.index(witness.point))
+                entry["q_reverify"] = reverify_witness_q(witness, _q=q_at)
+        entries.append(entry)
+    total = len(entries)
+    separated = total - len(unseparated)
+    q_verified = all(e["q_reverify"]["ok"] for e in entries if e.get("q_reverify"))
+    return Report({
+        "max_syllables": max_syllables,
+        "probe_budget": probe_budget,
+        "n_points": n_points,
+        "seed": seed,
+        "field": field.to_json(),
+        "total_words": total,
+        "separated": separated,
+        "fraction_separated": f"{separated}/{total}",
+        "all_separated": not unseparated,
+        "unseparated_words": unseparated,
+        "degenerate_evals": Report.degenerate_evals,
+        "witnesses": entries,
+    }, not unseparated and q_verified)
 
 
 PLUECKER_SET = (
@@ -477,43 +400,12 @@ def _xi_word_label(word: tuple[int, ...]) -> str:
     return " ".join(f"X{i}" for i in word)
 
 
-@dataclass(frozen=True)
-class XiReport:
-    n_points: int
-    seed: object
-    field: Field
-    structural_all_ok: bool
-    invariance: dict  # word label -> {P label -> bool}
-    matches: dict  # word label -> {P label -> list of matching P labels}
-    braid_comparison: dict  # P label -> {"equal": bool, "agree": int, "n": int}
-    # Valid points stay valid under every word, so no draw is resampled.
-    resamples = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.structural_all_ok
-
-    def to_json(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "seed": self.seed,
-            "field": self.field.to_json(),
-            "resamples": self.resamples,
-            "structural_all_ok": self.structural_all_ok,
-            "pluecker_set": [_plabel(ix) for ix in PLUECKER_SET],
-            "words": [_xi_word_label(w) for w in XI_REPORT_WORDS],
-            "invariance": self.invariance,
-            "matches": self.matches,
-            "braid_comparison": self.braid_comparison,
-        }
-
-
 def _plabel(idx: tuple[int, ...]) -> str:
     return "P" + "".join(str(i) for i in idx)
 
 
 def xi_pluecker_report(n_points: int = 32, seed=11,
-                       field: Field = DEFAULT_FIELD) -> XiReport:
+                       field: Field = DEFAULT_FIELD) -> Report:
     """Tabulate the Plücker set of T44 before and after each xi word.
 
     For every word W and every P in the set, the report records the
@@ -568,13 +460,21 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
             "n": len(samples),
         }
 
-    return XiReport(
-        n_points, seed, field,
-        all(structural),
-        invariance, matches, braid,
-    )
+    structural_all_ok = all(structural)
+    return Report({
+        "n_points": n_points,
+        "seed": seed,
+        "field": field.to_json(),
+        "resamples": Report.resamples,
+        "structural_all_ok": structural_all_ok,
+        "pluecker_set": [_plabel(ix) for ix in PLUECKER_SET],
+        "words": [_xi_word_label(w) for w in XI_REPORT_WORDS],
+        "invariance": invariance,
+        "matches": matches,
+        "braid_comparison": braid,
+    }, structural_all_ok)
 
 
-def report_dumps(report) -> str:
-    """Serialize any report object with stable key order."""
-    return json.dumps(report.to_json(), indent=2) + "\n"
+def report_dumps(report: Report) -> str:
+    """Serialize a report's JSON with stable key order."""
+    return json.dumps(report.json, indent=2) + "\n"

@@ -26,7 +26,8 @@ Miller-Rabin test is deterministic.
 
 Serialization: `format_scalar` renders rationals as ``"a/b"`` with an
 explicit denominator and residues as ``"v mod p"``; each field's `parse`
-reads them back.
+reads them back.  `ascii_int` reads the CLI's integer flags, `--base`
+letters, `--idx` indices and LEGMON_PRIME.
 """
 
 from __future__ import annotations
@@ -190,6 +191,19 @@ def _is_prime(n: int) -> bool:
 # ASCII digits only: `\d` would also match other scripts' digits, which `int` reads.
 _RATIONAL_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?$")
 _RESIDUE_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:mod\s+([0-9]+)\s*)?$")
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """The int of `text`: ASCII digits after an optional minus, and nothing
+    else (`int` also reads other scripts' digits, underscores, a plus sign
+    and surrounding whitespace).  Refused text raises `ValueError`, "not
+    ASCII digits" if it is not ASCII and in `int`'s wording otherwise."""
+    if not text.isascii():
+        raise ValueError("not ASCII digits")
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -347,8 +361,6 @@ def default_prime() -> int:
     if not raw:
         return DEFAULT_PRIME
     try:
-        if not raw.isascii():  # `int` also reads other scripts' digits
-            raise ValueError("not ASCII digits")
-        return PrimeField(int(raw)).p
+        return PrimeField(ascii_int(raw)).p
     except ValueError as exc:
         raise ValueError(f"LEGMON_PRIME={raw!r}: {exc}") from None

@@ -66,9 +66,9 @@ class Family:
         return f"T{self.k}{self.k * self.s}"
 
     def base_word(self):
-        from .braids import BraidWord
+        from .braids import base_word
 
-        return BraidWord(self.k, tuple(range(1, self.k)) * self.n_columns)
+        return base_word(self.k, self.s)
 
 
 T36 = Family(3, 2)

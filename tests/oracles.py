@@ -9,14 +9,17 @@ and check its open-cell conditions by containment and span equality,
 the reference for the window chain of `legmon.moduli`.  `legal_moves`
 and `moved_letters` find and apply braid moves by scanning and slicing
 letter tuples, the reference for `legmon.braids.apply_move`.
-`scratch_sweep` and `scratch_relations` rebuild the faithfulness sweep
-and the relation report by applying every whole word to the sampled
-point with `apply_syllables`, lifting to ℚ entry by entry and reducing
-the ℚ values with the residues' own value and modulus: the reference for
-the reports' memo of word images.  None of them is on a `legmon` code
-path, nor is the `from_rows` constructor the tests build matrices with,
-nor `script_text`, the move-script renderer that `parse_script` reads
-back, nor `random_scalar`, the scalar of one `Field.random_int` draw.
+`scratch_sweep` and `scratch_relations` rebuild the JSON of the
+faithfulness sweep and of the relation report by applying every whole
+word to the sampled point with `apply_syllables`, lifting to ℚ entry by
+entry and reducing the ℚ values with the residues' own value and
+modulus: the reference for the reports' memo of word images.
+`replay_witness_json` checks one sweep entry from its JSON alone, on
+the point and values `witness_from_json` reads back.  None of them is on
+a `legmon` code path, nor is the `from_rows` constructor the tests build
+matrices with, nor `script_text`, the move-script renderer that
+`parse_script` reads back, nor `random_scalar`, the scalar of one
+`Field.random_int` draw.
 `LOOP_WINDOWS` writes out by hand the windows and output layouts that
 `legmon.monodromy._blocks` derives for the sigma1 and xi maps, and
 `window_slots` reads each window's output slot off its layout.
@@ -28,11 +31,7 @@ from fractions import Fraction
 
 from legmon.braids import Move
 from legmon.explorer import (
-    RelationCheck,
-    RelationReport,
     SeparationWitness,
-    SweepEntry,
-    SweepReport,
     _sample_points,
     apply_syllables,
     delta,
@@ -40,7 +39,7 @@ from legmon.explorer import (
 )
 from legmon.fields import QQ, Field, format_scalar
 from legmon.linalg import Matrix, Subspace, _rref
-from legmon.moduli import T36, ModuliPoint, require_valid
+from legmon.moduli import T36, ModuliPoint, point_from_json, point_to_json, require_valid
 from legmon.monodromy import act_shift
 
 
@@ -250,6 +249,20 @@ def scratch_separate(word, probe_budget: int, points) -> SeparationWitness | Non
     return None
 
 
+def _label(word) -> str:
+    return " ".join(word) or "e"
+
+
+def _syllables(label: str) -> tuple[str, ...]:
+    return () if label == "e" else tuple(label.split())
+
+
+def _reduces_to(x: Fraction, r) -> bool:
+    """Whether the rational x maps to the residue r mod r's modulus."""
+    p = r.modulus
+    return bool(x.denominator % p) and (x.numerator - r.value * x.denominator) % p == 0
+
+
 def scratch_reverify(witness: SeparationWitness) -> dict:
     """A prime-field witness replayed over ℚ on the entrywise lift."""
     point = witness.point
@@ -257,11 +270,7 @@ def scratch_reverify(witness: SeparationWitness) -> dict:
         tuple(Fraction(x.value) for x in c) for c in point.columns))
     lhs = delta(apply_syllables(apply_syllables(q, witness.word), witness.probe))
     rhs = delta(apply_syllables(q, witness.probe))
-    consistent = all(
-        x.denominator % r.modulus
-        and (x.numerator - r.value * x.denominator) % r.modulus == 0
-        for x, r in ((lhs, witness.lhs), (rhs, witness.rhs))
-    )
+    consistent = _reduces_to(lhs, witness.lhs) and _reduces_to(rhs, witness.rhs)
     return {
         "lhs": format_scalar(lhs),
         "rhs": format_scalar(rhs),
@@ -272,16 +281,59 @@ def scratch_reverify(witness: SeparationWitness) -> dict:
 
 
 def scratch_sweep(max_syllables: int, probe_budget: int, n_points: int, seed,
-                  field: Field) -> SweepReport:
+                  field: Field) -> dict:
     points = _sample_points(T36, field, n_points, seed)
     entries = []
     for word in reduced_words(max_syllables)[1:]:
         witness = scratch_separate(word, probe_budget, points)
-        q_report = None
-        if witness is not None and field.kind == "fp":
-            q_report = scratch_reverify(witness)
-        entries.append(SweepEntry(word, witness, q_report))
-    return SweepReport(max_syllables, probe_budget, n_points, seed, field, tuple(entries))
+        entry = {"word": _label(word), "separated": witness is not None}
+        if witness is not None:
+            entry["witness"] = {
+                "word": _label(witness.word),
+                "probe": _label(witness.probe),
+                "lhs": format_scalar(witness.lhs),
+                "rhs": format_scalar(witness.rhs),
+                "point": point_to_json(witness.point),
+            }
+            entry["q_reverify"] = scratch_reverify(witness) if field.kind == "fp" else None
+        entries.append(entry)
+    unseparated = [e["word"] for e in entries if not e["separated"]]
+    separated = len(entries) - len(unseparated)
+    return {
+        "max_syllables": max_syllables,
+        "probe_budget": probe_budget,
+        "n_points": n_points,
+        "seed": seed,
+        "field": field.to_json(),
+        "total_words": len(entries),
+        "separated": separated,
+        "fraction_separated": f"{separated}/{len(entries)}",
+        "all_separated": not unseparated,
+        "unseparated_words": unseparated,
+        "degenerate_evals": 0,
+        "witnesses": entries,
+    }
+
+
+def witness_from_json(data: dict) -> SeparationWitness:
+    """A witness rebuilt from its JSON, the values parsed in its point's field."""
+    point = point_from_json(data["point"])
+    lhs, rhs = (point.field.parse(data[side]) for side in ("lhs", "rhs"))
+    return SeparationWitness(_syllables(data["word"]), _syllables(data["probe"]), point, lhs, rhs)
+
+
+def replay_witness_json(entry: dict) -> bool:
+    """Whether a sweep entry's JSON alone certifies its word: Δ recomputes
+    to the stored pair on the stored point and the two differ, and the ℚ
+    re-check's values, where there is one, differ and reduce to that pair."""
+    witness = witness_from_json(entry["witness"])
+    replayed = entry["witness"]["word"] == entry["word"] and witness.replay()
+    q = entry["q_reverify"]
+    if q is None:
+        return replayed
+    lhs, rhs = QQ.parse(q["lhs"]), QQ.parse(q["rhs"])
+    return (replayed and lhs != rhs
+            and _reduces_to(lhs, witness.lhs) and _reduces_to(rhs, witness.rhs))
 
 
 def scratch_relation_rows(p: ModuliPoint, probes) -> list:
@@ -296,18 +348,32 @@ def scratch_relation_rows(p: ModuliPoint, probes) -> list:
     return rows
 
 
-def scratch_relations(n_points: int, seed, field: Field, probe_budget: int) -> RelationReport:
+def scratch_relations(n_points: int, seed, field: Field, probe_budget: int) -> dict:
     probes = reduced_words(probe_budget)
     counts = Counter()
     for p in _sample_points(T36, field, n_points, seed):
         for key, passed in scratch_relation_rows(p, probes):
             counts[key, passed] += 1
-    checks = tuple(
-        RelationCheck(rel, u, counts[(rel, u), True], counts[(rel, u), False])
+    checks = [
+        {
+            "relation": rel,
+            "probe": _label(u),
+            "passes": counts[(rel, u), True],
+            "failures": counts[(rel, u), False],
+            "all_pass": counts[(rel, u), False] == 0,
+        }
         for rel in ("a3", "b2")
         for u in probes
-    )
-    return RelationReport(n_points, seed, probe_budget, field, checks)
+    ]
+    return {
+        "n_points": n_points,
+        "seed": seed,
+        "probe_budget": probe_budget,
+        "field": field.to_json(),
+        "resamples": 0,
+        "all_pass": all(c["all_pass"] for c in checks),
+        "checks": checks,
+    }
 
 
 def random_scalar(field, rng):

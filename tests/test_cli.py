@@ -26,7 +26,7 @@ from legmon.braids import (
     builtin_script,
     parse_script,
 )
-from oracles import legal_moves, moved_letters, script_text
+from oracles import legal_moves, moved_letters, replay_witness_json, script_text
 from legmon.cli import main
 from legmon.fields import DEFAULT_PRIME, PrimeField, QQ
 from legmon.linalg import Subspace
@@ -495,6 +495,7 @@ def test_faithful_small_sweep(capsys):
     assert data["fraction_separated"] == "7/7"
     assert data["all_separated"] is True
     assert all(w["q_reverify"]["ok"] for w in data["witnesses"])
+    assert all(replay_witness_json(w) for w in data["witnesses"])
 
 
 @pytest.mark.parametrize("cmd", ["relations", "faithful", "xi-report"])
@@ -591,10 +592,11 @@ def test_prime_selection(monkeypatch, capsys):
 
 
 # `int` reads ARABIC-INDIC, FULLWIDTH and other scripts' digits as ASCII
-# ones; every integer the CLI reads takes ASCII digits only.
+# ones, and skips underscores and surrounding whitespace; every integer
+# the CLI reads takes ASCII digits only, after an optional minus.
 AR = "\u0663"  # ARABIC-INDIC DIGIT THREE
 FW = "\uff17"  # FULLWIDTH DIGIT SEVEN
-NON_ASCII_INTEGERS = {  # id: (argv, LEGMON_PRIME or None, last line of stderr)
+REFUSED_INTEGERS = {  # id: (argv, LEGMON_PRIME or None, last line of stderr)
     "random-point --seed": (
         ("random-point", "--family", "T36", "--seed", AR), None,
         f"legmon random-point: error: argument --seed: invalid int value: '{AR}'"),
@@ -631,11 +633,29 @@ NON_ASCII_INTEGERS = {  # id: (argv, LEGMON_PRIME or None, last line of stderr)
     "xi-report --seed": (
         ("xi-report", "--seed", FW), None,
         f"legmon xi-report: error: argument --seed: invalid int value: '{FW}'"),
+    "random-point --seed 1_0": (
+        ("random-point", "--family", "T36", "--seed", "1_0"), None,
+        "legmon random-point: error: argument --seed: invalid int value: '1_0'"),
+    "random-point --seed ' 10 '": (
+        ("random-point", "--family", "T36", "--seed", " 10 "), None,
+        "legmon random-point: error: argument --seed: invalid int value: ' 10 '"),
+    "LEGMON_PRIME ' 7 '": (
+        ("random-point", "--family", "T36", "--seed", "1"), " 7 ",
+        "error: LEGMON_PRIME=' 7 ': invalid literal for int() with base 10: ' 7 '"),
+    "verify-loop --base 1_1": (
+        ("verify-loop", "--script", "-", "--base", "1_1 2", "--strands", "3"), None,
+        "error: bad base word: invalid literal for int() with base 10: '1_1'"),
+    "pluecker --idx 1_0": (
+        ("pluecker", "--point", "{point}", "--idx", "1_0,4,7"), None,
+        "error: bad index list '1_0,4,7'"),
+    "pluecker --idx ' 1'": (
+        ("pluecker", "--point", "{point}", "--idx", " 1,4,7"), None,
+        "error: bad index list ' 1,4,7'"),
 }
 
 
-@pytest.mark.parametrize("argv, env, last_line", list(NON_ASCII_INTEGERS.values()),
-                         ids=list(NON_ASCII_INTEGERS))
+@pytest.mark.parametrize("argv, env, last_line", list(REFUSED_INTEGERS.values()),
+                         ids=list(REFUSED_INTEGERS))
 def test_integer_text_takes_ascii_digits_only(argv, env, last_line, tmp_path, monkeypatch,
                                               capsys):
     point = tmp_path / "p.json"

@@ -12,8 +12,7 @@ from legmon.explorer import (
     DELTA_INDEX,
     PLUECKER_SET,
     XI_REPORT_WORDS,
-    SweepReport,
-    XiReport,
+    Report,
     apply_syllables,
     delta,
     faithfulness_sweep,
@@ -33,7 +32,13 @@ from legmon.linalg import Subspace
 from legmon.moduli import ModuliPoint, T36, T44, pluecker, random_point, wedge
 from legmon.monodromy import act_sigma1, act_word, act_xi
 from oracles import (
-    LOOP_WINDOWS, scratch_relations, scratch_reverify, scratch_sweep, window_slots,
+    LOOP_WINDOWS,
+    replay_witness_json,
+    scratch_relations,
+    scratch_reverify,
+    scratch_sweep,
+    window_slots,
+    witness_from_json,
 )
 
 ALT_PRIME = 998244353
@@ -102,40 +107,40 @@ def test_apply_syllables_matches_tokens():
     assert delta(p) == pluecker(p, DELTA_INDEX)
 
 
+def _failing(report: Report) -> set:
+    return {(c["relation"], c["probe"]) for c in report.json["checks"] if not c["all_pass"]}
+
+
 def test_verify_relations_default_outcomes():
     report = verify_relations()
-    assert report.n_points == 32 and report.probe_budget == 2
+    assert report.json["n_points"] == 32 and report.json["probe_budget"] == 2
     # a3 is the full shift by three: invariant under every probe
-    for check in report.checks:
-        if check.relation == "a3":
-            assert check.all_pass and check.passes == 32
+    for check in report.json["checks"]:
+        if check["relation"] == "a3":
+            assert check["all_pass"] and check["passes"] == 32
     # b2 rescales columns 2, 5, 8, so exactly the probes whose pullback
     # touches a rescaled column fail
-    failing = {
-        (c.relation, c.probe) for c in report.checks if not c.all_pass
-    }
-    assert failing == {("b2", ("a",)), ("b2", ("a2", "b")), ("b2", ("b", "a"))}
-    assert not report.all_pass
-    by_key = {(c.relation, c.probe): c for c in report.checks}
-    for probe in ((), ("a2",), ("b",), ("a", "b"), ("b", "a2")):
-        assert by_key["b2", probe].all_pass
+    assert _failing(report) == {("b2", "a"), ("b2", "a2 b"), ("b2", "b a")}
+    assert not report.ok and report.json["all_pass"] is False
+    by_key = {(c["relation"], c["probe"]): c for c in report.json["checks"]}
+    for probe in ("e", "a2", "b", "a b", "b a2"):
+        assert by_key["b2", probe]["all_pass"]
 
 
 def test_verify_relations_prime_independent():
     report = verify_relations(n_points=8, seed=3, field=PrimeField(ALT_PRIME))
-    failing = {(c.relation, c.probe) for c in report.checks if not c.all_pass}
-    assert failing == {("b2", ("a",)), ("b2", ("a2", "b")), ("b2", ("b", "a"))}
+    assert _failing(report) == {("b2", "a"), ("b2", "a2 b"), ("b2", "b a")}
 
 
 def test_verify_relations_probe_zero_passes():
     report = verify_relations(n_points=8, seed=3, probe_budget=0)
-    assert [c.probe for c in report.checks] == [(), ()]
-    assert report.all_pass
+    assert [c["probe"] for c in report.json["checks"]] == ["e", "e"]
+    assert report.ok and report.json["all_pass"] is True
 
 
 def test_verify_relations_json():
     report = verify_relations(n_points=4, seed=3)
-    data = report.to_json()
+    data = report.json
     assert data["all_pass"] is False
     assert data["n_points"] == 4
     assert data["checks"][0]["relation"] == "a3"
@@ -237,38 +242,39 @@ def test_witness_json_and_q_reverify():
 
 def test_mini_sweep_matches_standalone_separate():
     sweep = faithfulness_sweep(max_syllables=2, probe_budget=2, n_points=8, seed=4)
-    assert sweep.total_words == 7  # the 8 reduced words minus the empty one
-    assert sweep.all_separated and sweep.all_q_verified
-    for entry in sweep.entries:
-        alone = separate(entry.word, probe_budget=2, n_points=8, seed=4)
-        assert alone == entry.witness
+    assert sweep.json["total_words"] == 7  # the 8 reduced words minus the empty one
+    assert sweep.ok and sweep.json["all_separated"] is True
+    for entry in sweep.json["witnesses"]:
+        alone = separate(tuple(entry["word"].split()), probe_budget=2, n_points=8, seed=4)
+        assert witness_from_json(entry["witness"]) == alone
 
 
 def test_sweep_probe_escalation():
     # powers of (a b) and of (b a2) are invisible to the empty probe
     # and need the probe "a"; everything else separates at probe e.
     sweep = faithfulness_sweep(max_syllables=4, probe_budget=4, n_points=16, seed=11)
-    assert sweep.all_separated
-    needs_a = {e.word for e in sweep.entries if e.witness.probe == ("a",)}
-    assert needs_a == {("a", "b"), ("a", "b", "a", "b"), ("b", "a2"), ("b", "a2", "b", "a2")}
-    assert all(e.witness.probe == () for e in sweep.entries if e.word not in needs_a)
+    assert sweep.ok
+    probes = {e["word"]: e["witness"]["probe"] for e in sweep.json["witnesses"]}
+    needs_a = {word for word, probe in probes.items() if probe == "a"}
+    assert needs_a == {"a b", "a b a b", "b a2", "b a2 b a2"}
+    assert all(probe == "e" for word, probe in probes.items() if word not in needs_a)
 
 
 def test_sweep_over_q_skips_reverify():
     sweep = faithfulness_sweep(max_syllables=1, probe_budget=1, n_points=4,
                                seed=2, field=QQ)
-    assert sweep.all_separated and sweep.all_q_verified
-    assert all(e.q_reverify is None for e in sweep.entries)
+    assert sweep.ok and sweep.json["all_separated"] is True
+    assert all(e["q_reverify"] is None for e in sweep.json["witnesses"])
 
 
 def test_sweep_json():
     sweep = faithfulness_sweep(max_syllables=1, probe_budget=1, n_points=4, seed=2)
-    data = sweep.to_json()
+    data = sweep.json
     assert data["fraction_separated"] == "3/3"
     assert data["all_separated"] is True
     assert [w["word"] for w in data["witnesses"]] == ["a", "a2", "b"]
     assert all("witness" in w and "q_reverify" in w for w in data["witnesses"])
-    assert isinstance(sweep, SweepReport)
+    assert isinstance(sweep, Report)
     with pytest.raises(ValueError):
         faithfulness_sweep(max_syllables=0)
 
@@ -283,10 +289,15 @@ def test_sweep_json():
 def test_sweep_matches_whole_word_oracle(field, probe_budget):
     kw = dict(max_syllables=5, probe_budget=probe_budget, n_points=8, seed=11, field=field)
     sweep = faithfulness_sweep(**kw)
-    assert report_dumps(sweep) == report_dumps(scratch_sweep(**kw))
-    # the standalone re-check, on its own one-point memo, agrees as well;
-    # a ℚ witness is its own lift and reduces to itself
-    for witness in (e.witness for e in sweep.entries if e.witness is not None):
+    assert json.dumps(sweep.json) == json.dumps(scratch_sweep(**kw))
+    # every witness replays from the JSON alone, and the standalone
+    # re-check, on its own one-point memo, agrees as well; a ℚ witness is
+    # its own lift and reduces to itself
+    for entry in sweep.json["witnesses"]:
+        if not entry["separated"]:
+            continue
+        assert replay_witness_json(entry)
+        witness = witness_from_json(entry["witness"])
         if field.kind == "fp":
             assert reverify_witness_q(witness) == scratch_reverify(witness)
         else:
@@ -297,7 +308,7 @@ def test_sweep_matches_whole_word_oracle(field, probe_budget):
                          ids=["Fp", "F5", "Q"])
 def test_relations_match_whole_word_oracle(field):
     report = verify_relations(n_points=16, seed=7, field=field, probe_budget=3)
-    assert report_dumps(report) == report_dumps(scratch_relations(16, 7, field, 3))
+    assert json.dumps(report.json) == json.dumps(scratch_relations(16, 7, field, 3))
 
 
 def _record_sigma1_inputs(monkeypatch) -> list:
@@ -314,7 +325,7 @@ def _record_sigma1_inputs(monkeypatch) -> list:
 def test_sweep_computes_each_image_once(monkeypatch):
     seen = _record_sigma1_inputs(monkeypatch)
     sweep = faithfulness_sweep(max_syllables=8)
-    assert sweep.total_words == 105 and sweep.all_separated and sweep.all_q_verified
+    assert sweep.json["total_words"] == 105 and sweep.ok
     # points carry their field: no sigma1 input repeats over F_p or over ℚ
     assert len(set(seen)) == len(seen)
     assert {p.field for p in seen} == {explorer.DEFAULT_FIELD, QQ}
@@ -477,13 +488,24 @@ def naive_xi_report(n_points, seed, field):
         agree = sum(pw[(1, 2, 1)][c] == pw[(2, 1, 2)][c] for _, pw, _ in samples)
         braid[plabel(ix)] = {"equal": agree == n_points, "agree": agree, "n": n_points}
     structural = all(ok for _, _, ok in samples)
-    return XiReport(n_points, seed, field, structural, invariance, matches, braid)
+    return {
+        "n_points": n_points,
+        "seed": seed,
+        "field": field.to_json(),
+        "resamples": 0,
+        "structural_all_ok": structural,
+        "pluecker_set": [plabel(ix) for ix in PLUECKER_SET],
+        "words": [wlabel(w) for w in XI_REPORT_WORDS],
+        "invariance": invariance,
+        "matches": matches,
+        "braid_comparison": braid,
+    }
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), PrimeField(DEFAULT_PRIME), QQ],
                          ids=["F3", "Fp", "Q"])
 def test_xi_report_prefix_sharing_matches_naive_replay(field, monkeypatch):
-    expected = report_dumps(naive_xi_report(6, 11, field))
+    expected = json.dumps(naive_xi_report(6, 11, field))
     calls = {"act_xi": 0, "check": 0}
 
     def counted(name, fn):
@@ -496,29 +518,30 @@ def test_xi_report_prefix_sharing_matches_naive_replay(field, monkeypatch):
     monkeypatch.setattr(explorer, "xi_structural_ok",
                         counted("check", xi_structural_ok))
     report = xi_pluecker_report(n_points=6, seed=11, field=field)
-    assert report_dumps(report) == expected
-    assert report.structural_all_ok
+    assert json.dumps(report.json) == expected
+    assert report.ok and report.json["structural_all_ok"] is True
     # 9 distinct prefixes among the 14 steps of the 7 words, per point
     assert calls == {"act_xi": 6 * 9, "check": 6 * 9}
 
 
 def test_xi_report_frozen_observations():
     report = xi_pluecker_report(n_points=8, seed=11)
-    assert report.structural_all_ok
-    assert set(report.invariance) == {
+    data = report.json
+    assert report.ok and data["structural_all_ok"] is True
+    assert set(data["invariance"]) == {
         "X1", "X2", "X3", "X1 X2 X1", "X2 X1 X2", "X3 X2", "X3 X2 X1",
     }
-    x2_invariant = sorted(p for p, ok in report.invariance["X2"].items() if ok)
+    x2_invariant = sorted(p for p, ok in data["invariance"]["X2"].items() if ok)
     assert x2_invariant == ["P2348", "P2367", "P4678"]
-    assert all(v["equal"] for v in report.braid_comparison.values())
-    assert all(v["n"] == 8 for v in report.braid_comparison.values())
+    assert all(v["equal"] for v in data["braid_comparison"].values())
+    assert all(v["n"] == 8 for v in data["braid_comparison"].values())
     # an invariant coordinate matches itself in the pullback table
-    assert "P2348" in report.matches["X2"]["P2348"]
+    assert "P2348" in data["matches"]["X2"]["P2348"]
 
 
 def test_xi_report_shape_and_determinism():
     report = xi_pluecker_report(n_points=4, seed=3)
-    data = report.to_json()
+    data = report.json
     assert data["pluecker_set"][0] == "P1378"
     assert len(data["pluecker_set"]) == 9
     assert data["words"] == [
@@ -542,9 +565,9 @@ def test_pluecker_set_is_valid_for_t44():
 
 
 def test_reports_build_scalars_only_for_witness_json(monkeypatch):
-    # Every report computes on the int form: no point's `columns` are
-    # built during a report, and the sweep's JSON builds those of each
-    # distinct witness point once.
+    # Every report computes on the int form: relations and xi build no
+    # point's `columns`, the sweep builds those of each distinct witness
+    # point once, for the witness JSON, and dumping builds none.
     calls = []
     build = ModuliPoint.columns.func
 
@@ -556,10 +579,12 @@ def test_reports_build_scalars_only_for_witness_json(monkeypatch):
     verify_relations(n_points=4, field=QQ)
     xi_pluecker_report(n_points=4)
     xi_pluecker_report(n_points=2, field=QQ)
-    sweep = faithfulness_sweep(max_syllables=4, probe_budget=2, n_points=8)
     assert calls == []
-    text = report_dumps(sweep)
-    witness_points = {e.witness.point for e in sweep.entries if e.witness is not None}
+    sweep = faithfulness_sweep(max_syllables=4, probe_budget=2, n_points=8)
+    witness_points = {
+        json.dumps(e["witness"]["point"]) for e in sweep.json["witnesses"] if e["separated"]
+    }
     built = len(witness_points)
-    assert witness_points and len(calls) == built
+    assert witness_points and len(calls) == len(set(calls)) == built
+    text = report_dumps(sweep)
     assert report_dumps(sweep) == text and len(calls) == built  # kept, not rebuilt

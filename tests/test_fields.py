@@ -243,9 +243,18 @@ def test_default_prime_env(monkeypatch):
     assert default_prime() == ALT_PRIME
 
 
-@pytest.mark.parametrize("raw", ["\u0667", "\uff17", "1\u0669"], ids=ascii)
-def test_default_prime_refuses_non_ascii_digits(monkeypatch, raw):
-    # `int` reads ARABIC-INDIC SEVEN and FULLWIDTH SEVEN as 7, and "1٩" as 19.
+NOT_ASCII = "not ASCII digits"
+NOT_INT = "invalid literal for int() with base 10: {raw!r}"
+REFUSED_PRIMES = [("\u0667", NOT_ASCII), ("\uff17", NOT_ASCII), ("1\u0669", NOT_ASCII),
+                  (" 7 ", NOT_INT), ("1_000_003", NOT_INT)]
+
+
+@pytest.mark.parametrize("raw, reason", REFUSED_PRIMES,
+                         ids=[ascii(raw) for raw, _ in REFUSED_PRIMES])
+def test_default_prime_refuses_non_ascii_digits(monkeypatch, raw, reason):
+    # `int` reads ARABIC-INDIC SEVEN and FULLWIDTH SEVEN as 7, "1٩" as 19,
+    # " 7 " as 7 and "1_000_003" as 1000003.
     monkeypatch.setenv("LEGMON_PRIME", raw)
-    with pytest.raises(ValueError, match=re.escape(f"LEGMON_PRIME={raw!r}: not ASCII digits")):
+    message = f"LEGMON_PRIME={raw!r}: {reason.format(raw=raw)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         default_prime()

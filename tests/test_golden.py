@@ -30,6 +30,12 @@ GOLDEN = {
         1, "6f925e17bc7ee6cde003807d7c82d3d015bfcd110d95189d6200e26f4167a688"),
     ("relations", "--field", "q", "--probe-budget", "3"): (
         1, "3d526d2b2d328a73ea8f6886d825cb8270cc1e8cf1a9d124fbb7eb591e35c8ca"),
+    # Four words no empty probe separates: entries without a witness.
+    ("faithful", "--max-syllables", "4", "--probe-budget", "0", "--points", "8"): (
+        1, "f148b1bf65020ced1c154a1b656f06323a00a6c883bfd53cfdcd3573689b52d5"),
+    # Every check passes: the report's `all_pass` is true.
+    ("relations", "--probe-budget", "0", "--points", "4"): (
+        0, "bdf48c05b71e6f58b27fe702c55f207acfd0622490a032abff08b0468dfeba32"),
 }
 
 
