@@ -29,11 +29,8 @@ from dataclasses import dataclass
 class IllegalMove(Exception):
     """A move whose pattern does not match the word at its position."""
 
-    def __init__(self, message: str, *, move: "Move | None" = None,
-                 step: int | None = None, trace: tuple[str, ...] = ()):
+    def __init__(self, message: str, *, trace: tuple[str, ...] = ()):
         super().__init__(message)
-        self.move = move
-        self.step = step
         self.trace = trace  # the texts of the words before the step
 
 
@@ -42,8 +39,6 @@ class ScriptSyntaxError(ValueError):
 
     def __init__(self, line: int, column: int, message: str):
         super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -136,29 +131,19 @@ def apply_move(letters: list[int], move: Move) -> None:
     p = move.pos
     if move.kind == "comm":
         if p + 1 > n:
-            raise IllegalMove(
-                f"comm {p} does not fit in a word of length {n}", move=move
-            )
+            raise IllegalMove(f"comm {p} does not fit in a word of length {n}")
         a, b = letters[p - 1], letters[p]
         if abs(a - b) < 2:
-            raise IllegalMove(
-                f"comm {p}: letters ({a}, {b}) do not commute", move=move
-            )
+            raise IllegalMove(f"comm {p}: letters ({a}, {b}) do not commute")
     elif move.kind != "shift":
         if p + 2 > n:
-            raise IllegalMove(
-                f"{move.kind} {p} does not fit in a word of length {n}", move=move
-            )
+            raise IllegalMove(f"{move.kind} {p} does not fit in a word of length {n}")
         a, b, c = letters[p - 1 : p + 2]
         if move.kind == "r3a":
             if not (a == c and b == a + 1):
-                raise IllegalMove(
-                    f"r3a {p}: pattern ({a}, {b}, {c}) is not (i, i+1, i)", move=move
-                )
+                raise IllegalMove(f"r3a {p}: pattern ({a}, {b}, {c}) is not (i, i+1, i)")
         elif not (a == c and b == a - 1):  # r3d
-            raise IllegalMove(
-                f"r3d {p}: pattern ({a}, {b}, {c}) is not (i+1, i, i+1)", move=move
-            )
+            raise IllegalMove(f"r3d {p}: pattern ({a}, {b}, {c}) is not (i+1, i, i+1)")
     if move.kind == "shift":
         letters.extend(letters[:1])
         del letters[:1]
@@ -179,8 +164,8 @@ def verify_loop(script: MoveScript) -> LoopReport:
     fill and the leading space.
 
     Raises:
-        IllegalMove: at the first illegal step, carrying the step index
-            and the texts of the words so far.
+        IllegalMove: at the first illegal step, its message naming the
+            step, and carrying the texts of the words so far.
     """
     letters = list(script.base.letters)
     size = 1 + len(str(max(letters, default=0)))
@@ -190,9 +175,7 @@ def verify_loop(script: MoveScript) -> LoopReport:
         try:
             apply_move(letters, move)
         except IllegalMove as exc:
-            raise IllegalMove(
-                f"step {j}: {exc}", move=move, step=j, trace=tuple(words)
-            ) from None
+            raise IllegalMove(f"step {j}: {exc}", trace=tuple(words)) from None
         if move.kind == "shift":
             slots = slots[size:] + slots[:size]
         else:

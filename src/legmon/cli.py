@@ -6,9 +6,10 @@ sample valid points, rebuild and validate flag chains, and run the
 relation/faithfulness/xi reports as JSON.
 
 Exit codes: 0 when every performed check passes, 1 for a verification
-failure, 2 for a usage error (including a file that cannot be read or
-written), 3 for a degeneracy (including exhausted sampling, a point
-given to `act` that fails validity, and a degeneracy inside a report).
+failure, 2 for a usage error, raised as a plain `ValueError` (including
+a file that cannot be read or written), 3 for a degeneracy (including
+exhausted sampling, a point given to `act` that fails validity, and a
+degeneracy inside a report).
 All output is deterministic given the flags; reports carry no
 timestamps.  The environment variable LEGMON_PRIME overrides the
 CLI's default prime modulus.  Integer flags, `--base` letters, `--idx`
@@ -29,9 +30,11 @@ import json
 import sys
 
 from .braids import (
+    BUILTIN_NAMES,
     BraidWord,
     IllegalMove,
     ScriptSyntaxError,
+    base_word,
     builtin_script,
     parse_script,
     verify_loop,
@@ -57,15 +60,11 @@ EXIT_USAGE = 2
 EXIT_DEGENERACY = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _resolve_field(args) -> Field:
     prime = getattr(args, "prime", None)
     if getattr(args, "field", "fp") == "q":
         if prime is not None:
-            raise UsageError("--prime applies only to --field fp")
+            raise ValueError("--prime applies only to --field fp")
         return QQ
     return PrimeField(prime if prime is not None else default_prime())
 
@@ -77,7 +76,7 @@ def _read_text(path: str | None) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
 
 def _write_text(path: str | None, text: str):
@@ -88,14 +87,14 @@ def _write_text(path: str | None, text: str):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
 
 def _read_point(path: str | None):
     try:
         return point_loads(_read_text(path))
     except (RecursionError, ValueError) as exc:
-        raise UsageError(f"cannot read point file: {exc}") from exc
+        raise ValueError(f"cannot read point file: {exc}") from exc
 
 
 def _int(text: str) -> int:
@@ -113,29 +112,29 @@ def _parse_base(text: str, strands: int) -> BraidWord:
         letters = tuple(map(ascii_int, text.replace(",", " ").split()))
         return BraidWord(strands, letters)
     except ValueError as exc:
-        raise UsageError(f"bad base word: {exc}") from exc
+        raise ValueError(f"bad base word: {exc}") from exc
 
 
 def _cmd_verify_loop(args) -> int:
     if (args.script is None) == (args.builtin is None):
-        raise UsageError("choose exactly one of --script or --builtin")
+        raise ValueError("choose exactly one of --script or --builtin")
     if args.script is not None:
         if args.base is None or args.strands is None:
-            raise UsageError("--script needs --base and --strands")
+            raise ValueError("--script needs --base and --strands")
         if args.k is not None:
-            raise UsageError("--k applies only to --builtin delta_power")
+            raise ValueError("--k applies only to --builtin delta_power")
         if args.s is not None:
-            raise UsageError("--s applies only to --builtin")
+            raise ValueError("--s applies only to --builtin")
         base = _parse_base(args.base, args.strands)
         script = parse_script(_read_text(args.script), base)
     else:
         if args.base is not None or args.strands is not None:
-            raise UsageError("--base and --strands apply only to --script")
+            raise ValueError("--base and --strands apply only to --script")
         try:
             script = builtin_script(args.builtin, s=1 if args.s is None else args.s,
                                    k_for_delta=args.k)
         except (MemoryError, OverflowError):
-            raise UsageError("--s or --k too large to build the loop") from None
+            raise ValueError("--s or --k too large to build the loop") from None
     try:
         report = verify_loop(script)
     except IllegalMove as exc:
@@ -158,7 +157,7 @@ def _cmd_pluecker(args) -> int:
     try:
         idx = tuple(map(_int, args.idx.split(",")))
     except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"bad index list {args.idx!r}") from exc
+        raise ValueError(f"bad index list {args.idx!r}") from exc
     print(format_scalar(pluecker(point, idx)))
     return EXIT_OK
 
@@ -178,7 +177,7 @@ def _cmd_flags(args) -> int:
     except InvalidPoint:
         print(json.dumps({"valid_point": False, "bott_samelson": False}, indent=2))
         return EXIT_VERIFICATION
-    ok = validate_bott_samelson(flags, point.family.base_word())
+    ok = validate_bott_samelson(flags, base_word(point.family.k, point.family.s))
     report = {"valid_point": True, "family": point.family.name,
               "flags": len(flags), "bott_samelson": ok}
     print(json.dumps(report, indent=2))
@@ -205,7 +204,7 @@ def _verify_loop_args(sub):
     sub.add_argument("--script", help="move-script file (DSL)")
     sub.add_argument("--base", help="base word letters for --script, e.g. '1,2,1,2'")
     sub.add_argument("--strands", type=_int, help="strand count for --script")
-    sub.add_argument("--builtin", choices=("sigma1", "xi1", "xi2", "xi3", "delta_power"))
+    sub.add_argument("--builtin", choices=BUILTIN_NAMES)
     sub.add_argument("--s", type=_int, default=None, help="window parameter (default 1)")
     sub.add_argument("--k", type=_int, default=None, help="k for delta_power")
     sub.set_defaults(func=_cmd_verify_loop)
@@ -313,7 +312,7 @@ def main(argv=None) -> int:
     except InvalidPoint as exc:
         print(f"invalid point: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
-    except ValueError as exc:  # UsageError among them
+    except ValueError as exc:  # usage errors and refused input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -160,12 +160,6 @@ class SeparationWitness:
     lhs: FieldScalar  # Δ(probe(word(point)))
     rhs: FieldScalar  # Δ(probe(point))
 
-    def replay(self) -> bool:
-        """Recompute both values exactly and compare with the stored pair."""
-        lhs = delta(apply_syllables(apply_syllables(self.point, self.word), self.probe))
-        rhs = delta(apply_syllables(self.point, self.probe))
-        return lhs == self.lhs and rhs == self.rhs and lhs != rhs
-
     def to_json(self) -> dict:
         return {
             "word": word_label(self.word),

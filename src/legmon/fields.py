@@ -210,8 +210,6 @@ def ascii_int(text: str) -> int:
 class RationalField:
     """The field of rational numbers."""
 
-    kind = "q"
-
     def zero(self) -> Fraction:
         return Fraction(0)
 
@@ -263,8 +261,6 @@ class PrimeField:
     """The field of integers modulo a prime ``p``."""
 
     p: int
-
-    kind = "fp"
 
     def __post_init__(self):
         if self.p >= _PRIMALITY_BOUND:

@@ -41,14 +41,6 @@ class InvalidPoint(ValueError):
 class SamplingExhausted(RuntimeError):
     """Rejection sampling hit its retry bound without a valid point."""
 
-    def __init__(self, family: "Family", seed, attempts: int):
-        super().__init__(
-            f"no valid {family.name} point found in {attempts} attempts (seed {seed})"
-        )
-        self.family = family
-        self.seed = seed
-        self.attempts = attempts
-
 
 @dataclass(frozen=True)
 class Family:
@@ -64,11 +56,6 @@ class Family:
     @cached_property
     def name(self) -> str:
         return f"T{self.k}{self.k * self.s}"
-
-    def base_word(self):
-        from .braids import base_word
-
-        return base_word(self.k, self.s)
 
 
 T36 = Family(3, 2)
@@ -261,7 +248,9 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
         p = ModuliPoint(family, field, form)
         if validate_point(p):
             return p
-    raise SamplingExhausted(family, seed, RETRY_BOUND)
+    raise SamplingExhausted(
+        f"no valid {family.name} point found in {RETRY_BOUND} attempts (seed {seed})"
+    )
 
 
 @dataclass(frozen=True)

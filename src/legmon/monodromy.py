@@ -24,9 +24,9 @@ route of `linalg`, `intersect` then `wedge_normalize`.
 Composition is by group words.  On T36 the generators are A (column
 shift by one), A2 (shift by two), and B = sigma1 after a shift, so that
 pullbacks compose contravariantly.  On T44 the generators are X1, X2,
-X3.  Degeneracies (`DegeneracyError` and its two kinds, defined here,
-where the loop maps raise them) name the window label and the failing
-vector and subspace pair.  They cannot occur on a valid point, and every
+X3.  The messages of degeneracies (`DegeneracyError` and its two kinds,
+defined here, where the loop maps raise them) name the window label and
+the failing vector and subspace pair.  They cannot occur on a valid point, and every
 image of a valid point is valid, so callers validate once and never
 resample.
 """
@@ -49,15 +49,8 @@ class DegenerateNormalization(DegeneracyError):
 
 class DegenerateIntersection(DegeneracyError):
     """A window's replacement vector is not determined: both determinants
-    of the ratio vanish, or v_a and v_b are parallel.  `label`, `pair` and
-    `other` name the window; the message also gives the cause."""
-
-    def __init__(self, message: str, *, label: str | None = None,
-                 pair: tuple[int, ...] = (), other: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.label = label
-        self.pair = pair
-        self.other = other
+    of the ratio vanish, or v_a and v_b are parallel.  The message names
+    the window's label, pair and T, and gives the cause."""
 
 
 def act_shift(p: ModuliPoint, j: int) -> ModuliPoint:
@@ -93,10 +86,7 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
         raise DegenerateNormalization(f"{label}: v{pair[1]} lies in span{other}")
     why = (f"v{pair[0]} and v{pair[1]} are parallel" if db else
            f"det(v{pair[0]}, T) = det(v{pair[1]}, T) = 0")
-    raise DegenerateIntersection(
-        f"{label} (pair {pair}, T = columns {other}): {why}",
-        label=label, pair=pair, other=other,
-    )
+    raise DegenerateIntersection(f"{label} (pair {pair}, T = columns {other}): {why}")
 
 
 @cache

@@ -14,12 +14,13 @@ faithfulness sweep and of the relation report by applying every whole
 word to the sampled point with `apply_syllables`, lifting to ℚ entry by
 entry and reducing the ℚ values with the residues' own value and
 modulus: the reference for the reports' memo of word images.
-`replay_witness_json` checks one sweep entry from its JSON alone, on
-the point and values `witness_from_json` reads back.  None of them is on
-a `legmon` code path, nor is the `from_rows` constructor the tests build
-matrices with, nor `script_text`, the move-script renderer that
-`parse_script` reads back, nor `random_scalar`, the scalar of one
-`Field.random_int` draw.
+`replay_witness` recomputes a witness's two values by applying the
+whole words to its point, and `replay_witness_json` checks one sweep
+entry from its JSON alone, on the point and values `witness_from_json`
+reads back.  None of them is on a `legmon` code path, nor is the
+`from_rows` constructor the tests build matrices with, nor
+`script_text`, the move-script renderer that `parse_script` reads back,
+nor `random_scalar`, the scalar of one `Field.random_int` draw.
 `LOOP_WINDOWS` writes out by hand the windows and output layouts that
 `legmon.monodromy._blocks` derives for the sigma1 and xi maps, and
 `window_slots` reads each window's output slot off its layout.
@@ -37,7 +38,7 @@ from legmon.explorer import (
     delta,
     reduced_words,
 )
-from legmon.fields import QQ, Field, format_scalar
+from legmon.fields import QQ, Field, PrimeField, format_scalar
 from legmon.linalg import Matrix, Subspace, _rref
 from legmon.moduli import T36, ModuliPoint, point_from_json, point_to_json, require_valid
 from legmon.monodromy import act_shift
@@ -295,7 +296,8 @@ def scratch_sweep(max_syllables: int, probe_budget: int, n_points: int, seed,
                 "rhs": format_scalar(witness.rhs),
                 "point": point_to_json(witness.point),
             }
-            entry["q_reverify"] = scratch_reverify(witness) if field.kind == "fp" else None
+            entry["q_reverify"] = (scratch_reverify(witness) if isinstance(field, PrimeField)
+                                   else None)
         entries.append(entry)
     unseparated = [e["word"] for e in entries if not e["separated"]]
     separated = len(entries) - len(unseparated)
@@ -322,12 +324,21 @@ def witness_from_json(data: dict) -> SeparationWitness:
     return SeparationWitness(_syllables(data["word"]), _syllables(data["probe"]), point, lhs, rhs)
 
 
+def replay_witness(witness: SeparationWitness) -> bool:
+    """Whether Δ, recomputed by applying the whole words to the witness's
+    point, gives its stored pair, and the two differ."""
+    p = witness.point
+    lhs = delta(apply_syllables(apply_syllables(p, witness.word), witness.probe))
+    rhs = delta(apply_syllables(p, witness.probe))
+    return (lhs, rhs) == (witness.lhs, witness.rhs) and lhs != rhs
+
+
 def replay_witness_json(entry: dict) -> bool:
     """Whether a sweep entry's JSON alone certifies its word: Δ recomputes
     to the stored pair on the stored point and the two differ, and the ℚ
     re-check's values, where there is one, differ and reduce to that pair."""
     witness = witness_from_json(entry["witness"])
-    replayed = entry["witness"]["word"] == entry["word"] and witness.replay()
+    replayed = entry["witness"]["word"] == entry["word"] and replay_witness(witness)
     q = entry["q_reverify"]
     if q is None:
         return replayed

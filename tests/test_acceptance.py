@@ -8,7 +8,7 @@ import itertools
 import time
 from random import Random
 
-from legmon.braids import builtin_script, verify_loop
+from legmon.braids import base_word, builtin_script, verify_loop
 from legmon.explorer import (
     faithfulness_sweep,
     reduced_words,
@@ -122,7 +122,7 @@ def test_criterion_5_single_shift_nontrivial():
 def test_criterion_6_bott_samelson_round_trip():
     t0 = time.monotonic()
     for family in (T36, T44):
-        word = family.base_word()
+        word = base_word(family.k, family.s)
         for seed in range(1000):
             p = random_point(family, FP, seed)
             assert validate_bott_samelson(flags_from_point(p), word)

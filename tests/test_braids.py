@@ -192,7 +192,7 @@ def test_illegal_move_changes_nothing(letters, move, message):
     with pytest.raises(IllegalMove) as err:
         apply_move(letters, move)
     assert str(err.value) == message
-    assert err.value.move == move
+    assert re.match(rf"{move}[: ]", str(err.value))  # the message names the move
     assert tuple(letters) == before
     # Replayed after a full turn of shifts, the trace holds every
     # rotation's letter-by-letter join, and the last one is the base.
@@ -201,7 +201,7 @@ def test_illegal_move_changes_nothing(letters, move, message):
     with pytest.raises(IllegalMove) as err:
         verify_loop(script)
     assert str(err.value) == f"step {n + 1}: {message}"
-    assert (err.value.move, err.value.step) == (move, n + 1)
+    assert re.match(rf"step {n + 1}: {move}[: ]", str(err.value))
     rotations = [before[i:] + before[:i] for i in range(n)] + [before]
     assert err.value.trace == tuple(" ".join(map(str, r)) for r in rotations)
 
@@ -245,8 +245,9 @@ def test_parse_script_errors(text, fragment):
     with pytest.raises(ScriptSyntaxError) as err:
         parse_script(text, base)
     assert fragment in str(err.value)
-    assert err.value.line == 1
-    assert err.value.column >= 1
+    line, column = map(int, re.match(r"line (\d+), column (\d+): ", str(err.value)).groups())
+    assert line == 1
+    assert column >= 1
 
 
 def test_script_text_round_trip():
@@ -283,7 +284,7 @@ def test_verify_loop_reports_step_and_trace():
     script = MoveScript(base, (Move("shift"), Move("r3d", 9)))
     with pytest.raises(IllegalMove) as err:
         verify_loop(script)
-    assert err.value.step == 2
+    assert str(err.value).startswith("step 2: ")
     assert err.value.trace == ("1 2 1 2", "2 1 2 1")
 
 

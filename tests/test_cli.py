@@ -546,7 +546,7 @@ def _fail_first_call(fn):
     def wrapped(*args):
         calls.append(args)
         if len(calls) == 1:
-            raise DegenerateIntersection("injected", label="u1")
+            raise DegenerateIntersection("injected")
         return fn(*args)
 
     return wrapped

@@ -7,7 +7,8 @@ own operators, so neither names a concrete scalar or field class.
 through the same methods, so it never names `ModP`.  `moduli` takes
 its minors with its own `_det_closed` on that int form, and no other
 module of the package imports `linalg`, the tests' oracles, or goes
-back to `Matrix` or `determinant`.  A point carries its int form from
+back to `Matrix` or `determinant`.  `moduli` imports nothing from
+`braids`, not even inside a function.  A point carries its int form from
 construction, and the loop maps, the minors and the xi check read it
 there (`p.form`): none of them calls `.form(` to convert scalars.  A
 point builds its scalar `columns` from that form only when they are
@@ -66,30 +67,37 @@ def test_explorer_lifts_through_the_int_form():
     assert "ModP" not in _names(tree)
 
 
-def _imports_linalg(tree):
-    """Whether the module imports `linalg` or any name from it."""
+def _imports(tree, module):
+    """Whether the code imports `module` or any name from it, at any depth,
+    so inside a function too."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(module):
             return True
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if any(a.name.split(".")[-1] == "linalg" for a in node.names):
+            if any(a.name.split(".")[-1] == module for a in node.names):
                 return True
     return False
 
 
 def test_scan_finds_linalg_imports():
     for source in ("from .linalg import wedge", "from . import linalg",
-                   "import legmon.linalg", "from legmon.linalg import Matrix as M"):
-        assert _imports_linalg(ast.parse(source)), source
-    assert not _imports_linalg(ast.parse("from .moduli import wedge\nimport linalgebra"))
+                   "import legmon.linalg", "from legmon.linalg import Matrix as M",
+                   "def f():\n    from .linalg import Matrix\n    return Matrix"):
+        assert _imports(ast.parse(source), "linalg"), source
+    assert not _imports(ast.parse("from .moduli import wedge\nimport linalgebra"), "linalg")
 
 
 def test_product_modules_skip_the_oracles():
     for path in sorted(SRC.glob("*.py")):
         if path.stem != "linalg":
             tree = ast.parse(path.read_text())
-            assert not _imports_linalg(tree), path.stem
+            assert not _imports(tree, "linalg"), path.stem
             assert not _names(tree) & {"Matrix", "determinant"}, path.stem
+
+
+def test_moduli_imports_nothing_from_braids():
+    # Points, fields and minors stand without the braid-word layer.
+    assert not _imports(ast.parse((SRC / "moduli.py").read_text()), "braids")
 
 
 def _form_calls(tree):

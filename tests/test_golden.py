@@ -7,10 +7,12 @@ here and say why."""
 
 import hashlib
 import io
+import json
 
 import pytest
 
 from legmon.cli import main
+from legmon.fields import PrimeField
 
 
 def _digest(text: str) -> str:
@@ -145,6 +147,10 @@ USAGE_GOLDEN = {
     ("faithful", "--max-syl", "1", "--bogus"): (
         2, EMPTY,
         "40741c28cdf2873b01a4973aec1185ca464a3807198eca41f143daa9302072bc"),
+    # Neither --script nor --builtin.
+    ("verify-loop",): (
+        2, EMPTY,
+        "fdbfd8aeccad827f1c529c75932096ea9f5b38e1d1c2984b221dae2dba67137e"),
     ("verify-loop", "--builtin", "xi3", "--s", "80"): (
         0, "6eb9cbc4ffe93987950b1f2fadeabd7a72355f477fcba687ccce3b5cc21262fa",
         EMPTY),
@@ -186,6 +192,50 @@ def usage_outcome(argv, capsys, monkeypatch):
     "argv", list(USAGE_GOLDEN), ids=lambda argv: " ".join(argv) or "(none)")
 def test_cli_usage_digest(argv, capsys, monkeypatch):
     assert usage_outcome(argv, capsys, monkeypatch) == USAGE_GOLDEN[argv]
+
+
+# Errors raised inside a command, as (exit code, stdout digest, stderr
+# digest).  Each case's setup writes its input or patches the draws and
+# returns the argv; the comment gives the stderr line.
+def _zero_draws(tmp_path, monkeypatch):
+    # sampling exhausted: no valid T36 point found in 10000 attempts (seed 1)
+    monkeypatch.setattr(PrimeField, "random_int", lambda self, rng: 0)
+    return ["random-point", "--family", "T36", "--seed", "1"]
+
+
+def _position_zero(tmp_path, monkeypatch):
+    # script syntax error: line 1, column 6: positions are 1-based (>= 1)
+    path = tmp_path / "zero.moves"
+    path.write_text("comm 0\n")
+    return ["verify-loop", "--script", str(path), "--base", "1,2,1", "--strands", "3"]
+
+
+def _vanishing_minor(tmp_path, monkeypatch):
+    # invalid point: vanishing cyclic minors at [(1, 2, 3), (8, 9, 1), (9, 1, 2)]
+    e1, e2, e3 = ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"family": "T36", "field": {"kind": "q"},
+                                "columns": [e1, e1, e2, e3, e1, e2, e3, e1, e2]}))
+    return ["act", "--point", str(path), "--word", "A"]
+
+
+ERROR_GOLDEN = {
+    _zero_draws: (
+        3, EMPTY,
+        "52231778696a47eb93c44c0bc5b536b9b114aa149c2c599ac2f638064c073188"),
+    _position_zero: (
+        2, EMPTY,
+        "0a6d78b568706f388c2f8895e0bb6946f26e62891f0e08de7a4c97e030459854"),
+    _vanishing_minor: (
+        3, EMPTY,
+        "eac11922e5fbb4c92d2cd667094068f7f4b8ffdef33bd3872b108573b600b5c7"),
+}
+
+
+@pytest.mark.parametrize("setup", list(ERROR_GOLDEN), ids=lambda f: f.__name__[1:])
+def test_cli_error_digest(setup, tmp_path, capsys, monkeypatch):
+    argv = setup(tmp_path, monkeypatch)
+    assert usage_outcome(argv, capsys, monkeypatch) == ERROR_GOLDEN[setup]
 
 
 # `verify-loop --script` on twelve strands, so that letters run to two

@@ -6,7 +6,9 @@ public one is dead when nothing in `src/`, `tests/` or `bench/` reads
 it and README.md does not name it.  This stdlib `ast` scan finds both.
 A reference is a name or an attribute anywhere outside the definition
 itself, so a recursive function that nothing else calls still counts as
-unused.  Dunder names are exempt.
+unused.  Dunder names are exempt.  Likewise every attribute that
+`src/legmon/` assigns as `self.X = …` must be read as an attribute
+somewhere in `src/` or `bench/`: a payload that only tests read is dead.
 """
 
 import ast
@@ -92,3 +94,42 @@ def test_every_public_name_is_read_or_documented():
     readme = (ROOT / "README.md").read_text()
     unused = unused_names(sources, private=False, readers=[p.read_text() for p in READERS])
     assert [n for n in unused if not re.search(rf"\b{n.split('.')[1]}\b", readme)] == []
+
+
+def unread_attributes(sources: dict[str, str], readers=()) -> list[str]:
+    """`module.X` of each `self.X = …` in `sources` whose attribute X no
+    code in `sources` or in the `readers` sources reads, sorted."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted({
+        f"{module}.{node.attr}" for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in read
+    })
+
+
+def test_scan_flags_unread_attributes():
+    sources = {
+        "m": (
+            "class E(Exception):\n"
+            "    def __init__(self, a, b, c):\n"
+            "        super().__init__(a)\n"
+            "        self.a = a\n"
+            "        self.b = b\n"
+            "        self.c: int = c\n"
+            "    def first(self):\n"
+            "        return self.a\n"
+            "other.b = 1\n"
+        ),
+    }
+    assert unread_attributes(sources) == ["m.b", "m.c"]
+    assert unread_attributes(sources, readers=["print(err.c)"]) == ["m.b"]
+
+
+def test_package_reads_every_assigned_attribute():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    bench = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert unread_attributes(sources, readers=bench) == []
