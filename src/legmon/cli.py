@@ -20,13 +20,13 @@ they run: a report flag left out is not passed.  A call to a known
 subcommand builds that command's parser alone; help, no or an unknown
 command, and unrecognised arguments build the full parser, which
 reports them.  Only the reports `relations`, `faithful` and
-`xi-report` import `explorer`.
+`xi-report` import `explorer`.  Every JSON text printed or written,
+points, `flags` and reports, comes from `moduli.json_dumps`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .braids import (
@@ -45,6 +45,7 @@ from .moduli import (
     InvalidPoint,
     SamplingExhausted,
     flags_from_point,
+    json_dumps,
     pluecker,
     point_dumps,
     point_loads,
@@ -118,11 +119,11 @@ def _parse_base(text: str, strands: int) -> BraidWord:
 def _cmd_verify_loop(args) -> int:
     if (args.script is None) == (args.builtin is None):
         raise ValueError("choose exactly one of --script or --builtin")
+    if args.k is not None and args.builtin != "delta_power":
+        raise ValueError("--k applies only to --builtin delta_power")
     if args.script is not None:
         if args.base is None or args.strands is None:
             raise ValueError("--script needs --base and --strands")
-        if args.k is not None:
-            raise ValueError("--k applies only to --builtin delta_power")
         if args.s is not None:
             raise ValueError("--s applies only to --builtin")
         base = _parse_base(args.base, args.strands)
@@ -175,12 +176,12 @@ def _cmd_flags(args) -> int:
     try:
         flags = flags_from_point(point)
     except InvalidPoint:
-        print(json.dumps({"valid_point": False, "bott_samelson": False}, indent=2))
+        print(json_dumps({"valid_point": False, "bott_samelson": False}))
         return EXIT_VERIFICATION
     ok = validate_bott_samelson(flags, base_word(point.family.k, point.family.s))
     report = {"valid_point": True, "family": point.family.name,
               "flags": len(flags), "bott_samelson": ok}
-    print(json.dumps(report, indent=2))
+    print(json_dumps(report))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

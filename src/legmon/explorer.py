@@ -30,16 +30,17 @@ report samples over `DEFAULT_FIELD`, whatever LEGMON_PRIME says.  A
 report is its JSON plus one `ok` verdict, the CLI's exit status: each
 report function builds the JSON dict as it computes, and `Report` holds
 the two.  All reports are deterministic functions of their parameters,
-with a fixed key order.
+with a fixed key order.  A sweep shares one dict per witness point among
+its entries, so `report_dumps` (`moduli.json_dumps`) renders it once.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from random import Random
 
@@ -52,7 +53,7 @@ from .fields import (
     format_scalar,
 )
 from .moduli import (
-    ModuliPoint, T36, T44, _det_closed, minors, point_to_json, random_point, wedge,
+    ModuliPoint, T36, T44, _det_closed, json_dumps, minors, point_to_json, random_point, wedge,
 )
 from .monodromy import act_word, act_xi
 from . import monodromy
@@ -160,13 +161,14 @@ class SeparationWitness:
     lhs: FieldScalar  # Δ(probe(word(point)))
     rhs: FieldScalar  # Δ(probe(point))
 
-    def to_json(self) -> dict:
+    def to_json(self, point_json=point_to_json) -> dict:
+        """The witness's JSON; its point's dict is `point_json(point)`."""
         return {
             "word": word_label(self.word),
             "probe": word_label(self.probe),
             "lhs": format_scalar(self.lhs),
             "rhs": format_scalar(self.rhs),
-            "point": point_to_json(self.point),
+            "point": point_json(self.point),
         }
 
 
@@ -313,6 +315,7 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
     points = _sample_points(T36, field, n_points, seed)
     images = _WordImages(points)
     q_images = _WordImages(tuple(map(lift_point_to_q, points)))
+    point_json = cache(point_to_json)  # one dict per distinct witness point
     entries = []
     unseparated = []
     for word in reduced_words(max_syllables)[1:]:
@@ -321,7 +324,7 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
         if witness is None:
             unseparated.append(entry["word"])
         else:
-            entry["witness"] = witness.to_json()
+            entry["witness"] = witness.to_json(point_json)
             entry["q_reverify"] = None
             if isinstance(field, PrimeField):
                 q_at = (q_images, points.index(witness.point))
@@ -471,4 +474,4 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
 
 def report_dumps(report: Report) -> str:
     """Serialize a report's JSON with stable key order."""
-    return json.dumps(report.json, indent=2) + "\n"
+    return json_dumps(report.json) + "\n"

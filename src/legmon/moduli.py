@@ -20,6 +20,8 @@ the xi check use them as well.
 `flags_from_point` rebuilds the chain of complete flags along the base
 braid word as column windows, and `validate_bott_samelson` checks the
 cyclic adjacency conditions of the open cell on their starts.
+`json_dumps` is the package's one indented JSON writer: points, `flags`
+and the reports all print its text, which is `json.dumps`' with indent 2.
 """
 
 from __future__ import annotations
@@ -211,8 +213,49 @@ def point_from_json(data: dict) -> ModuliPoint:
     return ModuliPoint.from_columns(family, field, columns)
 
 
+def json_dumps(obj) -> str:
+    """Exactly `json.dumps(obj, indent=2)` for str-keyed dicts, lists, str,
+    int, bool and None; any other type raises `TypeError`.  Within one
+    call, a container met again at the same depth is written from the
+    text it rendered to the first time; only such texts are kept."""
+    encode, again, done = json.encoder.encode_basestring_ascii, {}, {}
+
+    def meet(x, depth: int) -> None:
+        key = id(x), depth
+        again[key] = key in again  # whether x was met before at this depth
+        if not again[key] and isinstance(x, (dict, list)):
+            for v in x.values() if isinstance(x, dict) else x:
+                if isinstance(v, (dict, list)):
+                    meet(v, depth + 1)
+
+    def write(x, depth: int) -> str:
+        if isinstance(x, str):
+            return encode(x)
+        if x is None or isinstance(x, bool):
+            return {None: "null", True: "true", False: "false"}[x]
+        if isinstance(x, int):
+            return int.__repr__(x)
+        key = id(x), depth
+        if key in done:
+            return done[key]
+        if isinstance(x, dict):  # `encode` refuses a key that is not a str
+            items, ends = [f"{encode(k)}: {write(v, depth + 1)}" for k, v in x.items()], "{}"
+        elif isinstance(x, list):
+            items, ends = [write(v, depth + 1) for v in x], "[]"
+        else:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        inner = "\n" + "  " * (depth + 1)
+        text = ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1] if items else ends
+        if again[key]:
+            done[key] = text
+        return text
+
+    meet(obj, 0)
+    return write(obj, 0)
+
+
 def point_dumps(p: ModuliPoint) -> str:
-    return json.dumps(point_to_json(p), indent=2) + "\n"
+    return json_dumps(point_to_json(p)) + "\n"
 
 
 def point_loads(text: str) -> ModuliPoint:

@@ -221,6 +221,12 @@ def test_verify_loop_usage_errors(tmp_path, capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("builtin", ["sigma1", "xi1", "xi2", "xi3"])
+def test_k_with_other_builtin_names_the_flag(capsys, builtin):
+    code, out, err = run(capsys, "verify-loop", "--builtin", builtin, "--k", "3")
+    assert (code, out, err) == (2, "", "error: --k applies only to --builtin delta_power\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

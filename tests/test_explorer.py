@@ -29,7 +29,9 @@ from legmon.explorer import (
 )
 from legmon.fields import DEFAULT_PRIME, QQ, PrimeField
 from legmon.linalg import Subspace
-from legmon.moduli import ModuliPoint, T36, T44, pluecker, random_point, wedge
+from legmon.moduli import (
+    ModuliPoint, T36, T44, pluecker, point_to_json, random_point, wedge,
+)
 from legmon.monodromy import act_sigma1, act_word, act_xi
 from oracles import (
     LOOP_WINDOWS,
@@ -589,3 +591,26 @@ def test_reports_build_scalars_only_for_witness_json(monkeypatch):
     assert witness_points and len(calls) == len(set(calls)) == built
     text = report_dumps(sweep)
     assert report_dumps(sweep) == text and len(calls) == built  # kept, not rebuilt
+
+
+def test_sweep_builds_each_witness_point_json_once(monkeypatch):
+    # Witness entries on one point hold one dict, built by one
+    # `point_to_json` call, and dumping builds no JSON again.
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return point_to_json(p)
+
+    monkeypatch.setattr(explorer, "point_to_json", counting)
+    sweep = faithfulness_sweep(max_syllables=4, probe_budget=2, n_points=8)
+    by_point = {}
+    for e in sweep.json["witnesses"]:
+        if e["separated"]:
+            by_point.setdefault(json.dumps(e["witness"]["point"]), []).append(e["witness"]["point"])
+    assert sum(map(len, by_point.values())) > len(by_point)  # points are shared
+    assert len(calls) == len(set(calls)) == len(by_point)
+    assert all(d is dicts[0] for dicts in by_point.values() for d in dicts)
+    text = report_dumps(sweep)
+    monkeypatch.setattr(ModuliPoint.columns, "func", lambda self: pytest.fail("columns built"))
+    assert report_dumps(sweep) == text and len(calls) == len(by_point)

@@ -38,6 +38,11 @@ GOLDEN = {
     # Every check passes: the report's `all_pass` is true.
     ("relations", "--probe-budget", "0", "--points", "4"): (
         0, "bdf48c05b71e6f58b27fe702c55f207acfd0622490a032abff08b0468dfeba32"),
+    # The benchmark's sweep-fp argv, at its default seed and at seed 12.
+    ("faithful", "--max-syllables", "8"): (
+        0, "3630915ef6f3e68e793648f2d7cb7b7cd27eef299c0432cfd0bd2c28bb38f979"),
+    ("faithful", "--max-syllables", "8", "--seed", "12"): (
+        0, "03677b54d8a635357f8a1b4f09e84b97e9cbbd9fd81f72cdb379dde5c7deceb6"),
 }
 
 

@@ -10,8 +10,12 @@ from random import Random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from legmon.braids import BraidWord, base_word, builtin_script
+from legmon.explorer import (
+    faithfulness_sweep, report_dumps, verify_relations, xi_pluecker_report,
+)
 from legmon.fields import (
     DEFAULT_PRIME, QQ, FieldMismatch, ModP, PrimeField, RationalField, format_scalar,
 )
@@ -28,10 +32,12 @@ from legmon.moduli import (
     T44,
     flags_from_point,
     get_family,
+    json_dumps,
     minors,
     pluecker,
     point_dumps,
     point_loads,
+    point_to_json,
     random_point,
     require_valid,
     validate_bott_samelson,
@@ -616,3 +622,70 @@ def test_validity_cyclically_symmetric():
         assert sorted(map(format_scalar, minors(p, cyclic))) == sorted(
             map(format_scalar, minors(shifted, cyclic))
         )
+
+
+# Strings with non-ASCII, control, quote and backslash characters,
+# lone surrogates included.
+JSON_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\n\té☃𝟙'),
+    max_size=6,
+)
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.integers(-10**40, 10**40) | JSON_TEXT
+               | st.builds(list) | st.builds(dict))
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(JSON_TEXT, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(tree=JSON_TREES)
+def test_json_dumps_matches_stdlib(tree):
+    assert json_dumps(tree) == json.dumps(tree, indent=2)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(shared=JSON_TREES, other=JSON_TREES)
+def test_json_dumps_shared_containers_match_stdlib(shared, other):
+    # One object at several depths and twice at one depth, as the sweep
+    # shares a witness point's dict among its entries.
+    tree = {"a": shared, "b": [shared, other, [shared]], "c": {"d": [shared, shared]}}
+    assert json_dumps(tree) == json.dumps(tree, indent=2)
+
+
+def test_json_dumps_indents_a_shared_list_per_depth():
+    shared = [1, {}]
+    text = json_dumps([shared, [shared]])
+    assert text == json.dumps([shared, [shared]], indent=2)
+    assert "\n    1,\n    {}\n  ]" in text and "\n      1,\n      {}\n    ]" in text
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), ModP(3, 7), {"a": [0.0]}, [[(1,)]], {1: 2}])
+def test_json_dumps_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        json_dumps(value)
+
+
+@pytest.mark.parametrize("report", [
+    lambda: verify_relations(n_points=4),
+    lambda: verify_relations(n_points=3, field=QQ, probe_budget=3),
+    lambda: faithfulness_sweep(max_syllables=4, probe_budget=2, n_points=8),
+    lambda: faithfulness_sweep(max_syllables=4, probe_budget=0, n_points=8),
+    lambda: faithfulness_sweep(max_syllables=2, n_points=4, field=QQ),
+    lambda: xi_pluecker_report(n_points=4),
+    lambda: xi_pluecker_report(n_points=2, field=QQ),
+], ids=["relations-fp", "relations-q", "faithful", "faithful-unseparated",
+        "faithful-q", "xi-fp", "xi-q"])
+def test_report_text_is_stdlib_text(report):
+    r = report()
+    assert report_dumps(r) == json.dumps(r.json, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", [FP, PrimeField(7), QQ], ids=str)
+def test_point_text_is_stdlib_text(family, field):
+    for seed in range(3):
+        p = random_point(family, field, seed)
+        assert point_dumps(p) == json.dumps(point_to_json(p), indent=2) + "\n"
