@@ -17,7 +17,8 @@ letters in place, together with one string of fixed-width slots that
 hold their texts, and keeps only each word's text.  The built-in
 scripts, one row each of `_LOOPS`, transcribe the rewriting chains for
 the loops sigma1, xi1, xi2, xi3 and the power of the cyclic shift, one
-move per rewrite, window by window.
+move per rewrite, window by window.  A `ScriptSyntaxError` names the
+line and the column of the token it is about.
 """
 
 from __future__ import annotations
@@ -41,14 +42,16 @@ class ScriptSyntaxError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
+_KEYWORDS = ("shift", "comm", "r3a", "r3d")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A positive braid word: k strands, int letters in 1..k-1.
 
-    Construction checks at C speed the letter types, then the range of
-    the distinct letters (at most k-1 of them on a valid word); the
-    first offending letter is looked up only on the error path.  Moves
-    act on a list of the letters, not on the word (see `apply_move`).
+    Construction checks every letter's type, then every letter's range,
+    and names the first offending letter.  Moves act on a list of the
+    letters, not on the word (see `apply_move`).
     """
 
     strands: int
@@ -57,15 +60,13 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 2:
             raise ValueError(f"need at least 2 strands, got {self.strands}")
-        letters, top = self.letters, self.strands - 1
-        # By type, not by value: True and 1.0 hash and compare equal to 1.
-        if not set(map(type, letters)) <= {int}:
-            bad = next(x for x in letters if type(x) is not int)
-            raise ValueError(f"letter {bad!r} is not an int")
-        distinct = set(letters)
-        if distinct and (min(distinct) < 1 or max(distinct) > top):
-            bad = next(x for x in letters if not 1 <= x <= top)
-            raise ValueError(f"letter {bad} out of range 1..{top}")
+        top = self.strands - 1
+        for x in self.letters:
+            if type(x) is not int:  # by type: True and 1.0 compare equal to 1
+                raise ValueError(f"letter {x!r} is not an int")
+        for x in self.letters:
+            if not 1 <= x <= top:
+                raise ValueError(f"letter {x} out of range 1..{top}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -79,18 +80,17 @@ class Move:
     """One rewriting move; `pos` is a 1-based int (by type, so not True
     or 2.0, as for `BraidWord` letters) and None exactly for shift."""
 
-    kind: str  # "shift" | "comm" | "r3a" | "r3d"
+    kind: str  # one of _KEYWORDS
     pos: int | None = None
 
     def __post_init__(self):
         if self.kind == "shift":
             if self.pos is not None:
                 raise ValueError("shift takes no position")
-        elif self.kind in ("comm", "r3a", "r3d"):
-            if type(self.pos) is not int or self.pos < 1:
-                raise ValueError(f"{self.kind} needs an int position >= 1, got {self.pos!r}")
-        else:
+        elif self.kind not in _KEYWORDS:
             raise ValueError(f"unknown move kind {self.kind!r}")
+        elif type(self.pos) is not int or self.pos < 1:
+            raise ValueError(f"{self.kind} needs an int position >= 1, got {self.pos!r}")
 
     def __str__(self) -> str:
         return self.kind if self.pos is None else f"{self.kind} {self.pos}"
@@ -127,30 +127,26 @@ def apply_move(letters: list[int], move: Move) -> None:
     An illegal move raises `IllegalMove` and changes nothing.  The
     letters stay a valid word on the same strands (shift and comm
     permute them, r3a/r3d swap i and i+1), so nothing re-checks them."""
-    n = len(letters)
-    p = move.pos
-    if move.kind == "comm":
+    n, p, kind = len(letters), move.pos, move.kind
+    if kind == "shift":
+        letters.extend(letters[:1])
+        del letters[:1]
+    elif kind == "comm":
         if p + 1 > n:
             raise IllegalMove(f"comm {p} does not fit in a word of length {n}")
         a, b = letters[p - 1], letters[p]
         if abs(a - b) < 2:
             raise IllegalMove(f"comm {p}: letters ({a}, {b}) do not commute")
-    elif move.kind != "shift":
+        letters[p - 1], letters[p] = b, a
+    else:  # r3a and r3d: (x, y, x) becomes (y, x, y)
         if p + 2 > n:
-            raise IllegalMove(f"{move.kind} {p} does not fit in a word of length {n}")
+            raise IllegalMove(f"{kind} {p} does not fit in a word of length {n}")
         a, b, c = letters[p - 1 : p + 2]
-        if move.kind == "r3a":
-            if not (a == c and b == a + 1):
-                raise IllegalMove(f"r3a {p}: pattern ({a}, {b}, {c}) is not (i, i+1, i)")
-        elif not (a == c and b == a - 1):  # r3d
+        if kind == "r3a" and not (a == c and b == a + 1):
+            raise IllegalMove(f"r3a {p}: pattern ({a}, {b}, {c}) is not (i, i+1, i)")
+        if kind == "r3d" and not (a == c and b == a - 1):
             raise IllegalMove(f"r3d {p}: pattern ({a}, {b}, {c}) is not (i+1, i, i+1)")
-    if move.kind == "shift":
-        letters.extend(letters[:1])
-        del letters[:1]
-    elif move.kind == "comm":
-        letters[p - 1], letters[p] = letters[p], letters[p - 1]
-    else:  # (x, y, x) becomes (y, x, y)
-        letters[p - 1 : p + 2] = letters[p], letters[p - 1], letters[p]
+        letters[p - 1 : p + 2] = b, a, b
 
 
 def verify_loop(script: MoveScript) -> LoopReport:
@@ -187,40 +183,33 @@ def verify_loop(script: MoveScript) -> LoopReport:
     return LoopReport(script, tuple(words), tuple(letters) == script.base.letters)
 
 
-_LINE_RE = re.compile(r"^(shift|comm|r3a|r3d)(?:\s+(\S+))?$")
-_KEYWORDS = ("shift", "comm", "r3a", "r3d")
-
-
 def parse_script(text: str, base: BraidWord) -> MoveScript:
     """Parse the move-script DSL against a given base word.
 
     Grammar: one move per line, ``move := "shift" | "comm" INT | "r3a"
     INT | "r3d" INT`` with INT a 1-based position in ASCII digits, ``#``
     starting a comment, blank lines ignored.  Legality against the base
-    is not checked here; that is verify_loop's job.
+    is not checked here; that is verify_loop's job.  An error names the
+    line and the 1-based column of its token (for a missing position,
+    the column after the keyword).
     """
     moves: list[Move] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
-        body = code.strip()
-        if not body:
+        tokens = [(m[0], m.start() + 1) for m in re.finditer(r"\S+", code)]
+        if not tokens:
             continue
-        col = code.index(body[0]) + 1
-        m = _LINE_RE.match(body)
-        if not m:
-            keyword = body.split()[0]
-            if keyword not in _KEYWORDS:
-                raise ScriptSyntaxError(lineno, col, f"unknown move keyword {keyword!r}")
-            raise ScriptSyntaxError(lineno, col, f"malformed move {body!r}")
-        keyword, arg = m.group(1), m.group(2)
+        (keyword, col), *rest = tokens
+        if keyword not in _KEYWORDS:
+            raise ScriptSyntaxError(lineno, col, f"unknown move keyword {keyword!r}")
+        if len(rest) > 1:
+            raise ScriptSyntaxError(lineno, col, f"malformed move {code.strip()!r}")
+        arg, argcol = rest[0] if rest else (None, col + len(keyword))
         if keyword == "shift":
             if arg is not None:
-                raise ScriptSyntaxError(
-                    lineno, col + len(keyword) + 1, "shift takes no position"
-                )
+                raise ScriptSyntaxError(lineno, argcol, "shift takes no position")
             moves.append(Move("shift"))
             continue
-        argcol = code.index(arg, col + len(keyword)) + 1 if arg else col + len(keyword)
         if arg is None:
             raise ScriptSyntaxError(lineno, argcol, f"{keyword} needs a position")
         if not (arg.isascii() and arg.isdigit()):

@@ -12,9 +12,9 @@ an exact certificate, and every witness re-verifies over the rationals
 by lifting the point entries to integers, so no Schwartz-Zippel caveat
 remains.
 
-Within one report call, a memo (`_WordImages`) extends each word's
-image from its prefix's image, so the sweep, its ℚ re-check, the
-relation checks and the xi table compute every image once.  Probes
+Within one report call, a memo (`_WordImages`) per sampled point extends
+each word's image from its prefix's image, so the sweep, its ℚ re-check,
+the relation checks and the xi table compute every image once.  Probes
 are drawn lazily, shortest first, so a search stops at its first
 witness without listing the rest of its budget.
 
@@ -122,32 +122,31 @@ def _sample_points(family, field: Field, n_points: int, seed) -> tuple[ModuliPoi
 
 
 class _WordImages:
-    """Images w(p) of points under words, and their Δ values.  A nonempty
-    word's image is `step` of its prefix's image and its last letter (a
-    syllable unless `step` says otherwise), computed once per memo."""
+    """Images w(p) of one point p under words, and their Δ values.  A
+    nonempty word's image is `step` of its prefix's image and its last
+    letter (a syllable unless `step` says otherwise), computed once."""
 
-    def __init__(self, points: tuple[ModuliPoint, ...],
-                 step=lambda q, s: apply_syllables(q, (s,))):
-        self.points = points
+    def __init__(self, point: ModuliPoint, step=lambda q, s: apply_syllables(q, (s,))):
+        self.point = point
         self._step = step
-        self._images = {(idx, ()): p for idx, p in enumerate(points)}
-        self._values: dict[tuple[int, tuple], FieldScalar] = {}
+        self._images = {(): point}
+        self._values: dict[tuple, FieldScalar] = {}
 
-    def image(self, idx: int, word: tuple) -> ModuliPoint:
-        """word(points[idx]), extending the longest prefix already known."""
+    def image(self, word: tuple) -> ModuliPoint:
+        """word(point), extending the longest prefix already known."""
         n = len(word)
-        while n and (idx, word[:n]) not in self._images:
+        while n and word[:n] not in self._images:
             n -= 1
-        q = self._images[idx, word[:n]]
+        q = self._images[word[:n]]
         for m in range(n, len(word)):
-            q = self._images[idx, word[:m + 1]] = self._step(q, word[m])
+            q = self._images[word[:m + 1]] = self._step(q, word[m])
         return q
 
-    def value(self, idx: int, word: tuple) -> FieldScalar:
-        """Δ(word(points[idx]))."""
-        if (idx, word) not in self._values:
-            self._values[idx, word] = delta(self.image(idx, word))
-        return self._values[idx, word]
+    def value(self, word: tuple) -> FieldScalar:
+        """Δ(word(point))."""
+        if word not in self._values:
+            self._values[word] = delta(self.image(word))
+        return self._values[word]
 
 
 @dataclass(frozen=True)
@@ -177,17 +176,17 @@ def lift_point_to_q(p: ModuliPoint) -> ModuliPoint:
     return p if p.field == QQ else ModuliPoint(p.family, QQ, p.form)
 
 
-def reverify_witness_q(witness: SeparationWitness, _q: tuple | None = None) -> dict:
+def reverify_witness_q(witness: SeparationWitness, _q: _WordImages | None = None) -> dict:
     """Replay a witness over ℚ on the lifted point.
 
     A value that is nonzero mod p lifts to a nonzero rational, so a
     prime-field witness always stays a witness: the two rational values
-    are distinct and reduce mod p to the stored pair.  `_q` is a memo of
-    ℚ images and the point's index in it; by default, a one-point memo.
+    are distinct and reduce mod p to the stored pair.  `_q` is the memo
+    of the lifted point's images; by default, a new one.
     """
-    images, idx = _q or (_WordImages((lift_point_to_q(witness.point),)), 0)
-    lhs = images.value(idx, witness.word + witness.probe)
-    rhs = images.value(idx, witness.probe)
+    images = _q or _WordImages(lift_point_to_q(witness.point))
+    lhs = images.value(witness.word + witness.probe)
+    rhs = images.value(witness.probe)
     field = witness.point.field
     consistent = (
         _reduces_to(lhs, witness.lhs, field) and _reduces_to(rhs, witness.rhs, field)
@@ -208,15 +207,15 @@ def _reduces_to(x: Fraction, r: FieldScalar, field: Field) -> bool:
 
 def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
              seed=11, field: Field = DEFAULT_FIELD,
-             _images: _WordImages | None = None) -> SeparationWitness | None:
+             _memos: list[_WordImages] | None = None) -> SeparationWitness | None:
     """Search for a separation witness for a nonempty reduced word.
 
     Probes are drawn one at a time, shortest first, and tried on the
     points in sampling order; the first witness found is returned, so
     results are deterministic in the seed.
     Returns None if the budget is exhausted (sound, not complete).
-    Δ(u(w(p))) is the memo's value of the word w + u; a sweep passes one
-    memo, `_images`, to all its calls.
+    Δ(u(w(p))) is p's memo's value of the word w + u; a sweep passes its
+    per-point memos, `_memos`, to all its calls.
     """
     word = tuple(word)
     if not word:
@@ -225,15 +224,14 @@ def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
         raise ValueError(f"word {word!r} is not reduced")
     if probe_budget < 0:
         raise ValueError("probe_budget must be >= 0")
-    images = _images if _images is not None else _WordImages(
-        _sample_points(T36, field, n_points, seed)
-    )
+    memos = _memos if _memos is not None else [
+        _WordImages(p) for p in _sample_points(T36, field, n_points, seed)]
     for probe in _iter_reduced_words(probe_budget):
-        for idx, point in enumerate(images.points):
-            lhs = images.value(idx, word + probe)
-            rhs = images.value(idx, probe)
+        for images in memos:
+            lhs = images.value(word + probe)
+            rhs = images.value(probe)
             if lhs != rhs:
-                return SeparationWitness(word, probe, point, lhs, rhs)
+                return SeparationWitness(word, probe, images.point, lhs, rhs)
     return None
 
 
@@ -269,10 +267,10 @@ def verify_relations(n_points: int = 32, seed=7, field: Field = DEFAULT_FIELD,
     probes = reduced_words(probe_budget)
     failures = Counter()  # (relation, probe) -> points where the values differ
     for p in _sample_points(T36, field, n_points, seed):
-        images = _WordImages((p,))
+        images = _WordImages(p)
         for u in probes:
             for rel, r in _RELATIONS.items():
-                failures[rel, u] += images.value(0, r + u) != images.value(0, u)
+                failures[rel, u] += images.value(r + u) != images.value(u)
     checks = [
         {
             "relation": rel,
@@ -305,21 +303,20 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
                        field: Field = DEFAULT_FIELD) -> Report:
     """Run separate() on every nontrivial reduced word up to the budget.
 
-    All words share one deterministic point sample and one memo of word
-    images, so each word's outcome equals a standalone separate() call
-    with the same seed.  Over a prime field, found witnesses are
-    re-verified over ℚ on a second memo, over the lifted sample.
+    All words share one deterministic point sample and its per-point
+    memos of word images, so each word's outcome equals a standalone
+    separate() call with the same seed.  Over a prime field, found
+    witnesses are re-verified over ℚ, on one memo per lifted point.
     """
     if max_syllables < 1:
         raise ValueError("max_syllables must be >= 1")
-    points = _sample_points(T36, field, n_points, seed)
-    images = _WordImages(points)
-    q_images = _WordImages(tuple(map(lift_point_to_q, points)))
+    memos = [_WordImages(p) for p in _sample_points(T36, field, n_points, seed)]
+    q_memo = cache(lambda p: _WordImages(lift_point_to_q(p)))
     point_json = cache(point_to_json)  # one dict per distinct witness point
     entries = []
     unseparated = []
     for word in reduced_words(max_syllables)[1:]:
-        witness = separate(word, probe_budget, _images=images)
+        witness = separate(word, probe_budget, _memos=memos)
         entry = {"word": word_label(word), "separated": witness is not None}
         if witness is None:
             unseparated.append(entry["word"])
@@ -327,8 +324,7 @@ def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
             entry["witness"] = witness.to_json(point_json)
             entry["q_reverify"] = None
             if isinstance(field, PrimeField):
-                q_at = (q_images, points.index(witness.point))
-                entry["q_reverify"] = reverify_witness_q(witness, _q=q_at)
+                entry["q_reverify"] = reverify_witness_q(witness, _q=q_memo(witness.point))
         entries.append(entry)
     total = len(entries)
     separated = total - len(unseparated)
@@ -423,8 +419,8 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
 
     samples = []  # per point: (base values, {word: values})
     for p in _sample_points(T44, field, n_points, seed):
-        images = _WordImages((p,), step)
-        table = {w: tuple(minors(images.image(0, w), PLUECKER_SET)) for w in XI_REPORT_WORDS}
+        images = _WordImages(p, step)
+        table = {w: tuple(minors(images.image(w), PLUECKER_SET)) for w in XI_REPORT_WORDS}
         samples.append((tuple(minors(p, PLUECKER_SET)), table))
 
     invariance = {}

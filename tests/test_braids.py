@@ -46,7 +46,8 @@ def test_word_validation():
 @pytest.mark.parametrize("letter", [1.5, True, "1"])
 def test_word_rejects_non_int_letters(letter):
     # True and 1.0 equal 1, so only a check by type refuses them next to 1.
-    for letters in ((letter,), (1, letter, 2)):
+    # Types are checked before ranges: the out-of-range 5 is not named.
+    for letters in ((letter,), (1, letter, 2), (5, letter)):
         with pytest.raises(ValueError, match=rf"^letter {re.escape(repr(letter))} is not an int$"):
             BraidWord(3, letters)
 
@@ -224,30 +225,40 @@ def test_parse_script_examples():
     assert script.base == base
 
 
+def _error_case(text, fragment, column, id=None):
+    """A parse error case, named by its text and fragment only."""
+    return pytest.param(text, fragment, column, id=id or f"{text}-{fragment}")
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
+    "text,fragment,column",
     [
-        ("comm 0", "1-based"),
-        ("r3x 2", "unknown move keyword"),
-        ("shift 3", "takes no position"),
-        ("comm", "needs a position"),
-        ("r3a two", "not a decimal integer"),
-        ("comm -1", "not a decimal integer"),
-        ("r3a 𝟙", "not a decimal integer"),
-        ("comm ²", "not a decimal integer"),
+        _error_case("comm 0", "1-based", 6),
+        _error_case("r3x 2", "unknown move keyword", 1),
+        _error_case("shift 3", "takes no position", 7),
+        _error_case("comm", "needs a position", 5),
+        _error_case("r3a two", "not a decimal integer", 5),
+        _error_case("comm -1", "not a decimal integer", 6),
+        _error_case("r3a 𝟙", "not a decimal integer", 5),
+        _error_case("comm ²", "not a decimal integer", 6),
         # More digits than Python's int() converts by default (4300).
-        pytest.param("comm " + "1" * 5000, "5000 digits is too long",
-                     id="comm 5000 digits-too long"),
+        _error_case("comm " + "1" * 5000, "5000 digits is too long", 6,
+                    id="comm 5000 digits-too long"),
+        # Runs of spaces, tabs and indentation before the token: the
+        # column is the token's own, and a missing position's is the one
+        # after the keyword.
+        _error_case("shift   3", "takes no position", 9),
+        _error_case("  shift\t\t3", "takes no position", 10),
+        _error_case("comm\t\t0", "1-based", 7),
+        _error_case("  comm", "needs a position", 7),
     ],
 )
-def test_parse_script_errors(text, fragment):
+def test_parse_script_errors(text, fragment, column):
     base = w(3, 1, 2)
     with pytest.raises(ScriptSyntaxError) as err:
         parse_script(text, base)
     assert fragment in str(err.value)
-    line, column = map(int, re.match(r"line (\d+), column (\d+): ", str(err.value)).groups())
-    assert line == 1
-    assert column >= 1
+    assert str(err.value).startswith(f"line 1, column {column}: ")
 
 
 def test_script_text_round_trip():

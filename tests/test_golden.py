@@ -215,6 +215,13 @@ def _position_zero(tmp_path, monkeypatch):
     return ["verify-loop", "--script", str(path), "--base", "1,2,1", "--strands", "3"]
 
 
+def _shift_position(tmp_path, monkeypatch):
+    # script syntax error: line 1, column 9: shift takes no position
+    path = tmp_path / "shift.moves"
+    path.write_text("shift   3\n")
+    return ["verify-loop", "--script", str(path), "--base", "1,2,1", "--strands", "3"]
+
+
 def _vanishing_minor(tmp_path, monkeypatch):
     # invalid point: vanishing cyclic minors at [(1, 2, 3), (8, 9, 1), (9, 1, 2)]
     e1, e2, e3 = ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]
@@ -231,6 +238,9 @@ ERROR_GOLDEN = {
     _position_zero: (
         2, EMPTY,
         "0a6d78b568706f388c2f8895e0bb6946f26e62891f0e08de7a4c97e030459854"),
+    _shift_position: (
+        2, EMPTY,
+        "75c6afca75eced6000aef48f7d5600aeaf63fb15b04f6cdaec58fa26ca0e1813"),
     _vanishing_minor: (
         3, EMPTY,
         "eac11922e5fbb4c92d2cd667094068f7f4b8ffdef33bd3872b108573b600b5c7"),
