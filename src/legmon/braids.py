@@ -13,8 +13,8 @@ Positions are 1-based and moves never wrap around the end of the word;
 cyclic behaviour is reached only through explicit shifts.  A
 `MoveScript` replayed by `verify_loop` that returns to its base word
 letter-for-letter certifies a loop.  The replay rewrites one list of
-letters in place, together with one string of fixed-width slots that
-hold their texts, and keeps only each word's text.  The built-in
+letters in place, together with one bytearray of fixed-width slots
+that hold their texts, and keeps only each word's text.  The built-in
 scripts, one row each of `_LOOPS`, transcribe the rewriting chains for
 the loops sigma1, xi1, xi2, xi3 and the power of the cyclic shift, one
 move per rewrite, window by window.  A `ScriptSyntaxError` names the
@@ -120,9 +120,9 @@ class LoopReport:
         return lines
 
 
-def apply_move(letters: list[int], move: Move) -> None:
+def apply_move(letters: list[int], move: Move) -> tuple[int, int]:
     """Apply one move to the list `letters` in place, checking its
-    pattern there.
+    pattern there, and return the span (lo, hi) of the slice it rewrote.
 
     An illegal move raises `IllegalMove` and changes nothing.  The
     letters stay a valid word on the same strands (shift and comm
@@ -131,6 +131,7 @@ def apply_move(letters: list[int], move: Move) -> None:
     if kind == "shift":
         letters.extend(letters[:1])
         del letters[:1]
+        return 0, n
     elif kind == "comm":
         if p + 1 > n:
             raise IllegalMove(f"comm {p} does not fit in a word of length {n}")
@@ -138,6 +139,7 @@ def apply_move(letters: list[int], move: Move) -> None:
         if abs(a - b) < 2:
             raise IllegalMove(f"comm {p}: letters ({a}, {b}) do not commute")
         letters[p - 1], letters[p] = b, a
+        return p - 1, p + 1
     else:  # r3a and r3d: (x, y, x) becomes (y, x, y)
         if p + 2 > n:
             raise IllegalMove(f"{kind} {p} does not fit in a word of length {n}")
@@ -147,17 +149,20 @@ def apply_move(letters: list[int], move: Move) -> None:
         if kind == "r3d" and not (a == c and b == a - 1):
             raise IllegalMove(f"r3d {p}: pattern ({a}, {b}, {c}) is not (i+1, i, i+1)")
         letters[p - 1 : p + 2] = b, a, b
+        return p - 1, p + 2
 
 
 def verify_loop(script: MoveScript) -> LoopReport:
     """Replay all moves in place from the base; report closure and the
     text of every word.
 
-    Next to the letters, one string `slots` gives each letter `size`
-    characters: a space, then its text right-justified with "_" to the
-    width of the base's largest letter, which no move exceeds.  A move
-    is a slice edit of `slots`, and a word's text is `slots` without the
-    fill and the leading space.
+    Next to the letters, one bytearray `slots` gives each letter `size`
+    bytes, its `cell`: a space, then its text right-justified with "_"
+    to the width of the base's largest letter.  Moves only permute
+    letters or swap i and i+1 inside a window, so every letter keeps a
+    cell of the base.  After each move the span `apply_move` returns is
+    rewritten in place in `slots` from the cells, and a word's text is
+    `slots` without the fill and the leading space.
 
     Raises:
         IllegalMove: at the first illegal step, its message naming the
@@ -165,21 +170,16 @@ def verify_loop(script: MoveScript) -> LoopReport:
     """
     letters = list(script.base.letters)
     size = 1 + len(str(max(letters, default=0)))
-    slots = "".join(" " + str(x).rjust(size - 1, "_") for x in letters)
-    words = [slots.replace("_", "")[1:]]
+    cell = {x: b" " + str(x).rjust(size - 1, "_").encode() for x in letters}
+    slots = bytearray(b"".join(map(cell.__getitem__, letters)))
+    words = [slots.replace(b"_", b"")[1:].decode()]
     for j, move in enumerate(script.moves, start=1):
         try:
-            apply_move(letters, move)
+            lo, hi = apply_move(letters, move)
         except IllegalMove as exc:
             raise IllegalMove(f"step {j}: {exc}", trace=tuple(words)) from None
-        if move.kind == "shift":
-            slots = slots[size:] + slots[:size]
-        else:
-            o = (move.pos - 1) * size
-            a, b = slots[o : o + size], slots[o + size : o + 2 * size]
-            edit = b + a if move.kind == "comm" else b + a + b  # (x, y, x) -> (y, x, y)
-            slots = slots[:o] + edit + slots[o + len(edit) :]
-        words.append(slots.replace("_", "")[1:])
+        slots[lo * size : hi * size] = b"".join(map(cell.__getitem__, letters[lo:hi]))
+        words.append(slots.replace(b"_", b"")[1:].decode())
     return LoopReport(script, tuple(words), tuple(letters) == script.base.letters)
 
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from operator import mul
 from random import Random
 
 from .fields import (
@@ -53,7 +54,7 @@ from .fields import (
     format_scalar,
 )
 from .moduli import (
-    ModuliPoint, T36, T44, _det_closed, json_dumps, minors, point_to_json, random_point, wedge,
+    ModuliPoint, T36, T44, cofactors, json_dumps, minors, point_to_json, random_point, wedge,
 )
 from .monodromy import act_word, act_xi
 from . import monodromy
@@ -369,8 +370,11 @@ def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     window's u sits in `after` at column b of its pair (v_a, v_b).
     With v_a, v_b, u and T read from the points' int forms as A/α, B/β,
     C/γ and T′, a window passes iff det(B, T′) ≠ 0, det(C, T′) = 0
-    (u ∈ ⟨T⟩) and γ·(A∧B) = α·(B∧C) (v_a∧v_b = v_b∧u), each after
-    `Field.reduce` (so mod p over F_p).  Then v_b ≠ 0 and
+    (u ∈ ⟨T⟩) and (γA + αC)∧B = 0 (v_a∧v_b = v_b∧u), each after
+    `Field.reduce` (so mod p over F_p).  Both determinants are dot
+    products with one vector, `cofactors(T′)`.  The one wedge's entries
+    are γ(A∧B) − α(B∧C), the integers of the two-wedge form of the
+    identity, so the predicate is the same.  Then v_b ≠ 0 and
     v_b∧(u + v_a) = 0, so u ∈ ⟨v_a, v_b⟩.  `act_xi` returns only where
     det(v_b, T) ≠ 0, so on its images this is the full subspace check; a
     `before` with det(v_b, T) = 0, which `act_xi` refuses, is rejected.
@@ -381,8 +385,9 @@ def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     for _, pair, other in windows:
         pairs = [before.form[j - 1] for j in (*pair, *other)] + [after.form[pair[1] - 1]]
         (a, b, *t, c), (alpha, *_, gamma) = zip(*pairs)
-        tests = [_det_closed([b, *t]), _det_closed([c, *t])] + [
-            gamma * x - alpha * y for x, y in zip(wedge(a, b), wedge(b, c))]
+        cof = cofactors(t)
+        s = [gamma * x + alpha * z for x, z in zip(a, c)]
+        tests = [sum(map(mul, b, cof)), sum(map(mul, c, cof)), *wedge(s, b)]
         db, dc, *gap = map(field.reduce, tests)
         if not db or dc or any(gap):
             return False
@@ -408,7 +413,11 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
     asserted part is the structural postcondition of every applied step.
     Per point each distinct word prefix is replayed and checked once,
     through a one-point memo of word images: the 7 words hold 14 xi
-    steps but only 9 distinct prefixes.
+    steps but only 9 distinct prefixes.  Every word's image is taken, so
+    every step is checked, but minors are computed only where a verdict
+    reads them: P(W(p)) while some Q still matches P under W at every
+    point so far, or at every point for the two braid words, and Q(p)
+    while some list still holds Q.
     """
     structural = set()  # xi_structural_ok outcomes of the steps the memos take
 
@@ -417,41 +426,35 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
         structural.add(xi_structural_ok(q, i, nxt))
         return nxt
 
-    samples = []  # per point: (base values, {word: values})
+    w121, w212 = (1, 2, 1), (2, 1, 2)
+    cols = range(len(PLUECKER_SET))
+    # (word, column) -> positions Q with P_column(W(p)) = Q(p) at every point so far
+    alive = {(w, col): list(cols) for w in XI_REPORT_WORDS for col in cols}
+    agree = [0] * len(PLUECKER_SET)
     for p in _sample_points(T44, field, n_points, seed):
         images = _WordImages(p, step)
-        table = {w: tuple(minors(images.image(w), PLUECKER_SET)) for w in XI_REPORT_WORDS}
-        samples.append((tuple(minors(p, PLUECKER_SET)), table))
+        wanted = sorted({pos for positions in alive.values() for pos in positions})
+        base = dict(zip(wanted, minors(p, [PLUECKER_SET[pos] for pos in wanted])))
+        values = {}  # word -> {column: P_column(W(p))} for the columns read
+        for w in XI_REPORT_WORDS:
+            read = [col for col in cols if alive[w, col] or w in (w121, w212)]
+            values[w] = dict(zip(read, minors(images.image(w), [PLUECKER_SET[c] for c in read])))
+            for col in read:
+                alive[w, col] = [pos for pos in alive[w, col] if base[pos] == values[w][col]]
+        for col in cols:
+            agree[col] += values[w121][col] == values[w212][col]
 
-    invariance = {}
-    matches = {}
-    for word in XI_REPORT_WORDS:
-        match = {}
-        for col, ix in enumerate(PLUECKER_SET):
-            match[_plabel(ix)] = [
-                _plabel(other)
-                for pos, other in enumerate(PLUECKER_SET)
-                if all(
-                    per_word[word][col] == base[pos]
-                    for base, per_word in samples
-                )
-            ]
-        # P(W(p)) = P(p) on the sample exactly when P is among its own matches.
-        invariance[_xi_word_label(word)] = {lab: lab in m for lab, m in match.items()}
-        matches[_xi_word_label(word)] = match
-
-    braid = {}
-    w121, w212 = (1, 2, 1), (2, 1, 2)
-    for col, ix in enumerate(PLUECKER_SET):
-        agree = sum(
-            1 for _, per_word in samples
-            if per_word[w121][col] == per_word[w212][col]
-        )
-        braid[_plabel(ix)] = {
-            "equal": agree == len(samples),
-            "agree": agree,
-            "n": len(samples),
-        }
+    labels = [_plabel(ix) for ix in PLUECKER_SET]
+    matches = {
+        _xi_word_label(w): {labels[col]: [labels[pos] for pos in alive[w, col]] for col in cols}
+        for w in XI_REPORT_WORDS
+    }
+    # P(W(p)) = P(p) on the sample exactly when P is among its own matches.
+    invariance = {w: {lab: lab in m for lab, m in match.items()} for w, match in matches.items()}
+    braid = {
+        labels[col]: {"equal": agree[col] == n_points, "agree": agree[col], "n": n_points}
+        for col in cols
+    }
 
     structural_all_ok = all(structural)
     return Report({
@@ -460,7 +463,7 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
         "field": field.to_json(),
         "resamples": Report.resamples,
         "structural_all_ok": structural_all_ok,
-        "pluecker_set": [_plabel(ix) for ix in PLUECKER_SET],
+        "pluecker_set": labels,
         "words": [_xi_word_label(w) for w in XI_REPORT_WORDS],
         "invariance": invariance,
         "matches": matches,

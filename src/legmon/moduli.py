@@ -14,9 +14,9 @@ A point is its family, field and int form.  Draws, loop images and ℚ
 lifts construct it from a form, unchecked; `ModuliPoint.from_columns`
 converts scalars once and refuses entries of another field.  `columns`
 are built from the form when first read, and `minors` works on the form
-with `_det_closed`, the closed-form determinant up to 4×4.  It and
-`wedge` are the package's two kernels on int forms; the loop maps and
-the xi check use them as well.
+with `_det_closed`, the closed-form determinant up to 4×4.  It,
+`cofactors` (c with det(x, *t) = x·c) and `wedge` are the package's
+kernels on int forms; the loop maps and the xi check use them too.
 `flags_from_point` rebuilds the chain of complete flags along the base
 braid word as column windows, and `validate_bott_samelson` checks the
 cyclic adjacency conditions of the open cell on their starts.
@@ -130,6 +130,25 @@ def _det_closed(e):
         - (b * i - d * g) * (j * s - l * q)
         + (c * i - d * h) * (j * r - k * q)
     )
+
+
+def cofactors(t):
+    """The vector c with `_det_closed([x, *t])` = x·c for every x, given
+    k−1 rows t of length k, 2 ≤ k ≤ 4: the first row's cofactors, on
+    ints or any ring's elements."""
+    if len(t) == 1:
+        (a, b), = t
+        return b, -a
+    if len(t) == 2:
+        (a, b, c), (d, f, g) = t
+        return b * g - c * f, c * d - a * g, a * f - b * d
+    # Each 3x3 cofactor expanded along t's first row, over the 2x2 minors
+    # m_ij of its last two rows.
+    (a, b, c, d), (f, g, h, i), (j, k, l, p) = t
+    m01, m02, m03 = f * k - g * j, f * l - h * j, f * p - i * j
+    m12, m13, m23 = g * l - h * k, g * p - i * k, h * p - i * l
+    return (b * m23 - c * m13 + d * m12, c * m03 - a * m23 - d * m02,
+            a * m13 - b * m03 + d * m01, b * m02 - a * m12 - c * m01)
 
 
 def wedge(v, w):

@@ -505,10 +505,23 @@ def naive_xi_report(n_points, seed, field):
     }
 
 
-@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(DEFAULT_PRIME), QQ],
-                         ids=["F3", "Fp", "Q"])
-def test_xi_report_prefix_sharing_matches_naive_replay(field, monkeypatch):
-    expected = json.dumps(naive_xi_report(6, 11, field))
+# Over F_2 and F_7 a coordinate can match a wrong Q on the first points
+# by chance, so the lazy table must keep filtering on every later point.
+@pytest.mark.parametrize("field, n_points", [
+    pytest.param(PrimeField(3), 6, id="F3"),
+    pytest.param(PrimeField(DEFAULT_PRIME), 6, id="Fp"),
+    pytest.param(QQ, 6, id="Q"),
+    pytest.param(PrimeField(2), 6, id="F2"),
+    pytest.param(PrimeField(7), 6, id="F7"),
+    pytest.param(PrimeField(2), 1, id="F2-n1"),
+    pytest.param(PrimeField(DEFAULT_PRIME), 1, id="Fp-n1"),
+    pytest.param(PrimeField(2), 16, id="F2-n16"),
+    pytest.param(PrimeField(3), 16, id="F3-n16"),
+    pytest.param(PrimeField(7), 16, id="F7-n16"),
+    pytest.param(QQ, 16, id="Q-n16"),
+])
+def test_xi_report_prefix_sharing_matches_naive_replay(field, n_points, monkeypatch):
+    expected = json.dumps(naive_xi_report(n_points, 11, field))
     calls = {"act_xi": 0, "check": 0}
 
     def counted(name, fn):
@@ -520,11 +533,29 @@ def test_xi_report_prefix_sharing_matches_naive_replay(field, monkeypatch):
     monkeypatch.setattr(explorer, "act_xi", counted("act_xi", act_xi))
     monkeypatch.setattr(explorer, "xi_structural_ok",
                         counted("check", xi_structural_ok))
-    report = xi_pluecker_report(n_points=6, seed=11, field=field)
+    report = xi_pluecker_report(n_points=n_points, seed=11, field=field)
     assert json.dumps(report.json) == expected
     assert report.ok and report.json["structural_all_ok"] is True
     # 9 distinct prefixes among the 14 steps of the 7 words, per point
-    assert calls == {"act_xi": 6 * 9, "check": 6 * 9}
+    assert calls == {"act_xi": n_points * 9, "check": n_points * 9}
+
+
+def test_xi_report_computes_only_the_minors_a_verdict_reads(monkeypatch):
+    """The first point refutes most (word, coordinate) candidates, so later
+    points take far fewer than the 72 minors (9 base values and 9 per word)
+    of an eager table; the count is deterministic in the seed."""
+    windows = []
+    minors = explorer.minors
+
+    def counted(p, ws):
+        for w, value in zip(ws, minors(p, ws)):
+            windows.append(w)
+            yield value
+
+    monkeypatch.setattr(explorer, "minors", counted)
+    report = xi_pluecker_report(n_points=8, seed=11)
+    assert report.ok
+    assert len(windows) == 282 < 8 * 72
 
 
 def test_xi_report_frozen_observations():

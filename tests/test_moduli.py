@@ -30,6 +30,8 @@ from legmon.moduli import (
     SamplingExhausted,
     T36,
     T44,
+    _det_closed,
+    cofactors,
     flags_from_point,
     get_family,
     json_dumps,
@@ -228,6 +230,39 @@ def sympy_minor(p, window):
     ])
     d = m.det()
     return Fraction(d.p, d.q) if rational else p.field.scalar(int(d))
+
+
+def _cofactor_entries(kind, rng):
+    """A draw of `kind`: small, negative and 40-digit ints, fractions or
+    scalars mod 7."""
+    if kind == "int":
+        return rng.choice([rng.randint(-3, 3), rng.randint(-10**40, 10**40)])
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return ModP(rng.randint(0, 6), 7)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "modp"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cofactors_dot_x_is_the_determinant(k, kind):
+    rng = Random(k * 31 + len(kind))
+    for _ in range(200):
+        x, *t = [[_cofactor_entries(kind, rng) for _ in range(k)] for _ in range(k)]
+        c = cofactors(t)
+        assert len(c) == k
+        assert sum(a * b for a, b in zip(x, c)) == _det_closed([x, *t])
+
+
+def test_cofactors_symbolic_row_k4():
+    x = sympy.symbols("x0:4")
+    t = [list(sympy.symbols(f"t{r}_0:4")) for r in range(3)]
+    expected = sympy.Matrix([list(x), *t]).det()
+    got = sum(a * b for a, b in zip(x, cofactors(t)))
+    assert sympy.expand(got - expected) == 0
+    # each entry is the signed 3x3 minor of t without that column
+    for j, c in enumerate(cofactors(t)):
+        minor = sympy.Matrix([row[:j] + row[j + 1:] for row in t]).det()
+        assert sympy.expand(c - (-1) ** j * minor) == 0
 
 
 def random_columns(family, field, rng):
