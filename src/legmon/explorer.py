@@ -372,20 +372,21 @@ def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     C/γ and T′, a window passes iff det(B, T′) ≠ 0, det(C, T′) = 0
     (u ∈ ⟨T⟩) and (γA + αC)∧B = 0 (v_a∧v_b = v_b∧u), each after
     `Field.reduce` (so mod p over F_p).  Both determinants are dot
-    products with one vector, `cofactors(T′)`.  The one wedge's entries
-    are γ(A∧B) − α(B∧C), the integers of the two-wedge form of the
-    identity, so the predicate is the same.  Then v_b ≠ 0 and
+    products with `cofactors(T′)`, taken here: u is built from dA and dB,
+    so det(C, T′) = 0 holds for any vector they were taken with, and
+    `act_xi`'s own would make the test an identity.  The one wedge's
+    entries are γ(A∧B) − α(B∧C), the integers of the two-wedge form of
+    the identity, so the predicate is the same.  Then v_b ≠ 0 and
     v_b∧(u + v_a) = 0, so u ∈ ⟨v_a, v_b⟩.  `act_xi` returns only where
     det(v_b, T) ≠ 0, so on its images this is the full subspace check; a
     `before` with det(v_b, T) = 0, which `act_xi` refuses, is rejected.
     Points off T44 and i not in {1, 2, 3} are refused as `act_xi` refuses
     them, with a `ValueError`."""
     windows, _ = monodromy._xi_blocks(i, before, after)
-    field = before.field
-    for _, pair, other in windows:
-        pairs = [before.form[j - 1] for j in (*pair, *other)] + [after.form[pair[1] - 1]]
-        (a, b, *t, c), (alpha, *_, gamma) = zip(*pairs)
-        cof = cofactors(t)
+    field, form = before.field, before.form
+    for _, (ja, jb), other in windows:
+        (a, alpha), (b, _), (c, gamma) = form[ja - 1], form[jb - 1], after.form[jb - 1]
+        cof = cofactors([form[j - 1][0] for j in other])
         s = [gamma * x + alpha * z for x, z in zip(a, c)]
         tests = [sum(map(mul, b, cof)), sum(map(mul, c, cof)), *wedge(s, b)]
         db, dc, *gap = map(field.reduce, tests)

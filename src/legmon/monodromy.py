@@ -15,11 +15,11 @@ Cramer's rule:
 
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
-Both determinants are taken with `moduli._det_closed` on the int form
-the point carries, and `Field.column` gives u in int form, the image's
-form: an image builds scalars only if its `columns` are read, and
-nothing here tells F_p from ℚ.  The tests check u against the subspace
-route of `linalg`, `intersect` then `wedge_normalize`.
+Both determinants are dot products with one vector, `moduli.cofactors`
+of T on the point's int form, and `Field.column` gives u in int form,
+the image's form: an image builds scalars only if its `columns` are
+read, and nothing here tells F_p from ℚ.  The tests check u against the
+subspace route of `linalg`, `intersect` then `wedge_normalize`.
 
 Composition is by group words.  On T36 the generators are A (column
 shift by one), A2 (shift by two), and B = sigma1 after a shift, so that
@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from operator import mul
 
-from .moduli import ModuliPoint, T36, T44, _det_closed
+from .moduli import ModuliPoint, T36, T44, cofactors
 
 
 class DegeneracyError(Exception):
@@ -65,19 +66,20 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
 
     With v_a = A/α, v_b = B/β and T as integer columns T′, all read from
     the point's int form, the ratio is λ = dA·β / (dB·α) for
-    dA = det(A, T′), dB = det(B, T′), so u = (dA·B − dB·A) / (dB·α): two
-    integer determinants and one denominator, which `Field.column`
-    divides out as u is returned.
+    dA = det(A, T′), dB = det(B, T′), so u = (dA·B − dB·A) / (dB·α).
+    Both determinants are dot products with one cofactor vector of T′,
+    and `Field.column` divides the one denominator out as u is returned.
 
     Raises:
         DegenerateIntersection: if both determinants vanish or u = 0.
         DegenerateNormalization: if only det(v_b, T) vanishes, so that v_b
             lies in ⟨T⟩ and no u ∈ ⟨T⟩ satisfies v_a ∧ v_b = v_b ∧ u.
     """
-    field = p.field
-    (ai, bi, *ti), (alpha, *_) = zip(*[p.form[j - 1] for j in (*pair, *other)])
-    da = field.reduce(_det_closed([ai, *ti]))
-    db = field.reduce(_det_closed([bi, *ti]))
+    field, form = p.field, p.form
+    (ai, alpha), (bi, _) = form[pair[0] - 1], form[pair[1] - 1]
+    c = cofactors([form[j - 1][0] for j in other])
+    da = field.reduce(sum(map(mul, ai, c)))
+    db = field.reduce(sum(map(mul, bi, c)))
     if db:
         u = field.column([da * y - db * x for x, y in zip(ai, bi)], db * alpha)
         if any(u[0]):
@@ -95,7 +97,7 @@ def _blocks(k: int, n: int, start: int):
     block, and its layout, each entry the column of the point acted on or
     the label of the u filling that slot.  Keyed by ints: a `Family`
     hashes in Python.  Needs k | n, as N = k(s+1) of every family, and
-    k ≤ 4, where `_det_closed` stops."""
+    2 ≤ k ≤ 4, where `cofactors` stops."""
     windows, layout = [], list(range(1, n + 1))
     for t, j in enumerate(range(start - 1, start - 1 + n, k), start=1):
         a, b, *other = ((j + d) % n + 1 for d in range(k + 1))
@@ -148,7 +150,7 @@ _TOKENS = {
     "X2": (T44, lambda p: act_xi(p, 2)),
     "X3": (T44, lambda p: act_xi(p, 3)),
 }
-_SHIFT_RE = re.compile(r"^SH\((-?[0-9]+)\)$")  # ASCII: `int` reads every script's digits
+_SHIFT_RE = re.compile(r"SH\((-?[0-9]+)\)")  # ASCII: `int` reads every script's digits
 
 #: A group word is a tuple of generator tokens, applied left to right.
 GroupWord = tuple[str, ...]
@@ -158,7 +160,7 @@ def _token(tok: str):
     """(family, map) of a token; the family is None for SH(j)."""
     if tok in _TOKENS:
         return _TOKENS[tok]
-    m = _SHIFT_RE.match(tok)
+    m = _SHIFT_RE.fullmatch(tok)
     if m is None:
         raise ValueError(f"unknown generator token {tok!r}")
     j = int(m.group(1))

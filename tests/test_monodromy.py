@@ -120,16 +120,21 @@ def oracle_replacement(p, pair, other):
     return wedge_normalize(va, vb, intersect(plane, target).basis[0])
 
 
+_IMAGE_WORDS = {T36: ("B", "B B", "S1 A B"), T44: ("X1", "X1 X2", "X3 X2 X1")}
+
+
 @pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
 def test_replacement_vector_matches_subspace_oracle(family):
+    # Over F_3 and F_5, minors and cofactor entries vanish mod p far more
+    # often, where a missing reduction or a sign slip in the kernel shows.
+    small = [random_point(family, PrimeField(prime), seed)
+             for prime in (3, 5) for seed in range(8)]
+    small += [act_word(p, word) for p in small for word in _IMAGE_WORDS[family]]
     points = fp_points(family, 50) + [random_point(family, QQ, seed) for seed in range(5)]
-    for p in points:
+    for p in points + small:
         for label, pair, other in family_windows(family):
             u = _replacement_vector(p, label, pair, other)
             assert u == p.field.form([oracle_replacement(p, pair, other)])[0]
-
-
-_Q_IMAGE_WORDS = {T36: ("B", "B B", "S1 A B"), T44: ("X1", "X1 X2", "X3 X2 X1")}
 
 
 @pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
@@ -137,7 +142,7 @@ def test_replacement_vector_on_rational_points(family):
     # Sampled ℚ points have integer entries; their images carry
     # denominators, which the int kernel clears and restores.
     images = [act_word(random_point(family, QQ, seed), word)
-              for seed in range(4) for word in _Q_IMAGE_WORDS[family]]
+              for seed in range(4) for word in _IMAGE_WORDS[family]]
     fractional = set()
     for q in images:
         for label, pair, other in family_windows(family):
@@ -457,6 +462,31 @@ def test_shift_token_takes_ascii_digits_only(tok):
                  lambda: act_word(p, (tok,))):
         with pytest.raises(ValueError, match="unknown generator token"):
             call()
+
+
+@pytest.mark.parametrize("tok", ["SH(3)\n", "SH(3) ", "SH(3)x"], ids=ascii)
+def test_shift_token_refuses_trailing_text(tok):
+    # A tuple word skips the whitespace split, so the token itself must
+    # end at its closing parenthesis, newline included.
+    with pytest.raises(ValueError, match="unknown generator token"):
+        act_word(random_point(T36, FP, 3), (tok,))
+
+
+def test_loop_maps_take_one_cofactor_vector_per_window(monkeypatch):
+    # det(v_a, T) and det(v_b, T) share T, so each window of Φ_k takes
+    # one cofactor vector: three windows for sigma1, two for xi.
+    import legmon.monodromy as monodromy
+
+    calls = []
+    cofactors = monodromy.cofactors
+    monkeypatch.setattr(monodromy, "cofactors",
+                        lambda t: calls.append(t) or cofactors(t), raising=True)
+    for field in (FP, QQ):
+        for act, family, n_windows in ((act_sigma1, T36, 3),
+                                       (lambda p: act_xi(p, 2), T44, 2)):
+            calls.clear()
+            act(random_point(family, field, 5))
+            assert len(calls) == n_windows
 
 
 def test_act_word_family_mismatch():
