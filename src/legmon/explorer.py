@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from operator import mul
 from random import Random
 
 from .fields import (
@@ -54,7 +53,7 @@ from .fields import (
     format_scalar,
 )
 from .moduli import (
-    ModuliPoint, T36, T44, cofactors, json_dumps, minors, point_to_json, random_point, wedge,
+    ModuliPoint, T36, T44, _det_closed, json_dumps, minors, point_to_json, random_point,
 )
 from .monodromy import act_word, act_xi
 from . import monodromy
@@ -369,28 +368,27 @@ def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     The windows are `act_xi`'s own, Φ_4's blocks at start i, and each
     window's u sits in `after` at column b of its pair (v_a, v_b).
     With v_a, v_b, u and T read from the points' int forms as A/α, B/β,
-    C/γ and T′, a window passes iff det(B, T′) ≠ 0, det(C, T′) = 0
-    (u ∈ ⟨T⟩) and (γA + αC)∧B = 0 (v_a∧v_b = v_b∧u), each after
-    `Field.reduce` (so mod p over F_p).  Both determinants are dot
-    products with `cofactors(T′)`, taken here: u is built from dA and dB,
-    so det(C, T′) = 0 holds for any vector they were taken with, and
-    `act_xi`'s own would make the test an identity.  The one wedge's
-    entries are γ(A∧B) − α(B∧C), the integers of the two-wedge form of
-    the identity, so the predicate is the same.  Then v_b ≠ 0 and
-    v_b∧(u + v_a) = 0, so u ∈ ⟨v_a, v_b⟩.  `act_xi` returns only where
+    C/γ and T′, and dA = det(A, T′), dB = det(B, T′), a window passes iff
+    dB ≠ 0 and α·dB·C = γ·(dA·B − dB·A), each after `Field.reduce` (so
+    mod p over F_p).  Given dB ≠ 0 that identity holds iff u ∈ ⟨T⟩ and
+    v_a∧v_b = v_b∧u: it gives dB(γA + αC) = γ·dA·B, so (u + v_a) ∥ v_b,
+    and α·dB·det(C, T′) = γ(dA·dB − dB·dA) = 0; conversely those two fix
+    u as λ·v_b − v_a with λ = dA·β / (dB·α).  `act_xi` returns only where
     det(v_b, T) ≠ 0, so on its images this is the full subspace check; a
-    `before` with det(v_b, T) = 0, which `act_xi` refuses, is rejected.
-    Points off T44 and i not in {1, 2, 3} are refused as `act_xi` refuses
-    them, with a `ValueError`."""
+    `before` with det(v_b, T) = 0 is rejected.  Both determinants are
+    `_det_closed`, not `act_xi`'s cofactor vector c: its u, built from
+    dA and dB as dot products with c, passes a check through c whatever
+    c is.  Points off T44 and i not in {1, 2, 3} are refused as `act_xi`
+    refuses them, with a `ValueError`."""
     windows, _ = monodromy._xi_blocks(i, before, after)
     field, form = before.field, before.form
     for _, (ja, jb), other in windows:
         (a, alpha), (b, _), (c, gamma) = form[ja - 1], form[jb - 1], after.form[jb - 1]
-        cof = cofactors([form[j - 1][0] for j in other])
-        s = [gamma * x + alpha * z for x, z in zip(a, c)]
-        tests = [sum(map(mul, b, cof)), sum(map(mul, c, cof)), *wedge(s, b)]
-        db, dc, *gap = map(field.reduce, tests)
-        if not db or dc or any(gap):
+        t = [form[j - 1][0] for j in other]
+        da, db = _det_closed([a, *t]), _det_closed([b, *t])
+        ad, gda, gdb = alpha * db, gamma * da, gamma * db
+        if not field.reduce(db) or any(
+                field.reduce(ad * z - gda * y + gdb * x) for x, y, z in zip(a, b, c)):
             return False
     return True
 

@@ -294,7 +294,7 @@ class PrimeField:
     def column(self, ints, den: int = 1) -> tuple[tuple[int, ...], int]:
         """ints / den in int form, with one inversion of den."""
         p, inv = self.p, self._inverse(den)
-        return tuple([x * inv % p for x in ints]), 1
+        return tuple(x * inv % p for x in ints), 1
 
     def __contains__(self, x) -> bool:
         return type(x) is ModP and x.modulus == self.p

@@ -303,10 +303,10 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     Raises:
         SamplingExhausted: after 10,000 rejected draws.
     """
-    rng, draw = Random(seed), field.random_int
+    rng = Random(seed)
     k, n = family.k, family.n_columns
     for _ in range(RETRY_BOUND):
-        form = tuple([(tuple([draw(rng) for _ in range(k)]), 1) for _ in range(n)])
+        form = tuple((tuple(field.random_int(rng) for _ in range(k)), 1) for _ in range(n))
         p = ModuliPoint(family, field, form)
         if validate_point(p):
             return p

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from legmon import explorer, monodromy
+from legmon import explorer, moduli, monodromy
 from legmon.explorer import (
     DELTA_INDEX,
     PLUECKER_SET,
@@ -452,6 +452,29 @@ def test_xi_structural_ok_needs_v_b_off_t():
     after = ModuliPoint.from_columns(T44, QQ, (v[1], u1, v[2], v[3], v[5], u2, v[6], v[7]))
     assert oracle_xi_structural_ok(before, 1, after)
     assert not xi_structural_ok(before, 1, after)
+
+
+@pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), QQ], ids=["Fp", "Q"])
+def test_xi_structural_ok_rejects_a_wrong_kernel_vector(monkeypatch, field):
+    """An `act_xi` on a wrong `cofactors` still builds each u as
+    dA·B − dB·A, so C·c = 0 and the wedge identity hold by construction;
+    the check must reject the image all the same."""
+    cofactors = monodromy.cofactors
+
+    def wrong(t):
+        c0, *rest = cofactors(t)
+        return (c0 + 1, *rest)
+
+    points = [random_point(T44, field, seed) for seed in range(5)]
+    for p in points:
+        for i in (1, 2, 3):
+            assert xi_structural_ok(p, i, act_xi(p, i))
+    for module in (moduli, monodromy, explorer):  # wherever the name is bound
+        if hasattr(module, "cofactors"):
+            monkeypatch.setattr(module, "cofactors", wrong)
+    for p in points:
+        for i in (1, 2, 3):
+            assert not xi_structural_ok(p, i, act_xi(p, i)), (p, i)
 
 
 def naive_xi_report(n_points, seed, field):
