@@ -1,9 +1,12 @@
 """Reduced words of Z3 * Z2, relation reports, and separation witnesses.
 
-The T36 loop generators induce point maps a (shift by one column),
-a² (shift by two) and b (sigma1 after a shift).  Words alternate
-syllables from the two free factors {a, a2} and {b}; a word is reduced
-when no two adjacent syllables come from the same factor.
+A group word is a tuple of `monodromy` tokens in every report.  On T36
+the loop generators are A (shift by one column), A2 (shift by two) and
+B (sigma1 after a shift); a word is reduced when no two adjacent tokens
+come from the same free factor, {A, A2} or {B}.  On T44 the xi report's
+words are tuples of X1, X2 and X3.  `word_label` spells a word in the
+JSON: A, A2 and B as a, a2 and b, every other token as itself, and the
+empty word as e.
 
 The observable is Δ = P_147 composed with probe words: a word w is
 separated from the identity by exhibiting a probe u and a sampled point
@@ -13,8 +16,9 @@ by lifting the point entries to integers, so no Schwartz-Zippel caveat
 remains.
 
 Within one report call, a memo (`_WordImages`) per sampled point extends
-each word's image from its prefix's image, so the sweep, its ℚ re-check,
-the relation checks and the xi table compute every image once.  Probes
+each word's image from its prefix's image by `act_word` of the last
+token, so the sweep, its ℚ re-check, the relation checks and the xi
+table compute every image once, all through the one point map.  Probes
 are drawn lazily, shortest first, so a search stops at its first
 witness without listing the rest of its budget.
 
@@ -55,14 +59,11 @@ from .fields import (
 from .moduli import (
     ModuliPoint, T36, T44, _det_closed, json_dumps, minors, point_to_json, random_point,
 )
-from .monodromy import act_word, act_xi
+from .monodromy import act_word
 from . import monodromy
 
-_FACTOR = {"a": "rotation", "a2": "rotation", "b": "involution"}
-_SYLLABLE_TOKEN = {"a": "A", "a2": "A2", "b": "B"}
-
-#: Reduced words are tuples of syllables; () is the empty word.
-Syllables = tuple[str, ...]
+_FACTOR = {"A": "rotation", "A2": "rotation", "B": "involution"}
+_LABELS = {"A": "a", "A2": "a2", "B": "b"}
 
 DELTA_INDEX = (1, 4, 7)
 
@@ -70,41 +71,38 @@ DELTA_INDEX = (1, 4, 7)
 DEFAULT_FIELD = PrimeField(DEFAULT_PRIME)
 
 
-def reduced_words(max_syllables: int) -> tuple[Syllables, ...]:
-    """All reduced words with at most `max_syllables` syllables,
-    shortest first, options in (a, a2, b) order; includes the empty word."""
+def reduced_words(max_syllables: int) -> tuple[tuple[str, ...], ...]:
+    """All reduced words with at most `max_syllables` tokens, shortest
+    first, options in (A, A2, B) order; includes the empty word ()."""
     if max_syllables < 0:
         raise ValueError("max_syllables must be >= 0")
     return tuple(_iter_reduced_words(max_syllables))
 
 
-def _iter_reduced_words(max_syllables: int) -> Iterator[Syllables]:
+def _iter_reduced_words(max_syllables: int) -> Iterator[tuple[str, ...]]:
     """`reduced_words(max_syllables)`, one word at a time.  A reduced word
-    of n syllables puts a or a2 in every other slot, from slot 0 or slot
-    1, and b in the slots between; in (a, a2, b) order the words opening
+    of n tokens puts A or A2 in every other slot, from slot 0 or slot 1,
+    and B in the slots between; in (A, A2, B) order the words opening
     with a rotation come first."""
     yield ()
     for n in range(1, max_syllables + 1):
         for start in (0, 1):
-            for rotations in product(("a", "a2"), repeat=(n + 1 - start) // 2):
-                word = ["b"] * n
+            for rotations in product(("A", "A2"), repeat=(n + 1 - start) // 2):
+                word = ["B"] * n
                 word[start::2] = rotations
                 yield tuple(word)
 
 
-def is_reduced(word: Syllables) -> bool:
+def is_reduced(word: tuple[str, ...]) -> bool:
     return all(s in _FACTOR for s in word) and all(
         _FACTOR[x] != _FACTOR[y] for x, y in zip(word, word[1:])
     )
 
 
-def word_label(word: Syllables) -> str:
-    """Human/JSON label; the empty word renders as "e"."""
-    return " ".join(word) if word else "e"
-
-
-def apply_syllables(p: ModuliPoint, word: Syllables) -> ModuliPoint:
-    return act_word(p, tuple(_SYLLABLE_TOKEN[s] for s in word))
+def word_label(word: tuple[str, ...]) -> str:
+    """Human/JSON label: `_LABELS` spells the T36 tokens, every other
+    token labels itself, and the empty word renders as "e"."""
+    return " ".join(_LABELS.get(t, t) for t in word) or "e"
 
 
 def delta(p: ModuliPoint) -> FieldScalar:
@@ -122,13 +120,12 @@ def _sample_points(family, field: Field, n_points: int, seed) -> tuple[ModuliPoi
 
 
 class _WordImages:
-    """Images w(p) of one point p under words, and their Δ values.  A
-    nonempty word's image is `step` of its prefix's image and its last
-    letter (a syllable unless `step` says otherwise), computed once."""
+    """Images w(p) of one point p under token words, and their Δ values.
+    A nonempty word's image is `act_word` of its prefix's image and its
+    last token, computed once."""
 
-    def __init__(self, point: ModuliPoint, step=lambda q, s: apply_syllables(q, (s,))):
+    def __init__(self, point: ModuliPoint):
         self.point = point
-        self._step = step
         self._images = {(): point}
         self._values: dict[tuple, FieldScalar] = {}
 
@@ -139,8 +136,12 @@ class _WordImages:
             n -= 1
         q = self._images[word[:n]]
         for m in range(n, len(word)):
-            q = self._images[word[:m + 1]] = self._step(q, word[m])
+            q = self._images[word[:m + 1]] = act_word(q, word[m:m + 1])
         return q
+
+    def steps(self):
+        """(prefix image, last token, image) of each step the memo took."""
+        return [(self._images[w[:-1]], w[-1], q) for w, q in self._images.items() if w]
 
     def value(self, word: tuple) -> FieldScalar:
         """Δ(word(point))."""
@@ -154,8 +155,8 @@ class SeparationWitness:
     """A probe u, a point p, and Δ(u(w(p))) ≠ Δ(u(p)) certifying that w
     acts nontrivially."""
 
-    word: Syllables
-    probe: Syllables
+    word: tuple[str, ...]
+    probe: tuple[str, ...]
     point: ModuliPoint
     lhs: FieldScalar  # Δ(probe(word(point)))
     rhs: FieldScalar  # Δ(probe(point))
@@ -205,7 +206,7 @@ def _reduces_to(x: Fraction, r: FieldScalar, field: Field) -> bool:
     return bool(field.reduce(x.denominator)) and field.scalar(x.numerator, x.denominator) == r
 
 
-def separate(word: Syllables, probe_budget: int = 4, n_points: int = 32,
+def separate(word: tuple[str, ...], probe_budget: int = 4, n_points: int = 32,
              seed=11, field: Field = DEFAULT_FIELD,
              _memos: list[_WordImages] | None = None) -> SeparationWitness | None:
     """Search for a separation witness for a nonempty reduced word.
@@ -295,7 +296,7 @@ def verify_relations(n_points: int = 32, seed=7, field: Field = DEFAULT_FIELD,
 
 
 # Relation name -> its word; three single shifts are the shift by three.
-_RELATIONS = {"a3": ("a", "a", "a"), "b2": ("b", "b")}
+_RELATIONS = {"a3": ("A", "A", "A"), "b2": ("B", "B")}
 
 
 def faithfulness_sweep(max_syllables: int = 6, probe_budget: int = 4,
@@ -358,7 +359,8 @@ PLUECKER_SET = (
 )
 
 XI_REPORT_WORDS = (
-    (1,), (2,), (3,), (1, 2, 1), (2, 1, 2), (3, 2), (3, 2, 1),
+    ("X1",), ("X2",), ("X3",), ("X1", "X2", "X1"), ("X2", "X1", "X2"),
+    ("X3", "X2"), ("X3", "X2", "X1"),
 )
 
 
@@ -393,10 +395,6 @@ def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     return True
 
 
-def _xi_word_label(word: tuple[int, ...]) -> str:
-    return " ".join(f"X{i}" for i in word)
-
-
 def _plabel(idx: tuple[int, ...]) -> str:
     return "P" + "".join(str(i) for i in idx)
 
@@ -410,28 +408,22 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
     under W when it is among its own matches.  The report also compares
     X1 X2 X1 against X2 X1 X2 coordinate by coordinate.  Purely observational; the
     asserted part is the structural postcondition of every applied step.
-    Per point each distinct word prefix is replayed and checked once,
-    through a one-point memo of word images: the 7 words hold 14 xi
-    steps but only 9 distinct prefixes.  Every word's image is taken, so
-    every step is checked, but minors are computed only where a verdict
-    reads them: P(W(p)) while some Q still matches P under W at every
-    point so far, or at every point for the two braid words, and Q(p)
-    while some list still holds Q.
+    Per point each distinct word prefix is replayed once, through a
+    one-point memo of word images: the 7 words hold 14 xi steps but only
+    9 distinct prefixes.  Every word's image is taken, and then each step
+    the memo took is checked once.  Minors are computed only where a
+    verdict reads them: P(W(p)) while some Q still matches P under W at
+    every point so far, or at every point for the two braid words, and
+    Q(p) while some list still holds Q.
     """
     structural = set()  # xi_structural_ok outcomes of the steps the memos take
-
-    def step(q: ModuliPoint, i: int) -> ModuliPoint:
-        nxt = act_xi(q, i)
-        structural.add(xi_structural_ok(q, i, nxt))
-        return nxt
-
-    w121, w212 = (1, 2, 1), (2, 1, 2)
+    w121, w212 = ("X1", "X2", "X1"), ("X2", "X1", "X2")
     cols = range(len(PLUECKER_SET))
     # (word, column) -> positions Q with P_column(W(p)) = Q(p) at every point so far
     alive = {(w, col): list(cols) for w in XI_REPORT_WORDS for col in cols}
     agree = [0] * len(PLUECKER_SET)
     for p in _sample_points(T44, field, n_points, seed):
-        images = _WordImages(p, step)
+        images = _WordImages(p)
         wanted = sorted({pos for positions in alive.values() for pos in positions})
         base = dict(zip(wanted, minors(p, [PLUECKER_SET[pos] for pos in wanted])))
         values = {}  # word -> {column: P_column(W(p))} for the columns read
@@ -442,10 +434,12 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
                 alive[w, col] = [pos for pos in alive[w, col] if base[pos] == values[w][col]]
         for col in cols:
             agree[col] += values[w121][col] == values[w212][col]
+        # Token X<i> is xi_i.
+        structural.update(xi_structural_ok(q, int(tok[1:]), r) for q, tok, r in images.steps())
 
     labels = [_plabel(ix) for ix in PLUECKER_SET]
     matches = {
-        _xi_word_label(w): {labels[col]: [labels[pos] for pos in alive[w, col]] for col in cols}
+        word_label(w): {labels[col]: [labels[pos] for pos in alive[w, col]] for col in cols}
         for w in XI_REPORT_WORDS
     }
     # P(W(p)) = P(p) on the sample exactly when P is among its own matches.
@@ -463,7 +457,7 @@ def xi_pluecker_report(n_points: int = 32, seed=11,
         "resamples": Report.resamples,
         "structural_all_ok": structural_all_ok,
         "pluecker_set": labels,
-        "words": [_xi_word_label(w) for w in XI_REPORT_WORDS],
+        "words": [word_label(w) for w in XI_REPORT_WORDS],
         "invariance": invariance,
         "matches": matches,
         "braid_comparison": braid,

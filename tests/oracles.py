@@ -11,16 +11,18 @@ and `moved_letters` find and apply braid moves by scanning and slicing
 letter tuples, the reference for `legmon.braids.apply_move`.
 `scratch_sweep` and `scratch_relations` rebuild the JSON of the
 faithfulness sweep and of the relation report by applying every whole
-word to the sampled point with `apply_syllables`, lifting to ℚ entry by
-entry and reducing the ℚ values with the residues' own value and
-modulus: the reference for the reports' memo of word images.
-`replay_witness` recomputes a witness's two values by applying the
-whole words to its point, and `replay_witness_json` checks one sweep
-entry from its JSON alone, on the point and values `witness_from_json`
-reads back.  None of them is on a `legmon` code path, nor is the
-`from_rows` constructor the tests build matrices with, nor
-`script_text`, the move-script renderer that `parse_script` reads back,
-nor `random_scalar`, the scalar of one `Field.random_int` draw.
+token word to the sampled point in one `act_word` call, lifting to ℚ
+entry by entry and reducing the ℚ values with the residues' own value
+and modulus: the reference for the reports' memo of word images.  They
+write a word's label by lower-casing its tokens, and `_syllables` reads
+a label back as upper-cased tokens.  `replay_witness` recomputes a
+witness's two values by applying the whole words to its point, and
+`replay_witness_json` checks one sweep entry from its JSON alone, on the
+point and values `witness_from_json` reads back.  None of them is on a
+`legmon` code path, nor is the `from_rows` constructor the tests build
+matrices with, nor `script_text`, the move-script renderer that
+`parse_script` reads back, nor `random_scalar`, the scalar of one
+`Field.random_int` draw.
 `LOOP_WINDOWS` writes out by hand the windows and output layouts that
 `legmon.monodromy._blocks` derives for the sigma1 and xi maps, and
 `window_slots` reads each window's output slot off its layout.
@@ -34,14 +36,13 @@ from legmon.braids import Move
 from legmon.explorer import (
     SeparationWitness,
     _sample_points,
-    apply_syllables,
     delta,
     reduced_words,
 )
 from legmon.fields import QQ, Field, PrimeField, format_scalar
 from legmon.linalg import Matrix, Subspace, _rref
 from legmon.moduli import T36, ModuliPoint, point_from_json, point_to_json, require_valid
-from legmon.monodromy import act_shift
+from legmon.monodromy import act_shift, act_word
 
 
 def from_rows(rows, field: Field) -> Matrix:
@@ -243,19 +244,19 @@ def scratch_separate(word, probe_budget: int, points) -> SeparationWitness | Non
     whole words from the sampled point."""
     for probe in reduced_words(probe_budget):
         for p in points:
-            lhs = delta(apply_syllables(apply_syllables(p, word), probe))
-            rhs = delta(apply_syllables(p, probe))
+            lhs = delta(act_word(p, word + probe))
+            rhs = delta(act_word(p, probe))
             if lhs != rhs:
                 return SeparationWitness(word, probe, p, lhs, rhs)
     return None
 
 
 def _label(word) -> str:
-    return " ".join(word) or "e"
+    return " ".join(word).lower() or "e"
 
 
 def _syllables(label: str) -> tuple[str, ...]:
-    return () if label == "e" else tuple(label.split())
+    return () if label == "e" else tuple(label.upper().split())
 
 
 def _reduces_to(x: Fraction, r) -> bool:
@@ -269,8 +270,8 @@ def scratch_reverify(witness: SeparationWitness) -> dict:
     point = witness.point
     q = ModuliPoint.from_columns(point.family, QQ, tuple(
         tuple(Fraction(x.value) for x in c) for c in point.columns))
-    lhs = delta(apply_syllables(apply_syllables(q, witness.word), witness.probe))
-    rhs = delta(apply_syllables(q, witness.probe))
+    lhs = delta(act_word(q, witness.word + witness.probe))
+    rhs = delta(act_word(q, witness.probe))
     consistent = _reduces_to(lhs, witness.lhs) and _reduces_to(rhs, witness.rhs)
     return {
         "lhs": format_scalar(lhs),
@@ -328,8 +329,8 @@ def replay_witness(witness: SeparationWitness) -> bool:
     """Whether Δ, recomputed by applying the whole words to the witness's
     point, gives its stored pair, and the two differ."""
     p = witness.point
-    lhs = delta(apply_syllables(apply_syllables(p, witness.word), witness.probe))
-    rhs = delta(apply_syllables(p, witness.probe))
+    lhs = delta(act_word(p, witness.word + witness.probe))
+    rhs = delta(act_word(p, witness.probe))
     return (lhs, rhs) == (witness.lhs, witness.rhs) and lhs != rhs
 
 
@@ -350,12 +351,12 @@ def replay_witness_json(entry: dict) -> bool:
 def scratch_relation_rows(p: ModuliPoint, probes) -> list:
     """((relation, probe), passed) rows, each image replayed from p."""
     a3p = act_shift(p, 3)
-    b2p = apply_syllables(apply_syllables(p, ("b",)), ("b",))
+    b2p = act_word(p, ("B", "B"))
     rows = []
     for u in probes:
-        base = delta(apply_syllables(p, u))
-        rows.append((("a3", u), delta(apply_syllables(a3p, u)) == base))
-        rows.append((("b2", u), delta(apply_syllables(b2p, u)) == base))
+        base = delta(act_word(p, u))
+        rows.append((("a3", u), delta(act_word(a3p, u)) == base))
+        rows.append((("b2", u), delta(act_word(b2p, u)) == base))
     return rows
 
 

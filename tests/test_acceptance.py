@@ -111,7 +111,7 @@ def test_criterion_4_faithfulness_sweep():
 
 def test_criterion_5_single_shift_nontrivial():
     t0 = time.monotonic()
-    witness = separate(("a",), probe_budget=0, n_points=8)
+    witness = separate(("A",), probe_budget=0, n_points=8)
     assert witness is not None and witness.probe == ()
     assert witness.lhs == pluecker(witness.point, (2, 5, 8))
     assert witness.rhs == pluecker(witness.point, (1, 4, 7))
@@ -214,12 +214,12 @@ def test_criterion_7_property_suites():
             count += 1
 
     # reduced word counts against a brute-force enumeration, n <= 10
-    factor = {"a": 0, "a2": 0, "b": 1}
+    factor = {"A": 0, "A2": 0, "B": 1}
     for n in range(11):
         brute = {
             word
             for m in range(n + 1)
-            for word in itertools.product(("a", "a2", "b"), repeat=m)
+            for word in itertools.product(("A", "A2", "B"), repeat=m)
             if all(factor[x] != factor[y] for x, y in zip(word, word[1:]))
         }
         assert set(reduced_words(n)) == brute

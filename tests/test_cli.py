@@ -563,7 +563,7 @@ def _fail_first_call(fn):
     [
         ("act_word", ("faithful", "--max-syllables", "1", "--points", "2")),
         ("act_word", ("relations", "--points", "2")),
-        ("act_xi", ("xi-report", "--points", "2")),
+        ("act_word", ("xi-report", "--points", "2")),
     ],
 )
 def test_report_degeneracy_exits_three(monkeypatch, capsys, target, argv):

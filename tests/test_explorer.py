@@ -13,7 +13,6 @@ from legmon.explorer import (
     PLUECKER_SET,
     XI_REPORT_WORDS,
     Report,
-    apply_syllables,
     delta,
     faithfulness_sweep,
     is_reduced,
@@ -35,6 +34,7 @@ from legmon.moduli import (
 from legmon.monodromy import act_sigma1, act_word, act_xi
 from oracles import (
     LOOP_WINDOWS,
+    _syllables,
     replay_witness,
     replay_witness_json,
     scratch_relations,
@@ -48,10 +48,10 @@ ALT_PRIME = 998244353
 
 
 def brute_force_words(max_syllables):
-    factor = {"a": 0, "a2": 0, "b": 1}
+    factor = {"A": 0, "A2": 0, "B": 1}
     found = set()
     for n in range(max_syllables + 1):
-        for word in itertools.product(("a", "a2", "b"), repeat=n):
+        for word in itertools.product(("A", "A2", "B"), repeat=n):
             if all(factor[x] != factor[y] for x, y in zip(word, word[1:])):
                 found.add(word)
     return found
@@ -59,10 +59,10 @@ def brute_force_words(max_syllables):
 
 def test_reduced_words_examples():
     assert reduced_words(0) == ((),)
-    assert set(reduced_words(1)) == {(), ("a",), ("a2",), ("b",)}
+    assert set(reduced_words(1)) == {(), ("A",), ("A2",), ("B",)}
     two = set(reduced_words(2))
     assert two == set(reduced_words(1)) | {
-        ("a", "b"), ("a2", "b"), ("b", "a"), ("b", "a2"),
+        ("A", "B"), ("A2", "B"), ("B", "A"), ("B", "A2"),
     }
     assert len(two) == 8
 
@@ -77,7 +77,7 @@ def test_reduced_words_against_brute_force():
 
 def test_reduced_words_ordering():
     words = reduced_words(2)
-    assert words[:4] == ((), ("a",), ("a2",), ("b",))
+    assert words[:4] == ((), ("A",), ("A2",), ("B",))
     lengths = [len(w) for w in words]
     assert lengths == sorted(lengths)  # shortest first
     with pytest.raises(ValueError):
@@ -85,28 +85,50 @@ def test_reduced_words_ordering():
 
 
 def test_reduced_words_are_in_shortlex_order():
-    rank = {"a": 0, "a2": 1, "b": 2}
+    rank = {"A": 0, "A2": 1, "B": 2}
     keys = [(len(w), [rank[s] for s in w]) for w in reduced_words(8)]
     assert keys == sorted(keys)
 
 
 def test_is_reduced():
     assert is_reduced(())
-    assert is_reduced(("a", "b", "a2"))
-    assert not is_reduced(("a", "a2"))
-    assert not is_reduced(("b", "b"))
+    assert is_reduced(("A", "B", "A2"))
+    assert not is_reduced(("A", "A2"))
+    assert not is_reduced(("B", "B"))
     assert not is_reduced(("c",))
 
 
 def test_word_label():
+    # T36 tokens print in lower case, every other token as itself.
     assert word_label(()) == "e"
-    assert word_label(("a", "b", "a2")) == "a b a2"
+    assert word_label(("A", "B", "A2")) == "a b a2"
+    assert word_label(("X1", "X2", "X1")) == "X1 X2 X1"
 
 
-def test_apply_syllables_matches_tokens():
+def test_sweep_labels_read_back_to_their_token_words(monkeypatch):
+    # The oracle reads every label of a sweep back to the token word the
+    # sweep used: the entries' words, and each witness's word and probe.
+    witnesses = []
+
+    def recording(*args, **kwargs):
+        witnesses.append(separate(*args, **kwargs))
+        return witnesses[-1]
+
+    monkeypatch.setattr(explorer, "separate", recording)
+    sweep = faithfulness_sweep(max_syllables=8)
+    words = reduced_words(8)[1:]
+    assert len(sweep.json["witnesses"]) == len(witnesses) == len(words) == 105
+    for entry, word, witness in zip(sweep.json["witnesses"], words, witnesses):
+        assert _syllables(entry["word"]) == word
+        if witness is not None:
+            assert _syllables(entry["witness"]["word"]) == witness.word == word
+            assert _syllables(entry["witness"]["probe"]) == witness.probe
+
+
+def test_token_tuples_match_parsed_words():
     p = random_point(T36, PrimeField(DEFAULT_PRIME), 5)
-    assert apply_syllables(p, ("a", "b", "a2")) == act_word(p, "A B A2")
-    assert apply_syllables(p, ()) == p
+    assert act_word(p, ("A", "B", "A2")) == act_word(p, "A B A2")
+    assert act_word(p, ()) == p
     assert delta(p) == pluecker(p, DELTA_INDEX)
 
 
@@ -154,10 +176,10 @@ def test_verify_relations_json():
 
 
 def test_separate_a_with_empty_probe():
-    witness = separate(("a",))
+    witness = separate(("A",))
     assert witness is not None
     assert witness.probe == ()
-    assert witness.word == ("a",)
+    assert witness.word == ("A",)
     assert witness.lhs != witness.rhs
     # the empty probe compares P_147 of the shifted point, i.e. P_258(p)
     assert witness.lhs == pluecker(witness.point, (2, 5, 8))
@@ -166,7 +188,7 @@ def test_separate_a_with_empty_probe():
 
 
 def test_separate_b_with_empty_probe():
-    witness = separate(("b",), n_points=8)
+    witness = separate(("B",), n_points=8)
     assert witness is not None and witness.probe == ()
     assert witness.lhs == pluecker(witness.point, (3, 6, 9))
 
@@ -175,16 +197,16 @@ def test_separate_input_validation():
     with pytest.raises(ValueError):
         separate(())
     with pytest.raises(ValueError):
-        separate(("a", "a2"))
+        separate(("A", "A2"))
     with pytest.raises(ValueError):
-        separate(("b", "b"))
+        separate(("B", "B"))
 
 
 @pytest.mark.parametrize("n_points", [0, -1])
 def test_separate_refuses_an_empty_sample(n_points):
     # No sampled point would separate nothing; the input is refused.
     with pytest.raises(ValueError, match="n_points must be >= 1"):
-        separate(("a",), n_points=n_points)
+        separate(("A",), n_points=n_points)
 
 
 def test_separate_draws_probes_lazily(monkeypatch):
@@ -200,33 +222,33 @@ def test_separate_draws_probes_lazily(monkeypatch):
 
     monkeypatch.setattr(explorer, "_iter_reduced_words", counting)
     monkeypatch.setattr(explorer, "reduced_words", None)
-    witness = separate(("a", "b"), probe_budget=30, n_points=2)
-    assert witness.probe == ("a",)
-    assert drawn == [(), ("a",)]
+    witness = separate(("A", "B"), probe_budget=30, n_points=2)
+    assert witness.probe == ("A",)
+    assert drawn == [(), ("A",)]
 
 
 def test_separate_budget_exhaustion_returns_none():
     # Delta((a b)(p)) = Delta(p) identically, so the empty probe can
     # never separate the word (a b); with probe budget 0 the search is
     # exhausted and reports None.
-    assert separate(("a", "b"), probe_budget=0, n_points=8) is None
+    assert separate(("A", "B"), probe_budget=0, n_points=8) is None
 
 
 def test_separate_deterministic():
-    w1 = separate(("b", "a"), seed=11)
-    w2 = separate(("b", "a"), seed=11)
+    w1 = separate(("B", "A"), seed=11)
+    w2 = separate(("B", "A"), seed=11)
     assert w1 == w2
 
 
 def test_separate_over_q():
-    witness = separate(("a",), n_points=4, field=QQ)
+    witness = separate(("A",), n_points=4, field=QQ)
     assert witness is not None
     assert isinstance(witness.lhs, Fraction)
     assert replay_witness(witness)
 
 
 def test_witness_json_and_q_reverify():
-    witness = separate(("a", "b", "a"), n_points=8)
+    witness = separate(("A", "B", "A"), n_points=8)
     assert witness is not None
     data = witness.to_json()
     assert set(data) == {"word", "probe", "lhs", "rhs", "point"}
@@ -248,7 +270,7 @@ def test_mini_sweep_matches_standalone_separate():
     assert sweep.json["total_words"] == 7  # the 8 reduced words minus the empty one
     assert sweep.ok and sweep.json["all_separated"] is True
     for entry in sweep.json["witnesses"]:
-        alone = separate(tuple(entry["word"].split()), probe_budget=2, n_points=8, seed=4)
+        alone = separate(tuple(entry["word"].upper().split()), probe_budget=2, n_points=8, seed=4)
         assert witness_from_json(entry["witness"]) == alone
 
 
@@ -338,6 +360,22 @@ def test_relations_compute_each_image_once(monkeypatch):
     seen = _record_sigma1_inputs(monkeypatch)
     verify_relations(field=QQ, probe_budget=3)
     assert seen and len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(DEFAULT_PRIME), QQ],
+                         ids=["F3", "Fp", "Q"])
+def test_word_images_match_whole_word_replay(field):
+    """One memo per point, filled in a shuffled order so that most words
+    extend a prefix imaged earlier, gives each word's `act_word` image:
+    every w + u with w of at most 5 and u of at most 2 tokens on T36,
+    every xi report word on T44."""
+    t36_words = [w + u for w in reduced_words(5) for u in reduced_words(2)]
+    for family, words in ((T36, t36_words), (T44, list(XI_REPORT_WORDS))):
+        p = random_point(family, field, 17)
+        Random(len(words)).shuffle(words)
+        images = explorer._WordImages(p)
+        for w in words:
+            assert images.image(w) == act_word(p, w), w
 
 
 def test_xi_structural_ok_direct():
@@ -487,14 +525,14 @@ def naive_xi_report(n_points, seed, field):
         ok, per_word = True, {}
         for word in XI_REPORT_WORDS:
             q = p
-            for i in word:
+            for i in (int(tok[1:]) for tok in word):
                 nxt = act_xi(q, i)
                 ok = xi_structural_ok(q, i, nxt) and ok
                 q = nxt
             per_word[word] = [pluecker(q, ix) for ix in PLUECKER_SET]
         samples.append(([pluecker(p, ix) for ix in PLUECKER_SET], per_word, ok))
     plabel = lambda ix: "P" + "".join(map(str, ix))  # noqa: E731
-    wlabel = lambda w: " ".join(f"X{i}" for i in w)  # noqa: E731
+    wlabel = " ".join
     cols = list(enumerate(PLUECKER_SET))
     invariance = {
         wlabel(w): {plabel(ix): all(pw[w][c] == b[c] for b, pw, _ in samples)
@@ -511,7 +549,8 @@ def naive_xi_report(n_points, seed, field):
     }
     braid = {}
     for c, ix in cols:
-        agree = sum(pw[(1, 2, 1)][c] == pw[(2, 1, 2)][c] for _, pw, _ in samples)
+        agree = sum(pw[("X1", "X2", "X1")][c] == pw[("X2", "X1", "X2")][c]
+                    for _, pw, _ in samples)
         braid[plabel(ix)] = {"equal": agree == n_points, "agree": agree, "n": n_points}
     structural = all(ok for _, _, ok in samples)
     return {
@@ -553,7 +592,7 @@ def test_xi_report_prefix_sharing_matches_naive_replay(field, n_points, monkeypa
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(explorer, "act_xi", counted("act_xi", act_xi))
+    monkeypatch.setattr(monodromy, "act_xi", counted("act_xi", act_xi))
     monkeypatch.setattr(explorer, "xi_structural_ok",
                         counted("check", xi_structural_ok))
     report = xi_pluecker_report(n_points=n_points, seed=11, field=field)
