@@ -28,6 +28,12 @@ Serialization: `format_scalar` renders rationals as ``"a/b"`` with an
 explicit denominator and residues as ``"v mod p"``; each field's `parse`
 reads them back.  `ascii_int` reads the CLI's integer flags, `--base`
 letters, `--idx` indices and LEGMON_PRIME.
+
+Errors are the builtin ones, with their facts in the message: a string
+outside the grammar, a zero denominator, a residue that declares
+another modulus and residues of two moduli in one expression raise
+`ValueError`; a zero divisor raises `ZeroDivisionError` in both fields,
+as `Fraction` does.
 """
 
 from __future__ import annotations
@@ -41,18 +47,6 @@ from math import gcd, lcm
 from random import Random
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, fits in one machine word with room to multiply
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Inversion or division of a zero residue mod p."""
-
-
-class FieldMismatch(ValueError):
-    """Two scalars from different fields met in one expression."""
-
-
-class ScalarParseError(ValueError):
-    """A scalar string does not conform to the serialization grammar."""
 
 
 class ModP:
@@ -71,9 +65,7 @@ class ModP:
     def _lift(self, other) -> "ModP | None":
         if isinstance(other, ModP):
             if other.modulus != self.modulus:
-                raise FieldMismatch(
-                    f"mixed moduli {self.modulus} and {other.modulus}"
-                )
+                raise ValueError(f"mixed moduli {self.modulus} and {other.modulus}")
             return other
         if isinstance(other, int):
             return ModP(other, self.modulus)
@@ -128,7 +120,7 @@ class ModP:
         try:
             return ModP(pow(self.value, n, self.modulus), self.modulus)
         except ValueError as exc:  # negative exponent of a zero residue
-            raise DivisionByZero(str(exc)) from None
+            raise ZeroDivisionError(str(exc)) from None
 
     def __eq__(self, other):
         if isinstance(other, ModP):
@@ -244,12 +236,12 @@ class RationalField:
     def parse(self, text: str) -> Fraction:
         m = _RATIONAL_RE.match(text)
         if not m:
-            raise ScalarParseError(f"not a rational scalar: {text!r}")
+            raise ValueError(f"not a rational scalar: {text!r}")
         num, den = m.group(1), m.group(2)
         if den is None:
             return Fraction(int(num))
         if int(den) == 0:
-            raise ScalarParseError(f"zero denominator: {text!r}")
+            raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
 
     def to_json(self) -> dict:
@@ -301,18 +293,16 @@ class PrimeField:
 
     def _inverse(self, den: int) -> int:
         if den % self.p == 0:
-            raise DivisionByZero(f"inverse of {den} mod {self.p}")
+            raise ZeroDivisionError(f"inverse of {den} mod {self.p}")
         return pow(den, -1, self.p)
 
     def parse(self, text: str) -> ModP:
         m = _RESIDUE_RE.match(text)
         if not m:
-            raise ScalarParseError(f"not a residue scalar: {text!r}")
+            raise ValueError(f"not a residue scalar: {text!r}")
         value, modulus = m.group(1), m.group(2)
         if modulus is not None and int(modulus) != self.p:
-            raise ScalarParseError(
-                f"residue {text!r} declares modulus {modulus}, field has {self.p}"
-            )
+            raise ValueError(f"residue {text!r} declares modulus {modulus}, field has {self.p}")
         return ModP(int(value), self.p)
 
     def to_json(self) -> dict:

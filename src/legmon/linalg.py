@@ -4,8 +4,9 @@
 are the slow routes the tests check the package's kernels against.  No
 other module of the package imports this one; it stays in `src/` only
 because the benchmark's `bench/layers.py` imports or traces its names.
-It takes the closed-form determinant `_det_closed` and `wedge` from
-`moduli`, and `DegenerateNormalization` from `monodromy`.
+It takes the closed-form determinant `_det_closed` from `moduli`, and
+`DegeneracyError` from `monodromy`, which `wedge_normalize` raises.
+`wedge` gives the coordinates of v ∧ w for `wedge_normalize` and the tests.
 
 Subspaces are kept in a canonical reduced echelon form (unit pivots,
 pivot columns increasing, pivots the only nonzero entries in their
@@ -20,11 +21,12 @@ so they have one arithmetic path for both fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 
 from .fields import Field, FieldScalar
-from .moduli import _det_closed, wedge
-from .monodromy import DegenerateNormalization
+from .moduli import _det_closed
+from .monodromy import DegeneracyError
 
 Vector = tuple[FieldScalar, ...]
 
@@ -154,23 +156,27 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(n, tuple(map(tuple, meet)), a.field)
 
 
+def wedge(v, w):
+    """Coordinates of v ∧ w in Λ²F^n, index pairs in lexicographic order;
+    the entries may be field scalars or ints."""
+    return tuple(v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2))
+
+
 def wedge_normalize(v1: Vector, v2: Vector, direction: Vector) -> Vector:
     """The unique u = c·direction with v1 ∧ v2 = v2 ∧ u.
 
     Raises:
-        DegenerateNormalization: if v1 ∧ v2 = 0, if direction lies in
-            ⟨v2⟩, or if no single scalar matches every Λ² coordinate.
+        DegeneracyError: naming the case: v1 ∧ v2 = 0, direction in ⟨v2⟩,
+            or no single scalar matching every Λ² coordinate.
     """
     target = wedge(v1, v2)
     if not any(target):
-        raise DegenerateNormalization("v1 and v2 are dependent (v1 wedge v2 = 0)")
+        raise DegeneracyError("v1 and v2 are dependent (v1 wedge v2 = 0)")
     base = wedge(v2, direction)
     if not any(base):
-        raise DegenerateNormalization("direction lies in the span of v2")
+        raise DegeneracyError("direction lies in the span of v2")
     k = next(i for i, x in enumerate(base) if x)
     c = target[k] / base[k]
     if any(t != c * z for t, z in zip(target, base)):
-        raise DegenerateNormalization(
-            "no scalar multiple of direction satisfies the wedge identity"
-        )
+        raise DegeneracyError("no scalar multiple of direction satisfies the wedge identity")
     return tuple(c * d for d in direction)

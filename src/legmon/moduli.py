@@ -14,9 +14,9 @@ A point is its family, field and int form.  Draws, loop images and ℚ
 lifts construct it from a form, unchecked; `ModuliPoint.from_columns`
 converts scalars once and refuses entries of another field.  `columns`
 are built from the form when first read, and `minors` works on the form
-with `_det_closed`, the closed-form determinant up to 4×4.  It,
-`cofactors` (c with det(x, *t) = x·c) and `wedge` are the package's
-kernels on int forms; the loop maps and the xi check use them too.
+with `_det_closed`, the closed-form determinant up to 4×4, which the xi
+check uses too.  The loop maps take each window's two determinants with
+`cofactors`, the vector c with det(x, *t) = x·c.
 `flags_from_point` rebuilds the chain of complete flags along the base
 braid word as column windows, and `validate_bott_samelson` checks the
 cyclic adjacency conditions of the open cell on their starts.
@@ -29,11 +29,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import prod
 from random import Random
 
-from .fields import Field, FieldMismatch, FieldScalar, field_from_json, format_scalar
+from .fields import Field, FieldScalar, field_from_json, format_scalar
 
 
 class InvalidPoint(ValueError):
@@ -95,7 +94,7 @@ class ModuliPoint:
         for j, c in enumerate(columns, start=1):
             for t, x in enumerate(c, start=1):
                 if x not in field:
-                    raise FieldMismatch(f"column {j} entry {t}: {x!r} is not in {field}")
+                    raise ValueError(f"column {j} entry {t}: {x!r} is not in {field}")
         return cls(family, field, field.form(columns))
 
     @cached_property
@@ -149,12 +148,6 @@ def cofactors(t):
     m12, m13, m23 = g * l - h * k, g * p - i * k, h * p - i * l
     return (b * m23 - c * m13 + d * m12, c * m03 - a * m23 - d * m02,
             a * m13 - b * m03 + d * m01, b * m02 - a * m12 - c * m01)
-
-
-def wedge(v, w):
-    """Coordinates of v ∧ w in Λ²F^n, index pairs in lexicographic order;
-    the entries may be field scalars or ints."""
-    return tuple(v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2))
 
 
 def minors(p: ModuliPoint, windows):
@@ -236,16 +229,9 @@ def json_dumps(obj) -> str:
     """Exactly `json.dumps(obj, indent=2)` for str-keyed dicts, lists, str,
     int, bool and None; any other type raises `TypeError`.  Within one
     call, a container met again at the same depth is written from the
-    text it rendered to the first time; only such texts are kept."""
-    encode, again, done = json.encoder.encode_basestring_ascii, {}, {}
-
-    def meet(x, depth: int) -> None:
-        key = id(x), depth
-        again[key] = key in again  # whether x was met before at this depth
-        if not again[key] and isinstance(x, (dict, list)):
-            for v in x.values() if isinstance(x, dict) else x:
-                if isinstance(v, (dict, list)):
-                    meet(v, depth + 1)
+    text it rendered to the first time: that text is kept from the
+    container's second sighting on, so only repeated texts are kept."""
+    encode, seen, done = json.encoder.encode_basestring_ascii, set(), {}
 
     def write(x, depth: int) -> str:
         if isinstance(x, str):
@@ -265,11 +251,11 @@ def json_dumps(obj) -> str:
             raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
         inner = "\n" + "  " * (depth + 1)
         text = ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1] if items else ends
-        if again[key]:
+        if key in seen:
             done[key] = text
+        seen.add(key)
         return text
 
-    meet(obj, 0)
     return write(obj, 0)
 
 

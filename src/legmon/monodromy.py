@@ -24,11 +24,10 @@ subspace route of `linalg`, `intersect` then `wedge_normalize`.
 Composition is by group words.  On T36 the generators are A (column
 shift by one), A2 (shift by two), and B = sigma1 after a shift, so that
 pullbacks compose contravariantly.  On T44 the generators are X1, X2,
-X3.  The messages of degeneracies (`DegeneracyError` and its two kinds,
-defined here, where the loop maps raise them) name the window label and
-the failing vector and subspace pair.  They cannot occur on a valid point, and every
-image of a valid point is valid, so callers validate once and never
-resample.
+X3.  A degeneracy is a `DegeneracyError`, defined here, where the loop
+maps raise it; its message names the window label, its pair and T, and
+the cause.  It cannot occur on a valid point, and every image of a
+valid point is valid, so callers validate once and never resample.
 """
 
 from __future__ import annotations
@@ -42,16 +41,6 @@ from .moduli import ModuliPoint, T36, T44, cofactors
 
 class DegeneracyError(Exception):
     """Input is not generic enough for the requested construction."""
-
-
-class DegenerateNormalization(DegeneracyError):
-    """No admissible u satisfies the wedge identity v1 ∧ v2 = v2 ∧ u."""
-
-
-class DegenerateIntersection(DegeneracyError):
-    """A window's replacement vector is not determined: both determinants
-    of the ratio vanish, or v_a and v_b are parallel.  The message names
-    the window's label, pair and T, and gives the cause."""
 
 
 def act_shift(p: ModuliPoint, j: int) -> ModuliPoint:
@@ -71,9 +60,10 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
     and `Field.column` divides the one denominator out as u is returned.
 
     Raises:
-        DegenerateIntersection: if both determinants vanish or u = 0.
-        DegenerateNormalization: if only det(v_b, T) vanishes, so that v_b
-            lies in ⟨T⟩ and no u ∈ ⟨T⟩ satisfies v_a ∧ v_b = v_b ∧ u.
+        DegeneracyError: "{label} (pair {pair}, T = columns {other}): "
+            and the cause: v_a and v_b are parallel (u = 0), v_b lies in
+            the span of T (only det(v_b, T) vanishes, so no u ∈ ⟨T⟩
+            satisfies v_a ∧ v_b = v_b ∧ u), or both determinants vanish.
     """
     field, form = p.field, p.form
     (ai, alpha), (bi, _) = form[pair[0] - 1], form[pair[1] - 1]
@@ -84,11 +74,11 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
         u = field.column([da * y - db * x for x, y in zip(ai, bi)], db * alpha)
         if any(u[0]):
             return u
-    elif da:
-        raise DegenerateNormalization(f"{label}: v{pair[1]} lies in span{other}")
-    why = (f"v{pair[0]} and v{pair[1]} are parallel" if db else
-           f"det(v{pair[0]}, T) = det(v{pair[1]}, T) = 0")
-    raise DegenerateIntersection(f"{label} (pair {pair}, T = columns {other}): {why}")
+    a, b = pair
+    why = (f"v{a} and v{b} are parallel" if db else
+           f"v{b} lies in the span of T" if da else
+           f"det(v{a}, T) = det(v{b}, T) = 0")
+    raise DegeneracyError(f"{label} (pair {pair}, T = columns {other}): {why}")
 
 
 @cache

@@ -22,6 +22,7 @@ from legmon.linalg import (
     Subspace,
     determinant,
     intersect,
+    wedge,
     wedge_normalize,
 )
 from legmon.moduli import (
@@ -32,7 +33,6 @@ from legmon.moduli import (
     random_point,
     validate_bott_samelson,
     validate_point,
-    wedge,
 )
 from legmon.monodromy import act_shift, act_sigma1, act_word, act_xi
 from oracles import random_scalar, replay_witness_json

@@ -39,7 +39,7 @@ from legmon.moduli import (
     point_to_json,
     random_point,
 )
-from legmon.monodromy import DegenerateIntersection, act_shift
+from legmon.monodromy import DegeneracyError, act_shift
 
 
 def run(capsys, *argv):
@@ -421,6 +421,26 @@ def test_pluecker_bad_index(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("field, entry, message", [
+    (PrimeField(7), "3 mod 5", "residue '3 mod 5' declares modulus 5, field has 7"),
+    (PrimeField(7), "x mod 7", "not a residue scalar: 'x mod 7'"),
+    (QQ, "1.5", "not a rational scalar: '1.5'"),
+    (QQ, "-5/0", "zero denominator: '-5/0'"),
+    (PrimeField(7), "1/2", "not a residue scalar: '1/2'"),  # a ℚ entry in an F_p file
+], ids=["other-modulus", "bad-residue", "bad-rational", "zero-denominator", "q-entry-in-fp"])
+@pytest.mark.parametrize("cmd", [
+    ("act", "--word", "A"), ("flags",), ("pluecker", "--idx", "1,4,7"),
+], ids=lambda cmd: cmd[0])
+def test_refused_scalar_entry_is_usage_error(tmp_path, capsys, field, entry, message, cmd):
+    # Each refusal is a plain ValueError whose message names the entry.
+    data = point_to_json(random_point(T36, field, 1))
+    data["columns"][4][1] = entry
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, cmd[0], "--point", str(p_file), *cmd[1:])
+    assert (code, out, err) == (2, "", f"error: cannot read point file: {message}\n")
+
+
 def test_flags_validates_once(tmp_path, monkeypatch, capsys):
     p_file = tmp_path / "p.json"
     p_file.write_text(point_dumps(random_point(T36, QQ, 6)))
@@ -552,7 +572,7 @@ def _fail_first_call(fn):
     def wrapped(*args):
         calls.append(args)
         if len(calls) == 1:
-            raise DegenerateIntersection("injected")
+            raise DegeneracyError("injected")
         return fn(*args)
 
     return wrapped

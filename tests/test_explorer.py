@@ -27,10 +27,8 @@ from legmon.explorer import (
     xi_structural_ok,
 )
 from legmon.fields import DEFAULT_PRIME, QQ, PrimeField
-from legmon.linalg import Subspace
-from legmon.moduli import (
-    ModuliPoint, T36, T44, pluecker, point_to_json, random_point, wedge,
-)
+from legmon.linalg import Subspace, wedge
+from legmon.moduli import ModuliPoint, T36, T44, pluecker, point_to_json, random_point
 from legmon.monodromy import act_sigma1, act_word, act_xi
 from oracles import (
     LOOP_WINDOWS,

@@ -12,12 +12,9 @@ import sympy
 from legmon import fields
 from legmon.fields import (
     DEFAULT_PRIME,
-    DivisionByZero,
-    FieldMismatch,
     ModP,
     PrimeField,
     QQ,
-    ScalarParseError,
     default_prime,
     field_from_json,
     format_scalar,
@@ -43,12 +40,13 @@ def test_inverse_examples():
     for x, inverse in ((ModP(2, 7), ModP(4, 7)), (Fraction(2, 3), Fraction(3, 2))):
         assert 1 / x == x ** -1 == inverse
     assert 3 / ModP(2, 7) == ModP(5, 7)
+    no_inverse = "^base is not invertible for the given modulus$"  # `pow`'s own words
     for zero in (ModP(0, 7), ModP(7, 7)):
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(ZeroDivisionError, match=no_inverse):
             1 / zero
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(ZeroDivisionError, match=no_inverse):
             zero ** -1
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(ZeroDivisionError, match=no_inverse):
             ModP(3, 7) / zero
     with pytest.raises(ZeroDivisionError):
         1 / Fraction(0)
@@ -68,7 +66,7 @@ def test_modp_arithmetic():
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValueError, match="^mixed moduli 7 and 11$"):
         ModP(1, 7) + ModP(1, 11)
 
 
@@ -205,13 +203,13 @@ def test_scalar_serialization_round_trip():
 
 
 def test_scalar_parse_errors():
-    with pytest.raises(ScalarParseError):
+    with pytest.raises(ValueError, match=r"^not a rational scalar: '1\.5'$"):
         QQ.parse("1.5")
-    with pytest.raises(ScalarParseError):
+    with pytest.raises(ValueError, match="^zero denominator: '3/0'$"):
         QQ.parse("3/0")
-    with pytest.raises(ScalarParseError):
+    with pytest.raises(ValueError, match="^residue '5 mod 11' declares modulus 11, field has 7$"):
         PrimeField(7).parse("5 mod 11")
-    with pytest.raises(ScalarParseError):
+    with pytest.raises(ValueError, match="^not a residue scalar: 'x'$"):
         PrimeField(7).parse("x")
     # `int` reads the digits of every script, so only the patterns keep
     # scalar strings to ASCII.
@@ -223,7 +221,8 @@ def test_scalar_parse_errors():
         (PrimeField(7), "5 mod \u0667"),  # ARABIC-INDIC DIGIT SEVEN
         (PrimeField(7), "\u09e9 mod 7"),  # BENGALI DIGIT THREE
     ):
-        with pytest.raises(ScalarParseError):
+        kind = "rational" if field is QQ else "residue"
+        with pytest.raises(ValueError, match=rf"^not a {kind} scalar: {re.escape(repr(text))}$"):
             field.parse(text)
 
 

@@ -21,10 +21,10 @@ from legmon.linalg import (
     _rref,
     determinant,
     intersect,
+    wedge,
     wedge_normalize,
 )
-from legmon.moduli import wedge
-from legmon.monodromy import DegenerateNormalization
+from legmon.monodromy import DegeneracyError
 from oracles import (
     det_eliminate, from_rows, identity, kernel_basis, kernel_intersect, random_scalar,
     zero_subspace,
@@ -241,12 +241,13 @@ def test_wedge_normalize_examples():
         Fraction(0),
     )
     assert wedge_normalize(e(0), e(1), e(0)) == (Fraction(-1), Fraction(0), Fraction(0))
-    with pytest.raises(DegenerateNormalization):
-        wedge_normalize(e(0), e(1), e(1))  # direction in span(v2)
-    with pytest.raises(DegenerateNormalization):
-        wedge_normalize(e(0), e(0), e(1))  # v1 wedge v2 = 0
-    with pytest.raises(DegenerateNormalization):
-        wedge_normalize(e(0), e(1), e(2))  # no scalar matches all coordinates
+    with pytest.raises(DegeneracyError, match="^direction lies in the span of v2$"):
+        wedge_normalize(e(0), e(1), e(1))
+    with pytest.raises(DegeneracyError, match=r"^v1 and v2 are dependent \(v1 wedge v2 = 0\)$"):
+        wedge_normalize(e(0), e(0), e(1))
+    with pytest.raises(DegeneracyError,
+                       match="^no scalar multiple of direction satisfies the wedge identity$"):
+        wedge_normalize(e(0), e(1), e(2))
 
 
 def test_wedge_normalize_exactness_property():
@@ -262,7 +263,7 @@ def test_wedge_normalize_exactness_property():
             )
             try:
                 u = wedge_normalize(v1, v2, direction)
-            except DegenerateNormalization:
+            except DegeneracyError:
                 continue
             assert wedge(v1, v2) == wedge(v2, u)
             assert Subspace.span([direction], n, field).contains(u)

@@ -17,7 +17,7 @@ from legmon.explorer import (
     faithfulness_sweep, report_dumps, verify_relations, xi_pluecker_report,
 )
 from legmon.fields import (
-    DEFAULT_PRIME, QQ, FieldMismatch, ModP, PrimeField, RationalField, format_scalar,
+    DEFAULT_PRIME, QQ, ModP, PrimeField, RationalField, format_scalar,
 )
 from legmon.linalg import Matrix, Subspace, determinant
 from legmon.moduli import (
@@ -353,7 +353,8 @@ def test_points_refuse_scalars_of_another_field():
     ):
         cols = [list(c) for c in random_point(T36, field, 1).columns]
         cols[j - 1][t - 1] = stranger
-        with pytest.raises(FieldMismatch, match=rf"^column {j} entry {t}: {re.escape(repr(stranger))} "):
+        with pytest.raises(ValueError, match=rf"^column {j} entry {t}: {re.escape(repr(stranger))} "
+                                             rf"is not in {re.escape(repr(field))}$"):
             ModuliPoint.from_columns(T36, field, tuple(map(tuple, cols)))
 
 

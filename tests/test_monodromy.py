@@ -6,14 +6,13 @@ from random import Random
 import pytest
 
 from legmon.fields import DEFAULT_PRIME, QQ, PrimeField
-from legmon.linalg import Subspace, intersect, wedge_normalize
+from legmon.linalg import Subspace, intersect, wedge, wedge_normalize
 from legmon.moduli import (
     Family, ModuliPoint, T36, T44, pluecker, point_dumps, point_loads, random_point,
-    validate_point, wedge,
+    validate_point,
 )
 from legmon.monodromy import (
-    DegenerateIntersection,
-    DegenerateNormalization,
+    DegeneracyError,
     _blocks,
     _replace,
     _replacement_vector,
@@ -359,12 +358,12 @@ def doctored_t36(v3, v4):
     return ModuliPoint.from_columns(T36, QQ, tuple(cols))
 
 
+# Every window degeneracy reads "{label} (pair {pair}, T = columns {other}): {cause}".
 def test_sigma1_degenerate_intersection():
     # <v1,v2> equals <v3,v4>: the meet is a plane, not a line
     p = doctored_t36(qv(1, 1, 0), qv(1, -1, 0))
-    with pytest.raises(DegenerateIntersection) as err:
+    with pytest.raises(DegeneracyError) as err:
         act_sigma1(p)
-    assert str(err.value).startswith("u1 (pair (1, 2), T = columns (3, 4)): ")
     assert str(err.value) == (
         "u1 (pair (1, 2), T = columns (3, 4)): det(v1, T) = det(v2, T) = 0"
     )
@@ -373,9 +372,19 @@ def test_sigma1_degenerate_intersection():
 def test_sigma1_degenerate_normalization():
     # meet line is <v2> itself: v2 wedge (c v2) = 0 can never equal v1 wedge v2
     p = doctored_t36(qv(0, 1, 0), qv(0, 0, 1))
-    with pytest.raises(DegenerateNormalization) as err:
+    with pytest.raises(DegeneracyError) as err:
         act_sigma1(p)
-    assert "u1" in str(err.value)
+    assert str(err.value) == "u1 (pair (1, 2), T = columns (3, 4)): v2 lies in the span of T"
+
+
+def test_sigma1_parallel_pair():
+    # v1 = 2·v2 with det(v2, v3, v4) ≠ 0: λ = 2, so u = 2·v2 − v1 = 0
+    cols = list(random_point(T36, QQ, 11).columns)
+    cols[0] = tuple(2 * x for x in cols[1])
+    p = ModuliPoint.from_columns(T36, QQ, tuple(cols))
+    with pytest.raises(DegeneracyError) as err:
+        act_sigma1(p)
+    assert str(err.value) == "u1 (pair (1, 2), T = columns (3, 4)): v1 and v2 are parallel"
 
 
 XI_EXAMPLE_COLUMNS = (
@@ -430,9 +439,11 @@ def test_xi_degenerate_containment():
         qv(0, 0, 1, 0), qv(-2, -1, -2, -2), qv(-2, -2, -1, -2), qv(1, 2, -1, 3),
     )
     p = ModuliPoint.from_columns(T44, QQ, cols)
-    with pytest.raises(DegenerateIntersection) as err:
+    with pytest.raises(DegeneracyError) as err:
         act_xi(p, 1)
-    assert str(err.value).startswith("u1 (pair (1, 2), T = columns (3, 4, 5)): ")
+    assert str(err.value) == (
+        "u1 (pair (1, 2), T = columns (3, 4, 5)): det(v1, T) = det(v2, T) = 0"
+    )
 
 
 def test_act_word_parsing_and_composition():
@@ -498,9 +509,11 @@ def test_act_word_family_mismatch():
 
 def test_act_word_reports_failing_prefix():
     p = doctored_t36(qv(1, 1, 0), qv(1, -1, 0))
-    with pytest.raises(DegenerateIntersection) as err:
+    with pytest.raises(DegeneracyError) as err:
         act_word(p, "SH(9) S1")
-    assert str(err.value).startswith("token 2 (S1):")
+    assert str(err.value) == (
+        "token 2 (S1): u1 (pair (1, 2), T = columns (3, 4)): det(v1, T) = det(v2, T) = 0"
+    )
 
 
 def test_sigma1_window_equivariance():
