@@ -10,15 +10,16 @@ of moves rewrite words:
 * ``r3d p``   - replace (i+1, i, i+1) at position p by (i, i+1, i).
 
 Positions are 1-based and moves never wrap around the end of the word;
-cyclic behaviour is reached only through explicit shifts.  A
-`MoveScript` replayed by `verify_loop` that returns to its base word
+cyclic behaviour is reached only through explicit shifts.  `verify_loop`
+replays moves on a base word; a script that returns to its base word
 letter-for-letter certifies a loop.  The replay rewrites one list of
 letters in place, together with one bytearray of fixed-width slots
 that hold their texts, and keeps only each word's text.  The built-in
-scripts, one row each of `_LOOPS`, transcribe the rewriting chains for
-the loops sigma1, xi1, xi2, xi3 and the power of the cyclic shift, one
-move per rewrite, window by window.  A `ScriptSyntaxError` names the
-line and the column of the token it is about.
+scripts, rows of `_LOOPS` that `builtin_script` expands to (base,
+moves), transcribe the rewriting chains for the loops sigma1, xi1,
+xi2, xi3 and the power of the cyclic shift, one move per rewrite,
+window by window.  `parse_script` reads moves from the DSL, and a
+`ScriptSyntaxError` names the line and the column of its token.
 """
 
 from __future__ import annotations
@@ -96,30 +97,6 @@ class Move:
         return self.kind if self.pos is None else f"{self.kind} {self.pos}"
 
 
-@dataclass(frozen=True)
-class MoveScript:
-    """A base word plus the move sequence to replay on it."""
-
-    base: BraidWord
-    moves: tuple[Move, ...]
-
-
-@dataclass(frozen=True)
-class LoopReport:
-    """Replay result: the text of every word, and the verdict."""
-
-    script: MoveScript
-    texts: tuple[str, ...]  # texts[0] is the base's; one entry per move after
-    is_loop: bool
-
-    def to_lines(self) -> list[str]:
-        """The base, one `move -> word` line per move, and the verdict."""
-        lines = [f"base: {self.texts[0]}"]
-        lines += [f"{move!s:10s} -> {text}" for move, text in zip(self.script.moves, self.texts[1:])]
-        lines.append(f"loop: {'true' if self.is_loop else 'false'}")
-        return lines
-
-
 def apply_move(letters: list[int], move: Move) -> tuple[int, int]:
     """Apply one move to the list `letters` in place, checking its
     pattern there, and return the span (lo, hi) of the slice it rewrote.
@@ -152,9 +129,10 @@ def apply_move(letters: list[int], move: Move) -> tuple[int, int]:
         return p - 1, p + 2
 
 
-def verify_loop(script: MoveScript) -> LoopReport:
-    """Replay all moves in place from the base; report closure and the
-    text of every word.
+def verify_loop(base: BraidWord, moves) -> tuple[tuple[str, ...], bool]:
+    """Replay `moves` in place from `base`; return the text of every word,
+    the base's first and one per move after it, and whether the last
+    word is the base letter for letter.
 
     Next to the letters, one bytearray `slots` gives each letter `size`
     bytes, its `cell`: a space, then its text right-justified with "_"
@@ -168,28 +146,28 @@ def verify_loop(script: MoveScript) -> LoopReport:
         IllegalMove: at the first illegal step, its message naming the
             step, and carrying the texts of the words so far.
     """
-    letters = list(script.base.letters)
+    letters = list(base.letters)
     size = 1 + len(str(max(letters, default=0)))
     cell = {x: b" " + str(x).rjust(size - 1, "_").encode() for x in letters}
     slots = bytearray(b"".join(map(cell.__getitem__, letters)))
     words = [slots.replace(b"_", b"")[1:].decode()]
-    for j, move in enumerate(script.moves, start=1):
+    for j, move in enumerate(moves, start=1):
         try:
             lo, hi = apply_move(letters, move)
         except IllegalMove as exc:
             raise IllegalMove(f"step {j}: {exc}", trace=tuple(words)) from None
         slots[lo * size : hi * size] = b"".join(map(cell.__getitem__, letters[lo:hi]))
         words.append(slots.replace(b"_", b"")[1:].decode())
-    return LoopReport(script, tuple(words), tuple(letters) == script.base.letters)
+    return tuple(words), tuple(letters) == base.letters
 
 
-def parse_script(text: str, base: BraidWord) -> MoveScript:
-    """Parse the move-script DSL against a given base word.
+def parse_script(text: str) -> tuple[Move, ...]:
+    """Parse the move-script DSL into its moves.
 
     Grammar: one move per line, ``move := "shift" | "comm" INT | "r3a"
     INT | "r3d" INT`` with INT a 1-based position in ASCII digits, ``#``
     starting a comment, blank lines ignored.  Legality against the base
-    is not checked here; that is verify_loop's job.  An error names the
+    is not checked here; that is verify_loop's job, given the base.  An error names the
     line and the 1-based column of its token (for a missing position,
     the column after the keyword).
     """
@@ -223,7 +201,7 @@ def parse_script(text: str, base: BraidWord) -> MoveScript:
         if pos < 1:
             raise ScriptSyntaxError(lineno, argcol, "positions are 1-based (>= 1)")
         moves.append(Move(keyword, pos))
-    return MoveScript(base, tuple(moves))
+    return tuple(moves)
 
 
 def base_word(k: int, s: int) -> BraidWord:
@@ -257,8 +235,10 @@ _LOOPS = {
 BUILTIN_NAMES = tuple(_LOOPS)
 
 
-def builtin_script(name: str, s: int = 1, k_for_delta: int | None = None) -> MoveScript:
-    """The built-in loop script `name` with window parameter s.
+def builtin_script(name: str, s: int = 1,
+                   k_for_delta: int | None = None) -> tuple[BraidWord, tuple[Move, ...]]:
+    """The base word and the moves of the built-in loop `name` with
+    window parameter s.
 
     sigma1 runs on 3 strands, xi1/xi2/xi3 on 4, and delta_power on
     k = k_for_delta (default 3); see `_LOOPS` for the bases and moves.
@@ -282,4 +262,4 @@ def builtin_script(name: str, s: int = 1, k_for_delta: int | None = None) -> Mov
     moves = [Move(kind, pos + width * j) for kind, pos in before for j in range(s + 1)]
     moves += [Move("shift")] * shifts
     moves += [Move(kind, pos + width * j) for kind, pos in after for j in range(s + 1)]
-    return MoveScript(base, tuple(moves))
+    return base, tuple(moves)

@@ -127,23 +127,24 @@ def _cmd_verify_loop(args) -> int:
         if args.s is not None:
             raise ValueError("--s applies only to --builtin")
         base = _parse_base(args.base, args.strands)
-        script = parse_script(_read_text(args.script), base)
+        moves = parse_script(_read_text(args.script))
     else:
         if args.base is not None or args.strands is not None:
             raise ValueError("--base and --strands apply only to --script")
         try:
-            script = builtin_script(args.builtin, s=1 if args.s is None else args.s,
-                                   k_for_delta=args.k)
+            base, moves = builtin_script(args.builtin, s=1 if args.s is None else args.s,
+                                        k_for_delta=args.k)
         except (MemoryError, OverflowError):
             raise ValueError("--s or --k too large to build the loop") from None
     try:
-        report = verify_loop(script)
+        texts, is_loop = verify_loop(base, moves)
     except IllegalMove as exc:
         print(*exc.trace, sep="\n")
         print(f"illegal move: {exc}")
         return EXIT_VERIFICATION
-    print(*report.to_lines(), sep="\n")
-    return EXIT_OK if report.is_loop else EXIT_VERIFICATION
+    steps = (f"{move!s:10s} -> {text}" for move, text in zip(moves, texts[1:]))
+    print(f"base: {texts[0]}", *steps, f"loop: {'true' if is_loop else 'false'}", sep="\n")
+    return EXIT_OK if is_loop else EXIT_VERIFICATION
 
 
 def _cmd_act(args) -> int:

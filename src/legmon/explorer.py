@@ -382,7 +382,7 @@ def xi_structural_ok(before: ModuliPoint, i: int, after: ModuliPoint) -> bool:
     dA and dB as dot products with c, passes a check through c whatever
     c is.  Points off T44 and i not in {1, 2, 3} are refused as `act_xi`
     refuses them, with a `ValueError`."""
-    windows, _ = monodromy._xi_blocks(i, before, after)
+    windows = monodromy._xi_blocks(i, before, after)
     field, form = before.field, before.form
     for _, (ja, jb), other in windows:
         (a, alpha), (b, _), (c, gamma) = form[ja - 1], form[jb - 1], after.form[jb - 1]

@@ -202,12 +202,6 @@ def ascii_int(text: str) -> int:
 class RationalField:
     """The field of rational numbers."""
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
     def random_int(self, rng: Random) -> int:
         # Small integer entries keep determinant heights manageable.
         return rng.randint(-9, 9)
@@ -262,12 +256,6 @@ class PrimeField:
             )
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-
-    def zero(self) -> ModP:
-        return ModP(0, self.p)
-
-    def one(self) -> ModP:
-        return ModP(1, self.p)
 
     def random_int(self, rng: Random) -> int:
         return rng.randrange(self.p)

@@ -67,7 +67,7 @@ def determinant(m: Matrix) -> FieldScalar:
     if n > 4:
         raise ValueError(f"determinant of a {n}×{n} matrix: only n ≤ 4 is supported")
     if n == 0:
-        return m.field.one()
+        return m.field.scalar(1)
     rows, dens = zip(*m.field.form(m.entries))
     return m.field.scalar(_det_closed(rows), prod(dens))
 
@@ -150,7 +150,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.field != b.field:
         raise ValueError("field mismatch")
     n = a.ambient
-    rows = [[*x, *x] for x in a.basis] + [[*y, *(a.field.zero(),) * n] for y in b.basis]
+    rows = [[*x, *x] for x in a.basis] + [[*y, *(a.field.scalar(0),) * n] for y in b.basis]
     rows, pivots = _rref(rows)
     meet = [r[n:] for r, c in zip(rows, pivots) if c >= n]
     return Subspace(n, tuple(map(tuple, meet)), a.field)

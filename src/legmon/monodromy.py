@@ -7,11 +7,12 @@ is Φ_3 at start 1, xi_i is Φ_4 at start i.  Φ_k maps each block
 (v_j, …, v_{j+k−1}), j ≡ start (mod k), to (v_{j+1}, u, v_{j+2}, …,
 v_{j+k−1}), where u lies in ⟨T⟩, T = (v_{j+2}, …, v_{j+k}), and
 satisfies the wedge normalization v_a ∧ v_b = v_b ∧ u for the pair
-(v_a, v_b) = (v_j, v_{j+1}).  Start i is start 1 conjugated by the
-shift (X_i = SH(i−1) X1 SH(1−i)), but the offset keeps each window's
-own columns in its label, pair and degeneracy message.  The
-normalization forces u = λ·v_b − v_a, and u ∈ ⟨T⟩ then fixes λ by
-Cramer's rule:
+(v_a, v_b) = (v_j, v_{j+1}): a window (label, (a, b), T) is all the
+block needs, as its image is v_b in column a and u in column b.  Start
+i is start 1 conjugated by the shift (X_i = SH(i−1) X1 SH(1−i)), but
+the offset keeps each window's own columns in its label, pair and
+degeneracy message.  The normalization forces u = λ·v_b − v_a, and
+u ∈ ⟨T⟩ then fixes λ by Cramer's rule:
 
     u = λ·v_b − v_a,    λ = det(v_a, T) / det(v_b, T).
 
@@ -83,25 +84,25 @@ def _replacement_vector(p: ModuliPoint, label: str, pair: tuple[int, int],
 
 @cache
 def _blocks(k: int, n: int, start: int):
-    """Φ_k at `start` on Gr(k, n): its windows (label, pair, T), block by
-    block, and its layout, each entry the column of the point acted on or
-    the label of the u filling that slot.  Keyed by ints: a `Family`
-    hashes in Python.  Needs k | n, as N = k(s+1) of every family, and
-    2 ≤ k ≤ 4, where `cofactors` stops."""
-    windows, layout = [], list(range(1, n + 1))
+    """The windows (label, pair, T) of Φ_k at `start` on Gr(k, n), block
+    by block.  Keyed by ints: a `Family` hashes in Python.  Needs k | n,
+    as N = k(s+1) of every family, and 2 ≤ k ≤ 4, where `cofactors`
+    stops."""
+    windows = []
     for t, j in enumerate(range(start - 1, start - 1 + n, k), start=1):
         a, b, *other = ((j + d) % n + 1 for d in range(k + 1))
         windows.append((f"u{t}", (a, b), tuple(other)))
-        layout[a - 1], layout[b - 1] = b, f"u{t}"
-    return tuple(windows), tuple(layout)
+    return tuple(windows)
 
 
-def _replace(p: ModuliPoint, windows, layout) -> ModuliPoint:
-    """The point whose columns follow `layout`: a label takes its window's
-    replacement vector, an index the column of p it names."""
-    u = {label: _replacement_vector(p, label, pair, other) for label, pair, other in windows}
-    form = tuple(u[s] if isinstance(s, str) else p.form[s - 1] for s in layout)
-    return ModuliPoint(p.family, p.field, form)
+def _replace(p: ModuliPoint, windows) -> ModuliPoint:
+    """p with, window by window, v_b in column a and the window's
+    replacement vector u in column b of its pair (v_a, v_b)."""
+    form = list(p.form)
+    for label, (a, b), other in windows:
+        form[a - 1] = p.form[b - 1]
+        form[b - 1] = _replacement_vector(p, label, (a, b), other)
+    return ModuliPoint(p.family, p.field, tuple(form))
 
 
 def act_sigma1(p: ModuliPoint) -> ModuliPoint:
@@ -109,7 +110,7 @@ def act_sigma1(p: ModuliPoint) -> ModuliPoint:
     (v1..v9) -> (v2,u1,v3, v5,u2,v6, v8,u3,v9)."""
     if p.family is not T36:
         raise ValueError(f"act_sigma1 needs family T36, got {p.family.name}")
-    return _replace(p, *_blocks(T36.k, T36.n_columns, 1))
+    return _replace(p, _blocks(T36.k, T36.n_columns, 1))
 
 
 def _xi_blocks(i: int, *points: ModuliPoint):
@@ -125,7 +126,7 @@ def _xi_blocks(i: int, *points: ModuliPoint):
 
 def act_xi(p: ModuliPoint, i: int) -> ModuliPoint:
     """The xi_i loop on T44 (i in {1,2,3}), Φ_4 at start i."""
-    return _replace(p, *_xi_blocks(i, p))
+    return _replace(p, _xi_blocks(i, p))
 
 
 # Generator token -> (family it applies to, its point map).  The maps call

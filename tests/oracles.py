@@ -23,9 +23,10 @@ point and values `witness_from_json` reads back.  None of them is on a
 matrices with, nor `script_text`, the move-script renderer that
 `parse_script` reads back, nor `random_scalar`, the scalar of one
 `Field.random_int` draw.
-`LOOP_WINDOWS` writes out by hand the windows and output layouts that
-`legmon.monodromy._blocks` derives for the sigma1 and xi maps, and
-`window_slots` reads each window's output slot off its layout.
+`LOOP_WINDOWS` writes out by hand the windows that
+`legmon.monodromy._blocks` derives for the sigma1 and xi maps, with the
+output layout each map's image must have, and `window_slots` reads each
+window's output slot off its layout.
 """
 
 from collections import Counter
@@ -50,7 +51,7 @@ def from_rows(rows, field: Field) -> Matrix:
 
 
 def identity(n: int, field: Field) -> Matrix:
-    one, zero = field.one(), field.zero()
+    one, zero = field.scalar(1), field.scalar(0)
     return Matrix(
         tuple(
             tuple(one if i == j else zero for j in range(n)) for i in range(n)
@@ -67,11 +68,11 @@ def det_eliminate(m: Matrix):
     """Determinant by Gaussian elimination with the scalars' operators."""
     n = m.nrows
     a = [list(row) for row in m.entries]
-    det = m.field.one()
+    det = m.field.scalar(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            return m.field.zero()
+            return m.field.scalar(0)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             det = -det
@@ -93,7 +94,7 @@ def kernel_basis(m: Matrix) -> Subspace:
         )
     rows, pivots = _rref([list(r) for r in m.entries])
     free = [c for c in range(n) if c not in pivots]
-    zero, one = m.field.zero(), m.field.one()
+    zero, one = m.field.scalar(0), m.field.scalar(1)
     vecs = []
     for fc in free:
         v = [zero] * n
@@ -116,7 +117,7 @@ def kernel_intersect(a: Subspace, b: Subspace) -> Subspace:
     stacked = Matrix.from_columns(a.basis + b.basis, a.field)
     ker = kernel_basis(stacked)
     da = a.dim
-    zero = a.field.zero()
+    zero = a.field.scalar(0)
     vecs = []
     for coeffs in ker.basis:
         v = [zero] * a.ambient
@@ -127,9 +128,9 @@ def kernel_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(vecs, a.ambient, a.field)
 
 
-def script_text(script) -> str:
-    """A `MoveScript`'s moves in the DSL, one per line."""
-    return "".join(f"{m}\n" for m in script.moves)
+def script_text(moves) -> str:
+    """Moves in the DSL, one per line."""
+    return "".join(f"{m}\n" for m in moves)
 
 
 def legal_moves(letters) -> list[Move]:

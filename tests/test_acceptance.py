@@ -56,11 +56,11 @@ def test_criterion_1_loop_certification():
         builtin_script("delta_power", s=2, k_for_delta=3),
         builtin_script("delta_power", s=1, k_for_delta=4),
     ]
-    assert str(scripts[0].base) == " ".join("1 2".split() * 9)
-    for script in scripts:
-        report = verify_loop(script)  # raises on any illegal intermediate move
-        assert report.is_loop
-        assert report.texts[-1] == str(script.base)
+    assert str(scripts[0][0]) == " ".join("1 2".split() * 9)
+    for base, moves in scripts:
+        texts, is_loop = verify_loop(base, moves)  # raises on any illegal intermediate move
+        assert is_loop
+        assert texts[-1] == str(base)
     _report(1, "all built-in loop scripts certify", t0, 1.0)
 
 
@@ -134,7 +134,7 @@ def _random_vector(field, rng, k):
 
 
 def _field_axiom_cases(field, rng, n_cases):
-    zero, one = field.zero(), field.one()
+    zero, one = field.scalar(0), field.scalar(1)
     for _ in range(n_cases):
         x, y, z = (random_scalar(field, rng) for _ in range(3))
         assert (x + y) + z == x + (y + z)
@@ -183,7 +183,7 @@ def test_criterion_7_property_suites():
                 assert determinant(Matrix.from_columns(swapped, field)) == -base
                 doubled = list(cols)
                 doubled[i] = doubled[j]
-                assert determinant(Matrix.from_columns(doubled, field)) == field.zero()
+                assert determinant(Matrix.from_columns(doubled, field)) == field.scalar(0)
 
     # intersect: commutative and idempotent on canonical forms
     for field in (FP, QQ):
@@ -201,11 +201,11 @@ def test_criterion_7_property_suites():
             k = rng.randint(2, 4)
             v1 = _random_vector(field, rng, k)
             v2 = _random_vector(field, rng, k)
-            if wedge(v1, v2) == tuple([field.zero()] * (k * (k - 1) // 2)):
+            if wedge(v1, v2) == tuple([field.scalar(0)] * (k * (k - 1) // 2)):
                 continue
             a = random_scalar(field, rng)
             b = random_scalar(field, rng)
-            if a == field.zero():
+            if a == field.scalar(0):
                 continue
             direction = tuple(a * x + b * y for x, y in zip(v1, v2))
             u = wedge_normalize(v1, v2, direction)

@@ -11,7 +11,6 @@ from legmon.braids import (
     BraidWord,
     IllegalMove,
     Move,
-    MoveScript,
     ScriptSyntaxError,
     apply_move,
     builtin_script,
@@ -160,14 +159,9 @@ def test_moves_match_checked_construction(strands, seed):
         moves.append(move)
     # Three strands have no commuting letters.
     assert set(kinds) == {"shift", "r3a", "r3d"} | ({"comm"} if strands > 3 else set())
-    report = verify_loop(MoveScript(base, tuple(moves)))
-    texts = [" ".join(map(str, w.letters)) for w in words]
-    assert report.texts == tuple(texts)
-    assert report.to_lines() == (
-        [f"base: {texts[0]}"]
-        + [f"{str(m):10s} -> {t}" for m, t in zip(moves, texts[1:])]
-        + [f"loop: {'true' if words[-1] == base else 'false'}"]
-    )
+    texts, is_loop = verify_loop(base, tuple(moves))
+    assert texts == tuple(" ".join(map(str, w.letters)) for w in words)
+    assert is_loop == (words[-1] == base)
 
 
 @pytest.mark.parametrize(
@@ -198,9 +192,8 @@ def test_illegal_move_changes_nothing(letters, move, message):
     # Replayed after a full turn of shifts, the trace holds every
     # rotation's letter-by-letter join, and the last one is the base.
     n = len(before)
-    script = MoveScript(BraidWord(13, before), (Move("shift"),) * n + (move,))
     with pytest.raises(IllegalMove) as err:
-        verify_loop(script)
+        verify_loop(BraidWord(13, before), (Move("shift"),) * n + (move,))
     assert str(err.value) == f"step {n + 1}: {message}"
     assert re.match(rf"step {n + 1}: {move}[: ]", str(err.value))
     rotations = [before[i:] + before[:i] for i in range(n)] + [before]
@@ -217,12 +210,8 @@ def test_letter_multiset_changes():
 
 
 def test_parse_script_examples():
-    base = w(3, 1, 2, 1, 2, 1, 2)
-    script = parse_script("shift\nr3d 1", base)
-    assert script.moves == (Move("shift"), Move("r3d", 1))
-    script = parse_script("# header\n\n  comm 2  # swap\nshift\n", base)
-    assert script.moves == (Move("comm", 2), Move("shift"))
-    assert script.base == base
+    assert parse_script("shift\nr3d 1") == (Move("shift"), Move("r3d", 1))
+    assert parse_script("# header\n\n  comm 2  # swap\nshift\n") == (Move("comm", 2), Move("shift"))
 
 
 def _error_case(text, fragment, column, id=None):
@@ -254,47 +243,44 @@ def _error_case(text, fragment, column, id=None):
     ],
 )
 def test_parse_script_errors(text, fragment, column):
-    base = w(3, 1, 2)
     with pytest.raises(ScriptSyntaxError) as err:
-        parse_script(text, base)
+        parse_script(text)
     assert fragment in str(err.value)
     assert str(err.value).startswith(f"line 1, column {column}: ")
 
 
 def test_script_text_round_trip():
-    script = builtin_script("xi2", s=2)
-    again = parse_script(script_text(script), script.base)
-    assert again.moves == script.moves
+    _, moves = builtin_script("xi2", s=2)
+    assert parse_script(script_text(moves)) == moves
 
 
 def test_verify_loop_sigma1_example():
-    script = builtin_script("sigma1", s=2)
-    assert script.base == w(3, *(1, 2) * 9)
-    assert script.moves == (
+    base, moves = builtin_script("sigma1", s=2)
+    assert base == w(3, *(1, 2) * 9)
+    assert moves == (
         Move("shift"),
         Move("r3d", 1), Move("r3d", 7), Move("r3d", 13),
         Move("r3a", 4), Move("r3a", 10), Move("r3a", 16),
     )
-    report = verify_loop(script)
-    assert report.is_loop
-    assert len(report.texts) == 8  # base plus one word per move
-    assert report.texts[-1] == str(script.base)
+    texts, is_loop = verify_loop(base, moves)
+    assert is_loop
+    assert len(texts) == 8  # base plus one word per move
+    assert texts[-1] == str(base)
 
 
 def test_verify_loop_shift_examples():
     base = w(3, *(1, 2) * 9)
-    one = verify_loop(MoveScript(base, (Move("shift"),)))
-    assert not one.is_loop
-    assert one.texts[-1] == " ".join("2 1".split() * 9)
-    two = verify_loop(MoveScript(base, (Move("shift"), Move("shift"))))
-    assert two.is_loop
+    texts, is_loop = verify_loop(base, (Move("shift"),))
+    assert not is_loop
+    assert texts[-1] == " ".join("2 1".split() * 9)
+    _, is_loop = verify_loop(base, (Move("shift"), Move("shift")))
+    assert is_loop
 
 
 def test_verify_loop_reports_step_and_trace():
     base = w(3, 1, 2, 1, 2)
-    script = MoveScript(base, (Move("shift"), Move("r3d", 9)))
     with pytest.raises(IllegalMove) as err:
-        verify_loop(script)
+        verify_loop(base, (Move("shift"), Move("r3d", 9)))
     assert str(err.value).startswith("step 2: ")
     assert err.value.trace == ("1 2 1 2", "2 1 2 1")
 
@@ -302,18 +288,19 @@ def test_verify_loop_reports_step_and_trace():
 @pytest.mark.parametrize("name", ["sigma1", "xi1", "xi2", "xi3"])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_builtin_loops_certify(name, s):
-    assert verify_loop(builtin_script(name, s)).is_loop
+    _, is_loop = verify_loop(*builtin_script(name, s))
+    assert is_loop
 
 
 def test_builtin_delta_power():
-    script = builtin_script("delta_power", s=2, k_for_delta=3)
-    assert script.base == w(3, *(1, 2) * 9)
-    assert script.moves == (Move("shift"), Move("shift"))
-    assert verify_loop(script).is_loop
-    four = builtin_script("delta_power", s=1, k_for_delta=4)
-    assert four.base == w(4, *(1, 2, 3) * 8)
-    assert len(four.moves) == 3
-    assert verify_loop(four).is_loop
+    base, moves = builtin_script("delta_power", s=2, k_for_delta=3)
+    assert base == w(3, *(1, 2) * 9)
+    assert moves == (Move("shift"), Move("shift"))
+    assert verify_loop(base, moves)[1]
+    base, moves = builtin_script("delta_power", s=1, k_for_delta=4)
+    assert base == w(4, *(1, 2, 3) * 8)
+    assert len(moves) == 3
+    assert verify_loop(base, moves)[1]
 
 
 def test_builtin_validation():

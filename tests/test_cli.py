@@ -21,7 +21,6 @@ from legmon.braids import (
     BraidWord,
     IllegalMove,
     Move,
-    MoveScript,
     apply_move,
     builtin_script,
     parse_script,
@@ -111,7 +110,7 @@ def test_verify_loop_illegal_move_prints_trace(tmp_path, capsys):
     assert lines[-1].startswith("illegal move")
 
 
-def naive_verify_loop_stdout(script):
+def naive_verify_loop_stdout(base, moves):
     """verify-loop's stdout, replayed move by move with the oracle's scan
     and list surgery and rendered letter by letter with str(): the
     reference for the in-place replay and its string of fixed-width
@@ -120,16 +119,16 @@ def naive_verify_loop_stdout(script):
     def text(letters):
         return " ".join(str(x) for x in letters)
 
-    words = [script.base.letters]
-    for step, move in enumerate(script.moves, start=1):
+    words = [base.letters]
+    for step, move in enumerate(moves, start=1):
         if move not in legal_moves(words[-1]):
             with pytest.raises(IllegalMove) as err:
                 apply_move(list(words[-1]), move)
             return "".join(text(word) + "\n" for word in words) + f"illegal move: step {step}: {err.value}\n"
         words.append(moved_letters(words[-1], move))
     lines = ["base: " + text(words[0])]
-    lines += [f"{move!s:10s} -> {text(word)}" for move, word in zip(script.moves, words[1:])]
-    lines.append(f"loop: {'true' if words[-1] == script.base.letters else 'false'}")
+    lines += [f"{move!s:10s} -> {text(word)}" for move, word in zip(moves, words[1:])]
+    lines.append(f"loop: {'true' if words[-1] == base.letters else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -138,7 +137,7 @@ def naive_verify_loop_stdout(script):
 def test_verify_loop_stdout_matches_naive_renderer(capsys, name, s):
     code, out, _ = run(capsys, "verify-loop", "--builtin", name, "--s", str(s))
     assert code == 0
-    assert out == naive_verify_loop_stdout(builtin_script(name, s))
+    assert out == naive_verify_loop_stdout(*builtin_script(name, s))
 
 
 # (id, base, moves, exit code) of each --script case.
@@ -177,8 +176,7 @@ def test_verify_loop_script_stdout_matches_naive_renderer(
                        "--base", base, "--strands", str(strands))
     assert code == expected_code
     letters = tuple(int(x) for x in base.replace(",", " ").split())
-    script = parse_script(moves, BraidWord(strands, letters))
-    assert out == naive_verify_loop_stdout(script)
+    assert out == naive_verify_loop_stdout(BraidWord(strands, letters), parse_script(moves))
 
 
 def test_verify_loop_syntax_error(tmp_path, capsys):
@@ -466,7 +464,7 @@ def test_flags_forms_no_subspace(tmp_path, monkeypatch, capsys):
         code, _, _ = run(capsys, "flags", "--point", str(p_file))
         assert code == 0 and calls == []
     # The counters see a direct call, so the empty list above is no accident.
-    assert Subspace.span([(QQ.one(),)], 1, QQ).contains((QQ.one(),))
+    assert Subspace.span([(QQ.scalar(1),)], 1, QQ).contains((QQ.scalar(1),))
     assert calls == ["span", "contains"]
 
 
@@ -484,6 +482,26 @@ def test_flags_valid_and_invalid(tmp_path, capsys):
     code, out, _ = run(capsys, "flags", "--point", str(bad))
     assert code == 1
     assert json.loads(out) == {"valid_point": False, "bott_samelson": False}
+
+
+@pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), QQ], ids=["Fp", "Q"])
+@pytest.mark.parametrize("family", [T36, T44], ids=lambda f: f.name)
+def test_flags_prints_the_same_bytes_for_every_valid_point(tmp_path, capsys, family, field):
+    # The window starts come from (k, s) alone and the point is read only
+    # through its validity, so distinct valid points print one report.
+    points = [random_point(family, field, seed) for seed in range(1, 5)]
+    assert len({p.form for p in points}) == len(points)
+    outs = set()
+    for seed, point in enumerate(points, start=1):
+        p_file = tmp_path / f"p{seed}.json"
+        p_file.write_text(point_dumps(point))
+        code, out, _ = run(capsys, "flags", "--point", str(p_file))
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop()) == {"valid_point": True, "family": family.name,
+                                      "flags": (family.k - 1) * family.n_columns,
+                                      "bott_samelson": True}
 
 
 def test_relations_default_is_honest_failure(tmp_path, capsys):
@@ -948,19 +966,20 @@ def walk_scripts(draw):
         moves.append(draw(st.sampled_from([
             Move(kind, p) for kind in ("comm", "r3a", "r3d")
             for p in range(1, len(letters) + 2) if Move(kind, p) not in legal])))
-    return MoveScript(base, tuple(moves))
+    return base, tuple(moves)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(script=walk_scripts())
 def test_verify_loop_walk_stdout_matches_naive_renderer(tmp_path_factory, script):
+    base, moves = script
     path = tmp_path_factory.mktemp("walk") / "walk.moves"
-    path.write_text(script_text(script))
+    path.write_text(script_text(moves))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        main(["verify-loop", "--script", str(path), "--strands", str(script.base.strands),
-              "--base", ",".join(map(str, script.base.letters))])
-    assert out.getvalue() == naive_verify_loop_stdout(script)
+        main(["verify-loop", "--script", str(path), "--strands", str(base.strands),
+              "--base", ",".join(map(str, base.letters))])
+    assert out.getvalue() == naive_verify_loop_stdout(base, moves)
 
 
 SCRIPT_LINES = st.sampled_from(

@@ -431,7 +431,7 @@ def _xi_after_candidates(before, i):
     wedge identity and plane but leaves ⟨T⟩); two pairs of swapped
     columns; and `before` itself."""
     after = act_xi(before, i)
-    one = before.field.one()
+    one = before.field.scalar(1)
     out = [after]
     for _, pair, _, upos in window_slots(f"X{i}"):
         u, vb = after.columns[upos - 1], before.col(pair[1])

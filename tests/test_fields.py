@@ -117,7 +117,7 @@ def test_is_prime_takes_only_the_bases_its_bound_needs(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME), PrimeField(ALT_PRIME)])
 def test_field_axioms_randomized(field):
     rng = Random(20240814)
-    zero, one = field.zero(), field.one()
+    zero, one = field.scalar(0), field.scalar(1)
     for _ in range(2000):
         a = random_scalar(field, rng)
         b = random_scalar(field, rng)
@@ -147,8 +147,8 @@ def test_int_form_round_trip(field):
     rng = Random(31)
     draw = _rational if field is QQ else (lambda rng: random_scalar(field, rng))
     vectors = [tuple(draw(rng) for _ in range(rng.randint(0, 5))) for _ in range(200)]
-    vectors += [(field.zero(),) * n for n in (1, 4)]
-    vectors += [(field.one(), -field.one(), field.zero())]
+    vectors += [(field.scalar(0),) * n for n in (1, 4)]
+    vectors += [(field.scalar(1), -field.scalar(1), field.scalar(0))]
     forms = field.form(vectors)
     assert len(forms) == len(vectors)
     for v, form in zip(vectors, forms):
@@ -159,7 +159,7 @@ def test_int_form_round_trip(field):
         else:
             assert den == 1 and all(0 <= x < field.p for x in row)
         w = tuple(field.scalar(x, den) for x in row)
-        assert w == v and all(type(x) is type(field.zero()) for x in w)
+        assert w == v and all(type(x) is type(field.scalar(0)) for x in w)
         # `column` returns the int form that `form` gives, from any
         # multiple of it, a negative denominator included.
         assert field.column(row, den) == form
@@ -178,7 +178,7 @@ def test_int_form_round_trip(field):
             assert field.scalar(x) == ModP(x, p)
             assert field.reduce(x) == x % p
         if field is QQ or d % field.p:
-            assert field.column([x, 0], d) == field.form([(field.scalar(x, d), field.zero())])[0]
+            assert field.column([x, 0], d) == field.form([(field.scalar(x, d), field.scalar(0))])[0]
     zero_den = 0 if field is QQ else field.p
     with pytest.raises(ZeroDivisionError):
         field.scalar(1, zero_den)

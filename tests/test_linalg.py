@@ -140,7 +140,7 @@ def test_kernel_annihilates():
             )
             ker = kernel_basis(m)
             for v in ker.basis:
-                image = [sum((a * b for a, b in zip(row, v)), field.zero())
+                image = [sum((a * b for a, b in zip(row, v)), field.scalar(0))
                          for row in m.entries]
                 assert not any(image)
 
@@ -194,7 +194,7 @@ def test_intersect_matches_kernel_route(field):
         if vectors and case % 3 == 0:
             vectors = _degenerate_vectors(rng, field, vectors)
         a = Subspace.span(vectors, n, field)
-        assert all(isinstance(c, type(field.zero())) for v in a.basis for c in v)
+        assert all(isinstance(c, type(field.scalar(0))) for v in a.basis for c in v)
         kind = case % 4
         if kind == 0:  # equal, from another spanning set
             b = Subspace.span(vectors[::-1] + vectors[:1], n, field)
@@ -205,15 +205,15 @@ def test_intersect_matches_kernel_route(field):
         for x, y in ((a, b), (b, a)):
             meet = intersect(x, y)
             assert meet == kernel_intersect(x, y)
-            assert all(isinstance(c, type(field.zero())) for v in meet.basis for c in v)
+            assert all(isinstance(c, type(field.scalar(0))) for v in meet.basis for c in v)
         if kind == 0:
             assert intersect(a, b) == a
         if kind == 1:
             assert intersect(a, b) == b
     for n in (1, 3, 4):
-        assert Subspace.span([(field.zero(),) * n] * 2, n, field).dim == 0
+        assert Subspace.span([(field.scalar(0),) * n] * 2, n, field).dim == 0
     zero = zero_subspace(3, field)
-    line = Subspace.span([(field.one(), field.zero(), field.one())], 3, field)
+    line = Subspace.span([(field.scalar(1), field.scalar(0), field.scalar(1))], 3, field)
     assert intersect(zero, line) == intersect(line, zero) == zero
     with pytest.raises(ValueError, match="ambient mismatch"):
         intersect(line, zero_subspace(4, field))
@@ -285,7 +285,7 @@ def _degenerate_vectors(rng, field, vectors):
     t = rng.randrange(len(vectors))
     others = vectors[:t] + vectors[t + 1:]
     kind = rng.randrange(3) if others else 0
-    extra = (field.zero(),) * len(vectors[t])
+    extra = (field.scalar(0),) * len(vectors[t])
     if kind == 1:
         extra = rng.choice(others)
     elif kind == 2:
@@ -353,7 +353,7 @@ def test_contains_int_kernel_differential(prime):
         vectors = [_vector(rng, field, n) for _ in range(rng.randint(0, n))]
         v = _vector(rng, field, n)
         if case % 3 == 0:
-            v = (field.zero(),) * n
+            v = (field.scalar(0),) * n
             for u in vectors:
                 c = random_scalar(field, rng)
                 v = tuple(x + c * y for x, y in zip(v, u))

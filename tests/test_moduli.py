@@ -115,7 +115,7 @@ def test_builtin_loops_start_at_their_family_base_word(name, k, s):
     # One base-word rule: the built-in loop on k strands with window
     # parameter s starts at the base word (1..k-1)^N of Family(k, s).
     k_for_delta = k if name == "delta_power" else None
-    assert builtin_script(name, s, k_for_delta).base == BraidWord(
+    assert builtin_script(name, s, k_for_delta)[0] == BraidWord(
         k, tuple(range(1, k)) * Family(k, s).n_columns)
 
 
@@ -290,7 +290,7 @@ def test_minors_match_determinant_and_sympy(field):
             got = list(minors(p, windows))
             assert got == matrix_minors(p, windows)
             assert got[::7] == [sympy_minor(p, w) for w in windows[::7]]
-            assert all(isinstance(x, type(field.zero())) for x in got)
+            assert all(isinstance(x, type(field.scalar(0))) for x in got)
             cyclic = cyclic_windows(family)
             assert validate_point(p) is all(matrix_minors(p, cyclic))
             vanished += not all(matrix_minors(p, cyclic))
@@ -623,7 +623,7 @@ def rescale_column(p, i, c):
 def left_multiply(p, g):
     k = p.family.k
     columns = tuple(
-        tuple(sum((g[r][t] * col[t] for t in range(k)), p.field.zero()) for r in range(k))
+        tuple(sum((g[r][t] * col[t] for t in range(k)), p.field.scalar(0)) for r in range(k))
         for col in p.columns
     )
     return ModuliPoint.from_columns(p.family, p.field, columns)

@@ -173,8 +173,18 @@ def test_windows_are_cyclically_consecutive(family):
     ids=["S1", "X1", "X2", "X3"],
 )
 def test_blocks_reproduce_the_window_table(tok, k, n, start):
-    # Labels, pairs, T and output slots, against the table written out by hand.
-    assert _blocks(k, n, start) == LOOP_WINDOWS[tok]
+    # Labels, pairs and T against the table written out by hand, and the
+    # columns of each image in the output slots its layout names there.
+    windows, layout = LOOP_WINDOWS[tok]
+    assert _blocks(k, n, start) == windows
+    family = T36 if k == 3 else T44
+    by_label = {label: (pair, other) for label, pair, other in windows}
+    for p in fp_points(family, 5) + [random_point(family, QQ, seed) for seed in range(3)]:
+        image = act_word(p, tok)
+        for slot, src in enumerate(layout, start=1):
+            expect = (p.form[src - 1] if isinstance(src, int)
+                      else _replacement_vector(p, src, *by_label[src]))
+            assert image.form[slot - 1] == expect
 
 
 _CONJUGATION_FIELDS = [PrimeField(101), FP, QQ]
@@ -195,7 +205,7 @@ def test_phi3_at_later_starts_is_s1_conjugated_by_the_shift(field):
         p = random_point(T36, field, seed)
         for start in (2, 3):
             expect = act_word(p, f"SH({start - 1}) S1 SH({1 - start})")
-            assert _replace(p, *_blocks(3, 9, start)) == expect
+            assert _replace(p, _blocks(3, 9, start)) == expect
 
 
 # Families of Gr(k, n) with k | n that only the tests build; none is in FAMILIES.
@@ -207,25 +217,30 @@ _GR_FAMILIES = [Family(k, n // k - 1)
 @pytest.mark.parametrize("family", _GR_FAMILIES, ids=lambda f: f"Gr({f.k},{f.n_columns})")
 def test_phi_k_on_other_grassmannians(family, field):
     # At every start, Φ_k's windows are cyclically consecutive as on T36
-    # and T44, its replacement vectors are the subspace route's, and it
-    # keeps sampled points valid.
+    # and T44, its replacement vectors are the subspace route's, its
+    # image holds v_b in slot a, u in slot b and p's column in every
+    # other slot, and it keeps sampled points valid.
     k, n = family.k, family.n_columns
     consecutive = {frozenset((s + t) % n + 1 for t in range(k)) for s in range(n)}
     for start in range(1, k + 1):
-        windows, layout = _blocks(k, n, start)
+        windows = _blocks(k, n, start)
         assert len(windows) == n // k and windows[0][1][0] == start
         for label, (a, b), other in windows:
             assert frozenset((b, *other)) in consecutive and len(other) == k - 1
             assert b == a % n + 1
-            assert layout[a - 1] == b and layout[b - 1] == label
     for seed in range(30):
         p = random_point(family, field, seed)
         for start in range(1, k + 1):
-            windows, layout = _blocks(k, n, start)
-            assert validate_point(_replace(p, windows, layout)) is True
-            for label, pair, other in windows:
-                u = _replacement_vector(p, label, pair, other)
-                assert u == field.form([oracle_replacement(p, pair, other)])[0]
+            windows = _blocks(k, n, start)
+            image = _replace(p, windows)
+            for label, (a, b), other in windows:
+                u = _replacement_vector(p, label, (a, b), other)
+                assert u == field.form([oracle_replacement(p, (a, b), other)])[0]
+                assert image.form[a - 1] == p.form[b - 1] and image.form[b - 1] == u
+            paired = {c for _, pair, _ in windows for c in pair}
+            assert all(image.form[c - 1] == p.form[c - 1]
+                       for c in range(1, n + 1) if c not in paired)
+            assert validate_point(image) is True
 
 
 def fresh_form(p):
