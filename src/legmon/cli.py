@@ -16,18 +16,28 @@ CLI's default prime modulus.  Integer flags, `--base` letters, `--idx`
 indices and LEGMON_PRIME are read by `fields.ascii_int`: ASCII digits
 after an optional minus, with no underscores or surrounding whitespace.
 The reports' other defaults are the defaults of the `explorer` functions
-they run: a report flag left out is not passed.  A call to a known
-subcommand builds that command's parser alone; help, no or an unknown
-command, and unrecognised arguments build the full parser, which
-reports them.  Only the reports `relations`, `faithful` and
-`xi-report` import `explorer`.  Every JSON text printed or written,
-points, `flags` and reports, comes from `moduli.json_dumps`.
+they run: a report flag left out is not passed.  Only the reports
+`relations`, `faithful` and `xi-report` import `explorer`.  Every JSON
+text printed or written, points, `flags` and reports, comes from
+`moduli.json_dumps`.
+
+Parsing: one table, `_COMMANDS`, lists each command's handler and flags
+(dest, int or text, choices, required, default, help and metavar).  A
+command line that is a known command followed by `--flag value` pairs,
+each flag spelled in full and given once and no value starting with
+`-`, is read straight from the table by `_parse_spelled_out`, which
+checks ints, choices and required flags and returns the namespace the
+full parser would.  Every other command line (help, abbreviations,
+`--flag=value`, repeated flags, negative numbers, `--`, bad ints or
+choices, no or an unknown command) goes to `build_parser()`, the full
+`legmon` argparse parser built from the same table, which parses or
+reports it.  `argparse` is imported only there.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .braids import (
     BUILTIN_NAMES,
@@ -98,14 +108,6 @@ def _read_point(path: str | None):
         raise ValueError(f"cannot read point file: {exc}") from exc
 
 
-def _int(text: str) -> int:
-    """`ascii_int`, refusing in argparse's `type=int` wording."""
-    try:
-        return ascii_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
 def _parse_base(text: str, strands: int) -> BraidWord:
     try:
         if not text.isascii():
@@ -157,9 +159,9 @@ def _cmd_act(args) -> int:
 def _cmd_pluecker(args) -> int:
     point = _read_point(args.point)
     try:
-        idx = tuple(map(_int, args.idx.split(",")))
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"bad index list {args.idx!r}") from exc
+        idx = tuple(map(ascii_int, args.idx.split(",")))
+    except ValueError:
+        raise ValueError(f"bad index list {args.idx!r}") from None
     print(format_scalar(pluecker(point, idx)))
     return EXIT_OK
 
@@ -194,111 +196,140 @@ def _cmd_report(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
-def _add_field_flags(sub, include_q: bool = True):
-    if include_q:
-        sub.add_argument("--field", choices=("fp", "q"), default="fp",
-                         help="scalar field (default: fp)")
-    sub.add_argument("--prime", type=_int, default=None,
-                     help="prime modulus (default: LEGMON_PRIME or 2147483647)")
+# The default of a report flag: a report flag left out is left out of the
+# namespace, so the `explorer` function's signature holds every default.
+_ABSENT = object()
 
 
-def _verify_loop_args(sub):
-    sub.add_argument("--script", help="move-script file (DSL)")
-    sub.add_argument("--base", help="base word letters for --script, e.g. '1,2,1,2'")
-    sub.add_argument("--strands", type=_int, help="strand count for --script")
-    sub.add_argument("--builtin", choices=BUILTIN_NAMES)
-    sub.add_argument("--s", type=_int, default=None, help="window parameter (default 1)")
-    sub.add_argument("--k", type=_int, default=None, help="k for delta_power")
-    sub.set_defaults(func=_cmd_verify_loop)
+def _flag(option: str, kind=str, *, choices=None, required=False, default=None,
+          help=None, dest=None, metavar=None):
+    """One row of a command's flag table: (option, dest, kind, choices,
+    required, default, help, metavar).  `kind` is `int` (read by
+    `ascii_int`) or `str`; `dest` defaults to the option's name."""
+    return (option, dest or option[2:].replace("-", "_"), kind, choices, required, default,
+            help, metavar)
 
 
-def _act_args(sub):
-    sub.add_argument("--point", default=None, help="point JSON file ('-' or omit for stdin)")
-    sub.add_argument("--word", required=True,
-                     help="tokens A, A2, B, S1, SH(j), X1, X2, X3")
-    sub.add_argument("--out", default=None, help="output file (default stdout)")
-    sub.set_defaults(func=_cmd_act)
-
-
-def _pluecker_args(sub):
-    sub.add_argument("--point", default=None, help="point JSON file ('-' or omit for stdin)")
-    sub.add_argument("--idx", required=True, help="comma-separated indices, e.g. 1,4,7")
-    sub.set_defaults(func=_cmd_pluecker)
-
-
-def _random_point_args(sub):
-    sub.add_argument("--family", required=True, choices=FAMILIES)
-    sub.add_argument("--seed", type=_int, required=True)
-    _add_field_flags(sub)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_random_point)
-
-
-def _flags_args(sub):
-    sub.add_argument("--point", default=None, help="point JSON file ('-' or omit for stdin)")
-    sub.set_defaults(func=_cmd_flags)
-
+_POINT = _flag("--point", help="point JSON file ('-' or omit for stdin)")
+_OUT = _flag("--out")
+_FIELD = _flag("--field", choices=("fp", "q"), default="fp", help="scalar field (default: fp)")
+_PRIME = _flag("--prime", int, help="prime modulus (default: LEGMON_PRIME or 2147483647)")
 
 # Report flag -> the keyword of the `explorer` report function it sets.
 _REPORT_FLAGS = {"--max-syllables": "max_syllables", "--probe-budget": "probe_budget",
                  "--points": "n_points", "--seed": "seed"}
 
 
-def _report_args(function: str, flags: tuple[str, ...], include_q: bool = False):
-    """The adder of a report run by `explorer.<function>`.  A flag left out
-    is not passed, so the function's signature holds every default."""
-    def add(sub):
-        for flag in flags:
-            sub.add_argument(flag, type=_int, dest=_REPORT_FLAGS[flag],
-                             metavar=flag[2:].upper().replace("-", "_"),
-                             default=argparse.SUPPRESS)
-        _add_field_flags(sub, include_q)
-        sub.add_argument("--out", default=None)
-        sub.set_defaults(func=_cmd_report, report=function)
-    return add
+def _report(summary: str, function: str, options: tuple[str, ...], include_q: bool = False):
+    """The row of a report run by `explorer.<function>`."""
+    flags = tuple(_flag(option, int, dest=_REPORT_FLAGS[option], default=_ABSENT,
+                        metavar=option[2:].upper().replace("-", "_"))
+                  for option in options)
+    return (summary, _cmd_report, (*flags, *((_FIELD,) if include_q else ()), _PRIME, _OUT),
+            {"report": function})
 
 
-# Subcommand name -> (help line, adder of its arguments and handler).
+# Subcommand -> (help line, handler, flag rows in help order, further
+# defaults).  The direct parser and the full parser both read this table.
 _COMMANDS = {
-    "verify-loop": ("replay a move script and check closure", _verify_loop_args),
-    "act": ("apply a generator word to a point", _act_args),
-    "pluecker": ("evaluate one Plücker coordinate", _pluecker_args),
-    "random-point": ("sample a valid point", _random_point_args),
-    "flags": ("rebuild and validate the flag chain", _flags_args),
-    "relations": ("report the a^3 and b^2 relation checks",
-                  _report_args("verify_relations", ("--points", "--seed", "--probe-budget"),
-                               include_q=True)),
-    "faithful": ("separation sweep over reduced words",
-                 _report_args("faithfulness_sweep", ("--max-syllables", "--probe-budget",
-                                                     "--points", "--seed"))),
-    "xi-report": ("Plücker tables for the xi words",
-                  _report_args("xi_pluecker_report", ("--points", "--seed"))),
+    "verify-loop": ("replay a move script and check closure", _cmd_verify_loop, (
+        _flag("--script", help="move-script file (DSL)"),
+        _flag("--base", help="base word letters for --script, e.g. '1,2,1,2'"),
+        _flag("--strands", int, help="strand count for --script"),
+        _flag("--builtin", choices=BUILTIN_NAMES),
+        _flag("--s", int, help="window parameter (default 1)"),
+        _flag("--k", int, help="k for delta_power")), {}),
+    "act": ("apply a generator word to a point", _cmd_act, (
+        _POINT,
+        _flag("--word", required=True, help="tokens A, A2, B, S1, SH(j), X1, X2, X3"),
+        _flag("--out", help="output file (default stdout)")), {}),
+    "pluecker": ("evaluate one Plücker coordinate", _cmd_pluecker, (
+        _POINT, _flag("--idx", required=True, help="comma-separated indices, e.g. 1,4,7")), {}),
+    "random-point": ("sample a valid point", _cmd_random_point, (
+        _flag("--family", required=True, choices=FAMILIES),
+        _flag("--seed", int, required=True), _FIELD, _PRIME, _OUT), {}),
+    "flags": ("rebuild and validate the flag chain", _cmd_flags, (_POINT,), {}),
+    "relations": _report("report the a^3 and b^2 relation checks", "verify_relations",
+                         ("--points", "--seed", "--probe-budget"), include_q=True),
+    "faithful": _report("separation sweep over reduced words", "faithfulness_sweep",
+                        ("--max-syllables", "--probe-budget", "--points", "--seed")),
+    "xi-report": _report("Plücker tables for the xi words", "xi_pluecker_report",
+                         ("--points", "--seed")),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """A known `command`'s own parser alone, else the full `legmon` parser."""
-    if command in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"legmon {command}")
-        _COMMANDS[command][1](parser)
-        return parser
+def _handler(row):
+    """The handler of a table row, read from the module at parse time, so
+    that a handler replaced on the module is the one a call runs."""
+    return globals()[row[1].__name__]
+
+
+def _parse_spelled_out(argv: list[str]):
+    """The namespace the full parser returns for `argv`, when `argv` is a
+    known command and `--flag value` pairs: each flag spelled in full and
+    given once, no value starting with `-`, every int read by `ascii_int`,
+    every choice and required flag met.  None for any other command line."""
+    row = _COMMANDS.get(argv[0]) if argv else None
+    if row is None or len(argv) % 2 == 0:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) != len(argv) - 1:  # a flag given twice
+        return None
+    values = {"command": argv[0], "func": _handler(row), **row[3]}
+    for option, dest, kind, choices, required, default, _, _ in row[2]:
+        text = given.pop(option, None)
+        if text is None:
+            if required:
+                return None
+            if default is not _ABSENT:
+                values[dest] = default
+            continue
+        if text.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                text = ascii_int(text)
+            except ValueError:
+                return None
+        if choices is not None and text not in choices:
+            return None
+        values[dest] = text
+    return None if given else SimpleNamespace(**values)
+
+
+def build_parser():
+    """The full `legmon` parser, built from the flag table.  It parses or
+    reports every command line the direct parser leaves: help, errors,
+    abbreviations and other spellings."""
+    import argparse
+
+    def to_int(text: str) -> int:
+        """`ascii_int`, refusing in argparse's `type=int` wording."""
+        try:
+            return ascii_int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
     parser = argparse.ArgumentParser(
         prog="legmon",
         description="Braid-move loop certification and Legendrian-loop "
         "monodromy over exact fields",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_args) in _COMMANDS.items():
-        add_args(subs.add_parser(name, help=summary))
+    for name, row in _COMMANDS.items():
+        sub = subs.add_parser(name, help=row[0])
+        for option, dest, kind, choices, required, default, help, metavar in row[2]:
+            sub.add_argument(option, dest=dest, type=to_int if kind is int else None,
+                             choices=choices, required=required, help=help, metavar=metavar,
+                             default=argparse.SUPPRESS if default is _ABSENT else default)
+        sub.set_defaults(func=_handler(row), **row[3])
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    extras = True
-    if argv and argv[0] in _COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-    if extras:  # no known command, or arguments the command does not take
+    args = _parse_spelled_out(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -726,27 +726,20 @@ COMMANDS = ["verify-loop", "act", "pluecker", "random-point", "flags",
 
 
 def count_parsers(monkeypatch):
-    """Record the prog of every parser built from now on, and the command
-    of every argument adder run."""
-    progs, adders = [], []
+    """Record the prog of every argparse parser built from now on."""
+    progs = []
     init = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
         init(self, *args, **kwargs)
         progs.append(self.prog)
 
-    def recording(name, add_args):
-        def add(sub):
-            adders.append(name)
-            add_args(sub)
-        return add
-
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    monkeypatch.setattr(cli, "_COMMANDS", {
-        name: (summary, recording(name, add_args))
-        for name, (summary, add_args) in cli._COMMANDS.items()})
-    return progs, adders
+    return progs
 
+
+# The progs the full parser builds: `legmon`, then one per command.
+FULL_PARSER = ["legmon", *(f"legmon {name}" for name in COMMANDS)]
 
 # A valid call of each command that runs in milliseconds.
 QUICK_CALLS = {
@@ -759,24 +752,42 @@ QUICK_CALLS = {
     "faithful": ("--max-syllables", "1", "--points", "1"),
     "xi-report": ("--points", "1"),
 }
+# The same calls with each flag abbreviated.
+ABBREVIATED_CALLS = {
+    "verify-loop": ("--built", "sigma1"),
+    "act": ("--po", "{tmp}/p.json", "--wo", "A"),
+    "pluecker": ("--po", "{tmp}/p.json", "--id", "1,2,3"),
+    "random-point": ("--fam", "T44", "--seed", "3"),
+    "flags": ("--po", "{tmp}/p.json"),
+    "relations": ("--poi", "1", "--pro", "0"),
+    "faithful": ("--max", "1", "--poi", "1"),
+    "xi-report": ("--poi", "1"),
+}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_call_builds_one_parser(command, tmp_path, monkeypatch, capsys):
+    # A spelled-out call builds no argparse parser at all; the same call
+    # with abbreviated flags builds the full parser once and reads the
+    # same namespace.
     (tmp_path / "p.json").write_text(point_dumps(random_point(T36, QQ, 5)))
-    progs, adders = count_parsers(monkeypatch)
+    progs = count_parsers(monkeypatch)
     argv = [command, *(a.format(tmp=tmp_path) for a in QUICK_CALLS[command])]
     monkeypatch.setattr("sys.argv", ["legmon", *argv])
     assert main() == 0  # argv=None reads the command from sys.argv
-    assert progs == [f"legmon {command}"] and adders == [command]
+    capsys.readouterr()
+    spelled = parse_outcome(main, argv, monkeypatch, capsys)
+    assert progs == [] and len(spelled[1]) == 1  # one handler ran
+    abbreviated = [command, *(a.format(tmp=tmp_path) for a in ABBREVIATED_CALLS[command])]
+    assert parse_outcome(main, abbreviated, monkeypatch, capsys) == spelled
+    assert progs == FULL_PARSER
 
 
 def test_top_level_help_lists_every_command(monkeypatch, capsys):
-    progs, adders = count_parsers(monkeypatch)
+    progs = count_parsers(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
-    assert exc.value.code == 0 and adders == COMMANDS
-    assert progs == ["legmon", *(f"legmon {name}" for name in COMMANDS)]
+    assert exc.value.code == 0 and progs == FULL_PARSER
     out = capsys.readouterr().out
     assert all(name in out for name in COMMANDS)
 
@@ -785,30 +796,68 @@ def test_top_level_help_lists_every_command(monkeypatch, capsys):
 # abbreviations (unique and ambiguous), a bad int, a bad choice and a
 # missing required flag where the command has one.  Each command also
 # runs bare and with `-h`, `--`, `-- x`, `extra` and `--bogus` after its
-# first entry.
+# first entry, whose flags are all spelled out.  The spelled-out
+# entries probe where a table-driven parser could drift from argparse:
+# negative numbers and `--flag=value`, empty and flag-like values, a flag
+# spelled out twice, non-ASCII digits, bad choices and missing required
+# flags, and `-h` after valid pairs.
 PARSE_CORPUS = {
     "verify-loop": [("--builtin", "xi1", "--s", "2"),
                     ("--s", "1", "--builtin", "sigma1", "--s", "3"),
                     ("--built", "delta_power", "--k", "4"),
                     ("--sc", "f.moves", "--ba", "1,2", "--st", "3"),
-                    ("--b", "1"), ("--k", "x"), ("--builtin", "xi9")],
+                    ("--b", "1"), ("--k", "x"), ("--builtin", "xi9"),
+                    ("--script", "f.moves", "--base", "1,2", "--strands", "3"),
+                    ("--builtin", "delta_power", "--s", "2", "--k", "4"),
+                    ("--builtin", "sigma1", "--s", "-3"), ("--builtin", "sigma1", "--s", AR),
+                    ("--builtin", "sigma1", "--s", ""), ("--base", "-1,2"),
+                    ("--builtin=sigma1",)],
     "act": [("--point", "p.json", "--word", "A B"), ("--word", "A", "--word", "B"),
-            ("--po", "p.json", "--wo", "X1", "--o", "o.json"), ("--point", "p.json")],
+            ("--po", "p.json", "--wo", "X1", "--o", "o.json"), ("--point", "p.json"),
+            ("--point", "p.json", "--word", "A", "--out", "o.json"),
+            ("--word", "A", "--out", ""), ("--word", "A", "--out", "--point"),
+            ("--point", "-", "--word", "A"), ("--word", "A", "--point", "p.json", "-h")],
     "pluecker": [("--idx", "1,2,3"), ("--id", "1", "--idx", "4,5,6"),
-                 ("--point", "p.json")],
+                 ("--point", "p.json"), ("--point", "p.json", "--idx", "1,4,7"),
+                 ("--idx", f"1,{AR},7"), ("--idx", "-1,2,3")],
     "random-point": [("--family", "T36", "--seed", "5"),
                      ("--fam", "T44", "--seed", "1", "--seed", "2"),
                      ("--family", "T36", "--seed", "1", "--fi", "q", "--pr", "7"),
                      ("--family", "T36", "--seed", "x"), ("--family", "T99", "--seed", "1"),
-                     ("--seed", "1"), ("--family", "T36", "--field", "r", "--seed", "1")],
-    "flags": [("--point", "p.json"), ("--po", "a.json", "--point", "b.json")],
+                     ("--seed", "1"), ("--family", "T36", "--field", "r", "--seed", "1"),
+                     ("--family", "T44", "--seed", "1", "--field", "q", "--prime", "7",
+                      "--out", "o.json"),
+                     ("--seed", "2", "--family", "T44", "--prime", "11"),
+                     ("--family", "T36", "--seed", "-3"), ("--family", "T36", "--seed=5"),
+                     ("--family", "T36", "--seed", "1", "--seed", "2"),
+                     ("--family", "T99", "--seed", "1", "--family", "T36"),
+                     ("--family", "T36", "--seed", "x", "--seed", "1"),
+                     ("--family", "T36", "--seed", AR), ("--family", "T36", "--seed", FW),
+                     ("--family", "T36", "--seed", " 1"), ("--family", "T36", "--seed", ""),
+                     ("--family", "t36", "--seed", "1"), ("--family", "T36"),
+                     ("--family", "T36", "--seed", "1", "--prime", "-7"),
+                     ("--family", "T36", "--seed", "1", "-h")],
+    "flags": [("--point", "p.json"), ("--po", "a.json", "--point", "b.json"),
+              ("--point", "a.json", "--point", "b.json"), ("--point", ""),
+              ("--point", "-"), ("--point", "--point"), ("--point",)],
     "relations": [("--points", "2", "--probe-budget", "0", "--field", "q"),
                   ("--pro", "3", "--se", "4", "--points", "1", "--points", "5"),
-                  ("--p", "3"), ("--points", "x"), ("--field", "r")],
+                  ("--p", "3"), ("--points", "x"), ("--field", "r"),
+                  ("--points", "2", "--seed", "4", "--probe-budget", "1", "--field", "fp",
+                   "--prime", "7", "--out", "o.json"),
+                  ("--points", "-2"), ("--seed", AR), ("--field", "Q"),
+                  ("--points", "1", "--points", "2")],
     "faithful": [("--max-syllables", "4"), ("--max-syl", "2", "--max-syl", "3"),
-                 ("--max-syllables", "x"), ("--field", "q"), ("--pri", "5", "--o", "-")],
+                 ("--max-syllables", "x"), ("--field", "q"), ("--pri", "5", "--o", "-"),
+                 ("--max-syllables", "3", "--probe-budget", "1", "--points", "2",
+                  "--seed", "5", "--prime", "7", "--out", "o.json"),
+                 ("--max-syllables", "-1"), ("--probe-budget=2",), ("--out", "-"),
+                 ("--points", FW)],
     "xi-report": [("--points", "3", "--seed", "2"), ("--po", "3", "--pr", "5"),
-                  ("--seed", "x"), ("--out", "o.json", "--out")],
+                  ("--seed", "x"), ("--out", "o.json", "--out"),
+                  ("--points", "3", "--seed", "2", "--prime", "7", "--out", "o.json"),
+                  ("--seed", "-2"), ("--points", "1", "--points", "1"),
+                  ("--max-syllables", "2"), ("--points", "2", "--help")],
 }
 PARSE_ARGV = [
     (command, *rest)
@@ -850,8 +899,8 @@ def full_parser_call(argv):
 
 @pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
 def test_parse_matches_full_parser(argv, monkeypatch, capsys):
-    # The command's own parser, and the full parser only for leftover
-    # arguments, parse and report exactly as the full parser alone does.
+    # The table's direct parser, and the full parser for every line it
+    # leaves, parse and report exactly as the full parser alone does.
     expected = parse_outcome(full_parser_call, argv, monkeypatch, capsys)
     assert parse_outcome(main, argv, monkeypatch, capsys) == expected
 
@@ -869,18 +918,22 @@ def test_imports_load_only_what_they_need():
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "import legmon\n"
         "print(sorted(m for m in sys.modules if m.startswith('legmon.')))\n"
         "import legmon.cli\n"
         "print('legmon.explorer' in sys.modules, 'legmon.linalg' in sys.modules)\n"
+        "print('argparse' in sys.modules, 'gettext' in sys.modules)\n"
+        "legmon.cli.main(['random-point', '--family', 'T36', '--seed', '1',\n"
+        "                 '--out', os.devnull])\n"
+        "print('argparse' in sys.modules, 'gettext' in sys.modules)\n"
         "import legmon.explorer\n"
         "print('legmon.linalg' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == "[]\nFalse False\nFalse\n"
+    assert proc.stdout == "[]\nFalse False\nFalse False\nFalse False\nFalse\n"
 
 
 JSON_VALUES = st.recursive(
