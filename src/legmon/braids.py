@@ -14,11 +14,11 @@ cyclic behaviour is reached only through explicit shifts.  `verify_loop`
 replays moves on a base word; a script that returns to its base word
 letter-for-letter certifies a loop.  The replay rewrites one list of
 letters in place, together with one bytearray of fixed-width slots
-that hold their texts, and keeps only each word's text.  The built-in
-scripts, rows of `_LOOPS` that `builtin_script` expands to (base,
-moves), transcribe the rewriting chains for the loops sigma1, xi1,
-xi2, xi3 and the power of the cyclic shift, one move per rewrite,
-window by window.  `parse_script` reads moves from the DSL, and a
+that hold their texts, and writes its transcript, line by line, into
+one buffer that it decodes once.  The built-in scripts, rows of
+`_LOOPS` that `builtin_script` expands to (base, moves), transcribe the
+rewriting chains for the loops sigma1, xi1, xi2, xi3 and the power of
+the cyclic shift, one move per rewrite, window by window.  `parse_script` reads moves from the DSL, and a
 `ScriptSyntaxError` names the line and the column of its token.
 """
 
@@ -129,18 +129,20 @@ def apply_move(letters: list[int], move: Move) -> tuple[int, int]:
         return p - 1, p + 2
 
 
-def verify_loop(base: BraidWord, moves) -> tuple[tuple[str, ...], bool]:
-    """Replay `moves` in place from `base`; return the text of every word,
-    the base's first and one per move after it, and whether the last
-    word is the base letter for letter.
+def verify_loop(base: BraidWord, moves) -> tuple[str, bool]:
+    """Replay `moves` in place from `base`; return the replay's transcript
+    and whether the last word is the base letter for letter.
 
-    Next to the letters, one bytearray `slots` gives each letter `size`
-    bytes, its `cell`: a space, then its text right-justified with "_"
-    to the width of the base's largest letter.  Moves only permute
-    letters or swap i and i+1 inside a window, so every letter keeps a
-    cell of the base.  After each move the span `apply_move` returns is
-    rewritten in place in `slots` from the cells, and a word's text is
-    `slots` without the fill and the leading space.
+    The transcript has one line per word: ``base: <word>``, then
+    ``<move> -> <word>`` per move, its move label padded to 10, and last
+    ``loop: true`` or ``loop: false``.  Next to the letters, one
+    bytearray `slots` gives each letter `size` bytes, its `cell`: a
+    space, then its text right-justified with "_" to the width of the
+    base's largest letter.  Moves only permute letters or swap i and i+1
+    inside a window, so every letter keeps a cell of the base.  After
+    each move the span `apply_move` returns is rewritten in place in
+    `slots` from the cells, and the word's text, `slots` without the
+    fill and the leading space, follows its label in one buffer.
 
     Raises:
         IllegalMove: at the first illegal step, its message naming the
@@ -148,17 +150,26 @@ def verify_loop(base: BraidWord, moves) -> tuple[tuple[str, ...], bool]:
     """
     letters = list(base.letters)
     size = 1 + len(str(max(letters, default=0)))
-    cell = {x: b" " + str(x).rjust(size - 1, "_").encode() for x in letters}
+    cell = {x: b" " + str(x).rjust(size - 1, "_").encode() for x in set(letters)}
     slots = bytearray(b"".join(map(cell.__getitem__, letters)))
-    words = [slots.replace(b"_", b"")[1:].decode()]
+    # Letters of one digit have no fill, so their text is read in place.
+    word = memoryview(slots)[1:]
+    out = bytearray(b"base: ")
+    out += word if size == 2 else slots.replace(b"_", b"")[1:]
     for j, move in enumerate(moves, start=1):
         try:
             lo, hi = apply_move(letters, move)
         except IllegalMove as exc:
-            raise IllegalMove(f"step {j}: {exc}", trace=tuple(words)) from None
+            # The words so far, read back from their lines (no label holds " -> ").
+            first, *steps = out.decode().split("\n")
+            trace = (first.removeprefix("base: "), *(line.partition(" -> ")[2] for line in steps))
+            raise IllegalMove(f"step {j}: {exc}", trace=trace) from None
         slots[lo * size : hi * size] = b"".join(map(cell.__getitem__, letters[lo:hi]))
-        words.append(slots.replace(b"_", b"")[1:].decode())
-    return tuple(words), tuple(letters) == base.letters
+        out += f"\n{move!s:10s} -> ".encode()
+        out += word if size == 2 else slots.replace(b"_", b"")[1:]
+    is_loop = tuple(letters) == base.letters
+    out += b"\nloop: true\n" if is_loop else b"\nloop: false\n"
+    return out.decode(), is_loop
 
 
 def parse_script(text: str) -> tuple[Move, ...]:

@@ -19,7 +19,11 @@ The reports' other defaults are the defaults of the `explorer` functions
 they run: a report flag left out is not passed.  Only the reports
 `relations`, `faithful` and `xi-report` import `explorer`.  Every JSON
 text printed or written, points, `flags` and reports, comes from
-`moduli.json_dumps`.
+`moduli.json_dumps`; point files are written from and read into the int
+form, so `random-point`, `flags` and `act` build no scalar on the way.
+The prime field of `--prime`, LEGMON_PRIME and point files is
+`fields.prime_field`, one object per modulus.  `verify-loop` writes the
+transcript `braids.verify_loop` renders in one write.
 
 Parsing: one table, `_COMMANDS`, lists each command's handler and flags
 (dest, int or text, choices, required, default, help and metavar).  A
@@ -49,7 +53,7 @@ from .braids import (
     parse_script,
     verify_loop,
 )
-from .fields import Field, PrimeField, QQ, ascii_int, default_prime, format_scalar
+from .fields import Field, QQ, ascii_int, default_prime, format_scalar, prime_field
 from .moduli import (
     FAMILIES,
     InvalidPoint,
@@ -77,7 +81,7 @@ def _resolve_field(args) -> Field:
         if prime is not None:
             raise ValueError("--prime applies only to --field fp")
         return QQ
-    return PrimeField(prime if prime is not None else default_prime())
+    return prime_field(prime if prime is not None else default_prime())
 
 
 def _read_text(path: str | None) -> str:
@@ -139,13 +143,12 @@ def _cmd_verify_loop(args) -> int:
         except (MemoryError, OverflowError):
             raise ValueError("--s or --k too large to build the loop") from None
     try:
-        texts, is_loop = verify_loop(base, moves)
+        text, is_loop = verify_loop(base, moves)
     except IllegalMove as exc:
         print(*exc.trace, sep="\n")
         print(f"illegal move: {exc}")
         return EXIT_VERIFICATION
-    steps = (f"{move!s:10s} -> {text}" for move, text in zip(moves, texts[1:]))
-    print(f"base: {texts[0]}", *steps, f"loop: {'true' if is_loop else 'false'}", sep="\n")
+    sys.stdout.write(text)
     return EXIT_OK if is_loop else EXIT_VERIFICATION
 
 

@@ -55,6 +55,7 @@ from .fields import (
     PrimeField,
     QQ,
     format_scalar,
+    prime_field,
 )
 from .moduli import (
     ModuliPoint, T36, T44, _det_closed, json_dumps, minors, point_to_json, random_point,
@@ -68,7 +69,7 @@ _LABELS = {"A": "a", "A2": "a2", "B": "b"}
 DELTA_INDEX = (1, 4, 7)
 
 #: The sample field of every report when none is given.
-DEFAULT_FIELD = PrimeField(DEFAULT_PRIME)
+DEFAULT_FIELD = prime_field(DEFAULT_PRIME)
 
 
 def reduced_words(max_syllables: int) -> tuple[tuple[str, ...], ...]:

@@ -9,7 +9,7 @@ parsing and sampling for one field, so matrices and points can stay
 field-agnostic.
 
 `ModP` and `Fraction` are the public scalars: a point's `columns`,
-Plücker values, subspace bases and JSON carry them, and each inverts one
+Plücker values and subspace bases carry them, and each inverts one
 way, `ModP` by `x ** -1` (which `/` calls) and `Fraction` by its own `/`.
 Each field object also owns the int form of its scalars, which points
 carry and the kernels compute on: `form` turns vectors into one
@@ -22,12 +22,18 @@ denominator into int form, and `random_int` draws an int entry.
 `x in field` tells whether x is a scalar of the field.  No other module
 tells the two int forms apart.
 `PrimeField` refuses a modulus at or above the bound below which its
-Miller-Rabin test is deterministic.
+Miller-Rabin test is deterministic.  `prime_field(p)` is F_p built once
+per modulus in a process: point files, the CLI and LEGMON_PRIME get
+their field there, so the test runs once per modulus.
 
-Serialization: `format_scalar` renders rationals as ``"a/b"`` with an
-explicit denominator and residues as ``"v mod p"``; each field's `parse`
-reads them back.  `ascii_int` reads the CLI's integer flags, `--base`
-letters, `--idx` indices and LEGMON_PRIME.
+Serialization: an entry is written ``"a/b"`` in lowest terms with an
+explicit denominator, or ``"v mod p"``, by one rule per field, which
+`format_scalar` applies to a scalar and `format_column` to an int-form
+column (ints, den); point JSON is written from the int form that way.
+Each field's `parse` reads a text back into a scalar, and its
+`parse_column` reads a column of texts straight into int form, with the
+same grammar and the same refusals.  `ascii_int` reads the CLI's
+integer flags, `--base` letters, `--idx` indices and LEGMON_PRIME.
 
 Errors are the builtin ones, with their facts in the message: a string
 outside the grammar, a zero denominator, a residue that declares
@@ -43,6 +49,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from random import Random
 
@@ -134,7 +141,7 @@ class ModP:
         return self.value != 0
 
     def __str__(self):
-        return f"{self.value} mod {self.modulus}"
+        return _residue_text(self.value, self.modulus)
 
     def __repr__(self):
         return f"ModP({self.value}, {self.modulus})"
@@ -186,6 +193,17 @@ _RESIDUE_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:mod\s+([0-9]+)\s*)?$")
 _INT_RE = re.compile(r"-?[0-9]+")
 
 
+def _rational_text(a: int, b: int) -> str:
+    """The text of a / b, b > 0: ``"a/b"`` in lowest terms."""
+    g = gcd(a, b)
+    return f"{a // g}/{b // g}"
+
+
+def _residue_text(v: int, p: int) -> str:
+    """The text of the residue v in [0, p): ``"v mod p"``."""
+    return f"{v} mod {p}"
+
+
 def ascii_int(text: str) -> int:
     """The int of `text`: ASCII digits after an optional minus, and nothing
     else (`int` also reads other scripts' digits, underscores, a plus sign
@@ -224,19 +242,33 @@ class RationalField:
         g = den // abs(den) * gcd(den, *ints)
         return tuple(x // g for x in ints), den // g
 
+    def format_column(self, ints, den: int) -> list[str]:
+        """The entry texts of the int-form column ints / den."""
+        return [_rational_text(x, den) for x in ints]
+
     def __contains__(self, x) -> bool:
         return type(x) is Fraction
 
-    def parse(self, text: str) -> Fraction:
+    def _ratio(self, text: str) -> tuple[int, int]:
+        """The (numerator, denominator) that `text` spells, as written."""
         m = _RATIONAL_RE.match(text)
         if not m:
             raise ValueError(f"not a rational scalar: {text!r}")
         num, den = m.group(1), m.group(2)
         if den is None:
-            return Fraction(int(num))
+            return int(num), 1
         if int(den) == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
+        return int(num), int(den)
+
+    def parse(self, text: str) -> Fraction:
+        return Fraction(*self._ratio(text))
+
+    def parse_column(self, texts) -> tuple[tuple[int, ...], int]:
+        """The int form of the column whose entries `texts` spell."""
+        ratios = [self._ratio(t) for t in texts]
+        den = lcm(*(b for _, b in ratios))
+        return self.column([a * (den // b) for a, b in ratios], den)
 
     def to_json(self) -> dict:
         return {"kind": "q"}
@@ -276,6 +308,12 @@ class PrimeField:
         p, inv = self.p, self._inverse(den)
         return tuple(x * inv % p for x in ints), 1
 
+    def format_column(self, ints, den: int) -> list[str]:
+        """The entry texts of the int-form column (ints, den); den is 1
+        in this field's form."""
+        p = self.p
+        return [_residue_text(x, p) for x in ints]
+
     def __contains__(self, x) -> bool:
         return type(x) is ModP and x.modulus == self.p
 
@@ -284,14 +322,22 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of {den} mod {self.p}")
         return pow(den, -1, self.p)
 
-    def parse(self, text: str) -> ModP:
+    def _residue(self, text: str) -> int:
+        """The residue value in [0, p) that `text` spells."""
         m = _RESIDUE_RE.match(text)
         if not m:
             raise ValueError(f"not a residue scalar: {text!r}")
         value, modulus = m.group(1), m.group(2)
         if modulus is not None and int(modulus) != self.p:
             raise ValueError(f"residue {text!r} declares modulus {modulus}, field has {self.p}")
-        return ModP(int(value), self.p)
+        return int(value) % self.p
+
+    def parse(self, text: str) -> ModP:
+        return ModP(self._residue(text), self.p)
+
+    def parse_column(self, texts) -> tuple[tuple[int, ...], int]:
+        """The int form of the column whose entries `texts` spell."""
+        return tuple(map(self._residue, texts)), 1
 
     def to_json(self) -> dict:
         return {"kind": "fp", "p": self.p}
@@ -306,10 +352,17 @@ QQ = RationalField()
 def format_scalar(x: FieldScalar) -> str:
     """Serialize a scalar as ``"a/b"`` or ``"v mod p"``."""
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return _rational_text(x.numerator, x.denominator)
     if isinstance(x, ModP):
         return str(x)
     raise TypeError(f"not a field scalar: {x!r}")
+
+
+@cache
+def prime_field(p: int) -> PrimeField:
+    """F_p, built once per modulus in a process, so its modulus is tested
+    for primality once.  `p` must be an int, not a bool."""
+    return PrimeField(p)
 
 
 def field_from_json(data: dict) -> Field:
@@ -320,7 +373,7 @@ def field_from_json(data: dict) -> Field:
     if data["kind"] == "fp":
         if type(data.get("p")) is not int:  # bool is an int subclass
             raise ValueError(f"prime field descriptor needs an integer p: {data!r}")
-        return PrimeField(data["p"])
+        return prime_field(data["p"])
     raise ValueError(f"unknown field kind: {data['kind']!r}")
 
 
@@ -335,6 +388,6 @@ def default_prime() -> int:
     if not raw:
         return DEFAULT_PRIME
     try:
-        return PrimeField(ascii_int(raw)).p
+        return prime_field(ascii_int(raw)).p
     except ValueError as exc:
         raise ValueError(f"LEGMON_PRIME={raw!r}: {exc}") from None

@@ -10,18 +10,23 @@ Genericity ("validity") asks that every cyclically consecutive k×k
 minor is nonzero; on a valid point every loop action of the family is
 defined.  `validate_point` is that predicate, a bool that stops at the
 first vanishing minor, and `require_valid` names every vanishing window.
-A point is its family, field and int form.  Draws, loop images and ℚ
-lifts construct it from a form, unchecked; `ModuliPoint.from_columns`
-converts scalars once and refuses entries of another field.  `columns`
-are built from the form when first read, and `minors` works on the form
-with `_det_closed`, the closed-form determinant up to 4×4, which the xi
-check uses too.  The loop maps take each window's two determinants with
-`cofactors`, the vector c with det(x, *t) = x·c.
+A point is its family, field and int form.  Draws, loop images, ℚ
+lifts and point JSON construct it from a form, unchecked;
+`ModuliPoint.from_columns` converts scalars once and refuses entries of
+another field.  `columns` are built from the form when first read, and
+`minors` works on the form with `_det_closed`, the closed-form
+determinant up to 4×4, which the xi check uses too.  `validate_point`
+takes `_det_closed` of each cyclic window's rows of ints and reduces it
+in the field, building no scalar.  The loop maps take each window's two
+determinants with `cofactors`, the vector c with det(x, *t) = x·c.
 `flags_from_point` rebuilds the chain of complete flags along the base
 braid word as column windows, and `validate_bott_samelson` checks the
 cyclic adjacency conditions of the open cell on their starts.
-`json_dumps` is the package's one indented JSON writer: points, `flags`
-and the reports all print its text, which is `json.dumps`' with indent 2.
+Point JSON is written from the form and read into it
+(`Field.format_column`, `Field.parse_column`), with no scalar on either
+side.  `json_dumps` is the package's one indented JSON writer: points,
+`flags` and the reports all print its text, which is `json.dumps`' with
+indent 2.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import cached_property
 from math import prod
 from random import Random
 
-from .fields import Field, FieldScalar, field_from_json, format_scalar
+from .fields import Field, FieldScalar, field_from_json
 
 
 class InvalidPoint(ValueError):
@@ -85,12 +90,7 @@ class ModuliPoint:
     @classmethod
     def from_columns(cls, family: Family, field: Field, columns) -> "ModuliPoint":
         """The point of k×N scalar columns, refusing an entry of another field."""
-        if len(columns) != family.n_columns:
-            raise ValueError(
-                f"{family.name} needs {family.n_columns} columns, got {len(columns)}"
-            )
-        if any(len(c) != family.k for c in columns):
-            raise ValueError(f"{family.name} columns must have length {family.k}")
+        _check_shape(family, columns)
         for j, c in enumerate(columns, start=1):
             for t, x in enumerate(c, start=1):
                 if x not in field:
@@ -106,6 +106,16 @@ class ModuliPoint:
     def col(self, i: int) -> tuple[FieldScalar, ...]:
         """Column v_i, 1-based and cyclic in i."""
         return self.columns[(i - 1) % self.family.n_columns]
+
+
+def _check_shape(family: Family, columns) -> None:
+    """Refuse columns that are not N columns of length k."""
+    if len(columns) != family.n_columns:
+        raise ValueError(
+            f"{family.name} needs {family.n_columns} columns, got {len(columns)}"
+        )
+    if any(len(c) != family.k for c in columns):
+        raise ValueError(f"{family.name} columns must have length {family.k}")
 
 
 def _det_closed(e):
@@ -159,24 +169,23 @@ def minors(p: ModuliPoint, windows):
         yield field.scalar(_det_closed(rows), prod(dens))
 
 
-def _cyclic_minors(p: ModuliPoint):
-    """(window, minor) for the N cyclic consecutive k-windows in order,
-    as a lazy iterator, so a caller can stop at the first vanishing minor."""
-    k, n = p.family.k, p.family.n_columns
-    windows = [tuple((start + t) % n + 1 for t in range(k)) for start in range(n)]
-    return zip(windows, minors(p, windows))
-
-
 def validate_point(p: ModuliPoint) -> bool:
     """True iff none of the N cyclic consecutive k×k minors vanishes;
-    stops at the first that does."""
-    return all(value for _, value in _cyclic_minors(p))
+    stops at the first that does.  Each minor is decided on the form's
+    ints: its dens are nonzero, so it vanishes iff `field.reduce` of
+    `_det_closed` of the rows does."""
+    k, n, reduce = p.family.k, p.family.n_columns, p.field.reduce
+    rows = [ints for ints, _ in p.form]
+    rows += rows[:k - 1]
+    return all(reduce(_det_closed(rows[j:j + k])) for j in range(n))
 
 
 def require_valid(p: ModuliPoint) -> None:
     """Raise `InvalidPoint` naming the vanishing cyclic minors, if any."""
     if not validate_point(p):
-        bad = [window for window, value in _cyclic_minors(p) if not value]
+        k, n = p.family.k, p.family.n_columns
+        windows = [tuple((start + t) % n + 1 for t in range(k)) for start in range(n)]
+        bad = [window for window, value in zip(windows, minors(p, windows)) if not value]
         raise InvalidPoint(f"vanishing cyclic minors at {bad}")
 
 
@@ -197,14 +206,19 @@ def pluecker(p: ModuliPoint, idx) -> FieldScalar:
 
 
 def point_to_json(p: ModuliPoint) -> dict:
+    """The point's JSON data, its entry texts written from the form."""
+    texts = p.field.format_column
     return {
         "family": p.family.name,
         "field": p.field.to_json(),
-        "columns": [[format_scalar(x) for x in c] for c in p.columns],
+        "columns": [texts(ints, den) for ints, den in p.form],
     }
 
 
 def point_from_json(data: dict) -> ModuliPoint:
+    """The point of JSON data, its entry texts read into the form; each
+    refusal is a `ValueError` in the wording of `Field.parse` and
+    `ModuliPoint.from_columns`."""
     if not isinstance(data, dict):
         raise ValueError("point file must be a JSON object")
     missing = {"family", "field", "columns"} - set(data)
@@ -221,8 +235,9 @@ def point_from_json(data: dict) -> ModuliPoint:
         for t, x in enumerate(c, start=1):
             if not isinstance(x, str):
                 raise ValueError(f"column {j} entry {t}: scalar must be a string, got {x!r}")
-    columns = tuple(tuple(field.parse(x) for x in c) for c in raw)
-    return ModuliPoint.from_columns(family, field, columns)
+    form = tuple(map(field.parse_column, raw))
+    _check_shape(family, raw)
+    return ModuliPoint(family, field, form)
 
 
 def json_dumps(obj) -> str:
@@ -231,32 +246,39 @@ def json_dumps(obj) -> str:
     call, a container met again at the same depth is written from the
     text it rendered to the first time: that text is kept from the
     container's second sighting on, so only repeated texts are kept."""
-    encode, seen, done = json.encoder.encode_basestring_ascii, set(), {}
+    return _write(obj, 0, set(), {})
 
-    def write(x, depth: int) -> str:
-        if isinstance(x, str):
-            return encode(x)
-        if x is None or isinstance(x, bool):
-            return {None: "null", True: "true", False: "false"}[x]
-        if isinstance(x, int):
-            return int.__repr__(x)
-        key = id(x), depth
-        if key in done:
-            return done[key]
-        if isinstance(x, dict):  # `encode` refuses a key that is not a str
-            items, ends = [f"{encode(k)}: {write(v, depth + 1)}" for k, v in x.items()], "{}"
-        elif isinstance(x, list):
-            items, ends = [write(v, depth + 1) for v in x], "[]"
-        else:
-            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-        inner = "\n" + "  " * (depth + 1)
-        text = ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1] if items else ends
-        if key in seen:
-            done[key] = text
-        seen.add(key)
-        return text
 
-    return write(obj, 0)
+_encode = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write(x, depth: int, seen: set, done: dict) -> str:
+    """The text of x at `depth` within one `json_dumps` call, whose
+    container sightings `seen` and kept texts `done` are passed down, so
+    that the call leaves no reference cycle."""
+    if isinstance(x, str):
+        return _encode(x)
+    if x is None or isinstance(x, bool):
+        return _CONSTANTS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    key = id(x), depth
+    if key in done:
+        return done[key]
+    if isinstance(x, dict):  # `_encode` refuses a key that is not a str
+        items = [f"{_encode(k)}: {_write(v, depth + 1, seen, done)}" for k, v in x.items()]
+        ends = "{}"
+    elif isinstance(x, list):
+        items, ends = [_write(v, depth + 1, seen, done) for v in x], "[]"
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    inner = "\n" + "  " * (depth + 1)
+    text = ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1] if items else ends
+    if key in seen:
+        done[key] = text
+    seen.add(key)
+    return text
 
 
 def point_dumps(p: ModuliPoint) -> str:

@@ -23,6 +23,10 @@ point and values `witness_from_json` reads back.  None of them is on a
 matrices with, nor `script_text`, the move-script renderer that
 `parse_script` reads back, nor `random_scalar`, the scalar of one
 `Field.random_int` draw.
+`scalar_point_to_json` and `scalar_point_from_json` write and read point
+JSON scalar by scalar (`format_scalar` over `p.columns`; `Field.parse`
+per entry, then `ModuliPoint.from_columns`), the reference for the
+int-form writer and reader of `legmon.moduli`.
 `LOOP_WINDOWS` writes out by hand the windows that
 `legmon.monodromy._blocks` derives for the sigma1 and xi maps, with the
 output layout each map's image must have, and `window_slots` reads each
@@ -40,9 +44,11 @@ from legmon.explorer import (
     delta,
     reduced_words,
 )
-from legmon.fields import QQ, Field, PrimeField, format_scalar
+from legmon.fields import QQ, Field, PrimeField, field_from_json, format_scalar
 from legmon.linalg import Matrix, Subspace, _rref
-from legmon.moduli import T36, ModuliPoint, point_from_json, point_to_json, require_valid
+from legmon.moduli import (
+    T36, ModuliPoint, get_family, point_from_json, point_to_json, require_valid,
+)
 from legmon.monodromy import act_shift, act_word
 
 
@@ -387,6 +393,38 @@ def scratch_relations(n_points: int, seed, field: Field, probe_budget: int) -> d
         "all_pass": all(c["all_pass"] for c in checks),
         "checks": checks,
     }
+
+
+def scalar_point_to_json(p: ModuliPoint) -> dict:
+    """Point JSON with each entry written by `format_scalar` from `p.columns`."""
+    return {
+        "family": p.family.name,
+        "field": p.field.to_json(),
+        "columns": [[format_scalar(x) for x in c] for c in p.columns],
+    }
+
+
+def scalar_point_from_json(data) -> ModuliPoint:
+    """The point of JSON data, each entry read by `Field.parse` and the
+    columns checked and converted by `ModuliPoint.from_columns`."""
+    if not isinstance(data, dict):
+        raise ValueError("point file must be a JSON object")
+    missing = {"family", "field", "columns"} - set(data)
+    if missing:
+        raise ValueError(f"point file missing keys: {sorted(missing)}")
+    if not isinstance(data["family"], str):
+        raise ValueError(f"family must be a string, got {data['family']!r}")
+    family = get_family(data["family"])
+    field = field_from_json(data["field"])
+    raw = data["columns"]
+    if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
+        raise ValueError("columns must be a list of lists of scalar strings")
+    for j, c in enumerate(raw, start=1):
+        for t, x in enumerate(c, start=1):
+            if not isinstance(x, str):
+                raise ValueError(f"column {j} entry {t}: scalar must be a string, got {x!r}")
+    columns = tuple(tuple(field.parse(x) for x in c) for c in raw)
+    return ModuliPoint.from_columns(family, field, columns)
 
 
 def random_scalar(field, rng):

@@ -58,9 +58,9 @@ def test_criterion_1_loop_certification():
     ]
     assert str(scripts[0][0]) == " ".join("1 2".split() * 9)
     for base, moves in scripts:
-        texts, is_loop = verify_loop(base, moves)  # raises on any illegal intermediate move
+        text, is_loop = verify_loop(base, moves)  # raises on any illegal intermediate move
         assert is_loop
-        assert texts[-1] == str(base)
+        assert text.endswith(f" -> {base}\nloop: true\n")
     _report(1, "all built-in loop scripts certify", t0, 1.0)
 
 

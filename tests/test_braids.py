@@ -134,7 +134,8 @@ def test_moves_match_checked_construction(strands, seed):
     # apply_move rewrites a letter list in place and nothing re-checks
     # it: after every move the letters must be ones the checked
     # constructor accepts, and the oracle's surgery must agree.  The
-    # walk, replayed as a script, must render as a letter-by-letter join.
+    # walk, replayed as a script, must render each word as a
+    # letter-by-letter join.
     rng = Random(seed)
     letters = []
     while len(letters) < 40:
@@ -159,9 +160,11 @@ def test_moves_match_checked_construction(strands, seed):
         moves.append(move)
     # Three strands have no commuting letters.
     assert set(kinds) == {"shift", "r3a", "r3d"} | ({"comm"} if strands > 3 else set())
-    texts, is_loop = verify_loop(base, tuple(moves))
-    assert texts == tuple(" ".join(map(str, w.letters)) for w in words)
+    text, is_loop = verify_loop(base, tuple(moves))
+    texts = [" ".join(map(str, w.letters)) for w in words]
+    lines = [f"base: {texts[0]}", *(f"{m!s:10s} -> {t}" for m, t in zip(moves, texts[1:]))]
     assert is_loop == (words[-1] == base)
+    assert text == "\n".join(lines) + f"\nloop: {'true' if is_loop else 'false'}\n"
 
 
 @pytest.mark.parametrize(
@@ -262,17 +265,19 @@ def test_verify_loop_sigma1_example():
         Move("r3d", 1), Move("r3d", 7), Move("r3d", 13),
         Move("r3a", 4), Move("r3a", 10), Move("r3a", 16),
     )
-    texts, is_loop = verify_loop(base, moves)
+    text, is_loop = verify_loop(base, moves)
     assert is_loop
-    assert len(texts) == 8  # base plus one word per move
-    assert texts[-1] == str(base)
+    lines = text.splitlines()
+    assert len(lines) == 9  # base, one word per move, the verdict
+    assert lines[0] == f"base: {base}"
+    assert lines[-2:] == [f"r3a 16     -> {base}", "loop: true"]
 
 
 def test_verify_loop_shift_examples():
     base = w(3, *(1, 2) * 9)
-    texts, is_loop = verify_loop(base, (Move("shift"),))
+    text, is_loop = verify_loop(base, (Move("shift"),))
     assert not is_loop
-    assert texts[-1] == " ".join("2 1".split() * 9)
+    assert text.splitlines()[1:] == ["shift      -> " + " ".join("2 1".split() * 9), "loop: false"]
     _, is_loop = verify_loop(base, (Move("shift"), Move("shift")))
     assert is_loop
 

@@ -659,9 +659,9 @@ def test_pluecker_set_is_valid_for_t44():
 
 
 def test_reports_build_scalars_only_for_witness_json(monkeypatch):
-    # Every report computes on the int form: relations and xi build no
-    # point's `columns`, the sweep builds those of each distinct witness
-    # point once, for the witness JSON, and dumping builds none.
+    # Every report computes on the int form and writes its witness
+    # points from it: no report builds a point's `columns`, the sweep
+    # included, and dumping builds none.
     calls = []
     build = ModuliPoint.columns.func
 
@@ -673,15 +673,10 @@ def test_reports_build_scalars_only_for_witness_json(monkeypatch):
     verify_relations(n_points=4, field=QQ)
     xi_pluecker_report(n_points=4)
     xi_pluecker_report(n_points=2, field=QQ)
-    assert calls == []
     sweep = faithfulness_sweep(max_syllables=4, probe_budget=2, n_points=8)
-    witness_points = {
-        json.dumps(e["witness"]["point"]) for e in sweep.json["witnesses"] if e["separated"]
-    }
-    built = len(witness_points)
-    assert witness_points and len(calls) == len(set(calls)) == built
-    text = report_dumps(sweep)
-    assert report_dumps(sweep) == text and len(calls) == built  # kept, not rebuilt
+    assert any(e["separated"] for e in sweep.json["witnesses"])
+    report_dumps(sweep)
+    assert calls == []
 
 
 def test_sweep_builds_each_witness_point_json_once(monkeypatch):

@@ -13,7 +13,7 @@ construction, and the loop maps, the minors and the xi check read it
 there (`p.form`): none of them calls `.form(` to convert scalars.  A
 point builds its scalar `columns` from that form only when they are
 read, so no module outside `moduli` reads `.columns` or calls `.col(`,
-and inside `moduli` only `col` and the JSON writer do.
+and inside `moduli` only `col` does: point JSON is written from the form.
 The modules are read from their source, as `test_bench_traced` reads
 the benchmark's table.
 """
@@ -141,6 +141,6 @@ def test_only_moduli_builds_point_scalars():
     for path in sorted(SRC.glob("*.py")):
         readers = _columns_readers(ast.parse(path.read_text()))
         if path.stem == "moduli":
-            assert readers == {"col", "point_to_json"}
+            assert readers == {"col"}
         else:
             assert not readers, path.stem
