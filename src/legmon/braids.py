@@ -25,7 +25,8 @@ the cyclic shift, one move per rewrite, window by window.  `parse_script` reads 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from . import Frozen
 
 
 class IllegalMove(Exception):
@@ -46,8 +47,7 @@ class ScriptSyntaxError(ValueError):
 _KEYWORDS = ("shift", "comm", "r3a", "r3d")
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Frozen):
     """A positive braid word: k strands, int letters in 1..k-1.
 
     Construction checks every letter's type, then every letter's range,
@@ -55,19 +55,20 @@ class BraidWord:
     letters, not on the word (see `apply_move`).
     """
 
-    strands: int
-    letters: tuple[int, ...]
+    _fields = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 2:
-            raise ValueError(f"need at least 2 strands, got {self.strands}")
-        top = self.strands - 1
-        for x in self.letters:
+    def __init__(self, strands: int, letters: tuple[int, ...]):
+        if strands < 2:
+            raise ValueError(f"need at least 2 strands, got {strands}")
+        top = strands - 1
+        for x in letters:
             if type(x) is not int:  # by type: True and 1.0 compare equal to 1
                 raise ValueError(f"letter {x!r} is not an int")
-        for x in self.letters:
+        for x in letters:
             if not 1 <= x <= top:
                 raise ValueError(f"letter {x} out of range 1..{top}")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -76,22 +77,23 @@ class BraidWord:
         return " ".join(map(str, self.letters))
 
 
-@dataclass(frozen=True)
-class Move:
-    """One rewriting move; `pos` is a 1-based int (by type, so not True
-    or 2.0, as for `BraidWord` letters) and None exactly for shift."""
+class Move(Frozen):
+    """One rewriting move; `kind` is one of `_KEYWORDS`, `pos` a 1-based
+    int (by type, so not True or 2.0, as for `BraidWord` letters) and None
+    exactly for shift."""
 
-    kind: str  # one of _KEYWORDS
-    pos: int | None = None
+    _fields = ("kind", "pos")
 
-    def __post_init__(self):
-        if self.kind == "shift":
-            if self.pos is not None:
+    def __init__(self, kind: str, pos: int | None = None):
+        if kind == "shift":
+            if pos is not None:
                 raise ValueError("shift takes no position")
-        elif self.kind not in _KEYWORDS:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        elif type(self.pos) is not int or self.pos < 1:
-            raise ValueError(f"{self.kind} needs an int position >= 1, got {self.pos!r}")
+        elif kind not in _KEYWORDS:
+            raise ValueError(f"unknown move kind {kind!r}")
+        elif type(pos) is not int or pos < 1:
+            raise ValueError(f"{kind} needs an int position >= 1, got {pos!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pos", pos)
 
     def __str__(self) -> str:
         return self.kind if self.pos is None else f"{self.kind} {self.pos}"

@@ -16,11 +16,20 @@ CLI's default prime modulus.  Integer flags, `--base` letters, `--idx`
 indices and LEGMON_PRIME are read by `fields.ascii_int`: ASCII digits
 after an optional minus, with no underscores or surrounding whitespace.
 The reports' other defaults are the defaults of the `explorer` functions
-they run: a report flag left out is not passed.  Only the reports
-`relations`, `faithful` and `xi-report` import `explorer`.  Every JSON
-text printed or written, points, `flags` and reports, comes from
-`moduli.json_dumps`; point files are written from and read into the int
-form, so `random-point`, `flags` and `act` build no scalar on the way.
+they run: a report flag left out is not passed.
+
+Imports: `import legmon.cli` loads `fields` and `moduli`; a command
+imports the rest of what it runs as it runs: `verify-loop` and `flags`
+import `braids` (as does a parser reading the `--builtin` choices,
+`braids.BUILTIN_NAMES`), `act` imports `monodromy`, and the reports
+import `explorer`, which imports `monodromy`.  No command loads
+`dataclasses`; `fractions` loads only where a rational scalar is built
+or tested for.  The three failures that exit 3 come from `moduli`;
+`verify-loop` reports a `braids.ScriptSyntaxError` itself.
+
+Every JSON text printed or written, points, `flags` and reports, comes
+from `moduli.json_dumps`; point files are written from and read into the
+int form, so `random-point`, `flags` and `act` build no scalar on the way.
 The prime field of `--prime`, LEGMON_PRIME and point files is
 `fields.prime_field`, one object per modulus.  `verify-loop` writes the
 transcript `braids.verify_loop` renders in one write.
@@ -43,19 +52,10 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .braids import (
-    BUILTIN_NAMES,
-    BraidWord,
-    IllegalMove,
-    ScriptSyntaxError,
-    base_word,
-    builtin_script,
-    parse_script,
-    verify_loop,
-)
 from .fields import Field, QQ, ascii_int, default_prime, format_scalar, prime_field
 from .moduli import (
     FAMILIES,
+    DegeneracyError,
     InvalidPoint,
     SamplingExhausted,
     flags_from_point,
@@ -67,7 +67,6 @@ from .moduli import (
     require_valid,
     validate_bott_samelson,
 )
-from .monodromy import DegeneracyError, act_word
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -112,7 +111,8 @@ def _read_point(path: str | None):
         raise ValueError(f"cannot read point file: {exc}") from exc
 
 
-def _parse_base(text: str, strands: int) -> BraidWord:
+def _parse_base(text: str, strands: int):
+    from .braids import BraidWord
     try:
         if not text.isascii():
             raise ValueError(f"not ASCII: {text!r}")
@@ -123,6 +123,7 @@ def _parse_base(text: str, strands: int) -> BraidWord:
 
 
 def _cmd_verify_loop(args) -> int:
+    from .braids import IllegalMove, ScriptSyntaxError, builtin_script, parse_script, verify_loop
     if (args.script is None) == (args.builtin is None):
         raise ValueError("choose exactly one of --script or --builtin")
     if args.k is not None and args.builtin != "delta_power":
@@ -133,7 +134,11 @@ def _cmd_verify_loop(args) -> int:
         if args.s is not None:
             raise ValueError("--s applies only to --builtin")
         base = _parse_base(args.base, args.strands)
-        moves = parse_script(_read_text(args.script))
+        try:
+            moves = parse_script(_read_text(args.script))
+        except ScriptSyntaxError as exc:
+            print(f"script syntax error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         if args.base is not None or args.strands is not None:
             raise ValueError("--base and --strands apply only to --script")
@@ -153,6 +158,7 @@ def _cmd_verify_loop(args) -> int:
 
 
 def _cmd_act(args) -> int:
+    from .monodromy import act_word
     point = _read_point(args.point)
     require_valid(point)
     _write_text(args.out, point_dumps(act_word(point, args.word)))
@@ -178,6 +184,7 @@ def _cmd_random_point(args) -> int:
 
 
 def _cmd_flags(args) -> int:
+    from .braids import base_word
     point = _read_point(args.point)
     try:
         flags = flags_from_point(point)
@@ -208,9 +215,18 @@ def _flag(option: str, kind=str, *, choices=None, required=False, default=None,
           help=None, dest=None, metavar=None):
     """One row of a command's flag table: (option, dest, kind, choices,
     required, default, help, metavar).  `kind` is `int` (read by
-    `ascii_int`) or `str`; `dest` defaults to the option's name."""
+    `ascii_int`) or `str`; `dest` defaults to the option's name.
+    `choices` is None, a container, or a function that returns one, which
+    the parsers call only when they need the choices."""
     return (option, dest or option[2:].replace("-", "_"), kind, choices, required, default,
             help, metavar)
+
+
+def _builtin_names() -> tuple[str, ...]:
+    """The choices of `--builtin`: `braids.BUILTIN_NAMES`, the module
+    imported only when a parser reads them."""
+    from .braids import BUILTIN_NAMES
+    return BUILTIN_NAMES
 
 
 _POINT = _flag("--point", help="point JSON file ('-' or omit for stdin)")
@@ -239,7 +255,7 @@ _COMMANDS = {
         _flag("--script", help="move-script file (DSL)"),
         _flag("--base", help="base word letters for --script, e.g. '1,2,1,2'"),
         _flag("--strands", int, help="strand count for --script"),
-        _flag("--builtin", choices=BUILTIN_NAMES),
+        _flag("--builtin", choices=_builtin_names),
         _flag("--s", int, help="window parameter (default 1)"),
         _flag("--k", int, help="k for delta_power")), {}),
     "act": ("apply a generator word to a point", _cmd_act, (
@@ -294,6 +310,8 @@ def _parse_spelled_out(argv: list[str]):
                 text = ascii_int(text)
             except ValueError:
                 return None
+        if callable(choices):
+            choices = choices()
         if choices is not None and text not in choices:
             return None
         values[dest] = text
@@ -322,6 +340,8 @@ def build_parser():
     for name, row in _COMMANDS.items():
         sub = subs.add_parser(name, help=row[0])
         for option, dest, kind, choices, required, default, help, metavar in row[2]:
+            if callable(choices):
+                choices = choices()
             sub.add_argument(option, dest=dest, type=to_int if kind is int else None,
                              choices=choices, required=required, help=help, metavar=metavar,
                              default=argparse.SUPPRESS if default is _ABSENT else default)
@@ -336,9 +356,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScriptSyntaxError as exc:
-        print(f"script syntax error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SamplingExhausted as exc:
         print(f"sampling exhausted: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY

@@ -42,12 +42,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from random import Random
 
+from . import Frozen
 from .fields import (
     DEFAULT_PRIME,
     Field,
@@ -151,16 +150,19 @@ class _WordImages:
         return self._values[word]
 
 
-@dataclass(frozen=True)
-class SeparationWitness:
+class SeparationWitness(Frozen):
     """A probe u, a point p, and Δ(u(w(p))) ≠ Δ(u(p)) certifying that w
-    acts nontrivially."""
+    acts nontrivially: lhs = Δ(probe(word(point))), rhs = Δ(probe(point))."""
 
-    word: tuple[str, ...]
-    probe: tuple[str, ...]
-    point: ModuliPoint
-    lhs: FieldScalar  # Δ(probe(word(point)))
-    rhs: FieldScalar  # Δ(probe(point))
+    _fields = ("word", "probe", "point", "lhs", "rhs")
+
+    def __init__(self, word: tuple[str, ...], probe: tuple[str, ...], point: ModuliPoint,
+                 lhs: FieldScalar, rhs: FieldScalar):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "probe", probe)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def to_json(self, point_json=point_to_json) -> dict:
         """The witness's JSON; its point's dict is `point_json(point)`."""
@@ -202,7 +204,7 @@ def reverify_witness_q(witness: SeparationWitness, _q: _WordImages | None = None
     }
 
 
-def _reduces_to(x: Fraction, r: FieldScalar, field: Field) -> bool:
+def _reduces_to(x: FieldScalar, r: FieldScalar, field: Field) -> bool:
     """Whether the rational x maps to r in r's `field`."""
     return bool(field.reduce(x.denominator)) and field.scalar(x.numerator, x.denominator) == r
 
@@ -237,17 +239,19 @@ def separate(word: tuple[str, ...], probe_budget: int = 4, n_points: int = 32,
     return None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Frozen):
     """A report's JSON, built as the report computes, and its `ok`
     verdict, the CLI's exit status."""
 
-    json: dict
-    ok: bool
+    _fields = ("json", "ok")
     # Valid points stay valid under every word, so nothing degenerates
     # and no draw is resampled.
     degenerate_evals = 0
     resamples = 0
+
+    def __init__(self, json: dict, ok: bool):
+        object.__setattr__(self, "json", json)
+        object.__setattr__(self, "ok", ok)
 
 
 def verify_relations(n_points: int = 32, seed=7, field: Field = DEFAULT_FIELD,

@@ -3,10 +3,11 @@
 Every identity this package checks is checked exactly, so there is no
 floating point anywhere.  Rational scalars are `fractions.Fraction`
 values (arbitrary precision, always in lowest terms with a positive
-denominator).  Prime-field scalars are `ModP` residues that carry their
-modulus.  A `RationalField` or `PrimeField` object bundles construction,
-parsing and sampling for one field, so matrices and points can stay
-field-agnostic.
+denominator); `fractions` is imported when the first one is built or
+tested for, so work over F_p alone never loads it.  Prime-field
+scalars are `ModP` residues that carry their modulus.  A `RationalField`
+or `PrimeField` object bundles construction, parsing and sampling for
+one field, so matrices and points can stay field-agnostic.
 
 `ModP` and `Fraction` are the public scalars: a point's `columns`,
 Plücker values and subspace bases carry them, and each inverts one
@@ -47,11 +48,11 @@ from __future__ import annotations
 import os
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from random import Random
+
+from . import Frozen
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, fits in one machine word with room to multiply
 
@@ -147,8 +148,23 @@ class ModP:
         return f"ModP({self.value}, {self.modulus})"
 
 
-#: A scalar of either supported field.
-FieldScalar = Fraction | ModP
+#: A scalar of either supported field (an annotation).
+FieldScalar = "Fraction | ModP"
+
+
+def _fraction_class() -> type:
+    """`fractions.Fraction`, imported on first use and bound as this
+    module's `Fraction` in place of the stub below, so that a process that
+    builds no rational scalar never loads `fractions`."""
+    global Fraction
+    if not isinstance(Fraction, type):  # still the stub
+        from fractions import Fraction
+    return Fraction
+
+
+def Fraction(*args):
+    """`fractions.Fraction(*args)`; only the first call runs this stub."""
+    return _fraction_class()(*args)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -190,7 +206,6 @@ def _is_prime(n: int) -> bool:
 # ASCII digits only: `\d` would also match other scripts' digits, which `int` reads.
 _RATIONAL_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?$")
 _RESIDUE_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:mod\s+([0-9]+)\s*)?$")
-_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def _rational_text(a: int, b: int) -> str:
@@ -211,13 +226,12 @@ def ascii_int(text: str) -> int:
     ASCII digits" if it is not ASCII and in `int`'s wording otherwise."""
     if not text.isascii():
         raise ValueError("not ASCII digits")
-    if not _INT_RE.fullmatch(text):
+    if not text.removeprefix("-").isdigit():  # on ASCII text, `isdigit` means 0-9
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(Frozen):
     """The field of rational numbers."""
 
     def random_int(self, rng: Random) -> int:
@@ -247,7 +261,7 @@ class RationalField:
         return [_rational_text(x, den) for x in ints]
 
     def __contains__(self, x) -> bool:
-        return type(x) is Fraction
+        return type(x) is _fraction_class()
 
     def _ratio(self, text: str) -> tuple[int, int]:
         """The (numerator, denominator) that `text` spells, as written."""
@@ -274,20 +288,19 @@ class RationalField:
         return {"kind": "q"}
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Frozen):
     """The field of integers modulo a prime ``p``."""
 
-    p: int
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p >= _PRIMALITY_BOUND:
+    def __init__(self, p: int):
+        if p >= _PRIMALITY_BOUND:
             raise ValueError(
-                f"modulus {self.p} is too large: primality is certified "
-                f"only below {_PRIMALITY_BOUND}"
+                f"modulus {p} is too large: primality is certified only below {_PRIMALITY_BOUND}"
             )
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        object.__setattr__(self, "p", p)
 
     def random_int(self, rng: Random) -> int:
         return rng.randrange(self.p)
@@ -351,10 +364,10 @@ QQ = RationalField()
 
 def format_scalar(x: FieldScalar) -> str:
     """Serialize a scalar as ``"a/b"`` or ``"v mod p"``."""
-    if isinstance(x, Fraction):
-        return _rational_text(x.numerator, x.denominator)
     if isinstance(x, ModP):
         return str(x)
+    if isinstance(x, _fraction_class()):
+        return _rational_text(x.numerator, x.denominator)
     raise TypeError(f"not a field scalar: {x!r}")
 
 

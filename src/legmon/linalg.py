@@ -5,7 +5,7 @@ are the slow routes the tests check the package's kernels against.  No
 other module of the package imports this one; it stays in `src/` only
 because the benchmark's `bench/layers.py` imports or traces its names.
 It takes the closed-form determinant `_det_closed` from `moduli`, and
-`DegeneracyError` from `monodromy`, which `wedge_normalize` raises.
+`DegeneracyError`, which `wedge_normalize` raises, from there too.
 `wedge` gives the coordinates of v ∧ w for `wedge_normalize` and the tests.
 
 Subspaces are kept in a canonical reduced echelon form (unit pivots,
@@ -25,8 +25,7 @@ from itertools import combinations
 from math import prod
 
 from .fields import Field, FieldScalar
-from .moduli import _det_closed
-from .monodromy import DegeneracyError
+from .moduli import DegeneracyError, _det_closed
 
 Vector = tuple[FieldScalar, ...]
 

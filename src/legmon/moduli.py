@@ -10,6 +10,9 @@ Genericity ("validity") asks that every cyclically consecutive k×k
 minor is nonzero; on a valid point every loop action of the family is
 defined.  `validate_point` is that predicate, a bool that stops at the
 first vanishing minor, and `require_valid` names every vanishing window.
+The three failures the CLI exits 3 on live here: `InvalidPoint`,
+`SamplingExhausted`, and `DegeneracyError`, which the loop maps of
+`monodromy` raise.
 A point is its family, field and int form.  Draws, loop images, ℚ
 lifts and point JSON construct it from a form, unchecked;
 `ModuliPoint.from_columns` converts scalars once and refuses entries of
@@ -32,11 +35,11 @@ indent 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from random import Random
 
+from . import Frozen
 from .fields import Field, FieldScalar, field_from_json
 
 
@@ -48,20 +51,21 @@ class SamplingExhausted(RuntimeError):
     """Rejection sampling hit its retry bound without a valid point."""
 
 
-@dataclass(frozen=True)
-class Family:
-    """The torus link T(k, ks) on Gr(k, N); N and the name are cached."""
+class DegeneracyError(Exception):
+    """Input is not generic enough for the requested construction."""
 
-    k: int
-    s: int
 
-    @cached_property
-    def n_columns(self) -> int:
-        return self.k * (self.s + 1)
+class Family(Frozen):
+    """The torus link T(k, ks) on Gr(k, N): the fields k and s, and their
+    N = `n_columns` and `name`."""
 
-    @cached_property
-    def name(self) -> str:
-        return f"T{self.k}{self.k * self.s}"
+    _fields = ("k", "s")
+
+    def __init__(self, k: int, s: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n_columns", k * (s + 1))
+        object.__setattr__(self, "name", f"T{k}{k * s}")
 
 
 T36 = Family(3, 2)
@@ -76,16 +80,19 @@ def get_family(name: str) -> Family:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}") from None
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(Frozen):
     """Framed vectors v_1..v_N over one field, as `form`, their int form:
     one `Field.form` (ints, den) pair per column.  The form is canonical
-    in each field, so `==` and `hash` compare it.  The constructor takes
-    the form unchecked; `from_columns` checks and converts scalars."""
+    in each field, so `==` and `hash` compare it with the family and the
+    field.  The constructor takes the form unchecked; `from_columns`
+    checks and converts scalars."""
 
-    family: Family
-    field: Field
-    form: tuple
+    _fields = ("family", "field", "form")
+
+    def __init__(self, family: Family, field: Field, form: tuple):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "form", form)
 
     @classmethod
     def from_columns(cls, family: Family, field: Field, columns) -> "ModuliPoint":
@@ -323,15 +330,17 @@ def random_point(family: Family, field: Field, seed) -> ModuliPoint:
     )
 
 
-@dataclass(frozen=True)
-class FlagTuple:
+class FlagTuple(Frozen):
     """l(β) complete flags of F^k as column windows: flag m holds, for
     each level d = 1..k-1, the start j (0-based, mod N = `n_columns`) of
     the window v_{j+1}..v_{j+d} that spans its d-dimensional subspace."""
 
-    ambient: int
-    n_columns: int
-    flags: tuple[tuple[int, ...], ...]
+    _fields = ("ambient", "n_columns", "flags")
+
+    def __init__(self, ambient: int, n_columns: int, flags: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "n_columns", n_columns)
+        object.__setattr__(self, "flags", flags)
 
     def __len__(self) -> int:
         return len(self.flags)

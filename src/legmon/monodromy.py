@@ -25,10 +25,12 @@ subspace route of `linalg`, `intersect` then `wedge_normalize`.
 Composition is by group words.  On T36 the generators are A (column
 shift by one), A2 (shift by two), and B = sigma1 after a shift, so that
 pullbacks compose contravariantly.  On T44 the generators are X1, X2,
-X3.  A degeneracy is a `DegeneracyError`, defined here, where the loop
-maps raise it; its message names the window label, its pair and T, and
-the cause.  It cannot occur on a valid point, and every image of a
-valid point is valid, so callers validate once and never resample.
+X3.  A degeneracy is a `DegeneracyError`, which the loop maps raise; it
+is defined in `moduli`, beside the other failures the CLI exits 3 on,
+and `monodromy.DegeneracyError` names the same class.  Its message names
+the window label, its pair and T, and the cause.  It cannot occur on a
+valid point, and every image of a valid point is valid, so callers
+validate once and never resample.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ import re
 from functools import cache
 from operator import mul
 
-from .moduli import ModuliPoint, T36, T44, cofactors
-
-
-class DegeneracyError(Exception):
-    """Input is not generic enough for the requested construction."""
+from .moduli import DegeneracyError, ModuliPoint, T36, T44, cofactors
 
 
 def act_shift(p: ModuliPoint, j: int) -> ModuliPoint:

@@ -914,26 +914,56 @@ def test_module_entry_point_subcommand_help():
     assert proc.stdout.startswith("usage: legmon flags [-h] [--point POINT]")
 
 
+# Command line -> the `legmon` modules a fresh process running it loads;
+# `flags`, `act` and `pluecker` are piped a point.
+REPORT_MODULES = {"cli", "explorer", "fields", "moduli", "monodromy"}
+COMMAND_MODULES = [
+    (("random-point", "--family", "T36", "--seed", "1"), {"cli", "fields", "moduli"}),
+    (("flags",), {"braids", "cli", "fields", "moduli"}),
+    (("act", "--word", "A"), {"cli", "fields", "moduli", "monodromy"}),
+    (("pluecker", "--idx", "1,4,7"), {"cli", "fields", "moduli"}),
+    (("verify-loop", "--builtin", "sigma1"), {"braids", "cli", "fields", "moduli"}),
+    (("xi-report", "--points", "2"), REPORT_MODULES),
+    (("relations", "--field", "q", "--points", "2"), REPORT_MODULES),
+]
+# Printed by a fresh process after `import legmon`, after `import
+# legmon.cli`, and after `main(argv)`: the `legmon` modules loaded, then
+# the standard modules of STDLIB loaded, and last the exit code.
+IMPORT_PROBE = """
+import os, sys
+STDLIB = ("argparse", "gettext", "dataclasses", "inspect", "fractions")
+def loaded():
+    return (sorted(m[7:] for m in sys.modules if m.startswith("legmon.")),
+            [m for m in STDLIB if m in sys.modules])
+import legmon
+print(loaded())
+import legmon.cli
+print(loaded())
+sys.stdout = open(os.devnull, "w")
+code = legmon.cli.main(sys.argv[1:])
+print(loaded(), code, file=sys.__stdout__)
+"""
+
+
 def test_imports_load_only_what_they_need():
+    # Each command runs in a fresh process: `import legmon.cli` loads
+    # `fields` and `moduli`, and a command adds what it runs.  No call
+    # loads `dataclasses` or `inspect`, a spelled-out call not `argparse`,
+    # and only the call over Q loads `fractions`.
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = (
-        "import os, sys\n"
-        "import legmon\n"
-        "print(sorted(m for m in sys.modules if m.startswith('legmon.')))\n"
-        "import legmon.cli\n"
-        "print('legmon.explorer' in sys.modules, 'legmon.linalg' in sys.modules)\n"
-        "print('argparse' in sys.modules, 'gettext' in sys.modules)\n"
-        "legmon.cli.main(['random-point', '--family', 'T36', '--seed', '1',\n"
-        "                 '--out', os.devnull])\n"
-        "print('argparse' in sys.modules, 'gettext' in sys.modules)\n"
-        "import legmon.explorer\n"
-        "print('legmon.linalg' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == "[]\nFalse False\nFalse False\nFalse False\nFalse\n"
+    env.pop("LEGMON_PRIME", None)
+    piped = point_dumps(random_point(T36, PrimeField(DEFAULT_PRIME), 1))
+    for argv, modules in COMMAND_MODULES:
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
+                              text=True, env=env, timeout=60,
+                              input=piped if argv[0] in ("flags", "act", "pluecker") else "")
+        assert proc.returncode == 0 and proc.stderr == "", argv
+        package, imported, ran = proc.stdout.splitlines()
+        assert package == "([], [])"
+        assert imported == "(['cli', 'fields', 'moduli'], [])"
+        rational = ["fractions"] if "q" in argv else []
+        assert ran in (f"({sorted(modules)}, {rational}) {code}" for code in (0, 1)), argv
 
 
 JSON_VALUES = st.recursive(

@@ -14,8 +14,12 @@ there (`p.form`): none of them calls `.form(` to convert scalars.  A
 point builds its scalar `columns` from that form only when they are
 read, so no module outside `moduli` reads `.columns` or calls `.col(`,
 and inside `moduli` only `col` does: point JSON is written from the form.
-The modules are read from their source, as `test_bench_traced` reads
-the benchmark's table.
+Every command is a fresh process that imports `cli`, so no module but
+`linalg` (no command's) imports `dataclasses`, none imports `fractions`
+as it loads, and `cli` imports `braids`, `monodromy` and `explorer`
+only inside the handlers that run them; `test_cli` checks what each
+command's process loads.  The modules are read from their source, as
+`test_bench_traced` reads the benchmark's table.
 """
 
 import ast
@@ -93,6 +97,39 @@ def test_product_modules_skip_the_oracles():
             tree = ast.parse(path.read_text())
             assert not _imports(tree, "linalg"), path.stem
             assert not _names(tree) & {"Matrix", "determinant"}, path.stem
+
+
+def _imports_on_load(tree, module):
+    """Whether running the code, as importing it does, imports `module`:
+    `_imports` outside every function body."""
+    nodes = [tree]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and _imports(node, module):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_scan_finds_imports_on_load():
+    for source in ("from .braids import verify_loop", "import legmon.braids",
+                   "if True:\n    from . import braids", "class C:\n    from .braids import x"):
+        assert _imports_on_load(ast.parse(source), "braids"), source
+    for source in ("def f():\n    from .braids import x\n    return x",
+                   "async def f():\n    import braids", "from .moduli import braids_x"):
+        assert not _imports_on_load(ast.parse(source), "braids"), source
+
+
+def test_commands_load_no_more_than_they_run():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem != "linalg":
+            assert not _imports(tree, "dataclasses"), path.stem
+        assert not _imports_on_load(tree, "fractions"), path.stem
+    cli = ast.parse((SRC / "cli.py").read_text())
+    for module in ("braids", "monodromy", "explorer"):
+        assert not _imports_on_load(cli, module), module
 
 
 def test_moduli_imports_nothing_from_braids():

@@ -1,9 +1,7 @@
 """Moduli points: validity, Plücker minors, serialization, flags."""
 
-import dataclasses
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -97,13 +95,14 @@ def test_families():
 
 def test_a_family_is_two_integers():
     # (k, s) is the torus link T(k, ks) on Gr(k, k(s+1)); N and the name follow.
-    assert [f.name for f in dataclasses.fields(Family)] == ["k", "s"]
+    assert repr(Family(3, 2)) == "Family(k=3, s=2)"
     assert T36 == Family(3, 2) and T44 == Family(4, 1)
     assert FAMILIES == {"T36": Family(3, 2), "T44": Family(4, 1)}
     for (k, s), name, n in (((3, 1), "T33", 6), ((2, 3), "T26", 8), ((4, 3), "T412", 16)):
         assert (Family(k, s).name, Family(k, s).n_columns) == (name, n)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         T36.k = 4
+    assert T36.k == 3
 
 
 @pytest.mark.parametrize("name, k, s", [
@@ -514,10 +513,10 @@ def nudged_chains(flags):
 
     for d in range(flags.ambient - 1):
         for step in (1, -1):
-            yield replace(flags, flags=tuple(nudge(flag, d, step) for flag in flags.flags))
+            yield FlagTuple(flags.ambient, n, tuple(nudge(flag, d, step) for flag in flags.flags))
             for m, flag in enumerate(flags.flags):
                 moved = flags.flags[:m] + (nudge(flag, d, step),) + flags.flags[m + 1:]
-                yield replace(flags, flags=moved)
+                yield FlagTuple(flags.ambient, n, moved)
 
 
 @pytest.mark.parametrize("field", [FP, PrimeField(3), PrimeField(5), QQ], ids=str)
@@ -542,7 +541,7 @@ def test_window_validator_matches_span_oracle(family, field):
         flags, spans = flags_from_point(p), span_flags_from_point(p)
         for chain, span_chain in zip(chain_variants(flags.flags), chain_variants(spans.flags)):
             for word in words:
-                check(replace(flags, flags=chain), SpanFlagTuple(k, span_chain), word)
+                check(FlagTuple(k, flags.n_columns, chain), SpanFlagTuple(k, span_chain), word)
         span_of = {(d, j): span for flag, span_flag in zip(flags.flags, spans.flags)
                    for d, (j, span) in enumerate(zip(flag, span_flag), start=1)}
         for f in nudged_chains(flags):
@@ -561,8 +560,8 @@ def test_bott_samelson_rejects_swapped_adjacent_flags(family):
             swapped = list(chain)
             nxt = (m + 1) % len(chain)
             swapped[m], swapped[nxt] = chain[nxt], chain[m]
-            assert not validate_bott_samelson(replace(flags, flags=tuple(swapped)),
-                                              base_word(family.k, family.s))
+            doctored = FlagTuple(flags.ambient, flags.n_columns, tuple(swapped))
+            assert not validate_bott_samelson(doctored, base_word(family.k, family.s))
 
 
 def test_flags_invalid_point():
@@ -574,7 +573,7 @@ def test_flags_invalid_point():
 
 def test_bott_samelson_rejects_fat_diagonal():
     flags = flags_from_point(sample_point())
-    doctored = replace(flags, flags=(flags.flags[0],) * 2 + flags.flags[2:])
+    doctored = FlagTuple(flags.ambient, flags.n_columns, (flags.flags[0],) * 2 + flags.flags[2:])
     assert not validate_bott_samelson(doctored, base_word(T36.k, T36.s))
 
 
@@ -582,7 +581,7 @@ def test_bott_samelson_rejects_wrong_level():
     # Rotating the chain misaligns every step with the base word, so a
     # sigma1-step appears to change the 2-plane instead of the line.
     flags = flags_from_point(sample_point())
-    rotated = replace(flags, flags=flags.flags[1:] + flags.flags[:1])
+    rotated = FlagTuple(flags.ambient, flags.n_columns, flags.flags[1:] + flags.flags[:1])
     assert not validate_bott_samelson(rotated, base_word(T36.k, T36.s))
 
 
@@ -591,7 +590,8 @@ def test_bott_samelson_rejects_wide_level_change():
     # two columns on instead of one.
     flags = flags_from_point(sample_point())
     assert flags.flags[1:3] == ((0, 0), (1, 0))
-    doctored = replace(flags, flags=flags.flags[:2] + ((2, 0),) + flags.flags[3:])
+    doctored = FlagTuple(flags.ambient, flags.n_columns,
+                         flags.flags[:2] + ((2, 0),) + flags.flags[3:])
     assert not validate_bott_samelson(doctored, base_word(T36.k, T36.s))
     # With one level there is no nesting to catch it: lines two columns
     # apart are rejected, one column apart (either way) accepted.
