@@ -20,8 +20,7 @@ gcd(den, *ints) = 1 and den > 0), `reduce` maps an int result into
 the field's range (mod p, or unchanged), `scalar` wraps one int over a
 denominator back into a scalar, `column` brings ints over any
 denominator into int form, and `random_int` draws an int entry.
-`x in field` tells whether x is a scalar of the field.  No other module
-tells the two int forms apart.
+No other module tells the two int forms apart.
 `PrimeField` refuses a modulus at or above the bound below which its
 Miller-Rabin test is deterministic.  `prime_field(p)` is F_p built once
 per modulus in a process: point files, the CLI and LEGMON_PRIME get
@@ -31,9 +30,8 @@ Serialization: an entry is written ``"a/b"`` in lowest terms with an
 explicit denominator, or ``"v mod p"``, by one rule per field, which
 `format_scalar` applies to a scalar and `format_column` to an int-form
 column (ints, den); point JSON is written from the int form that way.
-Each field's `parse` reads a text back into a scalar, and its
-`parse_column` reads a column of texts straight into int form, with the
-same grammar and the same refusals.  `ascii_int` reads the CLI's
+Each field's `parse_column` reads a column of texts straight into int
+form; no text is read into a scalar.  `ascii_int` reads the CLI's
 integer flags, `--base` letters, `--idx` indices and LEGMON_PRIME.
 
 Errors are the builtin ones, with their facts in the message: a string
@@ -260,9 +258,6 @@ class RationalField(Frozen):
         """The entry texts of the int-form column ints / den."""
         return [_rational_text(x, den) for x in ints]
 
-    def __contains__(self, x) -> bool:
-        return type(x) is _fraction_class()
-
     def _ratio(self, text: str) -> tuple[int, int]:
         """The (numerator, denominator) that `text` spells, as written."""
         m = _RATIONAL_RE.match(text)
@@ -274,9 +269,6 @@ class RationalField(Frozen):
         if int(den) == 0:
             raise ValueError(f"zero denominator: {text!r}")
         return int(num), int(den)
-
-    def parse(self, text: str) -> Fraction:
-        return Fraction(*self._ratio(text))
 
     def parse_column(self, texts) -> tuple[tuple[int, ...], int]:
         """The int form of the column whose entries `texts` spell."""
@@ -327,9 +319,6 @@ class PrimeField(Frozen):
         p = self.p
         return [_residue_text(x, p) for x in ints]
 
-    def __contains__(self, x) -> bool:
-        return type(x) is ModP and x.modulus == self.p
-
     def _inverse(self, den: int) -> int:
         if den % self.p == 0:
             raise ZeroDivisionError(f"inverse of {den} mod {self.p}")
@@ -344,9 +333,6 @@ class PrimeField(Frozen):
         if modulus is not None and int(modulus) != self.p:
             raise ValueError(f"residue {text!r} declares modulus {modulus}, field has {self.p}")
         return int(value) % self.p
-
-    def parse(self, text: str) -> ModP:
-        return ModP(self._residue(text), self.p)
 
     def parse_column(self, texts) -> tuple[tuple[int, ...], int]:
         """The int form of the column whose entries `texts` spell."""

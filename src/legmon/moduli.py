@@ -14,9 +14,9 @@ The three failures the CLI exits 3 on live here: `InvalidPoint`,
 `SamplingExhausted`, and `DegeneracyError`, which the loop maps of
 `monodromy` raise.
 A point is its family, field and int form.  Draws, loop images, ℚ
-lifts and point JSON construct it from a form, unchecked;
-`ModuliPoint.from_columns` converts scalars once and refuses entries of
-another field.  `columns` are built from the form when first read, and
+lifts and point JSON construct it from a form, unchecked; point JSON is
+the one checked way in from outside, and scalars are outputs only.
+`columns` are built from the form when first read, and
 `minors` works on the form with `_det_closed`, the closed-form
 determinant up to 4×4, which the xi check uses too.  `validate_point`
 takes `_det_closed` of each cyclic window's rows of ints and reduces it
@@ -84,8 +84,8 @@ class ModuliPoint(Frozen):
     """Framed vectors v_1..v_N over one field, as `form`, their int form:
     one `Field.form` (ints, den) pair per column.  The form is canonical
     in each field, so `==` and `hash` compare it with the family and the
-    field.  The constructor takes the form unchecked; `from_columns`
-    checks and converts scalars."""
+    field.  The constructor takes the form unchecked; `point_from_json`
+    checks entry texts and reads them into it."""
 
     _fields = ("family", "field", "form")
 
@@ -94,25 +94,11 @@ class ModuliPoint(Frozen):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "form", form)
 
-    @classmethod
-    def from_columns(cls, family: Family, field: Field, columns) -> "ModuliPoint":
-        """The point of k×N scalar columns, refusing an entry of another field."""
-        _check_shape(family, columns)
-        for j, c in enumerate(columns, start=1):
-            for t, x in enumerate(c, start=1):
-                if x not in field:
-                    raise ValueError(f"column {j} entry {t}: {x!r} is not in {field}")
-        return cls(family, field, field.form(columns))
-
     @cached_property
     def columns(self) -> tuple[tuple[FieldScalar, ...], ...]:
         """The scalar columns, built from the form when first read."""
         scalar = self.field.scalar
         return tuple(tuple(scalar(x, den) for x in ints) for ints, den in self.form)
-
-    def col(self, i: int) -> tuple[FieldScalar, ...]:
-        """Column v_i, 1-based and cyclic in i."""
-        return self.columns[(i - 1) % self.family.n_columns]
 
 
 def _check_shape(family: Family, columns) -> None:
@@ -223,9 +209,8 @@ def point_to_json(p: ModuliPoint) -> dict:
 
 
 def point_from_json(data: dict) -> ModuliPoint:
-    """The point of JSON data, its entry texts read into the form; each
-    refusal is a `ValueError` in the wording of `Field.parse` and
-    `ModuliPoint.from_columns`."""
+    """The point of JSON data, its entry texts read into the form by
+    `Field.parse_column`; each refusal is a `ValueError`."""
     if not isinstance(data, dict):
         raise ValueError("point file must be a JSON object")
     missing = {"family", "field", "columns"} - set(data)

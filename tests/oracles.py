@@ -24,9 +24,12 @@ matrices with, nor `script_text`, the move-script renderer that
 `parse_script` reads back, nor `random_scalar`, the scalar of one
 `Field.random_int` draw.
 `scalar_point_to_json` and `scalar_point_from_json` write and read point
-JSON scalar by scalar (`format_scalar` over `p.columns`; `Field.parse`
-per entry, then `ModuliPoint.from_columns`), the reference for the
-int-form writer and reader of `legmon.moduli`.
+JSON scalar by scalar (`format_scalar` over `p.columns`; `read_scalar`
+per entry, then a shape check and `point_of`), the reference for the
+int-form writer and reader of `legmon.moduli`.  `read_scalar` reads an
+entry text with string methods and `Fraction`/`ModP`, not with
+`legmon.fields`' patterns, and refuses in their words.  `point_of` is
+the unchecked point of scalar columns.
 `LOOP_WINDOWS` writes out by hand the windows that
 `legmon.monodromy._blocks` derives for the sigma1 and xi maps, with the
 output layout each map's image must have, and `window_slots` reads each
@@ -44,12 +47,16 @@ from legmon.explorer import (
     delta,
     reduced_words,
 )
-from legmon.fields import QQ, Field, PrimeField, field_from_json, format_scalar
+from legmon.fields import QQ, Field, ModP, PrimeField, field_from_json, format_scalar
 from legmon.linalg import Matrix, Subspace, _rref
 from legmon.moduli import (
     T36, ModuliPoint, get_family, point_from_json, point_to_json, require_valid,
 )
 from legmon.monodromy import act_shift, act_word
+
+
+def point_of(family, field: Field, columns) -> ModuliPoint:
+    return ModuliPoint(family, field, field.form(columns))
 
 
 def from_rows(rows, field: Field) -> Matrix:
@@ -199,7 +206,7 @@ def span_flags_from_point(p: ModuliPoint) -> SpanFlagTuple:
     fam = p.family
     k, n = fam.k, fam.n_columns
     spans = [
-        [Subspace.span([p.col(j + t) for t in range(d)], k, p.field) for j in range(1, n + 1)]
+        [Subspace.span([p.columns[(j + t) % n] for t in range(d)], k, p.field) for j in range(n)]
         for d in range(1, k)
     ]
     return SpanFlagTuple(k, tuple(
@@ -275,7 +282,7 @@ def _reduces_to(x: Fraction, r) -> bool:
 def scratch_reverify(witness: SeparationWitness) -> dict:
     """A prime-field witness replayed over ℚ on the entrywise lift."""
     point = witness.point
-    q = ModuliPoint.from_columns(point.family, QQ, tuple(
+    q = point_of(point.family, QQ, tuple(
         tuple(Fraction(x.value) for x in c) for c in point.columns))
     lhs = delta(act_word(q, witness.word + witness.probe))
     rhs = delta(act_word(q, witness.probe))
@@ -328,7 +335,7 @@ def scratch_sweep(max_syllables: int, probe_budget: int, n_points: int, seed,
 def witness_from_json(data: dict) -> SeparationWitness:
     """A witness rebuilt from its JSON, the values parsed in its point's field."""
     point = point_from_json(data["point"])
-    lhs, rhs = (point.field.parse(data[side]) for side in ("lhs", "rhs"))
+    lhs, rhs = (read_scalar(point.field, data[side]) for side in ("lhs", "rhs"))
     return SeparationWitness(_syllables(data["word"]), _syllables(data["probe"]), point, lhs, rhs)
 
 
@@ -350,7 +357,7 @@ def replay_witness_json(entry: dict) -> bool:
     q = entry["q_reverify"]
     if q is None:
         return replayed
-    lhs, rhs = QQ.parse(q["lhs"]), QQ.parse(q["rhs"])
+    lhs, rhs = read_scalar(QQ, q["lhs"]), read_scalar(QQ, q["rhs"])
     return (replayed and lhs != rhs
             and _reduces_to(lhs, witness.lhs) and _reduces_to(rhs, witness.rhs))
 
@@ -404,9 +411,37 @@ def scalar_point_to_json(p: ModuliPoint) -> dict:
     }
 
 
+def _digits(text: str, signed: bool = False) -> bool:
+    """Whether `text` is ASCII digits, after one minus sign if `signed`."""
+    if signed:
+        text = text.removeprefix("-")
+    return text.isascii() and text.isdigit()
+
+
+def read_scalar(field: Field, text: str):
+    """The scalar that the entry text spells in `field`: ``"a"`` or
+    ``"a/b"`` over ℚ, ``"v"`` or ``"v mod p"`` over F_p, in ASCII digits,
+    a minus sign only right before a or v, any whitespace around the
+    numbers and at least one space after ``mod``."""
+    if field == QQ:
+        num, slash, den = (part.strip() for part in text.partition("/"))
+        if not _digits(num, signed=True) or slash and not _digits(den):
+            raise ValueError(f"not a rational scalar: {text!r}")
+        if slash and int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(int(num), int(den) if slash else 1)
+    value, mod, modulus = text.partition("mod")
+    value, modulus = value.strip(), modulus.strip() if modulus[:1].isspace() else ""
+    if not _digits(value, signed=True) or mod and not _digits(modulus):
+        raise ValueError(f"not a residue scalar: {text!r}")
+    if mod and int(modulus) != field.p:
+        raise ValueError(f"residue {text!r} declares modulus {modulus}, field has {field.p}")
+    return ModP(int(value), field.p)
+
+
 def scalar_point_from_json(data) -> ModuliPoint:
-    """The point of JSON data, each entry read by `Field.parse` and the
-    columns checked and converted by `ModuliPoint.from_columns`."""
+    """The point of JSON data, each entry read by `read_scalar` in the
+    declared field, the columns checked for shape, then `point_of`."""
     if not isinstance(data, dict):
         raise ValueError("point file must be a JSON object")
     missing = {"family", "field", "columns"} - set(data)
@@ -423,8 +458,12 @@ def scalar_point_from_json(data) -> ModuliPoint:
         for t, x in enumerate(c, start=1):
             if not isinstance(x, str):
                 raise ValueError(f"column {j} entry {t}: scalar must be a string, got {x!r}")
-    columns = tuple(tuple(field.parse(x) for x in c) for c in raw)
-    return ModuliPoint.from_columns(family, field, columns)
+    columns = tuple(tuple(read_scalar(field, x) for x in c) for c in raw)
+    if len(columns) != family.n_columns:
+        raise ValueError(f"{family.name} needs {family.n_columns} columns, got {len(columns)}")
+    if any(len(c) != family.k for c in columns):
+        raise ValueError(f"{family.name} columns must have length {family.k}")
+    return point_of(family, field, columns)
 
 
 def random_scalar(field, rng):

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from legmon import cli
-from legmon.fields import ModP, PrimeField, RationalField
+from legmon.fields import ModP, PrimeField
 from legmon.moduli import T36, ModuliPoint
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -71,9 +71,9 @@ def test_every_reference_digest_replays(monkeypatch):
 
 @pytest.fixture
 def scalar_builds(monkeypatch):
-    """Counts of the point `columns`, `Field.parse` calls and `ModP`
-    residues built while the test runs."""
-    counts = {"columns": 0, "parse": 0, "ModP": 0}
+    """Counts of the point `columns` and `ModP` residues built while the
+    test runs."""
+    counts = {"columns": 0, "ModP": 0}
     build, init = ModuliPoint.columns.func, ModP.__init__
 
     def columns(self):
@@ -84,27 +84,18 @@ def scalar_builds(monkeypatch):
         counts["ModP"] += 1
         init(self, value, modulus)
 
-    def counting(parse):
-        def wrapped(self, text):
-            counts["parse"] += 1
-            return parse(self, text)
-        return wrapped
-
     monkeypatch.setattr(ModuliPoint.columns, "func", columns)
     monkeypatch.setattr(ModP, "__init__", modp)
-    for field in (PrimeField, RationalField):
-        monkeypatch.setattr(field, "parse", counting(field.parse))
     return counts
 
 
 def test_certify_base_builds_no_scalar(monkeypatch, scalar_builds):
     # random-point, flags and verify-loop work on the int form: no
-    # point's `columns`, no `Field.parse` and no `ModP` in a whole pass.
+    # point's `columns` and no `ModP` in a whole pass.
     monkeypatch.delenv("LEGMON_PRIME", raising=False)
     commands = {op.argv[0] for op, rc, _ in replay("certify-base") if rc == 0}
     assert commands == {"random-point", "flags", "verify-loop"}
-    assert scalar_builds == {"columns": 0, "parse": 0, "ModP": 0}
+    assert scalar_builds == {"columns": 0, "ModP": 0}
     # The counters do count.
-    f7 = PrimeField(7)
-    assert ModuliPoint(T36, f7, (((1, 2, 3), 1),) * 9).columns and f7.parse("1")
-    assert scalar_builds == {"columns": 1, "parse": 1, "ModP": 28}
+    assert ModuliPoint(T36, PrimeField(7), (((1, 2, 3), 1),) * 9).columns
+    assert scalar_builds == {"columns": 1, "ModP": 27}

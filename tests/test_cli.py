@@ -25,12 +25,11 @@ from legmon.braids import (
     builtin_script,
     parse_script,
 )
-from oracles import legal_moves, moved_letters, replay_witness_json, script_text
+from oracles import legal_moves, moved_letters, point_of, replay_witness_json, script_text
 from legmon.cli import main
 from legmon.fields import DEFAULT_PRIME, PrimeField, QQ
 from legmon.linalg import Subspace
 from legmon.moduli import (
-    ModuliPoint,
     T36,
     T44,
     point_dumps,
@@ -55,14 +54,14 @@ def degenerate_point():
     base = random_point(T36, QQ, 11)
     cols = list(base.columns)
     cols[0], cols[1], cols[2], cols[3] = qv(1, 0, 0), qv(0, 1, 0), qv(1, 1, 0), qv(1, -1, 0)
-    return ModuliPoint.from_columns(T36, QQ, tuple(cols))
+    return point_of(T36, QQ, tuple(cols))
 
 
 def invalid_point():
     base = random_point(T36, QQ, 11)
     cols = list(base.columns)
     cols[1] = cols[0]
-    return ModuliPoint.from_columns(T36, QQ, tuple(cols))
+    return point_of(T36, QQ, tuple(cols))
 
 
 def test_verify_loop_builtin(capsys):

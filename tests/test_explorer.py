@@ -33,6 +33,7 @@ from legmon.monodromy import act_sigma1, act_word, act_xi
 from oracles import (
     LOOP_WINDOWS,
     _syllables,
+    point_of,
     replay_witness,
     replay_witness_json,
     scratch_relations,
@@ -415,9 +416,9 @@ def oracle_xi_structural_ok(before, i, after):
     k = before.family.k
     for _, pair, other, upos in window_slots(f"X{i}"):
         u = after.columns[upos - 1]
-        va, vb = before.col(pair[0]), before.col(pair[1])
+        va, vb = before.columns[pair[0] - 1], before.columns[pair[1] - 1]
         plane = Subspace.span([va, vb], k, before.field)
-        target = Subspace.span([before.col(t) for t in other], k, before.field)
+        target = Subspace.span([before.columns[t - 1] for t in other], k, before.field)
         if not (plane.contains(u) and target.contains(u)):
             return False
         if wedge(va, vb) != wedge(vb, u):
@@ -434,7 +435,7 @@ def _xi_after_candidates(before, i):
     one = before.field.scalar(1)
     out = [after]
     for _, pair, _, upos in window_slots(f"X{i}"):
-        u, vb = after.columns[upos - 1], before.col(pair[1])
+        u, vb = after.columns[upos - 1], before.columns[pair[1] - 1]
         for mutated in (
             tuple(x + x for x in u),
             tuple(-x for x in u),
@@ -443,12 +444,12 @@ def _xi_after_candidates(before, i):
         ):
             cols = list(after.columns)
             cols[upos - 1] = mutated
-            out.append(ModuliPoint.from_columns(T44, before.field, tuple(cols)))
+            out.append(point_of(T44, before.field, tuple(cols)))
     u1, u2 = _xi_upos(i)
     for a, b in ((u1, u2), (u1, u1 - 1)):
         cols = list(after.columns)
         cols[a - 1], cols[b - 1] = cols[b - 1], cols[a - 1]
-        out.append(ModuliPoint.from_columns(T44, before.field, tuple(cols)))
+        out.append(point_of(T44, before.field, tuple(cols)))
     out.append(before)
     return out
 
@@ -479,13 +480,13 @@ def test_xi_structural_ok_needs_v_b_off_t():
     q = lambda *xs: tuple(Fraction(x) for x in xs)  # noqa: E731
     v = [q(1, 1, 0, 0), q(1, 0, 1, 0), q(1, 0, 0, 0), q(0, 1, 0, 0),
          q(0, 0, 1, 0), q(0, 0, 0, 1), q(1, 2, 3, 4), q(2, -1, 5, 7)]
-    before = ModuliPoint.from_columns(T44, QQ, tuple(v))
+    before = point_of(T44, QQ, tuple(v))
     with pytest.raises(monodromy.DegeneracyError):
         act_xi(before, 1)
     u1 = tuple(b - a for a, b in zip(v[0], v[1]))  # v2 − v1 ∈ ⟨v3, v4, v5⟩
     ints, den = monodromy._replacement_vector(before, *LOOP_WINDOWS["X1"][0][1])
     u2 = tuple(Fraction(x, den) for x in ints)
-    after = ModuliPoint.from_columns(T44, QQ, (v[1], u1, v[2], v[3], v[5], u2, v[6], v[7]))
+    after = point_of(T44, QQ, (v[1], u1, v[2], v[3], v[5], u2, v[6], v[7]))
     assert oracle_xi_structural_ok(before, 1, after)
     assert not xi_structural_ok(before, 1, after)
 

@@ -12,8 +12,11 @@ back to `Matrix` or `determinant`.  `moduli` imports nothing from
 construction, and the loop maps, the minors and the xi check read it
 there (`p.form`): none of them calls `.form(` to convert scalars.  A
 point builds its scalar `columns` from that form only when they are
-read, so no module outside `moduli` reads `.columns` or calls `.col(`,
-and inside `moduli` only `col` does: point JSON is written from the form.
+read, and no function of the package reads `.columns` or calls `.col(`,
+`moduli` included: point JSON is written from the form.  Scalars are
+outputs only, so no class defines a way to read them in: no `parse`,
+`col` or `from_columns` (but `linalg`'s `Matrix`), and no field or its
+base a `__contains__` test.
 Every command is a fresh process that imports `cli`, so no module but
 `linalg` (no command's) imports `dataclasses`, none imports `fractions`
 as it loads, and `cli` imports `braids`, `monodromy` and `explorer`
@@ -175,9 +178,38 @@ def _columns_readers(tree):
 
 
 def test_only_moduli_builds_point_scalars():
+    # `ModuliPoint.columns` builds them, and no function reads them.
     for path in sorted(SRC.glob("*.py")):
-        readers = _columns_readers(ast.parse(path.read_text()))
-        if path.stem == "moduli":
-            assert readers == {"col"}
-        else:
-            assert not readers, path.stem
+        assert not _columns_readers(ast.parse(path.read_text())), path.stem
+
+
+def _methods(tree):
+    """Class name -> the names of the functions its body defines, and
+    "<module>" -> those of the module's own body."""
+    def defined(body):
+        return {n.name for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    methods = {node.name: defined(node.body) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    return {"<module>": defined(tree.body), **methods}
+
+
+def test_scan_finds_methods():
+    tree = ast.parse("class A:\n    def col(self): pass\n    x = 1\n"
+                     "    class B:\n        async def parse(self): pass\n"
+                     "def from_columns(): pass\n")
+    assert _methods(tree) == {"<module>": {"from_columns"}, "A": {"col"}, "B": {"parse"}}
+
+
+def test_scalars_have_no_way_in():
+    # A point enters from its int form or from point JSON.
+    owners = set()
+    for path in sorted(SRC.glob("*.py")):
+        for owner, names in _methods(ast.parse(path.read_text())).items():
+            owners.add(owner)
+            assert not names & {"parse", "col"}, (path.stem, owner)
+            if owner != "Matrix":
+                assert "from_columns" not in names, (path.stem, owner)
+            if owner in ("RationalField", "PrimeField", "Frozen"):
+                assert "__contains__" not in names, (path.stem, owner)
+    assert {"ModuliPoint", "Matrix", "RationalField", "PrimeField", "Frozen"} <= owners

@@ -186,33 +186,39 @@ def test_int_form_round_trip(field):
         field.column([1, 2], zero_den)
 
 
+def entry(field, text):
+    """The scalar of the one-entry column [text], read by `parse_column`."""
+    (x,), den = field.parse_column([text])
+    return field.scalar(x, den)
+
+
 def test_scalar_serialization_round_trip():
     assert format_scalar(Fraction(-3, 4)) == "-3/4"
     assert format_scalar(Fraction(5)) == "5/1"
     assert format_scalar(ModP(12, 7)) == "5 mod 7"
-    assert QQ.parse("-3/4") == Fraction(-3, 4)
-    assert QQ.parse("7") == Fraction(7)
+    assert entry(QQ, "-3/4") == Fraction(-3, 4)
+    assert entry(QQ, "7") == Fraction(7)
     f7 = PrimeField(7)
-    assert f7.parse("5 mod 7") == ModP(5, 7)
-    assert f7.parse("-2") == ModP(5, 7)
+    assert entry(f7, "5 mod 7") == ModP(5, 7)
+    assert entry(f7, "-2") == ModP(5, 7)
     rng = Random(1)
     for field in (QQ, f7, PrimeField(DEFAULT_PRIME)):
         for _ in range(50):
             x = random_scalar(field, rng)
-            assert field.parse(format_scalar(x)) == x
+            assert entry(field, format_scalar(x)) == x
 
 
 def test_scalar_parse_errors():
     with pytest.raises(ValueError, match=r"^not a rational scalar: '1\.5'$"):
-        QQ.parse("1.5")
+        QQ.parse_column(["1.5"])
     with pytest.raises(ValueError, match="^zero denominator: '3/0'$"):
-        QQ.parse("3/0")
+        QQ.parse_column(["3/0"])
     with pytest.raises(ValueError, match="^residue '5 mod 11' declares modulus 11, field has 7$"):
-        PrimeField(7).parse("5 mod 11")
+        PrimeField(7).parse_column(["5 mod 11"])
     with pytest.raises(ValueError, match="^not a residue scalar: 'x'$"):
-        PrimeField(7).parse("x")
-    # `int` reads the digits of every script, so only the patterns keep
-    # scalar strings to ASCII.
+        PrimeField(7).parse_column(["x"])
+    # `int` reads the digits of every script and a leading plus, so only
+    # the patterns keep scalar strings to ASCII digits after an optional minus.
     for field, text in (
         (QQ, "\u0663/\u0664"),  # ARABIC-INDIC DIGITS THREE, FOUR
         (QQ, "1/\u0664"),
@@ -220,10 +226,11 @@ def test_scalar_parse_errors():
         (PrimeField(7), "\uff13"),
         (PrimeField(7), "5 mod \u0667"),  # ARABIC-INDIC DIGIT SEVEN
         (PrimeField(7), "\u09e9 mod 7"),  # BENGALI DIGIT THREE
+        (QQ, "+3"), (QQ, "+1/2"), (PrimeField(7), "+3"), (PrimeField(7), "+3 mod 7"),
     ):
         kind = "rational" if field is QQ else "residue"
         with pytest.raises(ValueError, match=rf"^not a {kind} scalar: {re.escape(repr(text))}$"):
-            field.parse(text)
+            field.parse_column([text])
 
 
 def test_field_json_round_trip():

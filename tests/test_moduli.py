@@ -24,7 +24,6 @@ from legmon.moduli import (
     Family,
     FlagTuple,
     InvalidPoint,
-    ModuliPoint,
     SamplingExhausted,
     T36,
     T44,
@@ -44,7 +43,7 @@ from legmon.moduli import (
     validate_point,
 )
 from oracles import (
-    SpanFlagTuple, random_scalar, span_flags_from_point, span_validate_bott_samelson,
+    SpanFlagTuple, point_of, random_scalar, span_flags_from_point, span_validate_bott_samelson,
 )
 
 FP = PrimeField(DEFAULT_PRIME)
@@ -59,8 +58,7 @@ def qvec(*xs):
 
 
 def qpoint(family, columns):
-    return ModuliPoint.from_columns(
-        family, QQ, tuple(tuple(Fraction(x) for x in c) for c in columns))
+    return point_of(family, QQ, tuple(tuple(Fraction(x) for x in c) for c in columns))
 
 
 # Nine rational columns whose cyclic windows are all nonsingular even
@@ -119,19 +117,19 @@ def test_builtin_loops_start_at_their_family_base_word(name, k, s):
 
 
 def test_point_shape_validation():
-    with pytest.raises(ValueError):
-        qpoint(T36, SAMPLE_COLUMNS[:8])
-    with pytest.raises(ValueError):
-        qpoint(T36, ((1, 0),) * 9)
+    data = point_to_json(sample_point())
+    for columns, message in ((data["columns"][:8], "T36 needs 9 columns, got 8"),
+                             ([c[:2] for c in data["columns"]], "T36 columns must have length 3")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            point_loads(json.dumps({**data, "columns": columns}))
     p = sample_point()
-    assert p.col(1) == E1
-    assert p.col(10) == E1  # cyclic
-    assert p.col(0) == p.col(9)
+    assert len(p.columns) == 9 and p.columns[0] == E1
+    assert p.columns[-1] == qvec(*SAMPLE_COLUMNS[8])
 
 
 def test_validity_repeated_column():
     columns = (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:])
-    p = ModuliPoint.from_columns(T36, QQ, columns)
+    p = point_of(T36, QQ, columns)
     assert validate_point(p) is False
     assert next(minors(p, [(1, 2, 3)])) == 0
     with pytest.raises(InvalidPoint, match=re.escape("at [(1, 2, 3), (9, 1, 2)]")):
@@ -147,7 +145,7 @@ def test_validity_stops_at_the_first_vanishing_minor(monkeypatch):
     det = moduli._det_closed
     monkeypatch.setattr(moduli, "_det_closed", lambda rows: dets.append(rows) or det(rows))
     columns = (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:])
-    assert validate_point(ModuliPoint.from_columns(T36, QQ, columns)) is False
+    assert validate_point(point_of(T36, QQ, columns)) is False
     assert len(dets) == 1
     dets.clear()
     assert validate_point(sample_point()) is True
@@ -190,7 +188,8 @@ def cyclic_windows(family):
 
 def matrix_minors(p, windows):
     """Each minor through the `Matrix`/`determinant` oracle."""
-    return [determinant(Matrix.from_columns([p.col(i) for i in w], p.field)) for w in windows]
+    return [determinant(Matrix.from_columns([p.columns[i - 1] for i in w], p.field))
+            for w in windows]
 
 
 def reference_random_point(family, field, seed):
@@ -202,7 +201,7 @@ def reference_random_point(family, field, seed):
             tuple(random_scalar(field, rng) for _ in range(family.k))
             for _ in range(family.n_columns)
         )
-        p = ModuliPoint.from_columns(family, field, columns)
+        p = point_of(family, field, columns)
         if all(matrix_minors(p, cyclic_windows(family))):
             return p
     raise SamplingExhausted(
@@ -224,7 +223,7 @@ def sympy_minor(p, window):
     rational = p.field == QQ
     m = sympy.Matrix([
         [sympy.Rational(x.numerator, x.denominator) if rational else x.value
-         for x in p.col(i)]
+         for x in p.columns[i - 1]]
         for i in window
     ])
     d = m.det()
@@ -285,7 +284,7 @@ def test_minors_match_determinant_and_sympy(field):
         windows += cyclic_windows(family) + [(2, 1, *range(3, family.k + 1))]
         windows += [tuple(range(family.k, 0, -1)), (1, 1, *range(2, family.k))]
         for _ in range(4):
-            p = ModuliPoint.from_columns(family, field, random_columns(family, field, rng))
+            p = point_of(family, field, random_columns(family, field, rng))
             got = list(minors(p, windows))
             assert got == matrix_minors(p, windows)
             assert got[::7] == [sympy_minor(p, w) for w in windows[::7]]
@@ -322,7 +321,7 @@ def test_points_convert_once_and_images_never(monkeypatch):
     for family, word in words.items():
         assert len(word.split()) == 20
         sizes.clear()
-        p = ModuliPoint.from_columns(family, QQ, samples[family])
+        p = point_of(family, QQ, samples[family])
         assert sizes == [family.n_columns]
         sizes.clear()
         assert point_loads(point_dumps(p)) == p
@@ -337,24 +336,6 @@ def test_points_convert_once_and_images_never(monkeypatch):
             for i in (1, 2, 3):
                 assert xi_structural_ok(image, i, act_xi(image, i))
         assert sizes == []
-
-
-def test_points_refuse_scalars_of_another_field():
-    # Mod-11 residues in an F_7 point would take their minors mod 7, and a
-    # residue in a Q point has no denominator: both are refused when the
-    # point is built, naming the column and the entry.
-    f7 = PrimeField(7)
-    for field, j, t, stranger in (
-        (f7, 2, 1, ModP(3, 11)),
-        (f7, 9, 3, Fraction(1, 2)),
-        (QQ, 5, 3, ModP(1, 7)),
-        (QQ, 1, 2, 4),
-    ):
-        cols = [list(c) for c in random_point(T36, field, 1).columns]
-        cols[j - 1][t - 1] = stranger
-        with pytest.raises(ValueError, match=rf"^column {j} entry {t}: {re.escape(repr(stranger))} "
-                                             rf"is not in {re.escape(repr(field))}$"):
-            ModuliPoint.from_columns(T36, field, tuple(map(tuple, cols)))
 
 
 def test_small_field_sampling_is_bounded():
@@ -400,7 +381,7 @@ def test_pluecker_rejects_bool_indices_and_matches_column_determinant():
             tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(family.k))
             for _ in range(family.n_columns)
         )
-        q = ModuliPoint.from_columns(family, QQ, columns)
+        q = point_of(family, QQ, columns)
         assert len({x.denominator for c in columns for x in c}) > 1
         for idx in combinations(range(1, family.n_columns + 1), family.k):
             by_columns = Matrix.from_columns([columns[i - 1] for i in idx], QQ)
@@ -451,7 +432,8 @@ def window_spans(flags, p):
     """Each flag of a window chain as the `Subspace` spans of its windows."""
     k = flags.ambient
     return tuple(
-        tuple(Subspace.span([p.col(j + 1 + t) for t in range(d)], k, p.field)
+        tuple(Subspace.span([p.columns[(j + t) % p.family.n_columns] for t in range(d)], k,
+                            p.field)
               for d, j in enumerate(flag, start=1))
         for flag in flags.flags
     )
@@ -567,7 +549,7 @@ def test_bott_samelson_rejects_swapped_adjacent_flags(family):
 def test_flags_invalid_point():
     columns = (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:])
     with pytest.raises(InvalidPoint) as err:
-        flags_from_point(ModuliPoint.from_columns(T36, QQ, columns))
+        flags_from_point(point_of(T36, QQ, columns))
     assert "(1, 2, 3)" in str(err.value)
 
 
@@ -617,7 +599,7 @@ def test_bott_samelson_strand_mismatch():
 def rescale_column(p, i, c):
     columns = list(p.columns)
     columns[i] = tuple(c * x for x in columns[i])
-    return ModuliPoint.from_columns(p.family, p.field, tuple(columns))
+    return point_of(p.family, p.field, tuple(columns))
 
 
 def left_multiply(p, g):
@@ -626,7 +608,7 @@ def left_multiply(p, g):
         tuple(sum((g[r][t] * col[t] for t in range(k)), p.field.scalar(0)) for r in range(k))
         for col in p.columns
     )
-    return ModuliPoint.from_columns(p.family, p.field, columns)
+    return point_of(p.family, p.field, columns)
 
 
 def test_validity_invariance():
@@ -643,7 +625,7 @@ def test_validity_invariance():
             c = Fraction(rng.choice([1, -1, 2, 5]), rng.choice([1, 3]))
             assert validate_point(rescale_column(p, i, c)) == base
         assert validate_point(left_multiply(p, g)) == base
-    bad = ModuliPoint.from_columns(T36, QQ, (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:]))
+    bad = point_of(T36, QQ, (E1, E1) + tuple(qvec(*c) for c in SAMPLE_COLUMNS[2:]))
     assert validate_point(rescale_column(bad, 3, Fraction(5))) is False
     assert validate_point(left_multiply(bad, g)) is False
 
@@ -651,7 +633,7 @@ def test_validity_invariance():
 def test_validity_cyclically_symmetric():
     for seed in range(3):
         p = random_point(T36, FP, seed)
-        shifted = ModuliPoint.from_columns(T36, FP, p.columns[1:] + p.columns[:1])
+        shifted = point_of(T36, FP, p.columns[1:] + p.columns[:1])
         assert validate_point(p) == validate_point(shifted)
         # the window minors are the same multiset, relabeled
         cyclic = cyclic_windows(T36)

@@ -8,7 +8,7 @@ import pytest
 from legmon.fields import DEFAULT_PRIME, QQ, PrimeField
 from legmon.linalg import Subspace, intersect, wedge, wedge_normalize
 from legmon.moduli import (
-    Family, ModuliPoint, T36, T44, pluecker, point_dumps, point_loads, random_point,
+    Family, T36, T44, pluecker, point_dumps, point_loads, random_point,
     validate_point,
 )
 from legmon.monodromy import (
@@ -22,7 +22,7 @@ from legmon.monodromy import (
     act_xi,
     parse_group_word,
 )
-from oracles import LOOP_WINDOWS, window_slots
+from oracles import LOOP_WINDOWS, point_of, window_slots
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -85,12 +85,12 @@ def test_sigma1_postconditions():
     for p in fp_points(T36, 10):
         out = act_sigma1(p)
         for dst, src in kept.items():
-            assert out.columns[dst - 1] == p.col(src)
+            assert out.columns[dst - 1] == p.columns[src - 1]
         for _, pair, other, dst in window_slots("S1"):
             u = out.columns[dst - 1]
-            va, vb = p.col(pair[0]), p.col(pair[1])
+            va, vb = p.columns[pair[0] - 1], p.columns[pair[1] - 1]
             plane = Subspace.span([va, vb], 3, FP)
-            target = Subspace.span([p.col(i) for i in other], 3, FP)
+            target = Subspace.span([p.columns[i - 1] for i in other], 3, FP)
             assert plane.contains(u) and target.contains(u)
             assert wedge(va, vb) == wedge(vb, u)
 
@@ -113,9 +113,9 @@ def family_windows(family):
 
 def oracle_replacement(p, pair, other):
     k = p.family.k
-    va, vb = p.col(pair[0]), p.col(pair[1])
+    va, vb = p.columns[pair[0] - 1], p.columns[pair[1] - 1]
     plane = Subspace.span([va, vb], k, p.field)
-    target = Subspace.span([p.col(i) for i in other], k, p.field)
+    target = Subspace.span([p.columns[i - 1] for i in other], k, p.field)
     return wedge_normalize(va, vb, intersect(plane, target).basis[0])
 
 
@@ -146,7 +146,7 @@ def test_replacement_vector_on_rational_points(family):
     for q in images:
         for label, pair, other in family_windows(family):
             for role, idx in (("a", pair[:1]), ("b", pair[1:]), ("T", other)):
-                if any(x.denominator != 1 for i in idx for x in q.col(i)):
+                if any(x.denominator != 1 for i in idx for x in q.columns[i - 1]):
                     fractional.add(role)
             u = _replacement_vector(q, label, pair, other)
             assert u == QQ.form([oracle_replacement(q, pair, other)])[0]
@@ -251,7 +251,7 @@ def fresh_form(p):
 def fractional_point(family, rng):
     """A valid ℚ point whose entries have mixed denominators."""
     while True:
-        p = ModuliPoint.from_columns(family, QQ, tuple(
+        p = point_of(family, QQ, tuple(
             tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(family.k))
             for _ in range(family.n_columns)
         ))
@@ -304,10 +304,10 @@ def oracle_image_columns(p, tok):
         columns = p.columns[j:] + p.columns[:j]
         if tok != "B":
             return columns
-        p, tok = ModuliPoint.from_columns(T36, p.field, columns), "S1"
+        p, tok = point_of(T36, p.field, columns), "S1"
     windows, layout = LOOP_WINDOWS[tok]
     u = {label: oracle_replacement(p, pair, other) for label, pair, other in windows}
-    return tuple(u[s] if isinstance(s, str) else p.col(s) for s in layout)
+    return tuple(u[s] if isinstance(s, str) else p.columns[s - 1] for s in layout)
 
 
 @pytest.mark.parametrize(
@@ -332,7 +332,7 @@ def test_images_build_the_oracle_columns_when_read(field):
                     expect = oracle_image_columns(p, tok)
                     assert image.columns == expect
                     assert point_loads(point_dumps(image)).columns == expect
-                    built = ModuliPoint.from_columns(family, field, expect)
+                    built = point_of(family, field, expect)
                     assert built == image and hash(built) == hash(image)
                     images.append(image)
                 p = rng.choice(images)
@@ -370,7 +370,7 @@ def doctored_t36(v3, v4):
     base = random_point(T36, QQ, 11)
     cols = list(base.columns)
     cols[0], cols[1], cols[2], cols[3] = qv(1, 0, 0), qv(0, 1, 0), v3, v4
-    return ModuliPoint.from_columns(T36, QQ, tuple(cols))
+    return point_of(T36, QQ, tuple(cols))
 
 
 # Every window degeneracy reads "{label} (pair {pair}, T = columns {other}): {cause}".
@@ -396,7 +396,7 @@ def test_sigma1_parallel_pair():
     # v1 = 2·v2 with det(v2, v3, v4) ≠ 0: λ = 2, so u = 2·v2 − v1 = 0
     cols = list(random_point(T36, QQ, 11).columns)
     cols[0] = tuple(2 * x for x in cols[1])
-    p = ModuliPoint.from_columns(T36, QQ, tuple(cols))
+    p = point_of(T36, QQ, tuple(cols))
     with pytest.raises(DegeneracyError) as err:
         act_sigma1(p)
     assert str(err.value) == "u1 (pair (1, 2), T = columns (3, 4)): v1 and v2 are parallel"
@@ -418,17 +418,17 @@ def test_xi1_frozen_example():
     # (v1..v5) = (e1,e2,e3,e4,e1+e2+e3+e4): the meet of <v1,v2> and
     # <v3,v4,v5> is the line through e1+e2, and e2 wedge (c(e1+e2))
     # matches e1 wedge e2 only for c = -1.
-    p = ModuliPoint.from_columns(
+    p = point_of(
         T44, QQ, tuple(tuple(Fraction(x) for x in c) for c in XI_EXAMPLE_COLUMNS))
     out = act_xi(p, 1)
     assert out.columns[1] == qv(-1, -1, 0, 0)
     assert out.columns[5] == qv("-5/7", "-6/7", "-5/7", "-5/7")
-    assert out.columns[0] == p.col(2)
-    assert out.columns[2] == p.col(3)
-    assert out.columns[3] == p.col(4)
-    assert out.columns[4] == p.col(6)
-    assert out.columns[6] == p.col(7)
-    assert out.columns[7] == p.col(8)
+    assert out.columns[0] == p.columns[1]
+    assert out.columns[2] == p.columns[2]
+    assert out.columns[3] == p.columns[3]
+    assert out.columns[4] == p.columns[5]
+    assert out.columns[6] == p.columns[6]
+    assert out.columns[7] == p.columns[7]
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -440,9 +440,9 @@ def test_xi_postconditions(i):
         assert validate_point(out) is True
         for _, pair, other, dst in window_slots(f"X{i}"):
             u = out.columns[dst - 1]
-            va, vb = p.col(pair[0]), p.col(pair[1])
+            va, vb = p.columns[pair[0] - 1], p.columns[pair[1] - 1]
             plane = Subspace.span([va, vb], 4, FP)
-            target = Subspace.span([p.col(t) for t in other], 4, FP)
+            target = Subspace.span([p.columns[t - 1] for t in other], 4, FP)
             assert plane.contains(u) and target.contains(u)
             assert wedge(va, vb) == wedge(vb, u)
 
@@ -453,7 +453,7 @@ def test_xi_degenerate_containment():
         qv(1, 0, 0, 0), qv(0, 1, 0, 0), qv(1, 0, 1, 0), qv(0, 1, 1, 0),
         qv(0, 0, 1, 0), qv(-2, -1, -2, -2), qv(-2, -2, -1, -2), qv(1, 2, -1, 3),
     )
-    p = ModuliPoint.from_columns(T44, QQ, cols)
+    p = point_of(T44, QQ, cols)
     with pytest.raises(DegeneracyError) as err:
         act_xi(p, 1)
     assert str(err.value) == (
@@ -546,7 +546,7 @@ def test_sigma1_homogeneity():
     lam = Fraction(3, 7)
     for seed in range(4):
         p = random_point(T36, QQ, seed)
-        scaled = ModuliPoint.from_columns(
+        scaled = point_of(
             T36, QQ, tuple(tuple(lam * x for x in c) for c in p.columns))
         expect = act_sigma1(p)
         got = act_sigma1(scaled)
@@ -562,10 +562,10 @@ def test_b_squared_structure():
     for p in fp_points(T36, 6):
         out = act_word(p, "B B")
         for dst, src in ((1, 4), (3, 6), (4, 7), (6, 9), (7, 1), (9, 3)):
-            assert out.columns[dst - 1] == p.col(src)
+            assert out.columns[dst - 1] == p.columns[src - 1]
         c1 = pluecker(p, (2, 3, 4)) / pluecker(p, (3, 4, 5))
         c2 = pluecker(p, (5, 6, 7)) / pluecker(p, (6, 7, 8))
         c3 = pluecker(p, (1, 8, 9)) / pluecker(p, (1, 2, 9))
-        assert out.columns[1] == tuple(c1 * x for x in p.col(5))
-        assert out.columns[4] == tuple(c2 * x for x in p.col(8))
-        assert out.columns[7] == tuple(c3 * x for x in p.col(2))
+        assert out.columns[1] == tuple(c1 * x for x in p.columns[4])
+        assert out.columns[4] == tuple(c2 * x for x in p.columns[7])
+        assert out.columns[7] == tuple(c3 * x for x in p.columns[1])

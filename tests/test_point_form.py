@@ -25,7 +25,7 @@ from legmon.moduli import (
     InvalidPoint, ModuliPoint, T36, T44, minors, point_dumps, point_from_json, point_loads,
     point_to_json, random_point, require_valid, validate_point,
 )
-from oracles import scalar_point_from_json, scalar_point_to_json
+from oracles import point_of, scalar_point_from_json, scalar_point_to_json
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(DEFAULT_PRIME), QQ]
 
@@ -42,7 +42,7 @@ def draw(family, field, rng, span=9):
     if field == QQ:
         columns = [[Fraction(rng.randint(-span, span), rng.randint(1, 12))
                     for _ in range(family.k)] for _ in range(family.n_columns)]
-        return ModuliPoint.from_columns(family, field, columns)
+        return point_of(family, field, columns)
     form = tuple((tuple(field.random_int(rng) for _ in range(family.k)), 1)
                  for _ in range(family.n_columns))
     return ModuliPoint(family, field, form)
@@ -86,7 +86,7 @@ def test_point_json_matches_scalar_oracle(family, field):
 
 
 def test_rational_texts_are_in_lowest_terms():
-    p = ModuliPoint.from_columns(T36, QQ, [
+    p = point_of(T36, QQ, [
         [Fraction(a, b) for a, b in c]
         for c in [((1, 2), (1, 3), (-5, 6))] + [((2, 4), (0, 7), (-3, 1))] * 8
     ])
