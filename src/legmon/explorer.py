@@ -18,14 +18,19 @@ remains.
 Within one report call, a memo (`_WordImages`) per sampled point extends
 each word's image from its prefix's image by `act_word` of the last
 token, so the sweep, its ℚ re-check, the relation checks and the xi
-table compute every image once, all through the one point map.  Probes
+table compute each image they build once, all through the one point
+map.  While a word's last token copies every column Δ reads
+(`monodromy.column_sources`), Δ is a minor of the image before it, so
+the sweep and the relation checks build no image past the prefix where
+Δ's pullback first meets a replacement vector.  Probes
 are drawn lazily, shortest first, so a search stops at its first
 witness without listing the rest of its budget.
 
 Every sigma1 and xi image of a valid point is valid again, so every word
 is defined on every sampled point.  Sampling-time validity is the one
 degeneracy gate: the reports neither skip nor resample, and a
-`DegeneracyError` inside one is a bug that reaches the caller.
+`DegeneracyError` inside one is a bug that reaches the caller; the maps
+that Δ's pullback skips could not have degenerated either.
 
 Every report samples through `_sample_points`, which refuses an empty
 sample.  The report functions' signatures hold the only defaults: the
@@ -59,7 +64,7 @@ from .fields import (
 from .moduli import (
     ModuliPoint, T36, T44, _det_closed, json_dumps, minors, point_to_json, random_point,
 )
-from .monodromy import act_word
+from .monodromy import act_word, column_sources
 from . import monodromy
 
 _FACTOR = {"A": "rotation", "A2": "rotation", "B": "involution"}
@@ -122,7 +127,7 @@ def _sample_points(family, field: Field, n_points: int, seed) -> tuple[ModuliPoi
 class _WordImages:
     """Images w(p) of one point p under token words, and their Δ values.
     A nonempty word's image is `act_word` of its prefix's image and its
-    last token, computed once."""
+    last token, computed once, and only where an image or a Δ reads it."""
 
     def __init__(self, point: ModuliPoint):
         self.point = point
@@ -144,10 +149,21 @@ class _WordImages:
         return [(self._images[w[:-1]], w[-1], q) for w, q in self._images.items() if w]
 
     def value(self, word: tuple) -> FieldScalar:
-        """Δ(word(point))."""
+        """Δ(word(point)), a minor of the shortest prefix image holding it."""
         if word not in self._values:
-            self._values[word] = delta(self.image(word))
+            n, index, columns = len(word), DELTA_INDEX, self.point.family.n_columns
+            while n and (pulled := _pullback(word[n - 1], columns, index)):
+                n, index = n - 1, pulled
+            self._values[word] = next(minors(self.image(word[:n]), (index,)))
         return self._values[word]
+
+
+@cache
+def _pullback(tok: str, n: int, index: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The columns of q that tok(q) copies into its columns `index`, in
+    order, or None if tok writes a replacement vector into one of them."""
+    pulled = tuple(column_sources(tok, n)[i - 1] for i in index)
+    return None if None in pulled else pulled
 
 
 class SeparationWitness(Frozen):

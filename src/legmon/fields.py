@@ -201,9 +201,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ASCII digits only: `\d` would also match other scripts' digits, which `int` reads.
-_RATIONAL_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?$")
-_RESIDUE_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:mod\s+([0-9]+)\s*)?$")
+# ASCII digits only: `\d` would also match other scripts' digits, which `int`
+# reads; and, by `re.ASCII`, ASCII whitespace (" \t\n\r\f\v") only around them.
+_RATIONAL_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?$", re.ASCII)
+_RESIDUE_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:mod\s+([0-9]+)\s*)?$", re.ASCII)
 
 
 def _rational_text(a: int, b: int) -> str:

@@ -31,6 +31,13 @@ and `monodromy.DegeneracyError` names the same class.  Its message names
 the window label, its pair and T, and the cause.  It cannot occur on a
 valid point, and every image of a valid point is valid, so callers
 validate once and never resample.
+
+`column_sources(tok, n)` derives from a token's `_TOKENS` entry, a
+shift and at most one Φ_k, the column of q that each column of tok(q)
+copies: all but the u columns, each the very (ints, den) pair of its
+source.  A minor of tok(q) on copied columns is thus the minor of q at
+their sources, in order, without building tok(q); that skips no
+degeneracy, as validity is the gate and valid images never degenerate.
 """
 
 from __future__ import annotations
@@ -127,17 +134,12 @@ def act_xi(p: ModuliPoint, i: int) -> ModuliPoint:
     return _replace(p, _xi_blocks(i, p))
 
 
-# Generator token -> (family it applies to, its point map).  The maps call
-# act_shift/act_sigma1/act_xi through module globals, so patching one reaches
-# them.  SH(j), for either family, is matched by `_SHIFT_RE` on a miss.
+# Generator token -> (family it applies to, shift j, Φ_k start or None).
+# act_word shifts by j, then calls act_sigma1 or act_xi through module
+# globals, so patching one reaches them.  SH(j) matches `_SHIFT_RE`.
 _TOKENS = {
-    "A": (T36, lambda p: act_shift(p, 1)),
-    "A2": (T36, lambda p: act_shift(p, 2)),
-    "B": (T36, lambda p: act_sigma1(act_shift(p, 1))),
-    "S1": (T36, lambda p: act_sigma1(p)),
-    "X1": (T44, lambda p: act_xi(p, 1)),
-    "X2": (T44, lambda p: act_xi(p, 2)),
-    "X3": (T44, lambda p: act_xi(p, 3)),
+    "A": (T36, 1, None), "A2": (T36, 2, None), "B": (T36, 1, 1), "S1": (T36, 0, 1),
+    "X1": (T44, 0, 1), "X2": (T44, 0, 2), "X3": (T44, 0, 3),
 }
 _SHIFT_RE = re.compile(r"SH\((-?[0-9]+)\)")  # ASCII: `int` reads every script's digits
 
@@ -146,14 +148,24 @@ GroupWord = tuple[str, ...]
 
 
 def _token(tok: str):
-    """(family, map) of a token; the family is None for SH(j)."""
+    """(family, shift, loop start) of a token; the family is None for SH(j)."""
     if tok in _TOKENS:
         return _TOKENS[tok]
     m = _SHIFT_RE.fullmatch(tok)
     if m is None:
         raise ValueError(f"unknown generator token {tok!r}")
-    j = int(m.group(1))
-    return None, lambda p: act_shift(p, j)
+    return None, int(m.group(1)), None
+
+
+def column_sources(tok: str, n: int) -> tuple[int | None, ...]:
+    """For each column of tok(q) on n columns, the 1-based column of q
+    the map copies there, or None where it writes a replacement vector."""
+    family, j, start = _token(tok)
+    sources = [(c + j) % n + 1 for c in range(n)]
+    if start is not None:
+        for _, (a, b), _ in _blocks(family.k, n, start):
+            sources[a - 1], sources[b - 1] = sources[b - 1], None
+    return tuple(sources)
 
 
 def parse_group_word(text: str) -> GroupWord:
@@ -172,12 +184,15 @@ def act_word(p: ModuliPoint, word) -> ModuliPoint:
     if isinstance(word, str):
         word = parse_group_word(word)
     for pos, tok in enumerate(word, start=1):
-        family, act = _token(tok)
+        family, j, start = _token(tok)
         if family is not None and p.family is not family:
             raise ValueError(f"token {tok} applies to {family.name}, point is {p.family.name}")
-        try:
-            p = act(p)
-        except DegeneracyError as exc:
-            exc.args = (f"token {pos} ({tok}): {exc}",)
-            raise
+        if j or start is None:  # SH(0) too returns a new point
+            p = act_shift(p, j)
+        if start is not None:
+            try:
+                p = act_sigma1(p) if family is T36 else act_xi(p, start)
+            except DegeneracyError as exc:
+                exc.args = (f"token {pos} ({tok}): {exc}",)
+                raise
     return p

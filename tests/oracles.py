@@ -418,20 +418,24 @@ def _digits(text: str, signed: bool = False) -> bool:
     return text.isascii() and text.isdigit()
 
 
+_ASCII_SPACE = " \t\n\r\f\v"
+
+
 def read_scalar(field: Field, text: str):
     """The scalar that the entry text spells in `field`: ``"a"`` or
     ``"a/b"`` over ℚ, ``"v"`` or ``"v mod p"`` over F_p, in ASCII digits,
-    a minus sign only right before a or v, any whitespace around the
-    numbers and at least one space after ``mod``."""
+    a minus sign only right before a or v, any ASCII whitespace around
+    the numbers and at least one after ``mod``."""
     if field == QQ:
-        num, slash, den = (part.strip() for part in text.partition("/"))
+        num, slash, den = (part.strip(_ASCII_SPACE) for part in text.partition("/"))
         if not _digits(num, signed=True) or slash and not _digits(den):
             raise ValueError(f"not a rational scalar: {text!r}")
         if slash and int(den) == 0:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den) if slash else 1)
     value, mod, modulus = text.partition("mod")
-    value, modulus = value.strip(), modulus.strip() if modulus[:1].isspace() else ""
+    spaced = modulus[:1] and modulus[0] in _ASCII_SPACE
+    value, modulus = value.strip(_ASCII_SPACE), modulus.strip(_ASCII_SPACE) if spaced else ""
     if not _digits(value, signed=True) or mod and not _digits(modulus):
         raise ValueError(f"not a residue scalar: {text!r}")
     if mod and int(modulus) != field.p:

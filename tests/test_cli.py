@@ -438,6 +438,29 @@ def test_refused_scalar_entry_is_usage_error(tmp_path, capsys, field, entry, mes
     assert (code, out, err) == (2, "", f"error: cannot read point file: {message}\n")
 
 
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=str)
+def test_flags_takes_ascii_whitespace_only_around_entries(tmp_path, capsys, field):
+    # `\s` without `re.ASCII` takes the information separators, NEL, NBSP
+    # and U+3000 as whitespace around an entry; tab and newline stay.
+    data = point_to_json(random_point(T36, field, 1))
+    entry, kind = data["columns"][4][1], "rational" if field == QQ else "residue"
+    p_file = tmp_path / "p.json"
+
+    def flags_with(text):
+        data["columns"][4][1] = text
+        p_file.write_text(json.dumps(data))
+        return run(capsys, "flags", "--point", str(p_file))
+
+    expect = flags_with(entry)
+    assert expect[0] == 0
+    for text in (f"\t{entry}\n", f"\n {entry}\t"):
+        assert flags_with(text) == expect, text
+    for text in [f"{space}{entry}" for space in "\u001c\u001f\u0085\u00a0\u3000"] + [
+            f"{entry}\u3000", f"\u001d{entry}\u001e"]:
+        msg = f"error: cannot read point file: not a {kind} scalar: {text!r}\n"
+        assert flags_with(text) == (2, "", msg), text
+
+
 def test_flags_validates_once(tmp_path, monkeypatch, capsys):
     p_file = tmp_path / "p.json"
     p_file.write_text(point_dumps(random_point(T36, QQ, 6)))
@@ -583,8 +606,9 @@ def test_report_defaults_are_the_library_defaults(monkeypatch, capsys, argv, kwa
     assert code == (0 if report.ok else 1)
 
 
-def _fail_first_call(fn):
-    calls = []
+def _fail_first_call(fn, calls):
+    """fn, raising a `DegeneracyError` on its first call; `calls` records
+    the arguments of every call."""
 
     def wrapped(*args):
         calls.append(args)
@@ -598,7 +622,8 @@ def _fail_first_call(fn):
 @pytest.mark.parametrize(
     "target,argv",
     [
-        ("act_word", ("faithful", "--max-syllables", "1", "--points", "2")),
+        # One-token words read Δ off the sampled point, applying no map.
+        ("act_word", ("faithful", "--max-syllables", "2", "--points", "2")),
         ("act_word", ("relations", "--points", "2")),
         ("act_word", ("xi-report", "--points", "2")),
     ],
@@ -606,8 +631,10 @@ def _fail_first_call(fn):
 def test_report_degeneracy_exits_three(monkeypatch, capsys, target, argv):
     # A degeneracy inside a report is a bug in a loop map: it must reach
     # the caller, not be skipped or resampled away.
-    monkeypatch.setattr(explorer, target, _fail_first_call(getattr(explorer, target)))
+    calls = []
+    monkeypatch.setattr(explorer, target, _fail_first_call(getattr(explorer, target), calls))
     code, out, err = run(capsys, *argv)
+    assert calls, "the injected map was never called"
     assert code == 3 and out == ""
     assert err.startswith("degeneracy: injected")
 

@@ -367,14 +367,34 @@ def test_word_images_match_whole_word_replay(field):
     """One memo per point, filled in a shuffled order so that most words
     extend a prefix imaged earlier, gives each word's `act_word` image:
     every w + u with w of at most 5 and u of at most 2 tokens on T36,
-    every xi report word on T44."""
+    every xi report word on T44.  A second memo, filled by Δ values
+    alone in another shuffled order, gives Δ of each T36 word's image."""
     t36_words = [w + u for w in reduced_words(5) for u in reduced_words(2)]
     for family, words in ((T36, t36_words), (T44, list(XI_REPORT_WORDS))):
         p = random_point(family, field, 17)
         Random(len(words)).shuffle(words)
-        images = explorer._WordImages(p)
+        images, values = explorer._WordImages(p), explorer._WordImages(p)
         for w in words:
             assert images.image(w) == act_word(p, w), w
+        if family is T36:
+            Random(repr(field)).shuffle(words)
+            for w in words:
+                assert values.value(w) == delta(act_word(p, w)), w
+
+
+def test_delta_builds_no_image_it_does_not_read():
+    # Every T36 generator copies Δ's columns 1, 4, 7 (A and S1 from 2, 5, 8;
+    # A2 and B from 3, 6, 9), so no word's own image is built for its Δ.
+    # B A2 B pulls Δ back to columns 3, 6, 9 of B A2, then 5, 8, 2 of B,
+    # which are B's replacement vectors: only B's image is built.
+    p = random_point(T36, PrimeField(DEFAULT_PRIME), 5)
+    for w in reduced_words(4)[1:]:
+        images = explorer._WordImages(p)
+        assert images.value(w) == delta(act_word(p, w))
+        assert w not in images._images, w
+    images = explorer._WordImages(p)
+    images.value(("B", "A2", "B"))
+    assert set(images._images) == {(), ("B",)}
 
 
 def test_xi_structural_ok_direct():

@@ -20,6 +20,7 @@ from legmon.monodromy import (
     act_sigma1,
     act_word,
     act_xi,
+    column_sources,
     parse_group_word,
 )
 from oracles import LOOP_WINDOWS, point_of, window_slots
@@ -187,6 +188,25 @@ def test_blocks_reproduce_the_window_table(tok, k, n, start):
             assert image.form[slot - 1] == expect
 
 
+def _copied(layout):
+    """A `LOOP_WINDOWS` layout as column sources: a window label is None."""
+    return tuple(src if isinstance(src, int) else None for src in layout)
+
+
+def test_column_sources_match_the_hand_written_layouts():
+    # Loop maps: the layouts of `LOOP_WINDOWS`.  Shifts: the rotation.
+    # B = S1 after A: S1's source c is column c of A(q), column c + 1 of q.
+    for tok, (_, layout) in LOOP_WINDOWS.items():
+        assert column_sources(tok, len(layout)) == _copied(layout), tok
+    for n in (8, 9):
+        rotations = [("A", 1), ("A2", 2)] if n == 9 else []
+        for tok, j in rotations + [(f"SH({j})", j) for j in range(-10, 11)]:
+            assert column_sources(tok, n) == tuple((c + j) % n + 1 for c in range(n)), tok
+    a = column_sources("A", 9)
+    assert column_sources("B", 9) == tuple(
+        None if c is None else a[c - 1] for c in _copied(LOOP_WINDOWS["S1"][1]))
+
+
 _CONJUGATION_FIELDS = [PrimeField(101), FP, QQ]
 
 
@@ -291,6 +311,23 @@ def test_images_carry_the_int_form_of_their_columns(field, monkeypatch):
                 assert p.form == fresh_form(p)
     if field is QQ:
         assert min(dens) < 0 < max(dens)
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), FP, QQ], ids=["F3", "Fp", "Q"])
+def test_copied_columns_are_their_sources_form(field):
+    # A copy is the source's (ints, den) pair itself, which is what lets a
+    # minor of tok(q) on copied columns be taken on q.
+    for family, tokens in _FORM_TOKENS.items():
+        n = family.n_columns
+        for seed in range(5):
+            q = random_point(family, field, seed)
+            for tok in tokens:
+                tok = f"SH({seed - 2})" if tok == "SH" else tok
+                image, sources = act_word(q, (tok,)), column_sources(tok, n)
+                copied = [(c, src) for c, src in enumerate(sources, start=1) if src]
+                assert len(copied) == (n if tok.startswith(("A", "SH")) else n - n // family.k)
+                for c, src in copied:
+                    assert image.form[c - 1] is q.form[src - 1], (tok, c)
 
 
 def oracle_image_columns(p, tok):

@@ -109,6 +109,8 @@ def _malformed(field):
         # Whitespace and sign variants, accepted or not.
         "+3", "- 3", "3 mod -7", "3 mod 7 x", "٣ mod 7", "", " ", "3mod 7",
         "+1/2", "1/-2", "1 / 2 ", " -0/7", "1//2", "\n1/2", "1/2\n", "1/2\n\n", "-0", "3 mod 07",
+        # ASCII whitespace only: not the separators, NEL, NBSP or U+3000.
+        "\u001c3 mod 7\u3000", "3 mod\u00a07", "\u00851/2", "1\u001f/2", "\r\f1/2\v", "3\tmod\v7",
         # Non-string entries.
         7, None, 1.5, ["1/2"],
     ]
@@ -141,6 +143,35 @@ def test_point_reader_refuses_as_oracle(field):
         assert got == outcome(scalar_point_from_json, data), data
         refused += isinstance(got, tuple)
     assert refused > 30
+
+
+# `\s` without `re.ASCII` matches these as whitespace too.
+UNICODE_SPACES = "\u001c\u001d\u001e\u001f\u0085\u00a0\u3000"
+
+
+def spaced(entry, space):
+    """`entry` with `space` before it, after it, and before its "/" or
+    after its "mod"."""
+    inner = entry.replace("/", space + "/") if "/" in entry else entry.replace("mod ", "mod" + space)
+    return [space + entry, entry + space, inner]
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=str)
+def test_point_entries_take_ascii_whitespace_only(field):
+    p = random_point(T36, field, 1)
+    data = point_to_json(p)
+    kind = "rational" if field == QQ else "residue"
+    for space in UNICODE_SPACES:
+        for text in spaced(data["columns"][4][1], space):
+            with pytest.raises(ValueError) as err:
+                point_loads(json.dumps(_with_entry(data, 4, 1, text)))
+            assert str(err.value) == f"not a {kind} scalar: {text!r}"
+    for space in " \t\n\r\f\v":
+        for text in spaced(data["columns"][4][1], space):
+            assert point_loads(json.dumps(_with_entry(data, 4, 1, text))) == p
+    if field != QQ:
+        with pytest.raises(ValueError, match="not a residue scalar"):
+            point_loads(json.dumps(_with_entry(data, 4, 1, "\u001c3 mod 7\u3000")))
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ], ids=str)

@@ -2,11 +2,14 @@
 
 A word is a tuple of `monodromy` tokens in every report, and only
 `monodromy` knows which point map a token names (`_TOKENS`).  So
-`explorer` imports nothing from `monodromy` but `act_word`, and of the
-module it reads only `_xi_blocks`, the windows that `xi_structural_ok`
-audits, which is no point map.  No module of the package outside
-`monodromy` holds a token → point-map table: a dict whose keys are
-tokens and whose values are not all strings.  A token → label table
+`explorer` imports nothing from `monodromy` but `act_word` and
+`column_sources`, and of the module it reads only `_xi_blocks`, the
+windows that `xi_structural_ok` audits, which is no point map.  Which
+columns of the point a token's image copies is knowledge of the token,
+so `column_sources` answers it inside `monodromy`, and `explorer` reads
+Δ through it without knowing any token's map.  No module of the package
+outside `monodromy` holds a token → point-map table: a dict whose keys
+are tokens and whose values are not all strings.  A token → label table
 such as `explorer._LABELS` maps to strings, so it is no such table.
 The modules are read from their source, as `test_field_boundary` reads
 them.
@@ -49,7 +52,7 @@ def test_scan_finds_monodromy_imports():
 
 def test_explorer_applies_words_through_act_word_only():
     names, attrs = _taken_from_monodromy(ast.parse((SRC / "explorer.py").read_text()))
-    assert names <= {"act_word"}
+    assert names <= {"act_word", "column_sources"}
     assert attrs <= EXPLORER_READS
 
 
